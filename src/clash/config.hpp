@@ -78,14 +78,17 @@ struct ClashConfig {
   ///  - kLog: per-group operation log. Every mutation is appended and
   ///    streamed to the replica set immediately; the periodic traffic
   ///    shrinks to an (epoch, seq) anti-entropy probe; failover and
-  ///    rejoin pull exactly the missing suffix (snapshot only when the
-  ///    suffix was compacted). Staleness ~ one message delay.
+  ///    rejoin pull exactly the missing suffix. Every holder compacts
+  ///    its own log; snapshots ship only at activation and handoff, to
+  ///    repair a holder behind the compaction floor, or to fold app
+  ///    deltas. Staleness ~ one message delay.
   enum class ReplicationMode : std::uint8_t { kSnapshot, kLog };
   ReplicationMode replication_mode = ReplicationMode::kSnapshot;
 
-  /// Log mode: retained entries per group log before the owner cuts a
-  /// fresh snapshot and compacts (bounds both memory and the size of a
-  /// catch-up delta).
+  /// Log mode: retained entries per group log before its holder compacts
+  /// it locally (bounds both memory and the size of a catch-up delta; a
+  /// peer behind the floor is repaired by snapshot). Owner and replicas
+  /// apply the same bound, so either can repair the other by delta.
   unsigned log_compact_threshold = 256;
 
   /// Log mode: streams+queries per SnapshotChunk message.

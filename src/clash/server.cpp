@@ -128,7 +128,13 @@ void ClashServer::install_entry(const ServerTableEntry& entry) {
 bool ClashServer::mark_group_root(const KeyGroup& group) {
   ServerTableEntry* entry = table_.find(group);
   if (entry == nullptr || !entry->active) return false;
+  if (entry->root) return true;
   entry->root = true;
+  // The group's replicas (and its durable baseline) were cut while the
+  // flag was still false: bootstrap force-splits before it marks the
+  // floor. Refresh them, or a promoted copy would consolidate above it.
+  persist_group_snapshot(*entry, /*checkpoint=*/false);
+  if (cfg_.replication_factor > 0) replicate_group(*entry);
   return true;
 }
 
@@ -739,7 +745,7 @@ void ClashServer::send_replicas() {
 
 void ClashServer::replicate_group(const ServerTableEntry& entry) {
   if (log_replication()) {
-    // Log mode: a full snapshot (activation, compaction) instead of a
+    // Log mode: a full snapshot (activation, handoff, repair) instead of a
     // lease refresh; steady-state protection flows through log_op.
     snapshot_group(entry);
     return;
@@ -978,14 +984,17 @@ void ClashServer::log_op(const KeyGroup& group, repl::LogOp op) {
     env_.defer([this] { flush_pending_appends(); });
   }
 
-  // Bound the retained suffix: cut a fresh snapshot boundary once the
-  // log outgrows the threshold (the snapshot resets every holder, and
-  // on disk advances the WAL truncation floor).
+  // Bound the retained suffix once the log outgrows the threshold. The
+  // cut is local (on disk it advances the WAL truncation floor): each
+  // replica compacts its own copy, so a caught-up holder keeps getting
+  // deltas, and one left behind the floor is repaired by snapshot via
+  // nack or anti-entropy. Only a suffix carrying app deltas ships a
+  // snapshot: a replica's opaque app tail folds from nothing else.
   if (log.size() > cfg_.log_compact_threshold) {
     const ServerTableEntry* entry = table_.find(group);
     if (entry != nullptr && entry->active) {
       stats_.log_compactions++;
-      if (replicating) {
+      if (replicating && log.holds(repl::OpKind::kAppDelta)) {
         snapshot_group(*entry);
       } else {
         persist_group_snapshot(*entry, /*checkpoint=*/true);
@@ -1040,8 +1049,11 @@ void ClashServer::send_append_batch(const KeyGroup& group,
         msg.trace_id});
     if (inflight.size() > 4096) inflight.pop_front();
   }
+  // One Message for every target: sending the bare struct would build
+  // (deep-copy) a fresh variant per replica.
+  const Message out(std::move(msg));
   for (const ServerId target : targets) {
-    if (target != self_) env_.send(target, msg);
+    if (target != self_) env_.send(target, out);
   }
 }
 
@@ -1326,6 +1338,9 @@ void ClashServer::handle_repl_append(ServerId from, const ReplAppend& m) {
     }
     rec.log.append(op);
   }
+  // The replica bounds its own suffix at the owner's threshold, which
+  // keeps the peer-repair window the same size as the owner's.
+  if (rec.log.size() > cfg_.log_compact_threshold) rec.log.compact();
   const std::size_t applied =
       m.entries.size() > skip ? m.entries.size() - skip : 0;
   if (applied > 0) {
@@ -1572,7 +1587,7 @@ void ClashServer::repair_peer(ServerId to, const KeyGroup& group,
         ReplAppend repair{group, self_, log.epoch(), have.seq,
                           active_trace_, std::move(out)};
         repair.checksum = wire::content_crc(repair);
-        env_.send(to, repair);
+        env_.send(to, Message(std::move(repair)));
       }
     } else {
       send_snapshot_to(to, *entry);
@@ -1592,7 +1607,7 @@ void ClashServer::repair_peer(ServerId to, const KeyGroup& group,
       ReplAppend repair{group, rec.owner, head.epoch, have.seq,
                         active_trace_, std::move(out)};
       repair.checksum = wire::content_crc(repair);
-      env_.send(to, repair);
+      env_.send(to, Message(std::move(repair)));
     }
     return;
   }
@@ -1698,6 +1713,16 @@ std::optional<repl::LogHead> ClashServer::replica_head(
   const auto it = replicas_.find(group);
   if (it == replicas_.end()) return std::nullopt;
   return it->second.log.head();
+}
+
+const repl::GroupLog* ClashServer::group_log(const KeyGroup& group) const {
+  const auto it = logs_.find(group);
+  return it == logs_.end() ? nullptr : &it->second;
+}
+
+const repl::GroupLog* ClashServer::replica_log(const KeyGroup& group) const {
+  const auto it = replicas_.find(group);
+  return it == replicas_.end() ? nullptr : &it->second.log;
 }
 
 const GroupState* ClashServer::replica_state(const KeyGroup& group) const {

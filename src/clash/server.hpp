@@ -225,6 +225,10 @@ class ClashServer {
   /// Replica-side applied head for a group held on behalf of a peer.
   [[nodiscard]] std::optional<repl::LogHead> replica_head(
       const KeyGroup& group) const;
+  /// Owner-side / replica-side log of `group`, retained suffix included
+  /// (introspection for tests/operators); nullptr when absent.
+  [[nodiscard]] const repl::GroupLog* group_log(const KeyGroup& group) const;
+  [[nodiscard]] const repl::GroupLog* replica_log(const KeyGroup& group) const;
   /// Replica-side object state (introspection for tests/operators).
   [[nodiscard]] const GroupState* replica_state(const KeyGroup& group) const;
 

@@ -49,7 +49,7 @@ namespace clash {
   X(groups_lost)      /* failovers without replica state */                  \
   X(dropped_msgs)     /* sends to dead servers */                            \
   X(handoffs)         /* groups handed back on rejoin */                     \
-  X(log_compactions)  /* snapshot+compact cycles (log mode) */               \
+  X(log_compactions)  /* owner-log cuts; local unless app deltas ship */     \
   X(link_drops)       /* messages eaten by the fault matrix */               \
   X(snapshot_aborts)  /* out-of-sync transfers nacked */                     \
   X(snapshot_offers_ignored) /* dup offers mid-transfer */                   \

@@ -1,6 +1,7 @@
 #include "net/blocking_client.hpp"
 
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -41,7 +42,8 @@ bool read_exact(int fd, std::uint8_t* out, std::size_t n,
 bool write_all(int fd, std::span<const std::uint8_t> data) {
   std::size_t sent = 0;
   while (sent < data.size()) {
-    const ssize_t w = ::write(fd, data.data() + sent, data.size() - sent);
+    const ssize_t w =
+        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
     if (w <= 0) {
       if (w < 0 && errno == EINTR) continue;
       return false;

@@ -1,6 +1,7 @@
 #include "net/connection.hpp"
 
 #include <sys/epoll.h>
+#include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
@@ -20,7 +21,7 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 /// Compact the inbound arena once this many consumed bytes sit in
 /// front of unparsed data (amortises the memmove to O(1)/byte).
 constexpr std::size_t kCompactThreshold = 64 * 1024;
-/// Frames handed to one writev call.
+/// Frames handed to one sendmsg call.
 constexpr std::size_t kMaxIov = 64;
 
 }  // namespace
@@ -326,7 +327,13 @@ void Connection::flush() {
       offset = 0;
       ++niov;
     }
-    const ssize_t n = ::writev(fd_.get(), iov.data(), int(niov));
+    // MSG_NOSIGNAL: a write to a peer that already closed fails with
+    // EPIPE instead of raising a process-killing SIGPIPE, so embedders
+    // need not ignore the signal.
+    msghdr hdr{};
+    hdr.msg_iov = iov.data();
+    hdr.msg_iovlen = niov;
+    const ssize_t n = ::sendmsg(fd_.get(), &hdr, MSG_NOSIGNAL);
     ++stats_.flush_syscalls;
     flush_syscalls_c_.inc();
     if (n < 0) {

@@ -5,7 +5,7 @@
 // Fast path: outbound frames are owned, pool-recycled buffers queued
 // without copying (send_wire_frame takes a finished wire frame
 // straight from wire::finish_frame); everything queued during one
-// loop tick is flushed with a single writev(2) at end of tick.
+// loop tick is flushed with a single sendmsg(2) at end of tick.
 // Inbound bytes land in a consume-cursor arena — parsing advances a
 // cursor instead of memmoving the buffer per batch.
 //
@@ -45,7 +45,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
     std::uint64_t frames_received = 0;
     std::uint64_t bytes_sent = 0;
     std::uint64_t bytes_received = 0;
-    /// writev(2) calls; frames_sent / flush_syscalls is the
+    /// sendmsg(2) calls; frames_sent / flush_syscalls is the
     /// small-frame coalescing ratio.
     std::uint64_t flush_syscalls = 0;
     /// Sends rejected for exceeding kMaxFrame.

@@ -1,6 +1,7 @@
 #include "net/node.hpp"
 
 #include <sys/epoll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -735,8 +736,8 @@ void ClashNode::on_stats_client(int fd, std::uint32_t events) {
                  "\r\nConnection: close\r\n\r\n" + body;
   }
   while (client.off < client.out.size()) {
-    const ssize_t n = ::write(fd, client.out.data() + client.off,
-                              client.out.size() - client.off);
+    const ssize_t n = ::send(fd, client.out.data() + client.off,
+                             client.out.size() - client.off, MSG_NOSIGNAL);
     if (n > 0) {
       client.off += std::size_t(n);
       continue;

@@ -1,5 +1,6 @@
 #include "repl/log.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "repl/op.hpp"
@@ -62,6 +63,11 @@ bool GroupLog::suffix_from(std::uint64_t after_seq,
     out.push_back(entries_[i]);
   }
   return true;
+}
+
+bool GroupLog::holds(OpKind kind) const {
+  return std::any_of(entries_.begin(), entries_.end(),
+                     [kind](const LogOp& op) { return op.kind == kind; });
 }
 
 void GroupLog::compact() {

@@ -2,9 +2,12 @@
 // subsystem). Every mutation of a group's state — stream register/
 // unregister, query register/unregister, opaque application deltas —
 // becomes a sequenced LogOp under the owner's epoch. Owners stream
-// appends to their replica set; replicas apply them incrementally and
-// retain the suffix since the last snapshot so any holder can repair
-// any other (anti-entropy, peer recovery at failover).
+// appends to their replica set; replicas apply them incrementally.
+// Every holder compacts its own copy at the same threshold and keeps
+// the suffix since that cut, so any holder can repair any other by
+// delta (anti-entropy, peer recovery at failover). Snapshots are for
+// repair only: a holder behind the floor, a new replica set, or a
+// suffix with app deltas to fold.
 //
 // Ordering model: (epoch, seq) LogHead pairs totally order the copies
 // of one group. A copy at head H1 strictly dominates a copy at H2 iff
@@ -22,9 +25,9 @@ namespace clash::repl {
 
 /// The log of one group on one holder. The owner's copy is the source
 /// of truth; replica copies track the owner through appends and
-/// snapshots. Entries older than the last snapshot boundary are
-/// compacted away — a peer that lags past the floor needs a snapshot,
-/// not a delta (Gray's economics: ship the small thing).
+/// snapshots. Entries older than the last compaction are dropped — a
+/// caught-up peer needs only the delta, and a peer that lags past the
+/// floor needs a snapshot (Gray's economics: ship the small thing).
 class GroupLog {
  public:
   /// A fresh log: first append gets seq `start_seq + 1` under `epoch`.
@@ -47,8 +50,11 @@ class GroupLog {
   [[nodiscard]] bool suffix_from(std::uint64_t after_seq,
                                  std::vector<LogOp>& out) const;
 
-  /// Drop every retained entry (a snapshot at head() was just taken:
-  /// anyone behind it will be repaired by that snapshot).
+  /// True when a retained entry has kind `kind`.
+  [[nodiscard]] bool holds(OpKind kind) const;
+
+  /// Drop every retained entry (a local cut at head(): anyone later
+  /// found behind it is repaired by snapshot).
   void compact();
 
   /// Re-anchor at a snapshot boundary (replica installing a snapshot,

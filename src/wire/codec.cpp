@@ -274,129 +274,136 @@ std::size_t encoded_census_size(
   return w.size();
 }
 
+namespace {
+
+// One payload's bytes, [type][fields...]. Checksummed payloads are
+// encoded straight from their struct, so fencing them needs no
+// temporary Message.
+template <typename T>
+void encode_payload(Writer& w, const T& m) {
+  if constexpr (std::is_same_v<T, AcceptObject>) {
+    w.u8(std::uint8_t(MsgType::kAcceptObject));
+    encode_key(w, m.key);
+    w.u8(std::uint8_t(m.depth));
+    w.u8(std::uint8_t(m.kind));
+    w.u64(m.query_id.value);
+    w.f64(m.stream_rate);
+    w.u64(m.source.value);
+    w.boolean(m.probe_only);
+    w.u64(m.trace_id);
+  } else if constexpr (std::is_same_v<T, AcceptObjectOk>) {
+    w.u8(std::uint8_t(MsgType::kAcceptObjectOk));
+    w.u8(std::uint8_t(m.depth));
+  } else if constexpr (std::is_same_v<T, IncorrectDepth>) {
+    w.u8(std::uint8_t(MsgType::kIncorrectDepth));
+    w.u8(std::uint8_t(m.dmin));
+  } else if constexpr (std::is_same_v<T, AcceptKeyGroup>) {
+    w.u8(std::uint8_t(MsgType::kAcceptKeyGroup));
+    encode_group(w, m.group);
+    w.u64(m.parent.value);
+    w.boolean(m.root);
+    w.u64(m.epoch);
+    encode_vector(w, m.streams, encode_stream_info);
+    encode_vector(w, m.queries, encode_query_info);
+    w.u32(std::uint32_t(m.app_state.size()));
+    w.bytes(m.app_state);
+  } else if constexpr (std::is_same_v<T, AcceptKeyGroupAck>) {
+    w.u8(std::uint8_t(MsgType::kAcceptKeyGroupAck));
+    encode_group(w, m.group);
+  } else if constexpr (std::is_same_v<T, LoadReport>) {
+    w.u8(std::uint8_t(MsgType::kLoadReport));
+    encode_group(w, m.group);
+    w.f64(m.load);
+    w.boolean(m.is_leaf);
+  } else if constexpr (std::is_same_v<T, ReclaimKeyGroup>) {
+    w.u8(std::uint8_t(MsgType::kReclaimKeyGroup));
+    encode_group(w, m.group);
+  } else if constexpr (std::is_same_v<T, ReclaimAck>) {
+    w.u8(std::uint8_t(MsgType::kReclaimAck));
+    encode_group(w, m.group);
+    encode_vector(w, m.streams, encode_stream_info);
+    encode_vector(w, m.queries, encode_query_info);
+    w.u32(std::uint32_t(m.app_state.size()));
+    w.bytes(m.app_state);
+  } else if constexpr (std::is_same_v<T, ReclaimRefused>) {
+    w.u8(std::uint8_t(MsgType::kReclaimRefused));
+    encode_group(w, m.group);
+  } else if constexpr (std::is_same_v<T, ReplicateGroup>) {
+    w.u8(std::uint8_t(MsgType::kReplicateGroup));
+    encode_group(w, m.group);
+    w.u64(m.owner.value);
+    w.boolean(m.root);
+    w.u64(m.parent.value);
+    encode_vector(w, m.streams, encode_stream_info);
+    encode_vector(w, m.queries, encode_query_info);
+  } else if constexpr (std::is_same_v<T, DropReplica>) {
+    w.u8(std::uint8_t(MsgType::kDropReplica));
+    encode_group(w, m.group);
+  } else if constexpr (std::is_same_v<T, Gossip>) {
+    w.u8(std::uint8_t(MsgType::kGossip));
+    w.u32(m.checksum);  // content fence: always right after type
+    w.u8(std::uint8_t(m.kind));
+    w.u64(m.sequence);
+    w.u64(m.target.value);
+    encode_vector(w, m.updates, encode_member_update);
+    encode_vector(w, m.census, encode_census_record);
+  } else if constexpr (std::is_same_v<T, ReplAppend>) {
+    w.u8(std::uint8_t(MsgType::kReplAppend));
+    w.u32(m.checksum);
+    encode_group(w, m.group);
+    w.u64(m.owner.value);
+    w.u64(m.epoch);
+    w.u64(m.base_seq);
+    w.u64(m.trace_id);
+    encode_vector(w, m.entries,
+                  [](Writer& ww, const repl::LogOp& op) {
+                    encode_log_op(ww, op);
+                  });
+  } else if constexpr (std::is_same_v<T, ReplAck>) {
+    w.u8(std::uint8_t(MsgType::kReplAck));
+    encode_group(w, m.group);
+    encode_log_head(w, m.head);
+    w.boolean(m.ok);
+  } else if constexpr (std::is_same_v<T, SnapshotOffer>) {
+    w.u8(std::uint8_t(MsgType::kSnapshotOffer));
+    encode_group(w, m.group);
+    w.u64(m.owner.value);
+    encode_log_head(w, m.head);
+    w.boolean(m.root);
+    w.u64(m.parent.value);
+    w.u32(m.total_chunks);
+    w.u64(m.trace_id);
+  } else if constexpr (std::is_same_v<T, SnapshotChunk>) {
+    w.u8(std::uint8_t(MsgType::kSnapshotChunk));
+    w.u32(m.checksum);
+    encode_group(w, m.group);
+    encode_log_head(w, m.head);
+    w.u32(m.index);
+    w.u32(m.total);
+    w.u64(m.trace_id);
+    encode_vector(w, m.streams, encode_stream_info);
+    encode_vector(w, m.queries, encode_query_info);
+    w.u32(std::uint32_t(m.app_state.size()));
+    w.bytes(m.app_state);
+    w.u32(std::uint32_t(m.app_deltas.size()));
+    for (const auto& d : m.app_deltas) {
+      w.u32(std::uint32_t(d.size()));
+      w.bytes(d);
+    }
+  } else if constexpr (std::is_same_v<T, AntiEntropyProbe>) {
+    w.u8(std::uint8_t(MsgType::kAntiEntropyProbe));
+    w.u64(m.owner.value);
+    encode_vector(w, m.heads, encode_group_head);
+  } else if constexpr (std::is_same_v<T, AntiEntropyDiff>) {
+    w.u8(std::uint8_t(MsgType::kAntiEntropyDiff));
+    encode_vector(w, m.behind, encode_group_head);
+  }
+}
+
+}  // namespace
+
 void encode_message(Writer& w, const Message& msg) {
-  std::visit(
-      [&](const auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, AcceptObject>) {
-          w.u8(std::uint8_t(MsgType::kAcceptObject));
-          encode_key(w, m.key);
-          w.u8(std::uint8_t(m.depth));
-          w.u8(std::uint8_t(m.kind));
-          w.u64(m.query_id.value);
-          w.f64(m.stream_rate);
-          w.u64(m.source.value);
-          w.boolean(m.probe_only);
-          w.u64(m.trace_id);
-        } else if constexpr (std::is_same_v<T, AcceptObjectOk>) {
-          w.u8(std::uint8_t(MsgType::kAcceptObjectOk));
-          w.u8(std::uint8_t(m.depth));
-        } else if constexpr (std::is_same_v<T, IncorrectDepth>) {
-          w.u8(std::uint8_t(MsgType::kIncorrectDepth));
-          w.u8(std::uint8_t(m.dmin));
-        } else if constexpr (std::is_same_v<T, AcceptKeyGroup>) {
-          w.u8(std::uint8_t(MsgType::kAcceptKeyGroup));
-          encode_group(w, m.group);
-          w.u64(m.parent.value);
-          w.boolean(m.root);
-          w.u64(m.epoch);
-          encode_vector(w, m.streams, encode_stream_info);
-          encode_vector(w, m.queries, encode_query_info);
-          w.u32(std::uint32_t(m.app_state.size()));
-          w.bytes(m.app_state);
-        } else if constexpr (std::is_same_v<T, AcceptKeyGroupAck>) {
-          w.u8(std::uint8_t(MsgType::kAcceptKeyGroupAck));
-          encode_group(w, m.group);
-        } else if constexpr (std::is_same_v<T, LoadReport>) {
-          w.u8(std::uint8_t(MsgType::kLoadReport));
-          encode_group(w, m.group);
-          w.f64(m.load);
-          w.boolean(m.is_leaf);
-        } else if constexpr (std::is_same_v<T, ReclaimKeyGroup>) {
-          w.u8(std::uint8_t(MsgType::kReclaimKeyGroup));
-          encode_group(w, m.group);
-        } else if constexpr (std::is_same_v<T, ReclaimAck>) {
-          w.u8(std::uint8_t(MsgType::kReclaimAck));
-          encode_group(w, m.group);
-          encode_vector(w, m.streams, encode_stream_info);
-          encode_vector(w, m.queries, encode_query_info);
-          w.u32(std::uint32_t(m.app_state.size()));
-          w.bytes(m.app_state);
-        } else if constexpr (std::is_same_v<T, ReclaimRefused>) {
-          w.u8(std::uint8_t(MsgType::kReclaimRefused));
-          encode_group(w, m.group);
-        } else if constexpr (std::is_same_v<T, ReplicateGroup>) {
-          w.u8(std::uint8_t(MsgType::kReplicateGroup));
-          encode_group(w, m.group);
-          w.u64(m.owner.value);
-          w.boolean(m.root);
-          w.u64(m.parent.value);
-          encode_vector(w, m.streams, encode_stream_info);
-          encode_vector(w, m.queries, encode_query_info);
-        } else if constexpr (std::is_same_v<T, DropReplica>) {
-          w.u8(std::uint8_t(MsgType::kDropReplica));
-          encode_group(w, m.group);
-        } else if constexpr (std::is_same_v<T, Gossip>) {
-          w.u8(std::uint8_t(MsgType::kGossip));
-          w.u32(m.checksum);  // content fence: always right after type
-          w.u8(std::uint8_t(m.kind));
-          w.u64(m.sequence);
-          w.u64(m.target.value);
-          encode_vector(w, m.updates, encode_member_update);
-          encode_vector(w, m.census, encode_census_record);
-        } else if constexpr (std::is_same_v<T, ReplAppend>) {
-          w.u8(std::uint8_t(MsgType::kReplAppend));
-          w.u32(m.checksum);
-          encode_group(w, m.group);
-          w.u64(m.owner.value);
-          w.u64(m.epoch);
-          w.u64(m.base_seq);
-          w.u64(m.trace_id);
-          encode_vector(w, m.entries,
-                        [](Writer& ww, const repl::LogOp& op) {
-                          encode_log_op(ww, op);
-                        });
-        } else if constexpr (std::is_same_v<T, ReplAck>) {
-          w.u8(std::uint8_t(MsgType::kReplAck));
-          encode_group(w, m.group);
-          encode_log_head(w, m.head);
-          w.boolean(m.ok);
-        } else if constexpr (std::is_same_v<T, SnapshotOffer>) {
-          w.u8(std::uint8_t(MsgType::kSnapshotOffer));
-          encode_group(w, m.group);
-          w.u64(m.owner.value);
-          encode_log_head(w, m.head);
-          w.boolean(m.root);
-          w.u64(m.parent.value);
-          w.u32(m.total_chunks);
-          w.u64(m.trace_id);
-        } else if constexpr (std::is_same_v<T, SnapshotChunk>) {
-          w.u8(std::uint8_t(MsgType::kSnapshotChunk));
-          w.u32(m.checksum);
-          encode_group(w, m.group);
-          encode_log_head(w, m.head);
-          w.u32(m.index);
-          w.u32(m.total);
-          w.u64(m.trace_id);
-          encode_vector(w, m.streams, encode_stream_info);
-          encode_vector(w, m.queries, encode_query_info);
-          w.u32(std::uint32_t(m.app_state.size()));
-          w.bytes(m.app_state);
-          w.u32(std::uint32_t(m.app_deltas.size()));
-          for (const auto& d : m.app_deltas) {
-            w.u32(std::uint32_t(d.size()));
-            w.bytes(d);
-          }
-        } else if constexpr (std::is_same_v<T, AntiEntropyProbe>) {
-          w.u8(std::uint8_t(MsgType::kAntiEntropyProbe));
-          w.u64(m.owner.value);
-          encode_vector(w, m.heads, encode_group_head);
-        } else if constexpr (std::is_same_v<T, AntiEntropyDiff>) {
-          w.u8(std::uint8_t(MsgType::kAntiEntropyDiff));
-          encode_vector(w, m.behind, encode_group_head);
-        }
-      },
-      msg);
+  std::visit([&](const auto& m) { encode_payload(w, m); }, msg);
 }
 
 std::size_t encoded_payload_size(const Message& msg) {
@@ -413,9 +420,10 @@ namespace {
 constexpr std::size_t kChecksumSlot = 1;
 constexpr std::size_t kContentOffset = kChecksumSlot + 4;
 
-std::uint32_t crc_of_encoded(const Message& msg) {
+template <typename P>
+std::uint32_t crc_of_encoded(const P& m) {
   Writer w;
-  encode_message(w, msg);
+  encode_payload(w, m);
   const auto& bytes = w.data();
   Crc32 crc;
   crc.update(std::span<const std::uint8_t>(bytes.data(), kChecksumSlot));
@@ -426,15 +434,9 @@ std::uint32_t crc_of_encoded(const Message& msg) {
 
 }  // namespace
 
-std::uint32_t content_crc(const Gossip& m) {
-  return crc_of_encoded(Message(m));
-}
-std::uint32_t content_crc(const ReplAppend& m) {
-  return crc_of_encoded(Message(m));
-}
-std::uint32_t content_crc(const SnapshotChunk& m) {
-  return crc_of_encoded(Message(m));
-}
+std::uint32_t content_crc(const Gossip& m) { return crc_of_encoded(m); }
+std::uint32_t content_crc(const ReplAppend& m) { return crc_of_encoded(m); }
+std::uint32_t content_crc(const SnapshotChunk& m) { return crc_of_encoded(m); }
 
 bool corruptible(const Message& msg) {
   return std::holds_alternative<Gossip>(msg) ||
@@ -668,7 +670,7 @@ Expected<Message> decode_message(std::span<const std::uint8_t> payload) {
 }
 
 void encode_reply(Writer& w, const AcceptObjectReply& reply) {
-  std::visit([&](const auto& m) { encode_message(w, Message(m)); }, reply);
+  std::visit([&](const auto& m) { encode_payload(w, m); }, reply);
 }
 
 Expected<AcceptObjectReply> decode_reply(

@@ -1,14 +1,16 @@
 // Framing behaviour of the non-blocking Connection over a real socket
 // pair: reassembly of fragmented frames (split at every possible read
-// boundary, including inside the length header), batching, writev
+// boundary, including inside the length header), batching, sendmsg
 // coalescing, send-side oversize rejection, slow-reader backpressure
-// with EPOLLOUT re-arming, and close notification.
+// with EPOLLOUT re-arming, close notification, and writes to a closed
+// peer under the default SIGPIPE disposition.
 #include "net/connection.hpp"
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstring>
 
 #include "wire/buffer.hpp"
@@ -106,6 +108,24 @@ TEST_F(ConnFixture, PeerShutdownNotifies) {
   EXPECT_TRUE(closed);
 }
 
+TEST_F(ConnFixture, FlushToClosedPeerSurvivesDefaultSigpipe) {
+  // An embedder that never touches SIGPIPE: a flush into a socket whose
+  // peer stopped reading must fail with EPIPE and close the connection,
+  // not kill the process. (Shutting down only the peer's read side
+  // keeps our reader from seeing EOF first, so the write path is what
+  // notices.)
+  const auto previous = std::signal(SIGPIPE, SIG_DFL);
+  ASSERT_EQ(::shutdown(raw_peer, SHUT_RD), 0);
+  const std::string payload = "into the void";
+  EXPECT_TRUE(conn->send_frame(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(payload.data()),
+      payload.size())));
+  pump();
+  std::signal(SIGPIPE, previous);
+  EXPECT_TRUE(closed);
+  EXPECT_EQ(conn->stats().flush_syscalls, 1u);
+}
+
 TEST_F(ConnFixture, SendFrameRoundTrip) {
   const std::string payload = "pong";
   ASSERT_TRUE(loop.post([&] {
@@ -183,7 +203,7 @@ TEST_F(ConnFixture, CoalescesTickBatchIntoOneWritev) {
   }));
   pump();
   EXPECT_EQ(conn->stats().frames_sent, kFrames);
-  // 100 frames > kMaxIov (64): two writev calls, not one hundred writes.
+  // 100 frames > kMaxIov (64): two sendmsg calls, not one hundred writes.
   EXPECT_LE(conn->stats().flush_syscalls, 2u);
   std::vector<std::uint8_t> received(kFrames * (4 + payload.size()));
   std::size_t got = 0;
@@ -245,7 +265,7 @@ TEST_F(ConnFixture, MalformedWireFrameDropped) {
 
 TEST_F(ConnFixture, SlowReaderBackpressureReArmsEpollout) {
   // Shrink both socket buffers so the kernel accepts only part of the
-  // queue, forcing partial writev progress and EPOLLOUT re-arming.
+  // queue, forcing partial sendmsg progress and EPOLLOUT re-arming.
   const int small = 4096;
   ASSERT_EQ(::setsockopt(conn->fd(), SOL_SOCKET, SO_SNDBUF, &small,
                          sizeof(small)),
@@ -269,7 +289,7 @@ TEST_F(ConnFixture, SlowReaderBackpressureReArmsEpollout) {
   EXPECT_GT(conn->send_queue_bytes(), 0u);
 
   // Drain slowly; every pump gives the loop a chance to continue the
-  // flush from where the partial writev stopped.
+  // flush from where the partial sendmsg stopped.
   const std::size_t total = kFrames * (4 + payload.size());
   std::vector<std::uint8_t> sink(256 * 1024);
   std::size_t got = 0;

@@ -1,8 +1,8 @@
 // net::FaultInjector on the TCP transport: deterministic frame drops,
 // exact drop_next scripting, and delayed delivery at the Connection
-// level; and end-to-end snapshot-chunk pacing — a replica behind a
-// deliberately tiny pace window still converges because the drain
-// callback keeps resuming the transfer.
+// level; and end-to-end snapshot-chunk pacing — a replica cut off past
+// the compaction floor, behind a deliberately tiny pace window, still
+// converges because the drain callback keeps resuming the transfer.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -237,17 +237,19 @@ constexpr unsigned kWidth = 8;
 
 TEST(SnapshotPacing, PacedTransferConvergesThroughDrainCallbacks) {
   // Two nodes, log replication factor 1, and a deliberately tiny pace
-  // window (one chunk per burst, pause at 64 queued bytes): every
-  // compaction snapshot must trickle chunk by chunk, resumed by the
-  // connection's drain callback — if the resume path broke, the
-  // replica would stall behind the owner forever.
+  // window (one chunk per burst, pause at 64 queued bytes). The owner's
+  // link to the holder is cut while more than a compaction window of
+  // puts goes by, so after the heal only a snapshot can repair the
+  // holder. It must trickle chunk by chunk, resumed by the connection's
+  // drain callback: if the resume path broke, the replica would stall
+  // behind the owner forever.
   ClashConfig clash;
   clash.key_width = kWidth;
   clash.initial_depth = 0;
   clash.capacity = 1e9;
   clash.replication_factor = 1;
   clash.replication_mode = ClashConfig::ReplicationMode::kLog;
-  clash.log_compact_threshold = 8;  // frequent snapshots
+  clash.log_compact_threshold = 8;  // the cut below outruns this window
   clash.snapshot_chunk_objects = 1;  // one object per chunk
 
   std::vector<NodeConfig> configs(2);
@@ -258,8 +260,10 @@ TEST(SnapshotPacing, PacedTransferConvergesThroughDrainCallbacks) {
     configs[i].members[configs[i].id] = configs[i].listen;
     configs[i].clash = clash;
     configs[i].ring_salt = 99;
+    // The cut must starve replication, not get the holder declared
+    // dead: the ring stays fixed to the seed list.
+    configs[i].enable_membership = false;
     configs[i].load_check_interval = std::chrono::milliseconds(25);
-    configs[i].protocol_period = std::chrono::milliseconds(20);
     configs[i].snapshot_pace_bytes = 64;
     configs[i].snapshot_burst_chunks = 1;
     auto probe = std::make_unique<ClashNode>(configs[i]);
@@ -289,34 +293,60 @@ TEST(SnapshotPacing, PacedTransferConvergesThroughDrainCallbacks) {
   ccfg.ring_salt = 99;
   BlockingClient env(ccfg);
   ClashClient client(clash, env, env.hasher());
-  constexpr std::size_t kStreams = 40;
-  for (std::size_t i = 0; i < kStreams; ++i) {
-    AcceptObject obj;
-    obj.key = Key((0x37 * (i + 1)) & 0xFF, kWidth);
-    obj.kind = ObjectKind::kData;
-    obj.source = ClientId{i};
-    obj.stream_rate = 1;
-    ASSERT_TRUE(client.insert(obj).ok);
-  }
+  const auto insert = [&](std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      AcceptObject obj;
+      obj.key = Key((0x37 * (i + 1)) & 0xFF, kWidth);
+      obj.kind = ObjectKind::kData;
+      obj.source = ClientId{i};
+      obj.stream_rate = 1;
+      ASSERT_TRUE(client.insert(obj).ok);
+    }
+  };
 
   const KeyGroup root = KeyGroup::root(kWidth);
   const auto owner_idx = std::size_t(
       ring.map(ring.hasher().hash_key(root.virtual_key())).value);
   const auto holder_idx = 1 - owner_idx;
-  bool converged = false;
-  for (int round = 0; round < 400 && !converged; ++round) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    const auto owner_head = nodes[owner_idx]->run_on_loop(
-        [&](ClashServer& s) { return s.log_head(root); });
-    const auto state = nodes[holder_idx]->run_on_loop([&](ClashServer& s) {
-      const GroupState* st = s.replica_state(root);
-      return std::make_pair(s.replica_head(root),
-                            st != nullptr ? st->streams.size() : 0u);
-    });
-    converged = owner_head.has_value() && state.first == owner_head &&
-                state.second == kStreams;
-  }
-  EXPECT_TRUE(converged) << "paced snapshot transfer never converged";
+  const ServerId holder{holder_idx};
+  const auto converged = [&](std::size_t streams) {
+    for (int round = 0; round < 400; ++round) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      const auto owner_head = nodes[owner_idx]->run_on_loop(
+          [&](ClashServer& s) { return s.log_head(root); });
+      const auto state = nodes[holder_idx]->run_on_loop([&](ClashServer& s) {
+        const GroupState* st = s.replica_state(root);
+        return std::make_pair(s.replica_head(root),
+                              st != nullptr ? st->streams.size() : 0u);
+      });
+      if (owner_head.has_value() && state.first == owner_head &&
+          state.second == streams) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const auto installs = [&] {
+    return nodes[holder_idx]
+        ->hub()
+        .registry.histogram_snapshot("clash_snapshot_install_usec")
+        .count;
+  };
+
+  // Caught up by deltas first: compaction alone ships nothing.
+  insert(0, 20);
+  ASSERT_TRUE(converged(20)) << "delta replication never converged";
+  const auto installs_before = installs();
+
+  FaultInjector::Config cut;
+  cut.cut = true;
+  nodes[owner_idx]->set_link_fault(holder, cut);
+  insert(20, 40);
+  nodes[owner_idx]->clear_link_fault(holder);
+
+  EXPECT_TRUE(converged(40)) << "paced snapshot transfer never converged";
+  // The repair really was a (multi-chunk, paced) snapshot.
+  EXPECT_GT(installs(), installs_before);
   // All transfers drained: nothing is stuck behind backpressure.
   EXPECT_TRUE(nodes[owner_idx]->run_on_loop(
       [](ClashServer& s) { return !s.has_pending_snapshots(); }));

@@ -1,6 +1,7 @@
 // Message-level coverage of the operation-log replication engine
 // inside ClashServer: incremental appends, gap detection + anti-entropy
-// repair, snapshot-after-compaction, peer recovery at promotion (the
+// repair, local compaction (no snapshot for a caught-up holder), snapshot
+// repair past the compaction floor, peer recovery at promotion (the
 // stale-replica audit), app-delta replay, and rejoin handoffs. A tiny
 // synchronous router stands in for the transport so individual frames
 // can be blackholed to force divergence.
@@ -36,9 +37,11 @@ struct Router {
   std::vector<ServerId> replica_targets;  // scripted replica set
   std::set<std::uint64_t> blackholed;
   ServerId lookup_owner{0};
+  std::size_t snapshot_offers = 0;  // delivered
 
   void deliver(ServerId from, ServerId to, const Message& msg) {
     if (blackholed.count(to.value) > 0) return;
+    if (std::holds_alternative<SnapshotOffer>(msg)) ++snapshot_offers;
     const auto it = servers.find(to.value);
     if (it != servers.end()) it->second->deliver(from, msg);
   }
@@ -182,7 +185,7 @@ TEST(ReplicationLog, PeriodicProbeRepairsSilentDivergence) {
 
 TEST(ReplicationLog, LagPastCompactionFloorGetsChunkedSnapshot) {
   auto cfg = log_config();
-  cfg.log_compact_threshold = 3;
+  cfg.log_compact_threshold = 3;  // short window: the lag below outruns it
   LogCluster cluster(3, cfg);
   const KeyGroup root = cluster.install_root();
 
@@ -198,6 +201,66 @@ TEST(ReplicationLog, LagPastCompactionFloorGetsChunkedSnapshot) {
   cluster.s(0).run_load_check();  // probe -> diff -> snapshot (chunked)
   EXPECT_EQ(cluster.s(1).replica_head(root), cluster.s(0).log_head(root));
   EXPECT_EQ(cluster.s(1).replica_state(root)->streams.size(), 6u);
+}
+
+/// Field-by-field equality: a replica must hold the owner's exact
+/// objects, not just the same counts.
+void expect_same_state(const GroupState& replica, const GroupState& owner) {
+  ASSERT_EQ(replica.streams.size(), owner.streams.size());
+  for (auto r = replica.streams.begin(), o = owner.streams.begin();
+       r != replica.streams.end(); ++r, ++o) {
+    EXPECT_EQ(r->first, o->first);
+    EXPECT_EQ(r->second.key, o->second.key);
+    EXPECT_DOUBLE_EQ(r->second.rate, o->second.rate);
+  }
+  ASSERT_EQ(replica.queries.size(), owner.queries.size());
+  for (auto r = replica.queries.begin(), o = owner.queries.begin();
+       r != replica.queries.end(); ++r, ++o) {
+    EXPECT_EQ(r->first, o->first);
+    EXPECT_EQ(r->second.key, o->second.key);
+  }
+  EXPECT_DOUBLE_EQ(replica.stream_rate, owner.stream_rate);
+}
+
+TEST(ReplicationLog, CompactionIsLocalAndShipsNoSnapshots) {
+  // A caught-up replica needs the delta, never the group: past
+  // activation, a fault-free run compacts every log many times over and
+  // not one SnapshotOffer reaches the replica set.
+  auto cfg = log_config();
+  cfg.log_compact_threshold = 8;
+  LogCluster cluster(3, cfg);
+  const KeyGroup root = cluster.install_root();
+  const std::size_t activation_offers = cluster.router.snapshot_offers;
+  EXPECT_EQ(activation_offers, 2u);  // one per replica
+
+  for (std::uint64_t i = 1; i <= 100; ++i) {
+    if (i % 5 == 0) {
+      cluster.add_query(i, i * 7 % 251);
+    } else {
+      cluster.add_stream(i, i * 13 % 251, 0.5 * double(i % 7 + 1));
+    }
+    if (i % 10 == 9) {  // removals ride the log too
+      cluster.s(0).remove_stream(ClientId{i - 1},
+                                 Key((i - 1) * 13 % 251, kWidth));
+    }
+    ASSERT_LE(cluster.s(0).group_log(root)->size(), 8u) << "put " << i;
+    for (std::size_t r : {1u, 2u}) {
+      ASSERT_LE(cluster.s(r).replica_log(root)->size(), 8u)
+          << "s" << r << " put " << i;
+    }
+  }
+  EXPECT_GE(cluster.s(0).stats().log_compactions, 10u);
+  EXPECT_EQ(cluster.router.snapshot_offers, activation_offers);
+
+  const GroupState* truth = cluster.s(0).group_state(root);
+  ASSERT_NE(truth, nullptr);
+  for (std::size_t r : {1u, 2u}) {
+    EXPECT_EQ(cluster.s(r).replica_head(root), cluster.s(0).log_head(root))
+        << "s" << r;
+    const GroupState* st = cluster.s(r).replica_state(root);
+    ASSERT_NE(st, nullptr);
+    expect_same_state(*st, *truth);
+  }
 }
 
 TEST(ReplicationLog, PromotionPullsMissingSuffixFromFresherPeer) {
@@ -307,6 +370,38 @@ TEST(ReplicationLog, AppDeltasReplayInOrderAtPromotion) {
   ASSERT_EQ(heir_hooks.applied.size(), 3u);
   EXPECT_EQ(heir_hooks.applied[0], (std::vector<std::uint8_t>{1}));
   EXPECT_EQ(heir_hooks.applied[2], (std::vector<std::uint8_t>{3}));
+}
+
+TEST(ReplicationLog, CompactingAppDeltasStillShipsASnapshot) {
+  // A replica's opaque app tail folds only from an owner snapshot, so a
+  // compacted suffix carrying app deltas still ships the group.
+  auto cfg = log_config();
+  cfg.log_compact_threshold = 8;
+  LogCluster cluster(3, cfg);
+  RecordingHooks owner_hooks;
+  owner_hooks.snapshot = {0xAB};
+  RecordingHooks heir_hooks;
+  cluster.s(0).set_app_hooks(&owner_hooks);
+  cluster.s(1).set_app_hooks(&heir_hooks);
+  const KeyGroup root = cluster.install_root();
+  const std::size_t activation_offers = cluster.router.snapshot_offers;
+
+  cluster.add_stream(1, 0x11, 1.0);
+  for (std::uint8_t d = 1; d <= 8; ++d) {
+    ASSERT_TRUE(cluster.s(0).append_app_delta(root, {d}));
+  }
+  // The ninth op crossed the threshold with deltas in the suffix.
+  EXPECT_EQ(cluster.s(0).stats().log_compactions, 1u);
+  EXPECT_EQ(cluster.router.snapshot_offers, activation_offers + 2);
+  EXPECT_EQ(cluster.s(1).replica_head(root), cluster.s(0).log_head(root));
+
+  // The snapshot folded the tail: the heir imports the owner's app
+  // state and has no delta left to replay.
+  cluster.router.blackholed.insert(0);
+  ASSERT_TRUE(cluster.s(1).promote_replica(root));
+  EXPECT_EQ(heir_hooks.imported, (std::vector<std::uint8_t>{0xAB}));
+  EXPECT_TRUE(heir_hooks.applied.empty());
+  EXPECT_EQ(cluster.s(1).group_state(root)->streams.size(), 1u);
 }
 
 TEST(ReplicationLog, HandoffPreservesRootFlagStateAndEpochFencing) {

@@ -147,9 +147,9 @@ TEST(DupReorderReplication, SnapshotAssemblySurvivesDupAndReorder) {
   }
   sim.drain();
 
-  // Now make every link duplicate AND reorder, and force full
-  // snapshot refreshes through it (log mode replicates activations
-  // and compactions as chunked snapshots).
+  // Now make every link duplicate AND reorder, and run the repair
+  // rounds through it (log mode ships activations and repairs past the
+  // compaction floor as chunked snapshots).
   LinkMatrix::Fault f;
   f.dup_prob = 0.4;
   f.reorder_prob = 0.4;

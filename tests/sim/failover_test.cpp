@@ -154,6 +154,36 @@ TEST(Failover, CascadingFailuresStayConsistent) {
   }
 }
 
+TEST(Failover, PromotedBootstrapGroupsStayRoots) {
+  // Bootstrap replicates the depth-d0 leaves while force-splitting,
+  // before it marks them as roots. With no put (and so no later
+  // snapshot) in between, the replicas must still learn the flag, or a
+  // promoted copy could consolidate above the administrative floor.
+  auto cfg = replicated_config(2);
+  cfg.clash.replication_mode = ClashConfig::ReplicationMode::kLog;
+  SimCluster cluster(cfg);
+  cluster.bootstrap();
+
+  const ServerId victim = cluster.owner_index().begin()->second;
+  std::vector<KeyGroup> owned;
+  for (const auto& [group, owner] : cluster.owner_index()) {
+    if (owner == victim) owned.push_back(group);
+  }
+  ASSERT_FALSE(owned.empty());
+  EXPECT_EQ(cluster.fail_server(victim), owned.size());
+
+  for (const auto& group : owned) {
+    const auto heir = cluster.owner_index().find(group);
+    ASSERT_NE(heir, cluster.owner_index().end()) << group.label();
+    const ServerTableEntry* entry =
+        cluster.server(heir->second).table().find(group);
+    ASSERT_NE(entry, nullptr) << group.label();
+    EXPECT_TRUE(entry->active) << group.label();
+    EXPECT_TRUE(entry->root) << group.label();
+  }
+  EXPECT_EQ(cluster.total_stats().groups_lost, 0u);
+}
+
 TEST(Failover, SplitGroupsFailOverToo) {
   // Force deep splits, replicate, crash the deep owner: the promoted
   // child keeps its lineage (parent pointer) so consolidation still

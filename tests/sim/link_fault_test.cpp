@@ -178,7 +178,7 @@ TEST(LinkFaultCluster, ScriptedChunkLossNacksAndRestartsWithinTheCheck) {
   // the same anti-entropy round — pre-fix the assembly died silently
   // and the replica stayed diverged until the NEXT round.
   auto cfg = log_cluster_config();
-  cfg.clash.log_compact_threshold = 2;   // compact fast: force snapshots
+  cfg.clash.log_compact_threshold = 2;   // short window: the cut outruns it
   cfg.clash.snapshot_chunk_objects = 1;  // many chunks per snapshot
   SimCluster cluster(cfg);
   cluster.bootstrap();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 
 namespace clash::wire {
@@ -560,6 +561,73 @@ TEST(Codec, FrameRejectsBadVersionAndKind) {
   frame[1] = 7;  // kind
   EXPECT_FALSE(decode_frame(frame).ok());
   EXPECT_FALSE(decode_frame({}).ok());
+}
+
+/// The content fence as first specified: CRC32 over the encoded
+/// Message minus its [1, 5) checksum slot.
+std::uint32_t crc_via_message(const Message& msg) {
+  Writer w;
+  encode_message(w, msg);
+  const auto& bytes = w.data();
+  Crc32 crc;
+  crc.update(std::span<const std::uint8_t>(bytes.data(), 1));
+  crc.update(std::span<const std::uint8_t>(bytes.data() + 5, bytes.size() - 5));
+  return crc.value();
+}
+
+TEST(Codec, ContentCrcMatchesTheEncodedMessageFence) {
+  // content_crc encodes the struct directly; the fence must stay the
+  // exact CRC of the Message encoding (wire compatibility), whatever
+  // the checksum slot currently holds.
+  const KeyGroup g = KeyGroup::parse("0110*", 24).value();
+
+  Gossip gossip;
+  gossip.kind = GossipKind::kPingReq;
+  gossip.sequence = 0x8000000000000042ULL;
+  gossip.target = ServerId{12};
+  gossip.updates.push_back({ServerId{3}, MemberState::kSuspect, 7});
+  NodeCensusRecord rec;
+  rec.node = ServerId{3};
+  rec.incarnation = 7;
+  rec.seq = 22;
+  rec.load = 12.5;
+  rec.top_groups.push_back({g, GroupCost{1, 2, 3, 4, 5}});
+  rec.checksum = census_record_crc(rec);
+  gossip.census.push_back(rec);
+  gossip.checksum = 0xDEADBEEF;
+  EXPECT_EQ(content_crc(gossip), crc_via_message(Message(gossip)));
+
+  ReplAppend append;
+  append.group = g;
+  append.owner = ServerId{3};
+  append.epoch = 5;
+  append.base_seq = 41;
+  append.trace_id = 0xABCDEF99ULL;
+  append.entries.push_back(
+      repl::LogOp::put_stream({ClientId{9}, Key(0x601234, 24), 2.5}));
+  append.entries.push_back(repl::LogOp::del_stream(ClientId{9}));
+  append.entries.push_back(
+      repl::LogOp::put_query(QueryInfo{QueryId{44}, Key(0x60AAAA, 24)}));
+  append.entries.push_back(repl::LogOp::del_query(QueryId{44}));
+  append.entries.push_back(repl::LogOp::app_delta_op({1, 2, 3, 4}));
+  append.checksum = 0x12345678;
+  EXPECT_EQ(content_crc(append), crc_via_message(Message(append)));
+
+  SnapshotChunk chunk;
+  chunk.group = g;
+  chunk.head = repl::LogHead{7, 123};
+  chunk.index = 1;
+  chunk.total = 3;
+  chunk.trace_id = 0x1111222233334444ULL;
+  chunk.streams.push_back({ClientId{5}, Key(0x601234, 24), 4.5});
+  chunk.queries.push_back({QueryId{77}, Key(0x609999, 24)});
+  chunk.app_state = {9, 8, 7};
+  chunk.app_deltas = {{1}, {2, 3}};
+  EXPECT_EQ(content_crc(chunk), crc_via_message(Message(chunk)));
+
+  // Stamping the fence does not move it.
+  chunk.checksum = content_crc(chunk);
+  EXPECT_EQ(content_crc(chunk), crc_via_message(Message(chunk)));
 }
 
 // Property: random valid messages survive encode/decode byte-exactly.
