@@ -60,7 +60,6 @@ ChurnSim::Config census_config(std::size_t servers, std::uint64_t seed) {
   cfg.cluster.clash.initial_depth = 3;
   cfg.cluster.clash.capacity = 1e9;  // stable groups: no load splits
   cfg.cluster.clash.replication_factor = 2;
-  cfg.cluster.clash.replication_mode = ClashConfig::ReplicationMode::kLog;
   cfg.protocol_period = SimTime::from_seconds(1);
   cfg.gossip_delay = SimTime::from_seconds(0.02);
   cfg.census.refresh_periods = 2;

@@ -1,5 +1,5 @@
-// Fault-tolerance ablation: replication factor x replication mode
-// (snapshot-only lease vs operation log) vs state survival and cost.
+// Fault-tolerance ablation: replication factor vs state survival and
+// cost under the operation-log replication engine.
 // Loads a cluster with streams AND continuous queries over links with
 // a real propagation delay, lets replicas form, then crashes 25% of
 // the servers one at a time — each crash sits through a 2 s detection
@@ -12,7 +12,7 @@
 //
 // Usage: abl_failover [--servers=64] [--sources=4000] [--queries=800]
 //                     [--seed=42] [--json=PATH] [--metrics-json]
-//                     [--trace=PATH]   (Chrome trace of the log/x2 run)
+//                     [--trace=PATH]   (Chrome trace of the x2 run)
 #include <algorithm>
 #include <cstdio>
 #include <functional>
@@ -93,7 +93,6 @@ struct CostSummary {
 };
 
 struct RunResult {
-  const char* mode;
   unsigned factor;
   std::uint64_t failovers;
   std::uint64_t lost;
@@ -108,8 +107,7 @@ struct RunResult {
   CostSummary cost;
 };
 
-RunResult run_one(ClashConfig::ReplicationMode mode, unsigned factor,
-                  std::size_t n_servers, std::size_t n_sources,
+RunResult run_one(unsigned factor, std::size_t n_servers, std::size_t n_sources,
                   std::size_t n_queries, std::uint64_t seed,
                   const char* trace_path) {
   // Each configuration gets a clean slate of every clash_* series; the
@@ -129,7 +127,6 @@ RunResult run_one(ClashConfig::ReplicationMode mode, unsigned factor,
   cfg.clash.initial_depth = 6;
   cfg.clash.capacity = 1e9;  // isolate replication from splitting
   cfg.clash.replication_factor = factor;
-  cfg.clash.replication_mode = mode;
   SimCluster cluster(cfg);
   cluster.bootstrap();
 
@@ -161,9 +158,9 @@ RunResult run_one(ClashConfig::ReplicationMode mode, unsigned factor,
   // statement about replication, not about racing the wire.
   pump.run_all();
 
-  // Steady state: the registrations above already replicated (log mode
-  // streams each op; snapshot mode ships leases at the check). Measure
-  // two quiet check periods of refresh traffic.
+  // Steady state: the registrations above already replicated (the log
+  // streams each op). Measure two quiet check periods of refresh
+  // traffic.
   cluster.set_now(SimTime::from_minutes(5));
   cluster.run_all_load_checks();
   pump.run_all();
@@ -207,7 +204,6 @@ RunResult run_one(ClashConfig::ReplicationMode mode, unsigned factor,
 
   const auto total = cluster.total_stats();
   RunResult r{};
-  r.mode = mode == ClashConfig::ReplicationMode::kLog ? "log" : "snapshot";
   r.factor = factor;
   r.failovers = total.failovers;
   r.lost = total.groups_lost;
@@ -215,12 +211,9 @@ RunResult run_one(ClashConfig::ReplicationMode mode, unsigned factor,
   r.queries_kept_pct =
       n_queries == 0 ? 100.0
                      : 100.0 * double(queries_kept) / double(n_queries);
-  const std::uint64_t refresh =
-      steady.replications + steady.replication_log_messages();
-  r.repl_msgs_per_srv_sec =
-      double(refresh) / 600.0 /* 2 periods */ / double(n_servers);
-  r.snapshot_msgs = steady.replications + steady.snapshot_offers +
-                    steady.snapshot_chunks;
+  r.repl_msgs_per_srv_sec = double(steady.replication_log_messages()) /
+                           600.0 /* 2 periods */ / double(n_servers);
+  r.snapshot_msgs = steady.snapshot_offers + steady.snapshot_chunks;
   r.delta_msgs = steady.repl_appends + steady.repl_acks +
                  steady.anti_entropy_probes + steady.anti_entropy_diffs;
 
@@ -301,103 +294,94 @@ int main(int argc, char** argv) {
               "%lldus links)\n",
               n_servers, n_sources, n_queries,
               double(kDetectWindowUsec) / 1e6, (long long)kLinkDelayUsec);
-  std::printf("%-9s %-8s %10s %6s %14s %14s %15s %13s %11s %12s %12s\n",
-              "mode", "replicas", "failovers", "lost", "streams_kept_%",
+  std::printf("%-8s %10s %6s %14s %14s %15s %13s %11s %12s %12s\n",
+              "replicas", "failovers", "lost", "streams_kept_%",
               "queries_kept_%", "repl msg/s/srv", "snapshot_msgs",
               "delta_msgs", "commit_p99us", "detect_p50us");
 
   std::string json = "{\n  \"bench\": \"abl_failover\",\n  \"runs\": [\n";
   bool first = true;
-  for (const auto mode : {ClashConfig::ReplicationMode::kSnapshot,
-                          ClashConfig::ReplicationMode::kLog}) {
-    for (const unsigned factor : {0u, 1u, 2u, 3u}) {
-      // The trace follows the flagship configuration: log mode, x2.
-      const bool traced = !trace_path.empty() &&
-                          mode == ClashConfig::ReplicationMode::kLog &&
-                          factor == 2;
-      const RunResult r =
-          run_one(mode, factor, n_servers, n_sources, n_queries, seed,
-                  traced ? trace_path.c_str() : nullptr);
-      std::printf("%-9s %-8u %10llu %6llu %14.1f %14.1f %15.3f %13llu "
-                  "%11llu %12.0f %12.0f\n",
-                  r.mode, r.factor, (unsigned long long)r.failovers,
-                  (unsigned long long)r.lost, r.streams_kept_pct,
-                  r.queries_kept_pct, r.repl_msgs_per_srv_sec,
-                  (unsigned long long)r.snapshot_msgs,
-                  (unsigned long long)r.delta_msgs, r.commit_us.p99,
-                  r.detect_us.p50);
-      char line[512];
-      std::snprintf(
-          line, sizeof(line),
-          "    %s{\"mode\": \"%s\", \"factor\": %u, \"failovers\": %llu, "
-          "\"groups_lost\": %llu, \"streams_kept_pct\": %.1f, "
-          "\"queries_kept_pct\": %.1f, \"repl_msgs_per_srv_sec\": %.3f, "
-          "\"snapshot_msgs\": %llu, \"delta_msgs\": %llu,\n     ",
-          first ? "" : ",", r.mode, r.factor,
-          (unsigned long long)r.failovers, (unsigned long long)r.lost,
-          r.streams_kept_pct, r.queries_kept_pct, r.repl_msgs_per_srv_sec,
-          (unsigned long long)r.snapshot_msgs,
-          (unsigned long long)r.delta_msgs);
-      json += line;
-      append_hist_json(json, "commit_latency", r.commit_us);
-      json += ",\n     ";
-      append_hist_json(json, "failover_detect", r.detect_us);
-      json += ",\n     ";
-      append_hist_json(json, "failover_recovery", r.recovery_us);
-      char cost[384];
-      std::snprintf(
-          cost, sizeof(cost),
-          ",\n     \"group_cost\": {\"groups\": %zu, \"puts\": %llu, "
-          "\"matches\": %llu, \"bytes_served\": %llu, \"repl_bytes\": %llu, "
-          "\"storage_bytes\": %llu, \"top_groups\": [",
-          r.cost.groups, (unsigned long long)r.cost.total.puts,
-          (unsigned long long)r.cost.total.matches,
-          (unsigned long long)r.cost.total.bytes_served,
-          (unsigned long long)r.cost.total.repl_bytes,
-          (unsigned long long)r.cost.total.storage_bytes);
-      json += cost;
-      for (std::size_t i = 0; i < r.cost.top.size(); ++i) {
-        char top[128];
-        std::snprintf(top, sizeof(top),
-                      "%s{\"group\": \"%s\", \"total_bytes\": %llu}",
-                      i == 0 ? "" : ", ", r.cost.top[i].first.c_str(),
-                      (unsigned long long)r.cost.top[i].second);
-        json += top;
-      }
-      json += "]}}\n";
-      first = false;
+  for (const unsigned factor : {0u, 1u, 2u, 3u}) {
+    // The trace follows the flagship configuration: x2.
+    const bool traced = !trace_path.empty() && factor == 2;
+    const RunResult r = run_one(factor, n_servers, n_sources, n_queries, seed,
+                                traced ? trace_path.c_str() : nullptr);
+    std::printf("%-8u %10llu %6llu %14.1f %14.1f %15.3f %13llu "
+                "%11llu %12.0f %12.0f\n",
+                r.factor, (unsigned long long)r.failovers,
+                (unsigned long long)r.lost, r.streams_kept_pct,
+                r.queries_kept_pct, r.repl_msgs_per_srv_sec,
+                (unsigned long long)r.snapshot_msgs,
+                (unsigned long long)r.delta_msgs, r.commit_us.p99,
+                r.detect_us.p50);
+    char line[512];
+    std::snprintf(
+        line, sizeof(line),
+        "    %s{\"factor\": %u, \"failovers\": %llu, "
+        "\"groups_lost\": %llu, \"streams_kept_pct\": %.1f, "
+        "\"queries_kept_pct\": %.1f, \"repl_msgs_per_srv_sec\": %.3f, "
+        "\"snapshot_msgs\": %llu, \"delta_msgs\": %llu,\n     ",
+        first ? "" : ",", r.factor, (unsigned long long)r.failovers,
+        (unsigned long long)r.lost, r.streams_kept_pct, r.queries_kept_pct,
+        r.repl_msgs_per_srv_sec, (unsigned long long)r.snapshot_msgs,
+        (unsigned long long)r.delta_msgs);
+    json += line;
+    append_hist_json(json, "commit_latency", r.commit_us);
+    json += ",\n     ";
+    append_hist_json(json, "failover_detect", r.detect_us);
+    json += ",\n     ";
+    append_hist_json(json, "failover_recovery", r.recovery_us);
+    char cost[384];
+    std::snprintf(
+        cost, sizeof(cost),
+        ",\n     \"group_cost\": {\"groups\": %zu, \"puts\": %llu, "
+        "\"matches\": %llu, \"bytes_served\": %llu, \"repl_bytes\": %llu, "
+        "\"storage_bytes\": %llu, \"top_groups\": [",
+        r.cost.groups, (unsigned long long)r.cost.total.puts,
+        (unsigned long long)r.cost.total.matches,
+        (unsigned long long)r.cost.total.bytes_served,
+        (unsigned long long)r.cost.total.repl_bytes,
+        (unsigned long long)r.cost.total.storage_bytes);
+    json += cost;
+    for (std::size_t i = 0; i < r.cost.top.size(); ++i) {
+      char top[128];
+      std::snprintf(top, sizeof(top),
+                    "%s{\"group\": \"%s\", \"total_bytes\": %llu}",
+                    i == 0 ? "" : ", ", r.cost.top[i].first.c_str(),
+                    (unsigned long long)r.cost.top[i].second);
+      json += top;
+    }
+    json += "]}}\n";
+    first = false;
 
-      // Acceptance gate: under the log engine, factor >= 2 must keep
-      // 100% of the state through a 25% cluster loss.
-      if (mode == ClashConfig::ReplicationMode::kLog && factor >= 2 &&
-          (r.streams_kept_pct < 100.0 || r.queries_kept_pct < 100.0)) {
-        std::fprintf(stderr,
-                     "FAIL: log mode factor %u lost state (%.1f%% streams, "
-                     "%.1f%% queries)\n",
-                     factor, r.streams_kept_pct, r.queries_kept_pct);
-        return 1;
-      }
-      // Observability gate: a staged eviction MUST have shown up as a
-      // nonzero detection latency, and log-mode commits as a nonzero
-      // round trip — otherwise the instrumentation went dark.
-      if (r.detect_us.count == 0 || r.detect_us.p50 <= 0) {
-        std::fprintf(stderr, "FAIL: no failover-detect samples recorded\n");
-        return 1;
-      }
-      if (mode == ClashConfig::ReplicationMode::kLog && factor >= 1 &&
-          (r.commit_us.count == 0 || r.commit_us.p50 <= 0)) {
-        std::fprintf(stderr, "FAIL: no commit-latency samples recorded\n");
-        return 1;
-      }
+    // Acceptance gate: factor >= 2 must keep 100% of the state through
+    // a 25% cluster loss.
+    if (factor >= 2 &&
+        (r.streams_kept_pct < 100.0 || r.queries_kept_pct < 100.0)) {
+      std::fprintf(stderr,
+                   "FAIL: factor %u lost state (%.1f%% streams, "
+                   "%.1f%% queries)\n",
+                   factor, r.streams_kept_pct, r.queries_kept_pct);
+      return 1;
+    }
+    // Observability gate: a staged eviction MUST have shown up as a
+    // nonzero detection latency, and replicated commits as a nonzero
+    // round trip — otherwise the instrumentation went dark.
+    if (r.detect_us.count == 0 || r.detect_us.p50 <= 0) {
+      std::fprintf(stderr, "FAIL: no failover-detect samples recorded\n");
+      return 1;
+    }
+    if (factor >= 1 && (r.commit_us.count == 0 || r.commit_us.p50 <= 0)) {
+      std::fprintf(stderr, "FAIL: no commit-latency samples recorded\n");
+      return 1;
     }
   }
   json += "  ]\n}\n";
 
   std::printf(
       "\n# expectation: factor 0 loses every crashed group's state; factor "
-      ">= 2 keeps 100%%. The log engine replaces per-period full snapshots "
-      "with (epoch, seq) probes -- compare snapshot_msgs vs delta_msgs for "
-      "the steady-state cost.\n");
+      ">= 2 keeps 100%%. The steady-state refresh is (epoch, seq) probes: "
+      "snapshot_msgs stays 0 in a quiet cluster.\n");
 
   obs::maybe_embed_metrics(args, json, obs::Hub::global().registry);
   return write_json_artifact(args, json) ? 0 : 1;

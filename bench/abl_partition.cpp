@@ -59,7 +59,6 @@ ChurnSim::Config base_config(std::size_t servers, std::uint64_t seed) {
   cfg.cluster.clash.initial_depth = 3;
   cfg.cluster.clash.capacity = 1e9;  // isolate replication from splitting
   cfg.cluster.clash.replication_factor = 2;
-  cfg.cluster.clash.replication_mode = ClashConfig::ReplicationMode::kLog;
   cfg.protocol_period = SimTime::from_seconds(1);
   cfg.gossip_delay = SimTime::from_seconds(0.02);
   cfg.seed = seed * 31 + 7;
@@ -200,8 +199,8 @@ int main(int argc, char** argv) {
   const auto seed = std::uint64_t(args.get_int("seed", 42));
   const double fault_minutes = double(args.get_int("fault-minutes", 3));
 
-  std::printf("# Partition ablation: %zu servers, replication factor 2 "
-              "(log mode), %.0f-minute faults\n",
+  std::printf("# Partition ablation: %zu servers, replication factor 2, "
+              "%.0f-minute faults\n",
               servers, fault_minutes);
   std::printf("%-10s %-9s %14s %13s %11s %9s %6s %13s %13s\n", "scenario",
               "converged", "converge_min", "queries_kept", "link_drops",

@@ -46,16 +46,10 @@ struct ClashConfig {
   /// split churn (see bench/abl_policies).
   unsigned max_splits_per_check = 1;
 
-  /// Queries per STATE_TRANSFER message during migration.
-  unsigned state_batch = 1;
-
-  /// Split-selection policy (paper: hottest).
+  /// Split-selection policy (paper: hottest). Merges always pick the
+  /// coldest candidate (paper).
   enum class SplitPolicy : std::uint8_t { kHottest, kRandom, kMostKeys };
   SplitPolicy split_policy = SplitPolicy::kHottest;
-
-  /// Merge-selection policy (paper: coldest).
-  enum class MergePolicy : std::uint8_t { kColdest, kRandom };
-  MergePolicy merge_policy = MergePolicy::kColdest;
 
   /// Enable bottom-up consolidation (ablation hook).
   bool enable_consolidation = true;
@@ -66,45 +60,42 @@ struct ClashConfig {
   bool ephemeral_groups = false;
 
   /// Fault-tolerance extension (off = paper-faithful): each active key
-  /// group is lease-replicated to this many ring successors every
-  /// LOAD_CHECK_PERIOD; when a server fails, the DHT's new owner of the
-  /// group promotes its replica. Staleness is bounded by one period.
+  /// group is replicated to this many ring successors through a
+  /// per-group operation log (src/repl/). Every mutation is appended and
+  /// streamed to the replica set immediately; the periodic traffic is an
+  /// (epoch, seq) anti-entropy probe; failover and rejoin pull exactly
+  /// the missing suffix. Every holder compacts its own log; snapshots
+  /// ship only at activation and handoff, to repair a holder behind the
+  /// compaction floor, or to fold app deltas. Staleness ~ one message
+  /// delay. When a server fails, the DHT's new owner of each of its
+  /// groups promotes its replica.
   unsigned replication_factor = 0;
 
-  /// How replicas track the owner (src/repl/):
-  ///  - kSnapshot: the original lease scheme — a full state snapshot
-  ///    every check period. Staleness up to one period; cost linear in
-  ///    state size per period.
-  ///  - kLog: per-group operation log. Every mutation is appended and
-  ///    streamed to the replica set immediately; the periodic traffic
-  ///    shrinks to an (epoch, seq) anti-entropy probe; failover and
-  ///    rejoin pull exactly the missing suffix. Every holder compacts
-  ///    its own log; snapshots ship only at activation and handoff, to
-  ///    repair a holder behind the compaction floor, or to fold app
-  ///    deltas. Staleness ~ one message delay.
-  enum class ReplicationMode : std::uint8_t { kSnapshot, kLog };
-  ReplicationMode replication_mode = ReplicationMode::kSnapshot;
+  /// Vestigial: no code reads it. bench/e2e/ still assigns it; delete
+  /// both together.
+  enum class ReplicationMode : std::uint8_t { kLog };
+  ReplicationMode replication_mode = ReplicationMode::kLog;
 
-  /// Log mode: retained entries per group log before its holder compacts
-  /// it locally (bounds both memory and the size of a catch-up delta; a
+  /// Retained entries per group log before its holder compacts it
+  /// locally (bounds both memory and the size of a catch-up delta; a
   /// peer behind the floor is repaired by snapshot). Owner and replicas
-  /// apply the same bound, so either can repair the other by delta.
+  /// apply the same bound, so either can repair the other by delta. A
+  /// durable store checkpoints at the same cut.
   unsigned log_compact_threshold = 256;
 
-  /// Log mode: streams+queries per SnapshotChunk message.
+  /// Streams+queries per replication SnapshotChunk message.
   unsigned snapshot_chunk_objects = 128;
 
   // --- Durable storage subsystem (src/storage/) ------------------------
   /// What survives a process crash:
   ///  - kNone: the seed behaviour — a restarted node is empty and
   ///    pulls everything back over the network.
-  ///  - kWal: every owned-group mutation is appended to a segmented,
-  ///    CRC32-framed write-ahead log; one baseline snapshot per group
-  ///    anchors replay. The log grows without bound (no truncation).
-  ///  - kWalSnapshot: kWal plus periodic on-disk snapshots cut at log
-  ///    compaction, with WAL truncation past the snapshot floor —
-  ///    bounded disk and bounded replay.
-  enum class DurabilityMode : std::uint8_t { kNone, kWal, kWalSnapshot };
+  ///  - kWalSnapshot: every owned-group mutation is appended to a
+  ///    segmented, CRC32-framed write-ahead log; a baseline snapshot per
+  ///    group anchors replay, and checkpoint snapshots cut at log
+  ///    compaction truncate the WAL past the snapshot floor — bounded
+  ///    disk and bounded replay.
+  enum class DurabilityMode : std::uint8_t { kNone, kWalSnapshot };
   DurabilityMode durability_mode = DurabilityMode::kNone;
 
   /// When WAL appends reach stable storage:

@@ -55,8 +55,8 @@ struct AcceptKeyGroup {
   /// Handoff transfers (ring re-admission) preserve the entry's root
   /// flag and lineage; splits always send root == false.
   bool root = false;
-  /// Highest log epoch the sender used for the group (0 when unknown /
-  /// snapshot mode); the receiver starts its log strictly above it.
+  /// Highest log epoch the sender used for the group (0 when it kept no
+  /// log); the receiver starts its log strictly above it.
   std::uint64_t epoch = 0;
   std::vector<StreamInfo> streams;
   std::vector<QueryInfo> queries;
@@ -92,17 +92,6 @@ struct ReclaimAck {
 /// Child -> parent: reclaim refused (group was split further meanwhile).
 struct ReclaimRefused {
   KeyGroup group;
-};
-
-/// Owner -> ring successors: lease-style replica refresh of an active
-/// group (fault-tolerance extension; ClashConfig::replication_factor).
-struct ReplicateGroup {
-  KeyGroup group;
-  ServerId owner;
-  bool root = false;
-  ServerId parent{};
-  std::vector<StreamInfo> streams;
-  std::vector<QueryInfo> queries;
 };
 
 /// Owner -> replica holder: the group is no longer active here (split
@@ -278,7 +267,7 @@ struct Gossip {
 using Message =
     std::variant<AcceptObject, AcceptObjectOk, IncorrectDepth, AcceptKeyGroup,
                  AcceptKeyGroupAck, LoadReport, ReclaimKeyGroup, ReclaimAck,
-                 ReclaimRefused, ReplicateGroup, DropReplica, Gossip,
+                 ReclaimRefused, DropReplica, Gossip,
                  ReplAppend, ReplAck, SnapshotOffer, SnapshotChunk,
                  AntiEntropyProbe, AntiEntropyDiff>;
 

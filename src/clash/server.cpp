@@ -120,7 +120,7 @@ void ClashServer::install_entry(const ServerTableEntry& entry) {
   if (entry.active) {
     state_.try_emplace(entry.group);
     note_group_activated(entry.group);
-    if (cfg_.replication_factor > 0) replicate_group(entry);
+    if (cfg_.replication_factor > 0) snapshot_group(entry);
     ensure_durable_group(entry);
   }
 }
@@ -133,8 +133,8 @@ bool ClashServer::mark_group_root(const KeyGroup& group) {
   // The group's replicas (and its durable baseline) were cut while the
   // flag was still false: bootstrap force-splits before it marks the
   // floor. Refresh them, or a promoted copy would consolidate above it.
-  persist_group_snapshot(*entry, /*checkpoint=*/false);
-  if (cfg_.replication_factor > 0) replicate_group(*entry);
+  persist_group_snapshot(*entry);
+  if (cfg_.replication_factor > 0) snapshot_group(*entry);
   return true;
 }
 
@@ -233,8 +233,6 @@ void ClashServer::deliver(ServerId from, const Message& msg) {
           handle_reclaim_ack(from, m);
         } else if constexpr (std::is_same_v<T, ReclaimRefused>) {
           handle_reclaim_refused(from, m);
-        } else if constexpr (std::is_same_v<T, ReplicateGroup>) {
-          handle_replicate(from, m);
         } else if constexpr (std::is_same_v<T, DropReplica>) {
           handle_drop_replica(from, m);
         } else if constexpr (std::is_same_v<T, ReplAppend>) {
@@ -291,7 +289,7 @@ void ClashServer::handle_accept_keygroup(ServerId from,
   // in the deployed layer, leave its key range unroutable -- no
   // survivor would even know the group existed).
   if (log_replication() || durable()) init_group_log(m.group, m.epoch + 1);
-  if (cfg_.replication_factor > 0) replicate_group(entry);
+  if (cfg_.replication_factor > 0) snapshot_group(entry);
 
   env_.send(from, AcceptKeyGroupAck{m.group});
 }
@@ -342,7 +340,7 @@ void ClashServer::handle_reclaim(ServerId from, const ReclaimKeyGroup& m) {
   if (app_hooks_ != nullptr) {
     ack.app_state = app_hooks_->export_state(m.group, from);
   }
-  stats_.state_transfer_msgs += state_msgs_for(ack.queries.size());
+  stats_.state_transfer_msgs += ack.queries.size();
   env_.send(from, std::move(ack));
 }
 
@@ -387,7 +385,7 @@ void ClashServer::handle_reclaim_ack(ServerId from, const ReclaimAck& m) {
   parent_entry->right_child = ServerId{};
   state_[parent_group] = std::move(merged);
   note_group_activated(parent_group);
-  if (cfg_.replication_factor > 0) replicate_group(*parent_entry);
+  if (cfg_.replication_factor > 0) snapshot_group(*parent_entry);
   ensure_durable_group(*parent_entry);
   // The merged parent's baseline is anchored; only now may the left
   // child's durable record be dropped (see split_group).
@@ -466,7 +464,7 @@ void ClashServer::split_group(const KeyGroup& group,
     // The left child is a final placement: replicate it immediately so
     // it never spends a check period unprotected (see
     // handle_accept_keygroup).
-    if (cfg_.replication_factor > 0) replicate_group(left_entry);
+    if (cfg_.replication_factor > 0) snapshot_group(left_entry);
     ensure_durable_group(left_entry);
     retired.push_back(current);
 
@@ -484,7 +482,7 @@ void ClashServer::split_group(const KeyGroup& group,
         table_.insert(right_entry);
         state_[right] = std::move(right_state);
         note_group_activated(right);
-        if (cfg_.replication_factor > 0) replicate_group(right_entry);
+        if (cfg_.replication_factor > 0) snapshot_group(right_entry);
         ensure_durable_group(right_entry);
         stats_.self_remaps++;
       } else {
@@ -502,7 +500,7 @@ void ClashServer::split_group(const KeyGroup& group,
         if (app_hooks_ != nullptr) {
           msg.app_state = app_hooks_->export_state(right, owner.owner);
         }
-        stats_.state_transfer_msgs += state_msgs_for(msg.queries.size());
+        stats_.state_transfer_msgs += msg.queries.size();
         env_.send(owner.owner, std::move(msg));
       }
       stats_.splits++;
@@ -547,22 +545,15 @@ void ClashServer::run_load_check() {
     // ops onto an empty image and call the partial result success.
     for (const ServerTableEntry* e : table_.active_entries()) {
       if (storage_->snapshot_retry_pending(e->group)) {
-        persist_group_snapshot(*e, /*checkpoint=*/false);
+        persist_group_snapshot(*e);
       }
     }
   }
   send_load_reports();
   gc_stale_replicas();
-  if (cfg_.replication_factor > 0) {
-    // Log mode: the steady-state refresh shrinks from a full snapshot
-    // per group to one (epoch, seq) vector per holder — divergence is
-    // repaired by exactly the missing suffix.
-    if (log_replication()) {
-      send_anti_entropy();
-    } else {
-      send_replicas();
-    }
-  }
+  // The steady-state replica refresh is one (epoch, seq) vector per
+  // holder: divergence is repaired by exactly the missing suffix.
+  if (log_replication()) send_anti_entropy();
   // Resume any snapshot transfer that paused on transport
   // backpressure (the drain callback is the fast path; this is the
   // periodic backstop).
@@ -679,11 +670,7 @@ std::optional<KeyGroup> ClashServer::pick_merge_candidate() const {
     if (server_load() + right_load > cfg_.overload_frac * cfg_.capacity) {
       continue;
     }
-    if (!best) {
-      best = e->group;
-      best_combined = combined;
-    } else if (cfg_.merge_policy == ClashConfig::MergePolicy::kColdest &&
-               combined < best_combined) {
+    if (!best || combined < best_combined) {  // paper: coldest
       best = e->group;
       best_combined = combined;
     }
@@ -730,46 +717,8 @@ void ClashServer::try_consolidate() {
 }
 
 // ---------------------------------------------------------------------------
-// State partitioning and introspection.
+// Fault tolerance: replica retirement and lease GC.
 // ---------------------------------------------------------------------------
-
-// ---------------------------------------------------------------------------
-// Fault tolerance: lease replication and failover promotion.
-// ---------------------------------------------------------------------------
-
-void ClashServer::send_replicas() {
-  for (const ServerTableEntry* e : table_.active_entries()) {
-    replicate_group(*e);
-  }
-}
-
-void ClashServer::replicate_group(const ServerTableEntry& entry) {
-  if (log_replication()) {
-    // Log mode: a full snapshot (activation, handoff, repair) instead of a
-    // lease refresh; steady-state protection flows through log_op.
-    snapshot_group(entry);
-    return;
-  }
-  const auto targets = env_.replica_targets(
-      hasher_.hash_key(entry.group.virtual_key()), cfg_.replication_factor);
-  if (targets.empty()) return;
-  ReplicateGroup msg;
-  msg.group = entry.group;
-  msg.owner = self_;
-  msg.root = entry.root;
-  msg.parent = entry.parent;
-  const auto st = state_.find(entry.group);
-  if (st != state_.end()) {
-    msg.streams.reserve(st->second.streams.size());
-    for (const auto& [_, s] : st->second.streams) msg.streams.push_back(s);
-    msg.queries.reserve(st->second.queries.size());
-    for (const auto& [_, q] : st->second.queries) msg.queries.push_back(q);
-  }
-  for (const ServerId target : targets) {
-    if (target == self_) continue;
-    env_.send(target, msg);
-  }
-}
 
 void ClashServer::retire_replicas(const KeyGroup& group) {
   cancel_outbound_snapshots(group);  // the image being streamed is dead
@@ -806,21 +755,6 @@ void ClashServer::gc_stale_replicas() {
   }
 }
 
-void ClashServer::handle_replicate(ServerId /*from*/,
-                                   const ReplicateGroup& m) {
-  ReplicaRecord rec;
-  rec.owner = m.owner;
-  rec.root = m.root;
-  rec.parent = m.parent;
-  rec.refreshed = env_.now();
-  for (const auto& s : m.streams) {
-    rec.state.streams[s.source] = s;
-    rec.state.stream_rate += s.rate;
-  }
-  for (const auto& q : m.queries) rec.state.queries[q.id] = q;
-  replicas_[m.group] = std::move(rec);
-}
-
 void ClashServer::handle_drop_replica(ServerId /*from*/,
                                       const DropReplica& m) {
   replicas_.erase(m.group);
@@ -848,8 +782,7 @@ bool ClashServer::durable() const {
          cfg_.durability_mode != ClashConfig::DurabilityMode::kNone;
 }
 
-void ClashServer::persist_group_snapshot(const ServerTableEntry& entry,
-                                         bool checkpoint) {
+void ClashServer::persist_group_snapshot(const ServerTableEntry& entry) {
   if (!durable()) return;
   storage::SnapshotImage img;
   img.group = entry.group;
@@ -862,14 +795,14 @@ void ClashServer::persist_group_snapshot(const ServerTableEntry& entry,
   if (app_hooks_ != nullptr) {
     img.app_state = app_hooks_->snapshot_state(entry.group);
   }
-  meter_storage_bytes(entry.group, storage_->write_snapshot(img, checkpoint));
+  meter_storage_bytes(entry.group, storage_->write_snapshot(img));
 }
 
 void ClashServer::ensure_durable_group(const ServerTableEntry& entry) {
   if (!durable() || logs_.count(entry.group) > 0) return;
-  // Creating the log writes the baseline snapshot; in log-replication
-  // mode the replica push (snapshot_group) usually beat us here and
-  // this is a no-op.
+  // Creating the log writes the baseline snapshot; with replication on
+  // the replica push (snapshot_group) usually beat us here and this is
+  // a no-op.
   init_group_log(entry.group, 1);
 }
 
@@ -897,17 +830,6 @@ std::size_t ClashServer::restore_from_storage() {
   return image.groups.size();
 }
 
-void ClashServer::adopt_bare_group(ServerTableEntry& entry) {
-  // No replica anywhere: adopt the bare group so the key space stays
-  // covered. Lineage above is unknown, so the entry becomes a root.
-  entry.root = true;
-  table_.insert(entry);
-  state_.try_emplace(entry.group);
-  note_group_activated(entry.group);
-  stats_.failovers++;
-  stats_.groups_lost++;
-}
-
 void ClashServer::init_group_log(const KeyGroup& group,
                                  std::uint64_t min_epoch) {
   // A queued batch must not outlive its epoch: send it under the old
@@ -927,7 +849,7 @@ void ClashServer::init_group_log(const KeyGroup& group,
   // never went through log_op, so only the snapshot carries it).
   if (const ServerTableEntry* entry = table_.find(group);
       entry != nullptr && entry->active) {
-    persist_group_snapshot(*entry, /*checkpoint=*/false);
+    persist_group_snapshot(*entry);
   }
 }
 
@@ -997,7 +919,7 @@ void ClashServer::log_op(const KeyGroup& group, repl::LogOp op) {
       if (replicating && log.holds(repl::OpKind::kAppDelta)) {
         snapshot_group(*entry);
       } else {
-        persist_group_snapshot(*entry, /*checkpoint=*/true);
+        persist_group_snapshot(*entry);
         log.compact();
       }
     }
@@ -1091,7 +1013,7 @@ void ClashServer::snapshot_group(const ServerTableEntry& entry) {
   // The snapshot defines the new compaction boundary at the current
   // head; anyone behind it is repaired by the snapshot itself.
   lit->second.compact();
-  persist_group_snapshot(entry, /*checkpoint=*/true);
+  persist_group_snapshot(entry);
   for (const ServerId target : replica_set(entry.group)) {
     if (target != self_) send_snapshot_to(target, entry);
   }
@@ -1265,7 +1187,7 @@ void ClashServer::send_anti_entropy() {
   for (const ServerTableEntry* e : table_.active_entries()) {
     const auto lit = logs_.find(e->group);
     if (lit == logs_.end()) {
-      replicate_group(*e);  // missing log: heal with a fresh snapshot
+      snapshot_group(*e);  // missing log: heal with a fresh snapshot
       continue;
     }
     const auto head = lit->second.head();
@@ -1576,7 +1498,7 @@ void ClashServer::repair_peer(ServerId to, const KeyGroup& group,
   const ServerTableEntry* entry = table_.find(group);
   if (entry != nullptr && entry->active) {
     const auto lit = logs_.find(group);
-    if (lit == logs_.end()) return;  // snapshot mode: nothing to diff
+    if (lit == logs_.end()) return;  // anti-entropy heals it by snapshot
     repl::GroupLog& log = lit->second;
     std::vector<repl::LogOp> out;
     if (have.epoch == log.epoch() && log.suffix_from(have.seq, out)) {
@@ -1640,65 +1562,6 @@ void ClashServer::begin_group_recovery(const KeyGroup& group) {
   for (const ServerId peer : replica_set(group)) {
     if (peer != self_) env_.send(peer, pull);
   }
-}
-
-bool ClashServer::promote_with_recovery(const KeyGroup& group) {
-  // Pull the freshest suffix from the surviving holders before
-  // installing anything: a replica that lags the highest advertised
-  // head is repaired (or superseded by a fresher peer), never silently
-  // promoted. Synchronous transports complete the repair inside
-  // begin_group_recovery; the TCP layer opened the session during its
-  // recovery-grace window.
-  begin_group_recovery(group);
-
-  const auto it = replicas_.find(group);
-  const bool recovered = it != replicas_.end();
-
-  ServerTableEntry entry;
-  entry.group = group;
-  entry.active = true;
-  repl::LogHead head;
-  repl::LogHead advertised;
-  if (recovered) {
-    ReplicaRecord& rec = it->second;
-    head = rec.log.head();
-    advertised = rec.advertised;
-    entry.root = rec.root;
-    entry.parent = rec.parent;
-    table_.insert(entry);
-    state_[group] = std::move(rec.state);
-    if (app_hooks_ != nullptr) {
-      if (!rec.app_snapshot.empty()) {
-        app_hooks_->import_state(group, rec.app_snapshot);
-      }
-      for (const auto& d : rec.app_tail) app_hooks_->apply_delta(group, d);
-    }
-    replicas_.erase(it);
-    note_group_activated(group);
-    stats_.failovers++;
-  } else {
-    adopt_bare_group(entry);
-  }
-  recovery_.finish(group, head, advertised);
-  flight(obs::FlightKind::kRecoveryFinish, group_tag(group),
-         recovered ? 1 : 0);
-  flight(obs::FlightKind::kReplicaPromoted, group_tag(group),
-         recovered ? 1 : 0);
-  end_recovery_op(group);
-  if (const auto rs = recovery_started_.find(group);
-      rs != recovery_started_.end()) {
-    const SimDuration took = env_.now() - rs->second;
-    failover_us_.record_signed(took.usec);
-    hub_->tracer.record(obs::SpanKind::kFailover, self_.value, rs->second,
-                        took, recovered ? 1 : 0);
-    recovery_started_.erase(rs);
-  }
-  // New ownership line: the epoch rises above anything ever advertised
-  // and the (new) replica set gets an immediate snapshot, so a second
-  // failure in this period still finds fresh holders.
-  init_group_log(group, std::max(head.epoch, advertised.epoch) + 1);
-  replicate_group(entry);
-  return recovered;
 }
 
 std::optional<repl::LogHead> ClashServer::log_head(
@@ -1778,7 +1641,7 @@ std::size_t ClashServer::handoff_groups(ServerId to) {
     child_reports_.erase(mv.group);
     note_group_deactivated(mv.group);
     retire_replicas(mv.group);
-    stats_.state_transfer_msgs += state_msgs_for(msg.queries.size());
+    stats_.state_transfer_msgs += msg.queries.size();
     stats_.handoffs++;
     env_.send(to, std::move(msg));
   }
@@ -1806,41 +1669,71 @@ bool ClashServer::promote_replica(const KeyGroup& group) {
       return false;
     }
   }
-  if (log_replication()) return promote_with_recovery(group);
+  // Pull the freshest suffix from the surviving holders before
+  // installing anything: a replica that lags the highest advertised
+  // head is repaired (or superseded by a fresher peer), never silently
+  // promoted. Synchronous transports complete the repair inside
+  // begin_group_recovery; the TCP layer opened the session during its
+  // recovery-grace window. Without replication there is no holder to
+  // pull from, so no session opens and a record restored from disk is
+  // installed at once.
+  begin_group_recovery(group);
+
   const auto it = replicas_.find(group);
+  const bool recovered = it != replicas_.end();
+
   ServerTableEntry entry;
   entry.group = group;
   entry.active = true;
-  const bool recovered = it != replicas_.end();
+  repl::LogHead head;
+  repl::LogHead advertised;
   if (recovered) {
-    entry.root = it->second.root;
-    entry.parent = it->second.parent;
+    ReplicaRecord& rec = it->second;
+    head = rec.log.head();
+    advertised = rec.advertised;
+    entry.root = rec.root;
+    entry.parent = rec.parent;
     table_.insert(entry);
-    state_[group] = std::move(it->second.state);
-    // Locally restored records (and peer-built snapshots) carry the
-    // application payload; plain lease replicas leave both empty.
+    state_[group] = std::move(rec.state);
     if (app_hooks_ != nullptr) {
-      if (!it->second.app_snapshot.empty()) {
-        app_hooks_->import_state(group, it->second.app_snapshot);
+      if (!rec.app_snapshot.empty()) {
+        app_hooks_->import_state(group, rec.app_snapshot);
       }
-      for (const auto& d : it->second.app_tail) {
-        app_hooks_->apply_delta(group, d);
-      }
+      for (const auto& d : rec.app_tail) app_hooks_->apply_delta(group, d);
     }
     replicas_.erase(it);
-    note_group_activated(group);
-    stats_.failovers++;
   } else {
-    adopt_bare_group(entry);
+    // No replica anywhere: adopt the bare group so the key space stays
+    // covered. Lineage above is unknown, so the entry becomes a root.
+    entry.root = true;
+    table_.insert(entry);
+    state_.try_emplace(group);
+    stats_.groups_lost++;
   }
+  note_group_activated(group);
+  stats_.failovers++;
+  recovery_.finish(group, head, advertised);
+  flight(obs::FlightKind::kRecoveryFinish, group_tag(group),
+         recovered ? 1 : 0);
   flight(obs::FlightKind::kReplicaPromoted, group_tag(group),
          recovered ? 1 : 0);
-  // Re-replicate under the new ownership right away: the holders'
-  // records still name the dead owner, so until they are refreshed a
-  // second failure in this load-check period would strand a perfectly
-  // good replica (nobody would look it up under the new owner's id).
-  if (cfg_.replication_factor > 0) replicate_group(entry);
-  ensure_durable_group(entry);
+  end_recovery_op(group);
+  if (const auto rs = recovery_started_.find(group);
+      rs != recovery_started_.end()) {
+    const SimDuration took = env_.now() - rs->second;
+    failover_us_.record_signed(took.usec);
+    hub_->tracer.record(obs::SpanKind::kFailover, self_.value, rs->second,
+                        took, recovered ? 1 : 0);
+    recovery_started_.erase(rs);
+  }
+  // New ownership line: the epoch rises above anything ever advertised
+  // (and above the line a restored record carried), and the new
+  // replica set gets an immediate snapshot, so a second failure in this
+  // period still finds fresh holders.
+  if (log_replication() || durable()) {
+    init_group_log(group, std::max(head.epoch, advertised.epoch) + 1);
+  }
+  if (log_replication()) snapshot_group(entry);
   return recovered;
 }
 
@@ -1867,11 +1760,6 @@ GroupState ClashServer::extract_subset(GroupState& st,
     }
   }
   return out;
-}
-
-std::uint64_t ClashServer::state_msgs_for(std::size_t query_count) const {
-  const unsigned batch = std::max(1u, cfg_.state_batch);
-  return (query_count + batch - 1) / batch;
 }
 
 double ClashServer::server_load() const {

@@ -207,19 +207,20 @@ class ClashServer {
   // --- Fault tolerance (replication extension) ------------------------
   /// Promote this server's replica of `group` to active ownership
   /// (called by the failover coordinator after the previous owner
-  /// died and the DHT now maps the group here). Falls back to an empty
-  /// root entry when no replica exists; returns whether state was
-  /// recovered.
+  /// died and the DHT now maps the group here, or by crash recovery
+  /// for a group restored from disk). With replication on, it first
+  /// pulls the freshest suffix from the surviving holders; then it
+  /// installs under a bumped epoch. Falls back to an empty root entry
+  /// when no replica exists; returns whether state was recovered.
   bool promote_replica(const KeyGroup& group);
 
   // --- Replication & recovery subsystem (src/repl/) -------------------
   /// True when the operation-log replication engine is active.
   [[nodiscard]] bool log_replication() const {
-    return cfg_.replication_factor > 0 &&
-           cfg_.replication_mode == ClashConfig::ReplicationMode::kLog;
+    return cfg_.replication_factor > 0;
   }
 
-  /// Owner-side log head of an active group (log mode).
+  /// Owner-side log head of an active group (replicated or durable).
   [[nodiscard]] std::optional<repl::LogHead> log_head(
       const KeyGroup& group) const;
   /// Replica-side applied head for a group held on behalf of a peer.
@@ -269,8 +270,8 @@ class ClashServer {
   // --- Durable storage subsystem (src/storage/) ------------------------
   /// Attach the node's durable store: every owned-group mutation
   /// appends to its WAL, activations write baseline snapshots, and
-  /// log compaction cuts checkpoint snapshots (kWalSnapshot). Attach
-  /// before any traffic; the store must outlive the server.
+  /// log compaction cuts checkpoint snapshots that truncate the WAL.
+  /// Attach before any traffic; the store must outlive the server.
   void set_storage(storage::NodeStore* store) { storage_ = store; }
 
   /// True when a store is attached and the config enables durability.
@@ -352,7 +353,6 @@ class ClashServer {
   void handle_reclaim(ServerId from, const ReclaimKeyGroup& m);
   void handle_reclaim_ack(ServerId from, const ReclaimAck& m);
   void handle_reclaim_refused(ServerId from, const ReclaimRefused& m);
-  void handle_replicate(ServerId from, const ReplicateGroup& m);
   void handle_drop_replica(ServerId from, const DropReplica& m);
   void handle_repl_append(ServerId from, const ReplAppend& m);
   void handle_repl_ack(ServerId from, const ReplAck& m);
@@ -361,11 +361,6 @@ class ClashServer {
   void handle_ae_probe(ServerId from, const AntiEntropyProbe& m);
   void handle_ae_diff(ServerId from, const AntiEntropyDiff& m);
 
-  /// Push lease-replicas of every active group to its ring successors.
-  void send_replicas();
-  /// Push one group's replica to its ring successors now (log mode:
-  /// snapshot + compact instead of a ReplicateGroup lease).
-  void replicate_group(const ServerTableEntry& entry);
   /// Tell replica holders a group stopped being active here.
   void retire_replicas(const KeyGroup& group);
 
@@ -389,9 +384,6 @@ class ClashServer {
   /// Drop an emptied ephemeral group (fixed-depth baseline mode).
   void maybe_gc_group(const KeyGroup& group);
 
-  /// Queries-to-STATE_TRANSFER-message accounting.
-  [[nodiscard]] std::uint64_t state_msgs_for(std::size_t query_count) const;
-
   ServerId self_;
   ClashConfig cfg_;
   ServerEnv& env_;
@@ -406,9 +398,6 @@ class ClashServer {
   // --- Replication-log internals (src/repl/) ---------------------------
   /// The ring successors holding `group`'s replicas.
   [[nodiscard]] std::vector<ServerId> replica_set(const KeyGroup& group);
-  /// Failover found no replica: install an empty root entry so the key
-  /// space stays covered (shared by both promotion modes).
-  void adopt_bare_group(ServerTableEntry& entry);
   /// Append one op to an active group's log and queue it for the
   /// replica set (no-op unless the log engine is on). Ops queued
   /// during one dispatch tick coalesce into a single ReplAppend frame
@@ -448,15 +437,11 @@ class ClashServer {
   void send_anti_entropy();
   /// Answer a peer that reported being behind on `group` at `have`.
   void repair_peer(ServerId to, const KeyGroup& group, repl::LogHead have);
-  /// Log-mode promotion: pull the freshest suffix from surviving
-  /// holders, then install under a bumped epoch.
-  bool promote_with_recovery(const KeyGroup& group);
 
   /// Write `entry`'s current state as its on-disk snapshot (no-op
-  /// without a durable store). Baselines anchor WAL replay;
-  /// checkpoints additionally advance the truncation floor.
-  void persist_group_snapshot(const ServerTableEntry& entry,
-                              bool checkpoint);
+  /// without a durable store). The snapshot anchors WAL replay and
+  /// advances the group's truncation floor.
+  void persist_group_snapshot(const ServerTableEntry& entry);
   /// Make a freshly activated group durable: creates its log (which
   /// writes the baseline snapshot) when no log exists yet.
   void ensure_durable_group(const ServerTableEntry& entry);
@@ -475,8 +460,8 @@ class ClashServer {
     /// Last time any owner/peer touched this record (lease clock).
     SimTime refreshed{0};
 
-    // Log mode: applied position + retained suffix since the last
-    // snapshot (log.head() is the applied head; entries repair peers).
+    // Applied position + retained suffix since the last snapshot
+    // (log.head() is the applied head; entries repair peers).
     repl::GroupLog log{0, 0};
     /// Freshest head any owner/peer ever advertised for the group.
     repl::LogHead advertised;

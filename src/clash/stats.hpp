@@ -22,12 +22,10 @@ namespace clash {
   X(load_reports)                                                            \
   X(reclaim_requests)                                                        \
   X(reclaim_replies)                                                         \
-  /* Migrated state, in STATE_TRANSFER message units. */                     \
+  /* Migrated state: one STATE_TRANSFER message per query. */                \
   X(state_transfer_msgs)                                                     \
-  /* Fault-tolerance extension traffic. */                                   \
-  X(replications)                                                            \
+  /* Fault-tolerance extension traffic (src/repl/). */                       \
   X(replica_drops)                                                           \
-  /* Replication-log traffic (src/repl/, log mode only). */                  \
   X(repl_appends)                                                            \
   X(repl_acks)                                                               \
   X(snapshot_offers)                                                         \
@@ -95,7 +93,7 @@ struct MessageStats {
   [[nodiscard]] std::uint64_t control_messages() const {
     return dht_hops + object_probes + object_replies + keygroup_transfers +
            keygroup_acks + load_reports + reclaim_requests + reclaim_replies +
-           replications + replica_drops + replication_log_messages();
+           replica_drops + replication_log_messages();
   }
 
   /// All traffic of the log-replication subsystem (appends + acks +

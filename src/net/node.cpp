@@ -393,12 +393,13 @@ void ClashNode::recover_from_storage() {
   if (restored == 0) return;
   CLASH_INFO << to_string(config_.id) << ": restored " << restored
              << " group(s) from " << config_.storage_dir;
-  // Re-adopt every recovered group the (seed) ring maps here. In log
-  // mode this mirrors a failover heir: open the recovery session now
-  // (the anti-entropy probes go out as peer connections come up) and
-  // promote after the grace window, so a fresher holder can stream
+  // Re-adopt every recovered group the (seed) ring maps here. With
+  // replication this mirrors a failover heir: open the recovery session
+  // now (the anti-entropy probes go out as peer connections come up)
+  // and promote after the grace window, so a fresher holder can stream
   // the suffix the disk lost — a torn WAL tail costs a few ops over
-  // the wire, never a full snapshot.
+  // the wire, never a full snapshot. Without replication there is no
+  // holder to wait for: promote at once.
   for (const KeyGroup& group : server_->replicas_owned_by(config_.id)) {
     if (ring_->map(ring_->hasher().hash_key(group.virtual_key())) !=
         config_.id) {
@@ -435,34 +436,30 @@ void ClashNode::on_member_dead(ServerId id) {
   // Automatic failover: any group the dead owner replicated here that
   // the shrunken ring now maps to this node gets promoted. Peers do the
   // same for their own replicas, so the dead node's groups come back on
-  // exactly their new DHT owners. Under log replication the promotion
-  // waits out a recovery-grace window first: the heir probes the
-  // surviving holders with its (epoch, seq) head and lets the freshest
-  // one stream the missing suffix before anything is installed.
+  // exactly their new DHT owners. The promotion waits out a
+  // recovery-grace window first: the heir probes the surviving holders
+  // with its (epoch, seq) head and lets the freshest one stream the
+  // missing suffix before anything is installed.
   for (const KeyGroup& group : server_->replicas_owned_by(id)) {
     const ServerId heir =
         ring_->map(ring_->hasher().hash_key(group.virtual_key()));
     if (heir != config_.id) continue;
-    if (server_->log_replication()) {
-      server_->begin_group_recovery(group);
-      loop_->call_after(config_.recovery_grace, [this, id, group] {
-        on_loop_.assert_held();
-        // Re-validate after the grace window: the death may have been
-        // refuted (member back on the ring — it was handed its groups)
-        // or the ring may have shifted the group to another heir.
-        // Promoting anyway would create dual ownership with the
-        // fenced-out epoch winning over the legitimate line.
-        if (ring_->contains(id) ||
-            ring_->map(ring_->hasher().hash_key(group.virtual_key())) !=
-                config_.id) {
-          server_->abandon_group_recovery(group);
-          return;
-        }
-        (void)server_->promote_replica(group);
-      });
-    } else {
+    server_->begin_group_recovery(group);
+    loop_->call_after(config_.recovery_grace, [this, id, group] {
+      on_loop_.assert_held();
+      // Re-validate after the grace window: the death may have been
+      // refuted (member back on the ring — it was handed its groups)
+      // or the ring may have shifted the group to another heir.
+      // Promoting anyway would create dual ownership with the
+      // fenced-out epoch winning over the legitimate line.
+      if (ring_->contains(id) ||
+          ring_->map(ring_->hasher().hash_key(group.virtual_key())) !=
+              config_.id) {
+        server_->abandon_group_recovery(group);
+        return;
+      }
       (void)server_->promote_replica(group);
-    }
+    });
   }
 }
 

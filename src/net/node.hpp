@@ -55,10 +55,11 @@ struct NodeConfig {
   /// Abandon a non-blocking peer connect after this long; the loop is
   /// never blocked while one is pending.
   std::chrono::microseconds connect_timeout = std::chrono::seconds(3);
-  /// Log-replication mode: after a member death, hold each candidate
-  /// promotion open this long so the surviving replica set can stream
-  /// the missing log suffix (or a snapshot) to the heir before it
-  /// installs — the RecoveryCoordinator's pull window over TCP.
+  /// With replication on (clash.replication_factor > 0): after a member
+  /// death, or on restart from disk, hold each candidate promotion open
+  /// this long so the surviving replica set can stream the missing log
+  /// suffix (or a snapshot) to the heir before it installs — the
+  /// RecoveryCoordinator's pull window over TCP.
   std::chrono::microseconds recovery_grace = std::chrono::milliseconds(250);
   /// Snapshot-chunk pacing: while a peer connection's outbound queue
   /// already holds this many bytes, no further SnapshotChunks are
@@ -272,8 +273,9 @@ class ClashNode {
   void on_member_dead(ServerId id) CLASH_REQUIRES(on_loop_);
   void on_member_joined(ServerId id) CLASH_REQUIRES(on_loop_);
   /// First start only: restore the durable image and re-promote every
-  /// recovered group the ring still maps here (log mode holds the
-  /// recovery-grace pull window first, exactly like a failover heir).
+  /// recovered group the ring still maps here (with replication on it
+  /// holds the recovery-grace pull window first, exactly like a
+  /// failover heir).
   void recover_from_storage() CLASH_REQUIRES(on_loop_);
 
   NodeConfig config_;  // immutable after construction

@@ -361,7 +361,7 @@ void SimCluster::restart_server(ServerId id) {
   }
   // Groups the index still maps here (no eviction happened) that the
   // disk recovered are re-adopted in place: promotion bumps the epoch
-  // and, in log mode, the recovery pull fetches only the suffix the
+  // and, with replication on, the recovery pull fetches only the suffix the
   // disk lost from the replica set — the network never carries the
   // full state. Everything else fails over as before.
   std::vector<KeyGroup> lost;
@@ -494,8 +494,6 @@ void SimCluster::count_message(const Message& msg) {
         } else if constexpr (std::is_same_v<T, ReclaimAck> ||
                              std::is_same_v<T, ReclaimRefused>) {
           stats_.reclaim_replies++;
-        } else if constexpr (std::is_same_v<T, ReplicateGroup>) {
-          stats_.replications++;
         } else if constexpr (std::is_same_v<T, DropReplica>) {
           stats_.replica_drops++;
         } else if constexpr (std::is_same_v<T, ReplAppend>) {

@@ -37,7 +37,7 @@ NodeStore::NodeStore(Backend& backend, Config cfg)
     wal_->adopt_closed_segment(index, std::move(tails));
   }
   image_.segment_tails.clear();
-  if (cfg_.mode == ClashConfig::DurabilityMode::kWalSnapshot) truncate();
+  truncate();
 }
 
 void NodeStore::set_obs(obs::Hub* hub, std::uint64_t node) {
@@ -70,12 +70,8 @@ std::uint64_t NodeStore::append_op(const KeyGroup& group, repl::LogHead head,
   return wal_->stats().bytes - before;
 }
 
-std::uint64_t NodeStore::write_snapshot(const SnapshotImage& img,
-                                        bool checkpoint) {
+std::uint64_t NodeStore::write_snapshot(const SnapshotImage& img) {
   affinity_.assert_held();
-  if (checkpoint && cfg_.mode != ClashConfig::DurabilityMode::kWalSnapshot) {
-    return 0;  // kWal: the baseline anchors replay, the log keeps growing
-  }
   const auto bytes = encode_snapshot(img);
   if (!backend_.write_file_atomic(snapshot_path(cfg_.snap_dir, img.group),
                                   bytes)) {
@@ -93,7 +89,7 @@ std::uint64_t NodeStore::write_snapshot(const SnapshotImage& img,
   stats_.snapshots_written++;
   stats_.snapshot_bytes += bytes.size();
   floors_[img.group] = img.head;
-  if (cfg_.mode == ClashConfig::DurabilityMode::kWalSnapshot) truncate();
+  truncate();
   return bytes.size();
 }
 
@@ -113,7 +109,7 @@ void NodeStore::drop_group(const KeyGroup& group, std::uint64_t epoch,
   auto [it, inserted] = dropped_.try_emplace(group, epoch);
   if (!inserted && it->second < epoch) it->second = epoch;
   stats_.drops++;
-  if (cfg_.mode == ClashConfig::DurabilityMode::kWalSnapshot) truncate();
+  truncate();
 }
 
 void NodeStore::truncate() {

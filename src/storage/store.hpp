@@ -1,11 +1,11 @@
 // storage::NodeStore: the per-node durable store a ClashServer writes
 // through. One WAL (append-on-mutate) plus one snapshot file per owned
-// group (baseline at activation; checkpoint at log compaction in
-// kWalSnapshot mode, which also truncates the WAL past the snapshot
-// floor). Construction scans the backend and rebuilds the pre-crash
-// image eagerly — take_image() hands it to the server's restore path —
-// so the WAL always restarts on a fresh segment, never appending to a
-// possibly-torn tail.
+// group (baseline at activation; checkpoint at log compaction). Every
+// snapshot truncates the WAL past its group's floor, so disk use and
+// replay stay bounded. Construction scans the backend and rebuilds the
+// pre-crash image eagerly — take_image() hands it to the server's
+// restore path — so the WAL always restarts on a fresh segment, never
+// appending to a possibly-torn tail.
 // Thread contract: a NodeStore is affine to its owner's single thread
 // (the node's event loop; the simulator's thread in sim runs). State is
 // CLASH_GUARDED_BY(affinity_) and public methods witness the token at
@@ -32,8 +32,6 @@ namespace clash::storage {
 class NodeStore {
  public:
   struct Config {
-    ClashConfig::DurabilityMode mode =
-        ClashConfig::DurabilityMode::kWalSnapshot;
     ClashConfig::FsyncPolicy fsync = ClashConfig::FsyncPolicy::kInterval;
     SimDuration fsync_interval = SimTime::from_seconds(1);
     std::uint64_t segment_bytes = 1u << 20;
@@ -43,7 +41,6 @@ class NodeStore {
     /// Durability knobs as the protocol config carries them.
     [[nodiscard]] static Config from(const ClashConfig& c) {
       Config cfg;
-      cfg.mode = c.durability_mode;
       cfg.fsync = c.fsync_policy;
       cfg.fsync_interval = c.fsync_interval;
       cfg.segment_bytes = c.wal_segment_bytes;
@@ -88,13 +85,12 @@ class NodeStore {
   std::uint64_t append_op(const KeyGroup& group, repl::LogHead head,
                           const repl::LogOp& op, SimTime now);
 
-  /// Write `img` atomically as `group`'s snapshot file. Baselines
-  /// (`checkpoint == false`: activation under a new epoch) are written
-  /// in every durable mode — they anchor WAL replay. Checkpoints
-  /// (log-compaction cuts) only land in kWalSnapshot mode, where they
-  /// advance the truncation floor and reclaim covered segments.
-  /// Returns the encoded bytes written (0 when skipped or failed).
-  std::uint64_t write_snapshot(const SnapshotImage& img, bool checkpoint);
+  /// Write `img` atomically as `group`'s snapshot file: a baseline
+  /// (activation under a new epoch) or a checkpoint (log-compaction
+  /// cut). Either anchors WAL replay, advances the group's truncation
+  /// floor, and reclaims the segments the floors now cover. Returns the
+  /// encoded bytes written (0 when the write failed).
+  std::uint64_t write_snapshot(const SnapshotImage& img);
 
   /// The group left this node (split away, reclaimed, handed off):
   /// log a drop record (fsync policy applies) and delete its snapshot

@@ -328,14 +328,6 @@ void encode_payload(Writer& w, const T& m) {
   } else if constexpr (std::is_same_v<T, ReclaimRefused>) {
     w.u8(std::uint8_t(MsgType::kReclaimRefused));
     encode_group(w, m.group);
-  } else if constexpr (std::is_same_v<T, ReplicateGroup>) {
-    w.u8(std::uint8_t(MsgType::kReplicateGroup));
-    encode_group(w, m.group);
-    w.u64(m.owner.value);
-    w.boolean(m.root);
-    w.u64(m.parent.value);
-    encode_vector(w, m.streams, encode_stream_info);
-    encode_vector(w, m.queries, encode_query_info);
   } else if constexpr (std::is_same_v<T, DropReplica>) {
     w.u8(std::uint8_t(MsgType::kDropReplica));
     encode_group(w, m.group);
@@ -541,19 +533,6 @@ Expected<Message> decode_message(std::span<const std::uint8_t> payload) {
     }
     case MsgType::kReclaimRefused: {
       out = ReclaimRefused{decode_group(r)};
-      break;
-    }
-    case MsgType::kReplicateGroup: {
-      ReplicateGroup m;
-      m.group = decode_group(r);
-      m.owner = ServerId{r.u64()};
-      m.root = r.boolean();
-      m.parent = ServerId{r.u64()};
-      if (!decode_vector(r, m.streams, 17, decode_stream_info) ||
-          !decode_vector(r, m.queries, 17, decode_query_info)) {
-        return Error::protocol("bad replica vectors");
-      }
-      out = std::move(m);
       break;
     }
     case MsgType::kDropReplica: {

@@ -29,7 +29,8 @@ enum class MsgType : std::uint8_t {
   kReclaimKeyGroup = 7,
   kReclaimAck = 8,
   kReclaimRefused = 9,
-  kReplicateGroup = 10,
+  // 10 is retired (the removed lease-replication refresh): it decodes
+  // as a protocol error and must never be reused for a new message.
   kDropReplica = 11,
   kGossip = 12,
   // Replication & recovery subsystem (src/repl/).

@@ -55,7 +55,6 @@ ClashConfig log_config() {
   cfg.initial_depth = 0;
   cfg.capacity = 1e9;
   cfg.replication_factor = 2;
-  cfg.replication_mode = ClashConfig::ReplicationMode::kLog;
   return cfg;
 }
 

@@ -135,9 +135,7 @@ TEST(Split, InactiveGroupCannotSplit) {
 TEST(Split, QueriesMigrateWithRightHalf) {
   MockServerEnv env;
   env.lookup_fn = [](dht::HashKey) { return dht::LookupResult{ServerId{3}, 1}; };
-  ClashConfig cfg = small_config();
-  cfg.state_batch = 1;
-  ClashServer s(ServerId{0}, cfg, env, hasher());
+  ClashServer s(ServerId{0}, small_config(), env, hasher());
   s.install_entry({group("01*", 7), true, ServerId{}, ServerId{}, true});
 
   AcceptObject q1;

@@ -37,7 +37,6 @@ ClashConfig durable_clash(unsigned factor) {
   clash.initial_depth = 2;
   clash.capacity = 10000;
   clash.replication_factor = factor;
-  clash.replication_mode = ClashConfig::ReplicationMode::kLog;
   clash.durability_mode = ClashConfig::DurabilityMode::kWalSnapshot;
   clash.fsync_policy = ClashConfig::FsyncPolicy::kPerAppend;
   return clash;

@@ -248,7 +248,6 @@ TEST(SnapshotPacing, PacedTransferConvergesThroughDrainCallbacks) {
   clash.initial_depth = 0;
   clash.capacity = 1e9;
   clash.replication_factor = 1;
-  clash.replication_mode = ClashConfig::ReplicationMode::kLog;
   clash.log_compact_threshold = 8;  // the cut below outruns this window
   clash.snapshot_chunk_objects = 1;  // one object per chunk
 

@@ -112,7 +112,7 @@ TEST(MembershipNet, StoppedNodeIsDetectedEvictedAndFailedOver) {
     obj.stream_rate = 1;
     ASSERT_TRUE(client.insert(obj).ok);
   }
-  // A few load-check rounds so every group is lease-replicated.
+  // A few load-check rounds so every group is replicated.
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
   // Kill the owner of the first key.

@@ -1,4 +1,4 @@
-// Replication & recovery over real TCP (log mode): continuous queries
+// Replication & recovery over real TCP: continuous queries
 // survive the owner's death — SWIM detects it, the heir holds the
 // promotion open for the recovery-grace window while peers stream the
 // missing log suffix, and matches keep firing on the promoted node's
@@ -30,7 +30,6 @@ struct RecoveryNetCluster {
     clash.initial_depth = kInitialDepth;
     clash.capacity = 10000;  // no load-driven splits
     clash.replication_factor = 2;
-    clash.replication_mode = ClashConfig::ReplicationMode::kLog;
 
     std::map<ServerId, Endpoint> members;
     for (std::size_t i = 0; i < kNodes; ++i) {

@@ -25,7 +25,6 @@ ClashConfig log_config() {
   cfg.initial_depth = 0;
   cfg.capacity = 1e9;  // never split under load in these tests
   cfg.replication_factor = 2;
-  cfg.replication_mode = ClashConfig::ReplicationMode::kLog;
   cfg.log_compact_threshold = 64;
   cfg.snapshot_chunk_objects = 2;  // exercise multi-chunk assembly
   return cfg;

@@ -29,7 +29,6 @@ ClashConfig log_config() {
   cfg.initial_depth = 0;
   cfg.capacity = 1e9;
   cfg.replication_factor = 2;
-  cfg.replication_mode = ClashConfig::ReplicationMode::kLog;
   cfg.snapshot_chunk_objects = 2;
   return cfg;
 }

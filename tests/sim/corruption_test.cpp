@@ -63,7 +63,7 @@ TEST(Corruption, FencesRejectEveryMangledPayloadUnderFault) {
   ChurnSim sim(config());
   sim.start();
   const auto before = register_queries(sim, 24, 0);
-  sim.run_for(SimTime::from_minutes(11));  // groups lease-replicated
+  sim.run_for(SimTime::from_minutes(11));  // groups replicated
   ASSERT_EQ(live_queries(sim), before.size());
 
   // 5% of every message on every link gets 1-3 byte flips — gossip,

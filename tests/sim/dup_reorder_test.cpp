@@ -77,7 +77,6 @@ SimCluster::Config replicated_config() {
   cfg.clash.initial_depth = 3;
   cfg.clash.capacity = 1e9;
   cfg.clash.replication_factor = 2;
-  cfg.clash.replication_mode = ClashConfig::ReplicationMode::kLog;
   cfg.clash.snapshot_chunk_objects = 4;  // multi-chunk snapshots
   return cfg;
 }
@@ -148,8 +147,8 @@ TEST(DupReorderReplication, SnapshotAssemblySurvivesDupAndReorder) {
   sim.drain();
 
   // Now make every link duplicate AND reorder, and run the repair
-  // rounds through it (log mode ships activations and repairs past the
-  // compaction floor as chunked snapshots).
+  // rounds through it (the log engine ships activations and repairs
+  // past the compaction floor as chunked snapshots).
   LinkMatrix::Fault f;
   f.dup_prob = 0.4;
   f.reorder_prob = 0.4;

@@ -30,7 +30,6 @@ SimCluster::Config durable_cluster_config(ClashConfig::DurabilityMode mode,
   cfg.clash.initial_depth = 4;
   cfg.clash.capacity = 1e9;  // no splitting noise
   cfg.clash.replication_factor = factor;
-  cfg.clash.replication_mode = ClashConfig::ReplicationMode::kLog;
   cfg.clash.durability_mode = mode;
   cfg.clash.fsync_policy = ClashConfig::FsyncPolicy::kPerAppend;
   return cfg;
@@ -198,7 +197,6 @@ TEST(DurabilityRestart, FullChurnLifecycleComposesWithStaleDiskImages) {
   cfg.cluster.clash.initial_depth = 3;
   cfg.cluster.clash.capacity = 1e9;
   cfg.cluster.clash.replication_factor = 2;
-  cfg.cluster.clash.replication_mode = ClashConfig::ReplicationMode::kLog;
   cfg.cluster.clash.durability_mode =
       ClashConfig::DurabilityMode::kWalSnapshot;
   cfg.cluster.clash.fsync_policy = ClashConfig::FsyncPolicy::kPerAppend;

@@ -51,7 +51,7 @@ TEST(Failover, ReplicasFormAfterLoadChecks) {
   }
   // 8 root groups x 2 replicas each.
   EXPECT_EQ(replicas, 16u);
-  EXPECT_GT(cluster.total_stats().replications, 0u);
+  EXPECT_GT(cluster.total_stats().replication_log_messages(), 0u);
 }
 
 TEST(Failover, StateSurvivesServerCrash) {
@@ -159,9 +159,7 @@ TEST(Failover, PromotedBootstrapGroupsStayRoots) {
   // before it marks them as roots. With no put (and so no later
   // snapshot) in between, the replicas must still learn the flag, or a
   // promoted copy could consolidate above the administrative floor.
-  auto cfg = replicated_config(2);
-  cfg.clash.replication_mode = ClashConfig::ReplicationMode::kLog;
-  SimCluster cluster(cfg);
+  SimCluster cluster(replicated_config(2));
   cluster.bootstrap();
 
   const ServerId victim = cluster.owner_index().begin()->second;

@@ -103,7 +103,6 @@ TEST(LinkMatrix, ScriptDropsExactFramesThenResumesFault) {
 SimCluster::Config log_cluster_config() {
   auto cfg = testing::small_cluster_config(8, 8, 2, /*capacity=*/1e9);
   cfg.clash.replication_factor = 2;
-  cfg.clash.replication_mode = ClashConfig::ReplicationMode::kLog;
   return cfg;
 }
 

@@ -74,9 +74,9 @@ TEST(MembershipChurn, KillFourServersConvergesAndFailsOver) {
   ChurnSim sim(churn_config(/*replication=*/2));
   sim.start();
   const auto keys = load_streams(sim, 64);
-  // Two load-check rounds so every active group is lease-replicated.
+  // Two load-check rounds so every active group is replicated.
   sim.run_for(SimTime::from_minutes(11));
-  ASSERT_GT(sim.cluster().total_stats().replications, 0u);
+  ASSERT_GT(sim.cluster().total_stats().replication_log_messages(), 0u);
 
   const std::vector<ServerId> victims{ServerId{1}, ServerId{5}, ServerId{9},
                                       ServerId{13}};

@@ -29,7 +29,6 @@ ChurnSim::Config partition_config() {
   cfg.cluster.clash.initial_depth = 3;
   cfg.cluster.clash.capacity = 4000.0;  // no load-driven splits
   cfg.cluster.clash.replication_factor = 2;
-  cfg.cluster.clash.replication_mode = ClashConfig::ReplicationMode::kLog;
   cfg.protocol_period = SimTime::from_seconds(1);
   cfg.gossip_delay = SimTime::from_seconds(0.02);
   cfg.seed = 17;

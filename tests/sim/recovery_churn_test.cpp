@@ -30,7 +30,6 @@ ChurnSim::Config log_churn_config() {
   cfg.cluster.clash.initial_depth = 3;
   cfg.cluster.clash.capacity = 4000.0;  // no load-driven splits
   cfg.cluster.clash.replication_factor = 2;
-  cfg.cluster.clash.replication_mode = ClashConfig::ReplicationMode::kLog;
   cfg.protocol_period = SimTime::from_seconds(1);
   cfg.gossip_delay = SimTime::from_seconds(0.02);
   cfg.seed = 99;
@@ -214,7 +213,7 @@ TEST(RecoveryChurn, KillReviveLosesNoQueriesAndConvergesHeads) {
 }
 
 TEST(RecoveryChurn, LogModeReplicationTrafficIsIncremental) {
-  // Steady state in log mode must not re-ship full snapshots: after
+  // Steady-state replication must not re-ship full snapshots: after
   // the initial activation snapshots, periodic traffic is probes (and
   // the occasional diff), not per-period SnapshotChunks.
   ChurnSim sim(log_churn_config());
@@ -227,7 +226,6 @@ TEST(RecoveryChurn, LogModeReplicationTrafficIsIncremental) {
   sim.run_for(SimTime::from_minutes(10));  // two quiet check periods
   const auto stats = sim.cluster().total_stats();
   EXPECT_GT(stats.anti_entropy_probes, 0u);
-  EXPECT_EQ(stats.replications, 0u);  // no legacy full-state leases
   // Quiet cluster: converged holders do not need snapshots.
   EXPECT_EQ(stats.snapshot_chunks, 0u);
   EXPECT_EQ(check_heads_converged(sim.cluster()), std::nullopt);

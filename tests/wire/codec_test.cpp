@@ -89,26 +89,26 @@ TEST(Codec, AllSimpleVariantsRoundTrip) {
 }
 
 TEST(Codec, ReplicationMessagesRoundTrip) {
-  ReplicateGroup m;
-  m.group = KeyGroup::parse("0110*", 24).value();
-  m.owner = ServerId{3};
-  m.root = true;
-  m.parent = ServerId{9};
-  m.streams.push_back({ClientId{5}, Key(0x601234, 24), 4.5});
-  m.queries.push_back({QueryId{77}, Key(0x609999, 24)});
+  const KeyGroup g = KeyGroup::parse("0110*", 24).value();
+  const auto drop = std::get<DropReplica>(round_trip(Message(DropReplica{g})));
+  EXPECT_EQ(drop.group, g);
+}
 
-  const auto out = std::get<ReplicateGroup>(round_trip(Message(m)));
-  EXPECT_EQ(out.group, m.group);
-  EXPECT_EQ(out.owner, m.owner);
-  EXPECT_TRUE(out.root);
-  EXPECT_EQ(out.parent, m.parent);
-  ASSERT_EQ(out.streams.size(), 1u);
-  EXPECT_DOUBLE_EQ(out.streams[0].rate, 4.5);
-  ASSERT_EQ(out.queries.size(), 1u);
-
-  const auto drop = std::get<DropReplica>(
-      round_trip(Message(DropReplica{m.group})));
-  EXPECT_EQ(drop.group, m.group);
+TEST(Codec, RetiredTypeTagTenIsAProtocolError) {
+  // Tag 10 carried the removed lease-replication refresh. A well-formed
+  // payload of that old layout (group, owner, root, parent, empty
+  // stream and query vectors) must not decode as any message.
+  Writer w;
+  w.u8(10);
+  encode_group(w, KeyGroup::parse("0110*", 24).value());
+  w.u64(3);        // owner
+  w.boolean(true); // root
+  w.u64(9);        // parent
+  w.u32(0);        // streams
+  w.u32(0);        // queries
+  const auto decoded = decode_message(w.data());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().code, Error::Code::kProtocol);
 }
 
 TEST(Codec, AcceptKeyGroupCarriesRootAndEpoch) {
