@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
   ChurnSim sim(base_config(servers, seed));
   sim.start();
   // Any gate failure (or invariant abort) below dumps the global
-  // flight ring + in-flight table next to the JSON artifact.
+  // event ring + in-flight table next to the JSON artifact.
   obs::Postmortem& pm = obs::Postmortem::global();
   pm.set_dir(".");
   obs::register_hub_source(pm, obs::Hub::global(), "abl_soak",

@@ -76,17 +76,11 @@ ThroughputResult run_throughput(std::size_t frame_bytes, std::uint64_t total,
                                 obs::Hub* hub = nullptr) {
   EventLoop loop;
   CLASH_ASSERT_ON_LOOP(loop);  // loop idle until run(): we hold affinity
-  if (hub != nullptr) {
-    loop.set_obs(hub->registry.histogram("clash_loop_tick_usec").raw(),
-                 &hub->tracer, 0);
-    // Flight recorder armed exactly as a ClashNode arms it: tick-budget
-    // fence on the loop, fault/drop events on both connections. The
-    // overhead gate below therefore prices the flight ring too.
-    loop.set_stall_obs(&hub->flight,
-                       hub->registry.counter(
-                           "clash_stall_tick_overruns_total"),
-                       /*budget_us=*/1'000'000);
-  }
+  // Wired exactly as a ClashNode wires it: tick histogram, tick-budget
+  // fence and the hub's event ring on the loop, fault/drop events on
+  // both connections. The overhead gate below therefore prices the ring
+  // too. A null hub leaves the loop bare.
+  loop.set_obs(hub, 0, /*budget_us=*/1'000'000, /*epoch_us=*/0);
   auto listener = listen_tcp(Endpoint{"127.0.0.1", 0}).value();
   const auto port = bound_port(listener).value();
 

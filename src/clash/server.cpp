@@ -18,8 +18,8 @@ ClashServer::ClashServer(ServerId self, const ClashConfig& cfg, ServerEnv& env,
       hasher_(hasher),
       table_(cfg.key_width),
       rng_(self.value * 0x9e3779b97f4a7c15ULL + 17),
-      hub_(&env.obs()) {
-  auto& reg = hub_->registry;
+      hub_(env.obs()) {
+  auto& reg = hub_.registry;
   commit_latency_us_ = reg.histogram("clash_repl_commit_usec");
   failover_us_ = reg.histogram("clash_failover_recovery_usec");
   snapshot_install_us_ = reg.histogram("clash_snapshot_install_usec");
@@ -75,8 +75,8 @@ void ClashServer::meter_matches(const Key& key, std::size_t n,
   GroupCost& cost = group_costs_[entry->group];
   cost.matches += n;
   cost.bytes_served += bytes;
-  hub_->tracer.record(obs::SpanKind::kQueryMatch, self_.value, env_.now(),
-                      SimDuration{0}, n, active_trace_);
+  hub_.tracer.record(obs::SpanKind::kQueryMatch, self_.value, env_.now(),
+                     SimDuration{0}, n, 0, active_trace_);
 }
 
 void ClashServer::meter_repl_bytes(const KeyGroup& group,
@@ -153,9 +153,9 @@ AcceptObjectReply ClashServer::handle_accept_object(const AcceptObject& m) {
   // Cases (a) (right depth) and (b) (wrong depth, right server) differ
   // only in the echoed depth; the client compares.
   if (!m.probe_only) {
-    hub_->tracer.record(obs::SpanKind::kIngest, self_.value, env_.now(),
-                        SimDuration{0}, std::uint64_t(m.kind),
-                        active_trace_);
+    hub_.tracer.record(obs::SpanKind::kIngest, self_.value, env_.now(),
+                       SimDuration{0}, std::uint64_t(m.kind), 0,
+                       active_trace_);
     GroupState& gs = state_[entry->group];
     GroupCost& cost = group_costs_[entry->group];
     ++cost.puts;
@@ -839,7 +839,7 @@ void ClashServer::init_group_log(const KeyGroup& group,
   const auto it = retired_epochs_.find(group);
   if (it != retired_epochs_.end()) epoch = std::max(epoch, it->second + 1);
   logs_.insert_or_assign(group, repl::GroupLog(epoch, 0));
-  flight(obs::FlightKind::kEpochBump, group_tag(group), epoch);
+  event(obs::SpanKind::kEpochBump, group_tag(group), epoch);
   // Heads registered under the old line can never be acked now.
   pending_commits_.erase(group);
   end_append_op(group);
@@ -950,11 +950,11 @@ void ClashServer::send_append_batch(const KeyGroup& group,
     // Register the in-flight head *before* sending: a synchronous env
     // delivers the holders' acks re-entrantly inside env_.send.
     auto& inflight = pending_commits_[group];
-    if (inflight.empty() && hub_ != nullptr) {
+    if (inflight.empty()) {
       // Deque going empty -> non-empty opens the group's replication
       // op in the in-flight table; the last draining ack closes it.
       auto& tok = append_ops_[group];
-      if (tok != 0) hub_->inflight.end(tok);
+      hub_.inflight.end(tok);
       std::uint64_t first_peer = 0;
       for (const ServerId target : targets) {
         if (target != self_) {
@@ -962,9 +962,9 @@ void ClashServer::send_append_batch(const KeyGroup& group,
           break;
         }
       }
-      tok = hub_->inflight.begin(obs::OpKind::kReplAppend,
-                                 std::uint32_t(self_.value), group.label(),
-                                 first_peer, env_.now().usec);
+      tok = hub_.inflight.begin(obs::OpKind::kReplAppend,
+                                std::uint32_t(self_.value), group.label(),
+                                first_peer, env_.now().usec);
     }
     inflight.push_back(PendingCommit{
         msg.epoch, msg.base_seq + msg.entries.size(), env_.now(),
@@ -1058,9 +1058,9 @@ void ClashServer::send_state_snapshot(
   offer.total_chunks = total;
   offer.trace_id = trace_id;
   meter_repl_bytes(group, kMsgOverheadBytes);
-  hub_->tracer.record(obs::SpanKind::kSnapshotTransfer, self_.value,
-                      env_.now(), SimDuration{0}, total, trace_id);
-  flight(obs::FlightKind::kSnapshotOfferSent, group_tag(group), total);
+  hub_.tracer.record(obs::SpanKind::kSnapshotOfferSent, self_.value,
+                     env_.now(), SimDuration{0}, group_tag(group), total,
+                     trace_id);
   env_.send(to, offer);
 
   // Pre-cut the chunks into an outbound cursor instead of blasting
@@ -1097,17 +1097,15 @@ void ClashServer::send_state_snapshot(
     chunk.checksum = wire::content_crc(chunk);
     out.chunks.push_back(std::move(chunk));
   }
-  if (hub_ != nullptr) {
-    // A restart for the same (to, group) replaces the cursor below:
-    // retire the superseded transfer's in-flight entry first.
-    if (const auto oit = outbound_snapshots_.find({to, group});
-        oit != outbound_snapshots_.end()) {
-      end_outbound_op(oit->second);
-    }
-    out.inflight_token = hub_->inflight.begin(
-        obs::OpKind::kSnapshotOut, std::uint32_t(self_.value),
-        group.label(), to.value, env_.now().usec, total);
+  // A restart for the same (to, group) replaces the cursor below:
+  // retire the superseded transfer's in-flight entry first.
+  if (const auto oit = outbound_snapshots_.find({to, group});
+      oit != outbound_snapshots_.end()) {
+    end_outbound_op(oit->second);
   }
+  out.inflight_token = hub_.inflight.begin(
+      obs::OpKind::kSnapshotOut, std::uint32_t(self_.value), group.label(),
+      to.value, env_.now().usec, total);
   outbound_snapshots_[{to, group}] = std::move(out);
   pump_snapshots();
 }
@@ -1148,9 +1146,7 @@ std::size_t ClashServer::pump_snapshots() {
         // erase this very map entry (stale tokens are ignored).
         const std::uint64_t tok = out.inflight_token;
         env_.send(key.first, msg);
-        if (hub_ != nullptr && tok != 0) {
-          hub_->inflight.progress(tok, env_.now().usec);
-        }
+        hub_.inflight.progress(tok, env_.now().usec);
       }
     }
     if (outbound_snapshots_.empty()) break;
@@ -1163,7 +1159,7 @@ void ClashServer::cancel_outbound_snapshot(ServerId to,
                                            const KeyGroup& group) {
   const auto it = outbound_snapshots_.find({to, group});
   if (it == outbound_snapshots_.end()) return;
-  flight(obs::FlightKind::kSnapshotAborted, group_tag(group), to.value);
+  event(obs::SpanKind::kSnapshotAborted, group_tag(group), to.value);
   end_outbound_op(it->second);
   outbound_snapshots_.erase(it);
 }
@@ -1172,8 +1168,8 @@ void ClashServer::cancel_outbound_snapshots(const KeyGroup& group) {
   for (auto it = outbound_snapshots_.begin();
        it != outbound_snapshots_.end();) {
     if (it->first.second == group) {
-      flight(obs::FlightKind::kSnapshotAborted, group_tag(group),
-             it->first.first.value);
+      event(obs::SpanKind::kSnapshotAborted, group_tag(group),
+            it->first.first.value);
       end_outbound_op(it->second);
       it = outbound_snapshots_.erase(it);
     } else {
@@ -1214,7 +1210,7 @@ void ClashServer::handle_repl_append(ServerId from, const ReplAppend& m) {
       m.base_seq + m.entries.size() < m.base_seq) {
     stats_.corrupt_rejected++;
     corrupt_rejected_total_.inc();
-    flight(obs::FlightKind::kCorruptReject, group_tag(m.group));
+    event(obs::SpanKind::kCorruptReject, group_tag(m.group));
     return;
   }
   // Never apply replica traffic to a group this server actively owns
@@ -1266,8 +1262,8 @@ void ClashServer::handle_repl_append(ServerId from, const ReplAppend& m) {
   const std::size_t applied =
       m.entries.size() > skip ? m.entries.size() - skip : 0;
   if (applied > 0) {
-    hub_->tracer.record(obs::SpanKind::kReplApply, self_.value, env_.now(),
-                        SimDuration{0}, applied, active_trace_);
+    hub_.tracer.record(obs::SpanKind::kReplApply, self_.value, env_.now(),
+                       SimDuration{0}, applied, 0, active_trace_);
     if (recovery_.active(m.group)) {
       recovery_.note_entries_repaired(m.group, applied);
       progress_recovery_op(m.group, applied);
@@ -1295,20 +1291,18 @@ void ClashServer::handle_repl_ack(ServerId from, const ReplAck& m) {
              inflight.front().seq <= m.head.seq) {
         const SimDuration latency = now - inflight.front().sent;
         commit_latency_us_.record_signed(latency.usec);
-        hub_->tracer.record(obs::SpanKind::kCommit, self_.value,
-                            inflight.front().sent, latency,
-                            inflight.front().seq,
-                            inflight.front().trace_id);
+        hub_.tracer.record(obs::SpanKind::kCommit, self_.value,
+                           inflight.front().sent, latency,
+                           inflight.front().seq, 0,
+                           inflight.front().trace_id);
         inflight.pop_front();
       }
       if (inflight.empty()) {
         pending_commits_.erase(it);
         end_append_op(m.group);
-      } else if (hub_ != nullptr) {
-        const auto at = append_ops_.find(m.group);
-        if (at != append_ops_.end()) {
-          hub_->inflight.progress(at->second, now.usec);
-        }
+      } else if (const auto at = append_ops_.find(m.group);
+                 at != append_ops_.end()) {
+        hub_.inflight.progress(at->second, now.usec);
       }
     }
     return;
@@ -1327,7 +1321,7 @@ void ClashServer::handle_snapshot_offer(ServerId from,
   if (m.total_chunks == 0 || m.total_chunks > kMaxSaneChunks) {
     stats_.corrupt_rejected++;
     corrupt_rejected_total_.inc();
-    flight(obs::FlightKind::kCorruptReject, group_tag(m.group));
+    event(obs::SpanKind::kCorruptReject, group_tag(m.group));
     return;
   }
   if (const auto* entry = table_.find(m.group);
@@ -1346,12 +1340,12 @@ void ClashServer::handle_snapshot_offer(ServerId from,
     stats_.snapshot_offers_ignored++;
     return;
   }
-  flight(obs::FlightKind::kSnapshotOfferRecv, group_tag(m.group),
-         m.total_chunks);
-  if (rec.pending && hub_ != nullptr) {
+  event(obs::SpanKind::kSnapshotOfferRecv, group_tag(m.group),
+        m.total_chunks);
+  if (rec.pending) {
     // A strictly fresher offer preempts the assembly in flight; its
     // in-flight entry must not outlive the record it tracked.
-    hub_->inflight.end(rec.pending->inflight_token);
+    hub_.inflight.end(rec.pending->inflight_token);
   }
   ReplicaRecord::PendingSnapshot pending;
   pending.head = m.head;
@@ -1361,11 +1355,9 @@ void ClashServer::handle_snapshot_offer(ServerId from,
   pending.total = m.total_chunks;
   pending.started = env_.now();
   pending.trace_id = m.trace_id;
-  if (hub_ != nullptr) {
-    pending.inflight_token = hub_->inflight.begin(
-        obs::OpKind::kSnapshotIn, std::uint32_t(self_.value),
-        m.group.label(), from.value, env_.now().usec, m.total_chunks);
-  }
+  pending.inflight_token = hub_.inflight.begin(
+      obs::OpKind::kSnapshotIn, std::uint32_t(self_.value), m.group.label(),
+      from.value, env_.now().usec, m.total_chunks);
   rec.pending = std::move(pending);
   rec.last_nacked = repl::LogHead{};  // the new stream starts clean
 }
@@ -1379,7 +1371,7 @@ void ClashServer::handle_snapshot_chunk(ServerId from,
   if (m.checksum != 0 && m.checksum != wire::content_crc(m)) {
     stats_.corrupt_rejected++;
     corrupt_rejected_total_.inc();
-    flight(obs::FlightKind::kCorruptReject, group_tag(m.group));
+    event(obs::SpanKind::kCorruptReject, group_tag(m.group));
     return;
   }
   if (const auto* entry = table_.find(m.group);
@@ -1404,9 +1396,8 @@ void ClashServer::handle_snapshot_chunk(ServerId from,
     // restarts NOW — staying silent would leave it streaming a dead
     // transfer while recovery waits out a full anti-entropy period.
     if (rec.pending) {
-      flight(obs::FlightKind::kSnapshotAborted, group_tag(m.group),
-             from.value);
-      if (hub_ != nullptr) hub_->inflight.end(rec.pending->inflight_token);
+      event(obs::SpanKind::kSnapshotAborted, group_tag(m.group), from.value);
+      hub_.inflight.end(rec.pending->inflight_token);
     }
     rec.pending.reset();
     rec.last_nacked = m.head;
@@ -1430,9 +1421,7 @@ void ClashServer::handle_snapshot_chunk(ServerId from,
                      m.app_state.end());
   for (const auto& d : m.app_deltas) p.app_deltas.push_back(d);
   ++p.received;
-  if (hub_ != nullptr) {
-    hub_->inflight.progress(p.inflight_token, env_.now().usec);
-  }
+  hub_.inflight.progress(p.inflight_token, env_.now().usec);
   if (p.received < p.total) return;
 
   // Complete: install the image and re-anchor the retained log.
@@ -1445,11 +1434,10 @@ void ClashServer::handle_snapshot_chunk(ServerId from,
   rec.log.reset(m.head.epoch, m.head.seq);
   if (rec.advertised < m.head) rec.advertised = m.head;
   snapshot_install_us_.record_signed((env_.now() - p.started).usec);
-  hub_->tracer.record(obs::SpanKind::kSnapshotTransfer, self_.value,
-                      p.started, env_.now() - p.started, p.total,
-                      p.trace_id);
-  flight(obs::FlightKind::kSnapshotInstalled, group_tag(m.group), p.total);
-  if (hub_ != nullptr) hub_->inflight.end(p.inflight_token);
+  hub_.tracer.record(obs::SpanKind::kSnapshotTransfer, self_.value,
+                     p.started, env_.now() - p.started, group_tag(m.group),
+                     p.total, p.trace_id);
+  hub_.inflight.end(p.inflight_token);
   rec.pending.reset();
   if (recovery_.active(m.group)) {
     recovery_.note_snapshot_pulled(m.group);
@@ -1550,14 +1538,12 @@ bool ClashServer::begin_group_recovery(const KeyGroup& group) {
       it != replicas_.end() ? it->second.log.head() : repl::LogHead{};
   if (!recovery_.begin(group, start)) return false;  // probes already out
   recovery_started_.try_emplace(group, env_.now());
-  flight(obs::FlightKind::kRecoveryBegin, group_tag(group));
-  if (hub_ != nullptr) {
-    auto& tok = recovery_ops_[group];
-    if (tok != 0) hub_->inflight.end(tok);
-    tok = hub_->inflight.begin(obs::OpKind::kRecoveryPull,
-                               std::uint32_t(self_.value), group.label(),
-                               0, env_.now().usec);
-  }
+  event(obs::SpanKind::kRecoveryBegin, group_tag(group));
+  auto& tok = recovery_ops_[group];
+  hub_.inflight.end(tok);
+  tok = hub_.inflight.begin(obs::OpKind::kRecoveryPull,
+                            std::uint32_t(self_.value), group.label(), 0,
+                            env_.now().usec);
   const AntiEntropyDiff pull{{GroupHead{group, start}}};
   for (const ServerId peer : replica_set(group)) {
     if (peer != self_) env_.send(peer, pull);
@@ -1699,17 +1685,18 @@ bool ClashServer::promote_replica(const KeyGroup& group) {
   note_group_activated(group);
   stats_.failovers++;
   recovery_.finish(group, head, advertised);
-  flight(obs::FlightKind::kRecoveryFinish, group_tag(group), 1);
-  flight(obs::FlightKind::kReplicaPromoted, group_tag(group), 1);
   end_recovery_op(group);
+  // One failover edge: spans the recovery session when one was open,
+  // an instant otherwise (rf 0 promotes at once).
+  SimTime started = env_.now();
   if (const auto rs = recovery_started_.find(group);
       rs != recovery_started_.end()) {
-    const SimDuration took = env_.now() - rs->second;
-    failover_us_.record_signed(took.usec);
-    hub_->tracer.record(obs::SpanKind::kFailover, self_.value, rs->second,
-                        took, 1);
+    started = rs->second;
+    failover_us_.record_signed((env_.now() - started).usec);
     recovery_started_.erase(rs);
   }
+  hub_.tracer.record(obs::SpanKind::kFailover, self_.value, started,
+                     env_.now() - started, group_tag(group));
   // New ownership line: the epoch rises above anything ever advertised
   // (and above the line a restored record carried), and the new
   // replica set gets an immediate snapshot, so a second failure in this

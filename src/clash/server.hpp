@@ -183,7 +183,7 @@ class ClashServer {
   /// Meter `bytes` of durable-storage writes for `group`.
   void meter_storage_bytes(const KeyGroup& group, std::uint64_t bytes);
   /// The hub this server records into (env-provided).
-  [[nodiscard]] obs::Hub& obs_hub() const { return *hub_; }
+  [[nodiscard]] obs::Hub& obs_hub() const { return hub_; }
 
   // --- Bootstrap -----------------------------------------------------
   /// Install an entry directly (used by the bootstrap splitter and by
@@ -253,7 +253,7 @@ class ClashServer {
   /// Drop an open recovery session without promoting (the grace-window
   /// re-check failed: the member rejoined or the ring moved the heir).
   void abandon_group_recovery(const KeyGroup& group) {
-    flight(obs::FlightKind::kRecoveryAbandon, group_tag(group));
+    event(obs::SpanKind::kRecoveryAbandon, group_tag(group));
     end_recovery_op(group);
     recovery_.cancel(group);
     recovery_started_.erase(group);
@@ -550,7 +550,7 @@ class ClashServer {
   MessageStats stats_;
 
   // --- Observability (src/obs/) ----------------------------------------
-  obs::Hub* hub_ = nullptr;  // env_.obs(), cached at construction
+  obs::Hub& hub_;  // env_.obs(), cached at construction
   obs::HistogramHandle commit_latency_us_;
   obs::HistogramHandle failover_us_;
   obs::HistogramHandle snapshot_install_us_;
@@ -571,19 +571,16 @@ class ClashServer {
   /// Recovery sessions opened at promote time (failover span start).
   std::map<KeyGroup, SimTime> recovery_started_;
 
-  // --- Flight recorder / in-flight table glue --------------------------
-  /// Stable correlation tag for a group in flight events (the label
+  // --- Event ring / in-flight table glue --------------------------------
+  /// Stable correlation tag for a group in ring events (the label
   /// string itself lives in the in-flight table entries).
   [[nodiscard]] static std::uint64_t group_tag(const KeyGroup& group) {
     return std::hash<KeyGroup>{}(group);
   }
-  /// Record one lifecycle event in the hub's flight ring (no-op when
-  /// observability is detached).
-  void flight(obs::FlightKind kind, std::uint64_t a, std::uint64_t b = 0) {
-    if (hub_ != nullptr) {
-      hub_->flight.record(kind, std::uint32_t(self_.value),
-                          env_.now().usec, a, b);
-    }
+  /// Record one instant lifecycle edge in the hub's event ring.
+  void event(obs::SpanKind kind, std::uint64_t arg, std::uint64_t arg2 = 0) {
+    hub_.tracer.record(kind, self_.value, env_.now(), SimDuration{0}, arg,
+                       arg2);
   }
   /// One kReplAppend in-flight op per group while its pending-commit
   /// deque is non-empty (token keyed like pending_commits_).
@@ -595,35 +592,32 @@ class ClashServer {
   void end_append_op(const KeyGroup& group) {
     const auto it = append_ops_.find(group);
     if (it == append_ops_.end()) return;
-    if (hub_ != nullptr) hub_->inflight.end(it->second);
+    hub_.inflight.end(it->second);
     append_ops_.erase(it);
   }
   void end_recovery_op(const KeyGroup& group) {
     const auto it = recovery_ops_.find(group);
     if (it == recovery_ops_.end()) return;
-    if (hub_ != nullptr) hub_->inflight.end(it->second);
+    hub_.inflight.end(it->second);
     recovery_ops_.erase(it);
   }
   void progress_recovery_op(const KeyGroup& group, std::uint64_t delta) {
-    if (hub_ == nullptr) return;
     const auto it = recovery_ops_.find(group);
     if (it != recovery_ops_.end()) {
-      hub_->inflight.progress(it->second, env_.now().usec, delta);
+      hub_.inflight.progress(it->second, env_.now().usec, delta);
     }
   }
   void end_outbound_op(OutboundSnapshot& out) {
-    if (hub_ != nullptr && out.inflight_token != 0) {
-      hub_->inflight.end(out.inflight_token);
-    }
+    hub_.inflight.end(out.inflight_token);
     out.inflight_token = 0;
   }
-  /// Group lifecycle hooks with a flight-ring record attached.
+  /// Group lifecycle hooks with a ring event attached.
   void note_group_activated(const KeyGroup& group) {
-    flight(obs::FlightKind::kGroupActivated, group_tag(group));
+    event(obs::SpanKind::kGroupActivated, group_tag(group));
     env_.on_group_activated(group);
   }
   void note_group_deactivated(const KeyGroup& group) {
-    flight(obs::FlightKind::kGroupDeactivated, group_tag(group));
+    event(obs::SpanKind::kGroupDeactivated, group_tag(group));
     env_.on_group_deactivated(group);
   }
 

@@ -56,7 +56,7 @@ class MembershipEnv {
 
   /// `id` entered suspect state (locally or via gossip) and its
   /// refutation timer just started. Advisory: fired for observability
-  /// (flight recorders), not for failover — wait for on_member_dead.
+  /// (the event ring), not for failover — wait for on_member_dead.
   virtual void on_member_suspected(ServerId id) { (void)id; }
 };
 

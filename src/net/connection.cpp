@@ -70,11 +70,11 @@ void Connection::set_obs(obs::Hub* hub, std::int64_t epoch_us) {
     flush_syscalls_c_ = {};
     frames_received_c_ = {};
     bytes_received_c_ = {};
-    flight_ = nullptr;
+    tracer_ = nullptr;
     return;
   }
-  flight_ = &hub->flight;
-  flight_epoch_us_ = epoch_us;
+  tracer_ = &hub->tracer;
+  obs_epoch_us_ = epoch_us;
   auto& r = hub->registry;
   frames_sent_c_ = r.counter("clash_net_frames_sent_total");
   bytes_sent_c_ = r.counter("clash_net_bytes_sent_total");
@@ -185,9 +185,10 @@ bool Connection::enqueue(std::vector<std::uint8_t>&& frame) {
       // The network ate it: the sender cannot tell, exactly like a
       // lossy link. The buffer still recycles.
       ++stats_.faults_dropped;
-      if (flight_ != nullptr) {
-        flight_->record(obs::FlightKind::kFaultDrop, 0, flight_now_us(),
-                        std::uint64_t(fd_.get()), stats_.faults_dropped);
+      if (tracer_ != nullptr) {
+        tracer_->record(obs::SpanKind::kFaultDrop, 0, SimTime(obs_now_us()),
+                        SimDuration{0}, std::uint64_t(fd_.get()),
+                        stats_.faults_dropped);
       }
       wire::BufferPool::local().release(std::move(frame));
       return true;
@@ -211,9 +212,10 @@ bool Connection::enqueue(std::vector<std::uint8_t>&& frame) {
            type == wire::MsgType::kReplAppend ||
            type == wire::MsgType::kSnapshotChunk)) {
         ++stats_.faults_corrupted;
-        if (flight_ != nullptr) {
-          flight_->record(obs::FlightKind::kFaultCorrupt, 0,
-                          flight_now_us(), std::uint64_t(fd_.get()));
+        if (tracer_ != nullptr) {
+          tracer_->record(obs::SpanKind::kFaultCorrupt, 0,
+                          SimTime(obs_now_us()), SimDuration{0},
+                          std::uint64_t(fd_.get()));
         }
         fault_->corrupt_byte(std::span<std::uint8_t>(
             frame.data() + kContentOff, frame.size() - kContentOff));

@@ -98,7 +98,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// (counters are get-or-created by name), so the node's totals sum
   /// across peers with no aggregation step. nullptr detaches — the
   /// handles go empty and the hot path pays only a null check.
-  /// Fault-injector verdicts also land in the hub's flight ring,
+  /// Fault-injector verdicts also land in the hub's event ring,
   /// stamped steady-clock-us minus `epoch_us` (pass the node's epoch
   /// so connection events share the node's timeline; 0 = raw).
   void set_obs(obs::Hub* hub, std::int64_t epoch_us = 0);
@@ -148,11 +148,11 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void flush() CLASH_REQUIRES(on_loop_);
   void update_interest() CLASH_REQUIRES(on_loop_);
   void parse_frames() CLASH_REQUIRES(on_loop_);
-  [[nodiscard]] std::int64_t flight_now_us() const CLASH_REQUIRES(on_loop_) {
+  [[nodiscard]] std::int64_t obs_now_us() const CLASH_REQUIRES(on_loop_) {
     return std::chrono::duration_cast<std::chrono::microseconds>(
                EventLoop::Clock::now().time_since_epoch())
                .count() -
-           flight_epoch_us_;
+           obs_epoch_us_;
   }
 
   EventLoop& loop_;
@@ -192,11 +192,11 @@ class Connection : public std::enable_shared_from_this<Connection> {
   obs::Counter flush_syscalls_c_ CLASH_GUARDED_BY(on_loop_);
   obs::Counter frames_received_c_ CLASH_GUARDED_BY(on_loop_);
   obs::Counter bytes_received_c_ CLASH_GUARDED_BY(on_loop_);
-  /// Flight ring for fault-injector verdicts (drop/corrupt): the
+  /// Event ring for fault-injector verdicts (drop/corrupt): the
   /// black box must show the faults the scenario injected next to the
   /// stalls they caused. Null when detached.
-  obs::FlightRecorder* flight_ CLASH_GUARDED_BY(on_loop_) = nullptr;
-  std::int64_t flight_epoch_us_ CLASH_GUARDED_BY(on_loop_) = 0;
+  obs::TraceRecorder* tracer_ CLASH_GUARDED_BY(on_loop_) = nullptr;
+  std::int64_t obs_epoch_us_ CLASH_GUARDED_BY(on_loop_) = 0;
 };
 
 }  // namespace clash::net

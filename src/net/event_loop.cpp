@@ -150,25 +150,23 @@ void EventLoop::note_tick(Clock::time_point start) {
   const auto dur = std::chrono::duration_cast<std::chrono::microseconds>(
                        Clock::now() - start)
                        .count();
-  if (tick_hist_ != nullptr) tick_hist_->record(std::uint64_t(dur));
-  const auto start_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          start.time_since_epoch())
-          .count();
-  // Only pathologically slow rounds earn a timeline entry; at normal
-  // cadence they would just churn the trace ring.
-  if (dur >= 1000 && tracer_ != nullptr) {
-    tracer_->record(obs::SpanKind::kLoopTick, obs_pid_, SimTime(start_us),
-                    SimDuration(dur));
-  }
+  tick_hist_->record(std::uint64_t(dur));
   // Post-hoc budget fence: the round DID finish, but late enough that
   // everything behind it (timers, acks, gossip) observably lagged.
-  // The live wedged case — a round that never finishes — is caught
-  // from outside by the StallWatchdog via current_tick().
-  if (flight_ != nullptr && tick_budget_us_ > 0 && dur >= tick_budget_us_) {
-    tick_overruns_c_.inc();
-    flight_->record(obs::FlightKind::kTickOverrun, std::uint32_t(obs_pid_),
-                    start_us - stall_epoch_us_, std::uint64_t(dur),
+  // The live wedged case (a round that never finishes) is caught from
+  // outside by the StallWatchdog via current_tick().
+  const bool overrun = tick_budget_us_ > 0 && dur >= tick_budget_us_;
+  if (overrun) tick_overruns_c_.inc();
+  // Below the budget only pathologically slow rounds of a traced run
+  // earn a timeline entry; at normal cadence they would just churn the
+  // ring.
+  if (overrun || (dur >= 1000 && tracer_->enabled())) {
+    const auto start_us =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            start.time_since_epoch())
+            .count();
+    tracer_->record(obs::SpanKind::kLoopTick, obs_pid_,
+                    SimTime(start_us - epoch_us_), SimDuration(dur),
                     std::uint64_t(tick_budget_us_));
   }
 }
@@ -196,7 +194,7 @@ void EventLoop::run() {
     run_deferred();
     // The round is over once the loop is about to sleep again; the
     // wait itself is idle time, not tick time.
-    if (tick_hist_ != nullptr || flight_ != nullptr) note_tick(tick_start);
+    if (tracer_ != nullptr) note_tick(tick_start);
     // Retire the tick probe for the idle wait: a probe during
     // epoll_wait must read "not stuck", however long the wait is.
     tick_busy_.store(false, std::memory_order_release);
@@ -207,7 +205,8 @@ void EventLoop::run() {
     tick_started_us_.store(
         std::chrono::duration_cast<std::chrono::microseconds>(
             tick_start.time_since_epoch())
-            .count(),
+                .count() -
+            epoch_us_,
         std::memory_order_relaxed);
     tick_busy_.store(true, std::memory_order_release);
     if (n < 0) {

@@ -31,10 +31,7 @@
 #include "common/affinity.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
-#include "obs/flightrec.hpp"
-#include "obs/histogram.hpp"
-#include "obs/registry.hpp"
-#include "obs/trace.hpp"
+#include "obs/hub.hpp"
 
 namespace clash::net {
 
@@ -107,36 +104,33 @@ class EventLoop {
   void rearm() CLASH_EXCLUDES(posted_mutex_);
 
   /// Attach tick observability (call before run()). Every dispatch
-  /// round — from an epoll_wait wakeup to the next wait, idle time
-  /// excluded — records its duration into `tick_hist`; rounds of 1ms
-  /// or longer also land a kLoopTick span in `tracer` (when enabled).
-  /// Timestamps are steady-clock microseconds. Null pointers detach.
-  void set_obs(obs::Histogram* tick_hist, obs::TraceRecorder* tracer,
-               std::uint64_t pid) CLASH_REQUIRES(affinity_) {
-    tick_hist_ = tick_hist;
-    tracer_ = tracer;
+  /// round, from an epoll_wait wakeup to the next wait (idle time
+  /// excluded), records its duration into clash_loop_tick_usec. A round
+  /// that finishes but reaches `budget_us` bumps
+  /// clash_stall_tick_overruns_total and lands a kLoopTick event in the
+  /// hub's ring (always on; the live wedged-tick case is the watchdog's
+  /// job via current_tick()); while tracing is enabled, every round of
+  /// 1ms or longer does too. Event and current_tick() timestamps are
+  /// steady-clock microseconds minus `epoch_us`, the embedding node's
+  /// timeline. A null hub detaches.
+  void set_obs(obs::Hub* hub, std::uint64_t pid, std::int64_t budget_us,
+               std::int64_t epoch_us) CLASH_REQUIRES(affinity_) {
+    tick_hist_ = nullptr;
+    tracer_ = nullptr;
+    if (hub != nullptr) {
+      tick_hist_ = hub->registry.histogram("clash_loop_tick_usec").raw();
+      tracer_ = &hub->tracer;
+      tick_overruns_c_ =
+          hub->registry.counter("clash_stall_tick_overruns_total");
+    }
     obs_pid_ = pid;
-  }
-
-  /// Attach the flight recorder + post-hoc tick-budget fence (call
-  /// before run()). A dispatch round that finishes but exceeded
-  /// `budget_us` lands a kTickOverrun flight event and bumps
-  /// `overruns`; the live wedged-tick case is the watchdog's job via
-  /// current_tick(). Null flight detaches.
-  /// `epoch_us` (steady-clock microseconds) is subtracted from event
-  /// timestamps so they share the embedding node's timeline.
-  void set_stall_obs(obs::FlightRecorder* flight, obs::Counter overruns,
-                     std::int64_t budget_us, std::int64_t epoch_us = 0)
-      CLASH_REQUIRES(affinity_) {
-    flight_ = flight;
-    tick_overruns_c_ = overruns;
     tick_budget_us_ = budget_us;
-    stall_epoch_us_ = epoch_us;
+    epoch_us_ = epoch_us;
   }
 
   /// Tick progress probe for the stall watchdog (any thread): while a
-  /// dispatch round is in progress, its {sequence, start time in
-  /// steady-clock microseconds}; nullopt while the loop is idle in
+  /// dispatch round is in progress, its {sequence, start time on the
+  /// set_obs() timeline}; nullopt while the loop is idle in
   /// epoll_wait (or not running). A seq/start pair read together is
   /// consistent enough for stall detection: at worst a probe lands on
   /// a tick boundary and reads the previous start, which only delays
@@ -203,10 +197,9 @@ class EventLoop {
   obs::Histogram* tick_hist_ CLASH_GUARDED_BY(affinity_) = nullptr;
   obs::TraceRecorder* tracer_ CLASH_GUARDED_BY(affinity_) = nullptr;
   std::uint64_t obs_pid_ CLASH_GUARDED_BY(affinity_) = 0;
-  obs::FlightRecorder* flight_ CLASH_GUARDED_BY(affinity_) = nullptr;
   obs::Counter tick_overruns_c_ CLASH_GUARDED_BY(affinity_);
   std::int64_t tick_budget_us_ CLASH_GUARDED_BY(affinity_) = 0;
-  std::int64_t stall_epoch_us_ CLASH_GUARDED_BY(affinity_) = 0;
+  std::int64_t epoch_us_ CLASH_GUARDED_BY(affinity_) = 0;
 
   /// Published tick progress (lock-free; read by the watchdog thread).
   std::atomic<std::uint64_t> tick_seq_{0};

@@ -120,9 +120,10 @@ class ClashNode::GossipEnv final : public membership::MembershipEnv {
   }
   void on_member_suspected(ServerId id) override {
     node_.on_loop_.assert_held();
-    node_.hub_.flight.record(obs::FlightKind::kMemberSuspected,
-                             std::uint32_t(node_.config_.id.value),
-                             node_.node_now_us(), id.value);
+    node_.hub_.tracer.record(obs::SpanKind::kMemberSuspected,
+                             node_.config_.id.value,
+                             SimTime(node_.node_now_us()), SimDuration{0},
+                             id.value);
   }
 
  private:
@@ -182,17 +183,12 @@ ClashNode::ClashNode(NodeConfig config)
     membership_->set_census(&census_);
   }
   epoch_ = std::chrono::steady_clock::now();
-  loop_->set_obs(hub_.registry.histogram("clash_loop_tick_usec").raw(),
-                 &hub_.tracer, config_.id.value);
-  // Flight-recorder wiring: tick-budget overruns land in the ring on
-  // the node's timeline (steady clock relative to epoch_).
-  loop_->set_stall_obs(
-      &hub_.flight,
-      hub_.registry.counter("clash_stall_tick_overruns_total"),
-      config_.watchdog.tick_budget_us,
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          epoch_.time_since_epoch())
-          .count());
+  // Tick histogram, overrun counter and slow-round events, all on the
+  // node's timeline (steady clock relative to epoch_).
+  loop_->set_obs(&hub_, config_.id.value, config_.watchdog.tick_budget_us,
+                 std::chrono::duration_cast<std::chrono::microseconds>(
+                     epoch_.time_since_epoch())
+                     .count());
   register_node_gauges();
 }
 
@@ -258,20 +254,8 @@ void ClashNode::start() {
   if (config_.watchdog.enabled) {
     watchdog_ = std::make_unique<obs::StallWatchdog>(
         config_.watchdog, hub_, std::uint32_t(config_.id.value));
-    const std::int64_t epoch_us =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            epoch_.time_since_epoch())
-            .count();
     watchdog_->set_clock([this] { return node_now_us(); });
-    // The loop publishes tick starts on the raw steady clock; shift
-    // them onto the node's timeline so ages subtract cleanly.
-    watchdog_->set_tick_probe(
-        [this, epoch_us]()
-            -> std::optional<std::pair<std::uint64_t, std::int64_t>> {
-          const auto tick = loop_->current_tick();
-          if (!tick) return std::nullopt;
-          return std::make_pair(tick->first, tick->second - epoch_us);
-        });
+    watchdog_->set_tick_probe([this] { return loop_->current_tick(); });
     watchdog_->set_dump_hook([](const char* reason) {
       obs::Postmortem::global().dump(reason);
     });
@@ -360,7 +344,7 @@ std::string ClashNode::render_postmortem_source() {
   std::string out = "{\"node\":" + std::to_string(config_.id.value);
   out += ",\"now_us\":" + std::to_string(now);
   out += ",\"flight\":";
-  out += hub_.flight.to_json();
+  out += hub_.tracer.to_json();
   out += ",\"inflight\":";
   out += hub_.inflight.to_json(now);
   out += ",\"state\":";
@@ -409,9 +393,8 @@ void ClashNode::on_member_dead(ServerId id) {
   if (id == config_.id || !ring_->contains(id)) return;
   CLASH_WARN << to_string(config_.id) << ": member " << to_string(id)
              << " declared dead; removing from ring";
-  hub_.flight.record(obs::FlightKind::kMemberDead,
-                     std::uint32_t(config_.id.value), node_now_us(),
-                     id.value);
+  hub_.tracer.record(obs::SpanKind::kMemberDead, config_.id.value,
+                     SimTime(node_now_us()), SimDuration{0}, id.value);
   ring_->remove_server(id);
   peers_.erase(id);
   drop_pending_connect(id, "member died");
@@ -422,9 +405,8 @@ void ClashNode::on_member_joined(ServerId id) {
   if (ring_->contains(id)) return;
   CLASH_INFO << to_string(config_.id) << ": member " << to_string(id)
              << " rejoined; adding to ring";
-  hub_.flight.record(obs::FlightKind::kMemberJoined,
-                     std::uint32_t(config_.id.value), node_now_us(),
-                     id.value);
+  hub_.tracer.record(obs::SpanKind::kMemberJoined, config_.id.value,
+                     SimTime(node_now_us()), SimDuration{0}, id.value);
   ring_->add_server(id);
   const std::size_t moved = failover_->member_joined(id);
   if (moved > 0) {
@@ -654,20 +636,19 @@ void ClashNode::on_stats_client(int fd, std::uint32_t events) {
       body = hub_.tracer.to_chrome_json();
       content_type = "application/json";
     } else if (client.in.find(" /flightrec") != std::string::npos) {
-      // The live black box: flight ring + in-flight op table, the same
+      // The live black box: event ring + in-flight op table, the same
       // payload a postmortem dump would carry for this node.
       const std::int64_t now = node_now_us();
       body = "{\"node\":" + std::to_string(config_.id.value) +
              ",\"now_us\":" + std::to_string(now) + ",\"flight\":" +
-             hub_.flight.to_json() + ",\"inflight\":" +
+             hub_.tracer.to_json() + ",\"inflight\":" +
              hub_.inflight.to_json(now) + "}\n";
       content_type = "application/json";
     } else if (client.in.find(" /healthz") != std::string::npos) {
       const auto view = census_.view();
       body = "{\"status\":\"ok\",\"ring_servers\":" +
              std::to_string(ring_->server_count()) +
-             ",\"trace_spans\":" +
-             std::to_string(hub_.tracer.spans().size()) +
+             ",\"trace_spans\":" + std::to_string(hub_.tracer.size()) +
              ",\"trace_dropped\":" +
              std::to_string(hub_.tracer.dropped()) +
              ",\"census_nodes\":" + std::to_string(view.nodes.size()) +

@@ -83,7 +83,7 @@ struct NodeConfig {
   /// free port — read it back with ClashNode::stats_port(). Besides
   /// the default metrics document it serves GET /trace (Chrome
   /// trace_event JSON), GET /healthz (liveness + census freshness),
-  /// and GET /flightrec (flight-recorder ring + in-flight op table).
+  /// and GET /flightrec (event ring + in-flight op table).
   int stats_port = -1;
   /// Cost-census dissemination knobs (records piggyback on SWIM
   /// gossip; inert when enable_membership is false).
@@ -258,13 +258,13 @@ class ClashNode {
   /// Rebuild the cached registry/census JSON the postmortem source
   /// serves (loop thread; the only writer of pm_cache_).
   void refresh_postmortem_cache() CLASH_REQUIRES(on_loop_);
-  /// The postmortem source body: flight ring + in-flight table (lock
+  /// The postmortem source body: event ring + in-flight table (lock
   /// free) + the cached state snapshot (try_lock; null when contended).
   /// Runs on whatever thread is dumping — crash-context safe.
   [[nodiscard]] std::string render_postmortem_source()
       CLASH_NO_THREAD_SAFETY_ANALYSIS;
   /// Microseconds since this node's epoch on the steady clock — the
-  /// timebase of every flight event and in-flight stamp the node
+  /// timebase of every ring event and in-flight stamp the node
   /// records (matches Env::now()).
   [[nodiscard]] std::int64_t node_now_us() const {
     return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -279,10 +279,11 @@ class ClashNode {
 
   NodeConfig config_;  // immutable after construction
   /// Declared before env_/server_: the Env's obs() override hands this
-  /// hub to the ClashServer constructor. Internally synchronized
-  /// (Registry/TraceRecorder carry their own mutexes) — but gauge
-  /// callbacks registered by this node touch loop-affine state, so
-  /// scrapes of THIS hub must run on the loop (scrape_text() does).
+  /// hub to the ClashServer constructor. Internally synchronized (the
+  /// registry carries its own mutex, the event ring is lock-free) —
+  /// but gauge callbacks registered by this node touch loop-affine
+  /// state, so scrapes of THIS hub must run on the loop (scrape_text()
+  /// does).
   obs::Hub hub_;
   std::unique_ptr<EventLoop> loop_;
   /// The loop's affinity capability (alias of loop_->loop_thread());

@@ -1,12 +1,13 @@
-// obs::Hub: one metrics registry + one trace recorder + one flight
-// recorder / in-flight table — the unit of observability a ServerEnv
-// hands the protocol code. The sim substrate and benches share the
+// obs::Hub: one metrics registry, one event ring and one in-flight
+// table: the unit of observability a ServerEnv hands the protocol
+// code. The ring (TraceRecorder) feeds GET /trace, GET /flightrec and
+// postmortem dumps alike. The sim substrate and benches share the
 // process-global hub; each net::ClashNode owns a private one so
 // scrapes stay per-node in multi-node processes (and the stats
 // endpoint serves exactly its node's view).
 #pragma once
 
-#include "obs/flightrec.hpp"
+#include "obs/inflight.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
@@ -15,7 +16,6 @@ namespace clash::obs {
 struct Hub {
   Registry registry;
   TraceRecorder tracer;
-  FlightRecorder flight;
   InflightTable inflight;
 
   static Hub& global() {

@@ -1,16 +1,10 @@
-#include "obs/flightrec.hpp"
+#include "obs/inflight.hpp"
 
 #include <cstring>
 
 namespace clash::obs {
 
 namespace {
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
 
 void append_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
@@ -25,36 +19,6 @@ void append_escaped(std::string& out, std::string_view s) {
 
 }  // namespace
 
-const char* flight_kind_name(FlightKind kind) {
-  switch (kind) {
-    case FlightKind::kGroupActivated: return "group_activated";
-    case FlightKind::kGroupDeactivated: return "group_deactivated";
-    case FlightKind::kEpochBump: return "epoch_bump";
-    case FlightKind::kMemberSuspected: return "member_suspected";
-    case FlightKind::kMemberDead: return "member_dead";
-    case FlightKind::kMemberJoined: return "member_joined";
-    case FlightKind::kSnapshotOfferSent: return "snapshot_offer_sent";
-    case FlightKind::kSnapshotOfferRecv: return "snapshot_offer_recv";
-    case FlightKind::kSnapshotInstalled: return "snapshot_installed";
-    case FlightKind::kSnapshotAborted: return "snapshot_aborted";
-    case FlightKind::kRecoveryBegin: return "recovery_begin";
-    case FlightKind::kRecoveryFinish: return "recovery_finish";
-    case FlightKind::kRecoveryAbandon: return "recovery_abandon";
-    case FlightKind::kReplicaPromoted: return "replica_promoted";
-    case FlightKind::kWalFsync: return "wal_fsync";
-    case FlightKind::kWalRollover: return "wal_rollover";
-    case FlightKind::kFaultDrop: return "fault_drop";
-    case FlightKind::kFaultCorrupt: return "fault_corrupt";
-    case FlightKind::kCorruptReject: return "corrupt_reject";
-    case FlightKind::kStallTick: return "stall_tick";
-    case FlightKind::kStallOp: return "stall_op";
-    case FlightKind::kTickOverrun: return "tick_overrun";
-    case FlightKind::kPostmortemDump: return "postmortem_dump";
-    case FlightKind::kInvariantFail: return "invariant_fail";
-  }
-  return "unknown";
-}
-
 const char* op_kind_name(OpKind kind) {
   switch (kind) {
     case OpKind::kReplAppend: return "repl_append";
@@ -64,109 +28,6 @@ const char* op_kind_name(OpKind kind) {
     case OpKind::kConnect: return "connect";
   }
   return "unknown";
-}
-
-FlightRecorder::FlightRecorder(std::size_t capacity) {
-  const std::size_t cap = round_up_pow2(capacity == 0 ? 1 : capacity);
-  ring_ = std::make_unique<Slot[]>(cap);
-  mask_ = cap - 1;
-}
-
-void FlightRecorder::record(FlightKind kind, std::uint32_t node,
-                            std::int64_t t_us, std::uint64_t a,
-                            std::uint64_t b) {
-  if (!enabled_.load(std::memory_order_relaxed)) return;
-  const std::uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
-  Slot& s = ring_[seq & mask_];
-  // Claim -> write payload -> publish. The CAS claim serialises
-  // writers whose sequences collide on one slot (possible when the
-  // ring wraps within one reader pass): without it two writers could
-  // interleave payload stores and the later stamp publish would bless
-  // the mixture. The loser simply drops its event — its slot was
-  // nanoseconds from being overwritten anyway, and a skipped slot is
-  // exactly what readers already tolerate. A reader that raced the
-  // rewrite sees the claim sentinel or a different sequence and skips.
-  std::uint64_t cur = s.stamp.load(std::memory_order_relaxed);
-  if (cur == kWriting ||
-      !s.stamp.compare_exchange_strong(cur, kWriting,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_relaxed)) {
-    return;
-  }
-  s.w0.store(std::uint64_t(t_us), std::memory_order_relaxed);
-  s.w1.store(a, std::memory_order_relaxed);
-  s.w2.store(b, std::memory_order_relaxed);
-  s.w3.store((std::uint64_t(node) << 8) | std::uint64_t(kind),
-             std::memory_order_relaxed);
-  s.stamp.store(seq + 1, std::memory_order_release);
-}
-
-std::uint64_t FlightRecorder::dropped() const {
-  const std::uint64_t n = total();
-  const std::uint64_t cap = mask_ + 1;
-  return n > cap ? n - cap : 0;
-}
-
-std::vector<FlightEvent> FlightRecorder::events() const {
-  const std::uint64_t end = next_.load(std::memory_order_acquire);
-  const std::uint64_t cap = mask_ + 1;
-  const std::uint64_t begin = end > cap ? end - cap : 0;
-  std::vector<FlightEvent> out;
-  out.reserve(std::size_t(end - begin));
-  for (std::uint64_t seq = begin; seq < end; ++seq) {
-    const Slot& s = ring_[seq & mask_];
-    const std::uint64_t before = s.stamp.load(std::memory_order_acquire);
-    if (before != seq + 1) continue;  // overwritten or mid-write
-    FlightEvent ev;
-    ev.t_us = std::int64_t(s.w0.load(std::memory_order_relaxed));
-    ev.a = s.w1.load(std::memory_order_relaxed);
-    ev.b = s.w2.load(std::memory_order_relaxed);
-    const std::uint64_t w3 = s.w3.load(std::memory_order_relaxed);
-    ev.node = std::uint32_t(w3 >> 8);
-    ev.kind = FlightKind(w3 & 0xff);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (s.stamp.load(std::memory_order_relaxed) != before) continue;
-    out.push_back(ev);
-  }
-  return out;
-}
-
-std::string FlightRecorder::to_json() const {
-  const auto evs = events();
-  std::string out;
-  out.reserve(64 + evs.size() * 96);
-  out += "{\"schema\":\"clash-flightrec-v1\",\"total\":";
-  out += std::to_string(total());
-  out += ",\"dropped\":";
-  out += std::to_string(dropped());
-  out += ",\"capacity\":";
-  out += std::to_string(capacity());
-  out += ",\"events\":[";
-  bool first = true;
-  for (const auto& ev : evs) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += "{\"t_us\":";
-    out += std::to_string(ev.t_us);
-    out += ",\"node\":";
-    out += std::to_string(ev.node);
-    out += ",\"kind\":\"";
-    out += flight_kind_name(ev.kind);
-    out += "\",\"a\":";
-    out += std::to_string(ev.a);
-    out += ",\"b\":";
-    out += std::to_string(ev.b);
-    out.push_back('}');
-  }
-  out += "]}";
-  return out;
-}
-
-void FlightRecorder::clear() {
-  for (std::size_t i = 0; i <= mask_; ++i) {
-    ring_[i].stamp.store(0, std::memory_order_relaxed);
-  }
-  next_.store(0, std::memory_order_relaxed);
 }
 
 InflightTable::InflightTable() = default;

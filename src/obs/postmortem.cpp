@@ -165,7 +165,7 @@ std::uint64_t register_hub_source(Postmortem& pm, Hub& hub,
   return pm.add_source(
       std::move(name), [&hub, now = std::move(now_us)]() {
         std::string out = "{\"flight\":";
-        out += hub.flight.to_json();
+        out += hub.tracer.to_json();
         out += ",\"inflight\":";
         out += hub.inflight.to_json(now ? now() : 0);
         out += "}";

@@ -1,5 +1,5 @@
 // Postmortem: the crash/abort dump plane. A process-global registry of
-// named JSON sources (each node registers its flight ring, in-flight
+// named JSON sources (each node registers its event ring, in-flight
 // table, and a cached registry/census snapshot) plus signal handlers
 // (SIGSEGV/SIGABRT/SIGBUS/SIGFPE/SIGILL) and a programmatic dump()
 // entry point for invariant-check and ablation-gate failures. A dump
@@ -86,7 +86,7 @@ class Postmortem {
   std::atomic<std::uint64_t> ordinal_{0};
 };
 
-/// Convenience: register `hub`'s flight ring + in-flight table as one
+/// Convenience: register `hub`'s event ring + in-flight table as one
 /// postmortem source (the shape sim substrates and benches need —
 /// net::ClashNode registers a richer source of its own). `now_us`
 /// supplies the clock the in-flight ages are judged against.

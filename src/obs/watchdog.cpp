@@ -50,8 +50,8 @@ std::size_t StallWatchdog::poll_once(std::int64_t now_us) {
         ++fresh;
         stall_ticks_.fetch_add(1, std::memory_order_relaxed);
         stall_ticks_c_.inc();
-        hub_.flight.record(FlightKind::kStallTick, node_, now_us,
-                           std::uint64_t(age), seq);
+        hub_.tracer.record(SpanKind::kStallTick, node_, SimTime(started_us),
+                           SimDuration(age), seq);
       }
     }
   }
@@ -64,8 +64,9 @@ std::size_t StallWatchdog::poll_once(std::int64_t now_us) {
     ++fresh;
     stall_ops_.fetch_add(1, std::memory_order_relaxed);
     stall_ops_c_.inc();
-    hub_.flight.record(FlightKind::kStallOp, node_, now_us, op.token,
-                       std::uint64_t(now_us - op.last_progress_us));
+    hub_.tracer.record(SpanKind::kStallOp, node_,
+                       SimTime(op.last_progress_us),
+                       SimDuration(now_us - op.last_progress_us), op.token);
   }
   // Forget tokens that ended or resumed so a relapse re-reports.
   stalled_tokens_ = std::move(live);

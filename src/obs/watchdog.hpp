@@ -8,7 +8,7 @@
 //     finished it within the budget;
 //   * op stalls — an InflightTable entry with no progress past the
 //     threshold.
-// Verdicts bump clash_stall_* counters, land in the flight ring, and
+// Verdicts bump clash_stall_* counters, land in the hub's event ring, and
 // (rate-limited) trigger a postmortem dump, so a wedged-but-alive node
 // ships the same black box a crashed one does.
 //

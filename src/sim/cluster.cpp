@@ -496,8 +496,8 @@ void SimCluster::count_message(const Message& msg) {
 std::optional<std::string> SimCluster::check_invariants() const {
   auto err = check_invariants_impl();
   if (err) {
-    obs::Hub::global().flight.record(obs::FlightKind::kInvariantFail, 0,
-                                     now().usec);
+    obs::Hub::global().tracer.record(obs::SpanKind::kInvariantFail, 0,
+                                     now(), SimDuration{0});
   }
   return err;
 }

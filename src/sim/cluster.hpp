@@ -217,7 +217,7 @@ class SimCluster {
   /// Validates global invariants: every server table consistent, active
   /// groups prefix-free *globally*, owner index matches server tables.
   /// Returns the first violation, or nullopt. A violation lands a
-  /// kInvariantFail event in the global flight ring so a postmortem
+  /// kInvariantFail event in the global hub's event ring so a postmortem
   /// dump taken at the abort site carries the verdict.
   [[nodiscard]] std::optional<std::string> check_invariants() const;
 

@@ -63,8 +63,8 @@ std::uint64_t NodeStore::append_op(const KeyGroup& group, repl::LogHead head,
   stats_.ops_appended++;
   if (hub_ != nullptr &&
       wal_->stats().segments_opened != segments_before) {
-    hub_->flight.record(obs::FlightKind::kWalRollover, std::uint32_t(node_),
-                        now.usec, wal_->stats().segments_opened);
+    hub_->tracer.record(obs::SpanKind::kWalRollover, node_, now,
+                        SimDuration{0}, wal_->stats().segments_opened);
   }
   maybe_sync(now);
   return wal_->stats().bytes - before;
@@ -132,11 +132,8 @@ bool NodeStore::timed_sync(SimTime now) {
                       std::chrono::steady_clock::now() - t0)
                       .count();
   fsync_us_.record(std::uint64_t(us));
-  hub_->tracer.record(obs::SpanKind::kWalFsync, node_, now,
-                      SimDuration{us});
-  hub_->flight.record(obs::FlightKind::kWalFsync, std::uint32_t(node_),
-                      now.usec, std::uint64_t(us),
-                      std::uint64_t(ok ? 0 : 1));
+  hub_->tracer.record(obs::SpanKind::kWalFsync, node_, now, SimDuration{us},
+                      ok ? 0 : 1);
   return ok;
 }
 

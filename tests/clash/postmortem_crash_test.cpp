@@ -126,7 +126,7 @@ TEST(PostmortemCrash, KilledMidSnapshotTransferNamesTheTransfer) {
   EXPECT_NE(body.find("\"progress\":1"), std::string::npos) << body;
   EXPECT_NE(body.find("\"target\":3"), std::string::npos) << body;
 
-  // The flight ring recorded the offer arriving before the crash.
+  // The event ring recorded the offer arriving before the crash.
   EXPECT_NE(body.find("\"kind\":\"snapshot_offer_recv\""),
             std::string::npos)
       << body;

@@ -206,7 +206,44 @@ TEST(StatsEndpoint, ServesTraceAndHealthzDocuments) {
   node.stop();
 }
 
-TEST(StatsEndpoint, ServesTheFlightRecorderDocument) {
+TEST(StatsEndpoint, TraceTimestampsShareTheNodeClock) {
+  NodeConfig cfg = single_node_config();
+  cfg.watchdog.tick_budget_us = 2'000;
+  ClashNode node(cfg);
+  node.hub().tracer.set_enabled(true);
+  node.start();
+  ASSERT_NE(node.stats_port(), 0);
+  // One loop round far past the budget lands a slow-tick event; every
+  // other event the node records is stamped on its own epoch, and the
+  // slow tick must be too.
+  (void)node.run_on_loop([](ClashServer&) {
+    usleep(20'000);
+    return true;
+  });
+
+  const auto [trace_headers, trace_body] =
+      split_http(http_get(node.stats_port(), "/trace"));
+  const auto [fr_headers, fr_body] =
+      split_http(http_get(node.stats_port(), "/flightrec"));
+  const std::size_t now_at = fr_body.find("\"now_us\":");
+  ASSERT_NE(now_at, std::string::npos);
+  const long long now_us = std::stoll(fr_body.substr(now_at + 9));
+
+  EXPECT_NE(trace_body.find("\"name\":\"loop_tick\""), std::string::npos)
+      << trace_body;
+  std::size_t events = 0;
+  for (std::size_t at = trace_body.find("\"ts\":"); at != std::string::npos;
+       at = trace_body.find("\"ts\":", at + 1)) {
+    const long long ts = std::stoll(trace_body.substr(at + 5));
+    EXPECT_GE(ts, 0);
+    EXPECT_LE(ts, now_us) << trace_body;
+    ++events;
+  }
+  EXPECT_GT(events, 0u);
+  node.stop();
+}
+
+TEST(StatsEndpoint, ServesTheFlightrecDocument) {
   ClashNode node(single_node_config());
   node.start();
   ASSERT_NE(node.stats_port(), 0);

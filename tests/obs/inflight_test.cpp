@@ -1,12 +1,10 @@
-// FlightRecorder + InflightTable: the seqlock event ring and the
-// CAS-claimed in-flight operation table that back the postmortem
-// plane. Both promise lock-free readers that never misreport a torn
-// slot — the concurrency tests hold them to it.
-#include "obs/flightrec.hpp"
+// InflightTable: the CAS-claimed in-flight operation table behind the
+// postmortem plane. It promises lock-free readers that never misreport
+// a torn slot; the concurrency test holds it to that.
+#include "obs/inflight.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -14,110 +12,6 @@
 
 namespace clash::obs {
 namespace {
-
-TEST(FlightRecorder, RoundTripsEveryField) {
-  FlightRecorder fr(16);
-  fr.record(FlightKind::kEpochBump, /*node=*/7, /*t_us=*/1234,
-            /*a=*/0xdeadbeef, /*b=*/42);
-  const auto evs = fr.events();
-  ASSERT_EQ(evs.size(), 1u);
-  EXPECT_EQ(evs[0].kind, FlightKind::kEpochBump);
-  EXPECT_EQ(evs[0].node, 7u);
-  EXPECT_EQ(evs[0].t_us, 1234);
-  EXPECT_EQ(evs[0].a, 0xdeadbeefu);
-  EXPECT_EQ(evs[0].b, 42u);
-  EXPECT_EQ(fr.total(), 1u);
-  EXPECT_EQ(fr.dropped(), 0u);
-}
-
-TEST(FlightRecorder, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(FlightRecorder(5).capacity(), 8u);
-  EXPECT_EQ(FlightRecorder(8).capacity(), 8u);
-  EXPECT_EQ(FlightRecorder(9).capacity(), 16u);
-  EXPECT_EQ(FlightRecorder(0).capacity(), 1u);
-}
-
-TEST(FlightRecorder, EnabledByDefaultAndGateable) {
-  FlightRecorder fr(8);
-  EXPECT_TRUE(fr.enabled());
-  fr.set_enabled(false);
-  fr.record(FlightKind::kWalFsync, 0, 1);
-  EXPECT_EQ(fr.total(), 0u);
-  EXPECT_TRUE(fr.events().empty());
-  fr.set_enabled(true);
-  fr.record(FlightKind::kWalFsync, 0, 2);
-  EXPECT_EQ(fr.total(), 1u);
-}
-
-TEST(FlightRecorder, WrapKeepsTheNewestWindowOldestFirst) {
-  FlightRecorder fr(8);
-  for (int i = 0; i < 21; ++i) {
-    fr.record(FlightKind::kGroupActivated, 1, i, std::uint64_t(i));
-  }
-  EXPECT_EQ(fr.total(), 21u);
-  EXPECT_EQ(fr.dropped(), 21u - 8u);
-  const auto evs = fr.events();
-  ASSERT_EQ(evs.size(), 8u);
-  for (std::size_t i = 0; i < evs.size(); ++i) {
-    EXPECT_EQ(evs[i].t_us, std::int64_t(13 + i));  // 13..20, in order
-  }
-}
-
-TEST(FlightRecorder, JsonIsSelfDescribing) {
-  FlightRecorder fr(8);
-  fr.record(FlightKind::kSnapshotAborted, 3, 99, 11, 22);
-  const std::string json = fr.to_json();
-  EXPECT_NE(json.find("\"schema\":\"clash-flightrec-v1\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"snapshot_aborted\""), std::string::npos);
-  EXPECT_NE(json.find("\"t_us\":99"), std::string::npos);
-  EXPECT_NE(json.find("\"a\":11"), std::string::npos);
-  EXPECT_NE(json.find("\"b\":22"), std::string::npos);
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-}
-
-TEST(FlightRecorder, KindNamesCoverEveryEnumerator) {
-  for (int k = 0; k <= int(FlightKind::kInvariantFail); ++k) {
-    EXPECT_STRNE(flight_kind_name(FlightKind(k)), "unknown")
-        << "FlightKind " << k << " has no name";
-  }
-}
-
-TEST(FlightRecorder, ConcurrentWritersNeverTearAReader) {
-  // 4 writers hammer a tiny ring (constant wraparound) while a reader
-  // snapshots. The seqlock contract: every event a reader returns is
-  // one a writer actually wrote — each writer encodes a checksum
-  // relation (b == a * 3 + node) a torn read would break.
-  FlightRecorder fr(16);
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> writers;
-  for (std::uint32_t node = 1; node <= 4; ++node) {
-    writers.emplace_back([&fr, &stop, node] {
-      std::uint64_t a = node;
-      while (!stop.load(std::memory_order_relaxed)) {
-        fr.record(FlightKind::kWalFsync, node, std::int64_t(a), a,
-                  a * 3 + node);
-        ++a;
-      }
-    });
-  }
-  // Don't start reading until the writers are demonstrably wrapping
-  // the ring, so the 500 snapshot passes overlap live rewrites
-  // rather than racing thread startup.
-  while (fr.total() < 64) std::this_thread::yield();
-  for (int i = 0; i < 500; ++i) {
-    for (const auto& ev : fr.events()) {
-      ASSERT_GE(ev.node, 1u);
-      ASSERT_LE(ev.node, 4u);
-      ASSERT_EQ(ev.b, ev.a * 3 + ev.node) << "torn flight slot";
-    }
-  }
-  stop.store(true, std::memory_order_relaxed);
-  for (auto& t : writers) t.join();
-  EXPECT_GT(fr.total(), 16u);
-  EXPECT_LE(fr.events().size(), fr.capacity());
-}
 
 TEST(InflightTable, BeginSnapshotRoundTrip) {
   InflightTable tab;

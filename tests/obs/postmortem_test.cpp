@@ -109,13 +109,20 @@ TEST(Postmortem, DumpWritesAFileOnlyWhenADirIsSet) {
 TEST(Postmortem, HubSourceRendersFlightAndInflight) {
   Postmortem& pm = Postmortem::global();
   Hub hub;
-  hub.flight.record(FlightKind::kEpochBump, 1, 50, 7, 2);
+  hub.tracer.record(SpanKind::kEpochBump, 1, SimTime{50}, SimDuration{0}, 7,
+                    2);
+  // Traced spans share the ring, so the dump carries them too.
+  hub.tracer.set_enabled(true);
+  hub.tracer.record(SpanKind::kIngest, 1, SimTime{55}, SimDuration{0}, 0, 0,
+                    0xC0FFEE);
   (void)hub.inflight.begin(OpKind::kRecoveryPull, 1, "01*", 3, 60);
   const std::uint64_t id =
       register_hub_source(pm, hub, "node1", [] { return std::int64_t{99}; });
   const std::string doc = pm.render("probe");
   EXPECT_NE(doc.find("\"node1\":{\"flight\":"), std::string::npos);
   EXPECT_NE(doc.find("\"kind\":\"epoch_bump\""), std::string::npos);
+  EXPECT_NE(doc.find("\"kind\":\"ingest\""), std::string::npos);
+  EXPECT_NE(doc.find(std::to_string(0xC0FFEE)), std::string::npos);
   EXPECT_NE(doc.find("\"kind\":\"recovery_pull\""), std::string::npos);
   EXPECT_NE(doc.find("\"now_us\":99"), std::string::npos);
   pm.remove_source(id);
@@ -132,7 +139,8 @@ TEST(Postmortem, CrashHandlerDumpsThenDiesOfTheOriginalSignal) {
     Postmortem& pm = Postmortem::global();
     pm.set_dir(dir);
     Hub hub;
-    hub.flight.record(FlightKind::kInvariantFail, 4, 123, 77);
+    hub.tracer.record(SpanKind::kInvariantFail, 4, SimTime{123},
+                      SimDuration{0}, 77);
     register_hub_source(pm, hub, "node4", [] { return std::int64_t{200}; });
     pm.install_crash_handler();
     std::abort();

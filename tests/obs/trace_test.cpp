@@ -1,13 +1,17 @@
-// obs::TraceRecorder: the enabled gate, the bounded ring with
-// oldest-first overwrite, and the Chrome trace_event JSON export.
+// obs::TraceRecorder: the hub's one event ring. The traffic gate, the
+// bounded ring with oldest-first overwrite, the seqlock contract (a
+// reader never misreports a torn slot), and both exports: Chrome
+// trace_event JSON and clash-flightrec-v1.
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 namespace clash::obs {
 namespace {
@@ -31,6 +35,46 @@ TEST(TraceRecorder, RecordsSpansWhenEnabled) {
   EXPECT_EQ(spans[0].start_us, 1000);
   EXPECT_EQ(spans[0].dur_us, 250);
   EXPECT_EQ(spans[0].arg, 42u);
+}
+
+TEST(TraceRecorder, RoundTripsEveryField) {
+  TraceRecorder tr(16);
+  tr.record(SpanKind::kEpochBump, /*pid=*/7, SimTime{1234}, SimDuration{5},
+            /*arg=*/0xdeadbeef, /*arg2=*/42, /*trace_id=*/99);
+  const auto spans = tr.spans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].kind, SpanKind::kEpochBump);
+  EXPECT_EQ(spans[0].pid, 7u);
+  EXPECT_EQ(spans[0].start_us, 1234);
+  EXPECT_EQ(spans[0].dur_us, 5);
+  EXPECT_EQ(spans[0].arg, 0xdeadbeefu);
+  EXPECT_EQ(spans[0].arg2, 42u);
+  EXPECT_EQ(spans[0].trace_id, 99u);
+  EXPECT_EQ(tr.total(), 1u);
+  EXPECT_EQ(tr.size(), 1u);
+  EXPECT_EQ(tr.dropped(), 0u);
+}
+
+TEST(TraceRecorder, CapacityIsExactWithTheTraceWindowAsDefault) {
+  EXPECT_EQ(TraceRecorder(5).capacity(), 5u);
+  EXPECT_EQ(TraceRecorder(0).capacity(), 1u);
+  EXPECT_GE(TraceRecorder().capacity(), 16384u);
+}
+
+TEST(TraceRecorder, LifecycleEdgesIgnoreTheTrafficGate) {
+  TraceRecorder tr(8);
+  EXPECT_FALSE(tr.enabled());
+  for (auto k : {SpanKind::kIngest, SpanKind::kReplApply, SpanKind::kCommit,
+                 SpanKind::kQueryMatch}) {
+    tr.record(k, 0, SimTime{1}, SimDuration{0});
+  }
+  EXPECT_EQ(tr.total(), 0u);
+  tr.record(SpanKind::kWalFsync, 0, SimTime{2}, SimDuration{3});
+  tr.record(SpanKind::kFailover, 0, SimTime{4}, SimDuration{5});
+  EXPECT_EQ(tr.total(), 2u);
+  tr.set_enabled(true);
+  tr.record(SpanKind::kIngest, 0, SimTime{6}, SimDuration{0});
+  EXPECT_EQ(tr.total(), 3u);
 }
 
 TEST(TraceRecorder, NegativeDurationsClampToZero) {
@@ -72,6 +116,21 @@ TEST(TraceRecorder, ClearEmptiesTheRing) {
   EXPECT_EQ(tr.dropped(), 0u);
   tr.record(SpanKind::kLoopTick, 0, SimTime{9}, SimDuration{1});
   EXPECT_EQ(tr.spans().size(), 1u);
+}
+
+TEST(TraceRecorder, WrapKeepsTheNewestWindowOldestFirst) {
+  TraceRecorder tr(8);
+  for (int i = 0; i < 21; ++i) {
+    tr.record(SpanKind::kGroupActivated, 1, SimTime{i}, SimDuration{0},
+              std::uint64_t(i));
+  }
+  EXPECT_EQ(tr.total(), 21u);
+  EXPECT_EQ(tr.dropped(), 21u - 8u);
+  const auto spans = tr.spans();
+  ASSERT_EQ(spans.size(), 8u);
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(spans[i].start_us, std::int64_t(13 + i));  // 13..20, in order
+  }
 }
 
 TEST(TraceRecorder, ChromeJsonHasCompleteEvents) {
@@ -142,6 +201,69 @@ TEST(TraceRecorder, ChromeJsonAfterWrapExportsOnlySurvivors) {
             std::count(json.begin(), json.end(), '}'));
 }
 
+TEST(TraceRecorder, FlightrecJsonIsSelfDescribing) {
+  TraceRecorder tr(8);
+  tr.record(SpanKind::kSnapshotAborted, 3, SimTime{99}, SimDuration{4}, 11,
+            22, 33);
+  const std::string json = tr.to_json();
+  EXPECT_NE(json.find("\"schema\":\"clash-flightrec-v1\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"kind\":\"snapshot_aborted\""), std::string::npos);
+  EXPECT_NE(json.find("\"t_us\":99"), std::string::npos);
+  EXPECT_NE(json.find("\"dur_us\":4"), std::string::npos);
+  EXPECT_NE(json.find("\"node\":3"), std::string::npos);
+  EXPECT_NE(json.find("\"a\":11"), std::string::npos);
+  EXPECT_NE(json.find("\"b\":22"), std::string::npos);
+  EXPECT_NE(json.find("\"trace_id\":\"33\""), std::string::npos);
+  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
+            std::count(json.begin(), json.end(), '}'));
+}
+
+TEST(TraceRecorder, ConcurrentWritersNeverTearAReader) {
+  // 4 writers hammer a tiny ring (constant wraparound) while a reader
+  // snapshots; odd writers record traffic spans, even ones lifecycle
+  // edges. The seqlock contract: every span a reader returns is one a
+  // writer actually wrote. Each writer encodes a checksum relation
+  // across every payload word, which a torn read would break.
+  TraceRecorder tr(16);
+  tr.set_enabled(true);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (std::uint64_t pid = 1; pid <= 4; ++pid) {
+    writers.emplace_back([&tr, &stop, pid] {
+      const SpanKind kind =
+          pid % 2 == 1 ? SpanKind::kIngest : SpanKind::kWalFsync;
+      std::uint64_t a = pid;
+      while (!stop.load(std::memory_order_relaxed)) {
+        tr.record(kind, pid, SimTime(std::int64_t(a)),
+                  SimDuration(std::int64_t(a + pid)), a, a * 3 + pid,
+                  a ^ pid);
+        ++a;
+      }
+    });
+  }
+  // Don't start reading until the writers are demonstrably wrapping
+  // the ring, so the 500 snapshot passes overlap live rewrites rather
+  // than racing thread startup.
+  while (tr.total() < 64) std::this_thread::yield();
+  for (int i = 0; i < 500; ++i) {
+    for (const auto& s : tr.spans()) {
+      ASSERT_GE(s.pid, 1u);
+      ASSERT_LE(s.pid, 4u);
+      ASSERT_EQ(s.kind,
+                s.pid % 2 == 1 ? SpanKind::kIngest : SpanKind::kWalFsync);
+      ASSERT_EQ(s.start_us, std::int64_t(s.arg)) << "torn slot";
+      ASSERT_EQ(s.dur_us, std::int64_t(s.arg + s.pid)) << "torn slot";
+      ASSERT_EQ(s.arg2, s.arg * 3 + s.pid) << "torn slot";
+      ASSERT_EQ(s.trace_id, s.arg ^ s.pid) << "torn slot";
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& t : writers) t.join();
+  EXPECT_GT(tr.total(), 16u);
+  EXPECT_LE(tr.spans().size(), tr.capacity());
+}
+
 TEST(TraceRecorder, ConcurrentRecordDuringExportStaysConsistent) {
   constexpr std::size_t kCap = 64;
   TraceRecorder tr(kCap);
@@ -173,13 +295,21 @@ TEST(TraceRecorder, ConcurrentRecordDuringExportStaysConsistent) {
 }
 
 TEST(TraceRecorder, SpanNamesCoverEveryKind) {
-  for (auto k :
-       {SpanKind::kQueryMatch, SpanKind::kCommit, SpanKind::kFailover,
-        SpanKind::kSnapshotTransfer, SpanKind::kWalFsync,
-        SpanKind::kLoopTick, SpanKind::kRecoveryScan}) {
-    EXPECT_NE(std::string(span_name(k)), "");
-    EXPECT_NE(std::string(span_category(k)), "");
+  for (int i = 0; i <= int(SpanKind::kInvariantFail); ++i) {
+    const auto k = SpanKind(i);
+    EXPECT_NE(std::string(span_name(k)), "") << "SpanKind " << i;
+    EXPECT_NE(std::string(span_category(k)), "") << "SpanKind " << i;
   }
+}
+
+TEST(TraceRecorder, KindNamesCoverEveryEnumerator) {
+  std::set<std::string> names;
+  for (int i = 0; i <= int(SpanKind::kInvariantFail); ++i) {
+    EXPECT_STRNE(span_name(SpanKind(i)), "unknown") << "SpanKind " << i;
+    names.insert(span_name(SpanKind(i)));
+  }
+  // One name per kind: consumers key on the name.
+  EXPECT_EQ(names.size(), std::size_t(SpanKind::kInvariantFail) + 1);
 }
 
 }  // namespace

@@ -16,10 +16,10 @@
 namespace clash::obs {
 namespace {
 
-std::size_t count_kind(const FlightRecorder& fr, FlightKind kind) {
+std::size_t count_kind(const TraceRecorder& tr, SpanKind kind) {
   std::size_t n = 0;
-  for (const auto& ev : fr.events()) {
-    if (ev.kind == kind) ++n;
+  for (const auto& s : tr.spans()) {
+    if (s.kind == kind) ++n;
   }
   return n;
 }
@@ -50,10 +50,10 @@ TEST(StallWatchdog, TickStallReportsOncePerTick) {
     return std::optional<std::pair<std::uint64_t, std::int64_t>>(
         {seq, std::int64_t{0}});
   });
-  // Over budget: one fresh verdict, counted and on the flight ring.
+  // Over budget: one fresh verdict, counted and on the event ring.
   EXPECT_EQ(wd.poll_once(1'500'000), 1u);
   EXPECT_EQ(wd.stall_ticks(), 1u);
-  EXPECT_EQ(count_kind(hub.flight, FlightKind::kStallTick), 1u);
+  EXPECT_EQ(count_kind(hub.tracer, SpanKind::kStallTick), 1u);
   // Same wedged tick on the next poll: already reported, no re-count.
   EXPECT_EQ(wd.poll_once(2'500'000), 0u);
   EXPECT_EQ(wd.stall_ticks(), 1u);
@@ -61,7 +61,7 @@ TEST(StallWatchdog, TickStallReportsOncePerTick) {
   seq = 8;
   EXPECT_EQ(wd.poll_once(4'000'000), 1u);
   EXPECT_EQ(wd.stall_ticks(), 2u);
-  EXPECT_EQ(count_kind(hub.flight, FlightKind::kStallTick), 2u);
+  EXPECT_EQ(count_kind(hub.tracer, SpanKind::kStallTick), 2u);
 }
 
 TEST(StallWatchdog, OpStallDedupsAndRelapses) {
@@ -79,7 +79,7 @@ TEST(StallWatchdog, OpStallDedupsAndRelapses) {
   EXPECT_EQ(wd.poll_once(6'000'000), 1u);
   EXPECT_EQ(wd.poll_once(7'000'000), 0u);
   EXPECT_EQ(wd.stall_ops(), 1u);
-  EXPECT_EQ(count_kind(hub.flight, FlightKind::kStallOp), 1u);
+  EXPECT_EQ(count_kind(hub.tracer, SpanKind::kStallOp), 1u);
 
   // Progress rescues the op; a later relapse re-reports.
   hub.inflight.progress(tok, 8'000'000);

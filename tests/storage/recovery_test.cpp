@@ -12,6 +12,7 @@
 
 #include "clash/server.hpp"
 #include "common/rng.hpp"
+#include "obs/hub.hpp"
 #include "storage/backend.hpp"
 #include "storage/snapshot.hpp"
 #include "storage/store.hpp"
@@ -295,6 +296,33 @@ TEST(Recovery, RestartedStoreReclaimsItsPredecessorsSegments) {
     last_files = files;
     last_replayed = replayed;
   }
+}
+
+TEST(Recovery, FsyncHistogramStatsAndRingAllCountEveryAppend) {
+  // Observability accuracy: with per-append fsync, the fsync histogram,
+  // the WAL's own sync counter and the ring's wal_fsync events are three
+  // views of one ground truth, the append count.
+  constexpr std::uint64_t kAppends = 50;
+  MemBackend backend;
+  obs::Hub hub;
+  NodeStore::Config cfg;
+  cfg.fsync = ClashConfig::FsyncPolicy::kPerAppend;
+  NodeStore store(backend, cfg);
+  store.set_obs(&hub, 3);
+  const KeyGroup group = KeyGroup::root(kWidth);
+  for (std::uint64_t i = 1; i <= kAppends; ++i) {
+    (void)store.append_op(group, repl::LogHead{1, i},
+                          stream_op(i, i & 0xFF, 1.0),
+                          SimTime(std::int64_t(i)));
+  }
+  std::uint64_t ring_fsyncs = 0;
+  for (const auto& span : hub.tracer.spans()) {
+    ring_fsyncs += span.kind == obs::SpanKind::kWalFsync;
+  }
+  EXPECT_EQ(store.wal_stats().syncs, kAppends);
+  EXPECT_EQ(hub.registry.histogram("clash_wal_fsync_usec").raw()->count(),
+            kAppends);
+  EXPECT_EQ(ring_fsyncs, kAppends);
 }
 
 TEST(Recovery, WalSnapshotTruncationBoundsReplay) {
