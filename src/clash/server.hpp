@@ -556,7 +556,6 @@ class ClashServer {
   obs::HistogramHandle snapshot_install_us_;
   obs::Counter puts_total_;
   obs::Counter repl_bytes_total_;
-  obs::Counter corrupt_rejected_total_;
 
   std::map<KeyGroup, GroupCost> group_costs_;
   /// ReplAppend batches in flight: head seq + send time, popped by the

@@ -1,21 +1,25 @@
 // Message/operation counters. The simulator aggregates these to produce
 // the paper's Figure 5 (messages/sec/server by class) and the split/
 // merge/depth statistics behind Figure 4.
+//
+// One count per event: every field is incremented once, by the code
+// that handles the event. ClashServer counts the fields of the first
+// list in both transports (a peer message class is counted by the
+// receiver's ClashServer::deliver), so a ClashNode exports exactly
+// those as clash_msgs_<field>. The second list is counted by the
+// simulator harness only (routing hops, client probes, link and
+// membership faults, wire metering): a node has no such event to count,
+// so it exports none of them.
 #pragma once
 
 #include <cstdint>
 
 namespace clash {
 
-// The single authoritative field list: declarations, arithmetic, and
-// name-based iteration (for_each_named feeds the obs exposition) all
-// expand from here, so adding a counter touches exactly this table.
-#define CLASH_MESSAGE_STATS_FIELDS(X)                                        \
-  /* Overlay routing cost: one unit per DHT forwarding hop. */               \
-  X(dht_hops)                                                                \
-  /* ACCEPT_OBJECT probes and their replies. */                              \
-  X(object_probes)                                                           \
-  X(object_replies)                                                          \
+// The authoritative field lists: declarations, arithmetic, and the
+// node's exposition all expand from here, so adding a counter touches
+// exactly one of these tables.
+#define CLASH_SERVER_STATS_FIELDS(X)                                      \
   /* Group-transfer control traffic. */                                      \
   X(keygroup_transfers)                                                      \
   X(keygroup_acks)                                                           \
@@ -32,29 +36,36 @@ namespace clash {
   X(snapshot_chunks)                                                         \
   X(anti_entropy_probes)                                                     \
   X(anti_entropy_diffs)                                                      \
-  /* SWIM membership traffic (pings, ping-reqs, acks). Kept out of           \
-     control_messages() so Figure 5's message classes stay paper-exact;      \
-     bench/abl_membership reports this overhead separately. */               \
-  X(gossip_msgs)                                                             \
   /* Protocol events (not messages). */                                      \
   X(splits)                                                                  \
   X(merges)                                                                  \
   X(self_remaps)      /* right child mapped back to self */                  \
   X(merge_refusals)                                                          \
-  X(depth_searches)   /* client resolution rounds */                         \
-  X(search_restarts)  /* stale-range restarts under churn */                 \
   X(failovers)        /* groups promoted from replicas */                    \
-  X(groups_lost)      /* sim: evicted owner's groups no live server held */  \
-  X(dropped_msgs)     /* sends to dead servers */                            \
   X(handoffs)         /* groups handed back on rejoin */                     \
   X(log_compactions)  /* owner-log cuts; local unless app deltas ship */     \
-  X(link_drops)       /* messages eaten by the fault matrix */               \
   X(snapshot_aborts)  /* out-of-sync transfers nacked */                     \
   X(snapshot_offers_ignored) /* dup offers mid-transfer */                   \
+  X(corrupt_rejected) /* decoded-valid corruption rejected by the            \
+                         receiver's checksum/sanity fences */
+
+#define CLASH_HARNESS_STATS_FIELDS(X)                                        \
+  /* Overlay routing cost: one unit per DHT forwarding hop. */               \
+  X(dht_hops)                                                                \
+  /* ACCEPT_OBJECT probes and their replies. */                              \
+  X(object_probes)                                                           \
+  X(object_replies)                                                          \
+  /* SWIM membership traffic (pings, ping-reqs, acks). Kept out of           \
+     control_messages() so Figure 5's message classes stay paper-exact;      \
+     bench/abl_membership reports this overhead separately. */               \
+  X(gossip_msgs)                                                             \
+  X(depth_searches)   /* client resolution rounds */                         \
+  X(search_restarts)  /* stale-range restarts under churn */                 \
+  X(groups_lost)      /* evicted owner's groups no live server held */       \
+  X(dropped_msgs)     /* sends to dead servers */                            \
+  X(link_drops)       /* messages eaten by the fault matrix */               \
   X(corrupt_drops)    /* in-flight corruption made the payload               \
                          undecodable (codec fence ate it) */                 \
-  X(corrupt_rejected) /* decoded-valid corruption rejected by the            \
-                         receiver's checksum/sanity fences */                \
   X(slow_evictions)   /* live-but-slow members excommunicated */             \
   /* Cost-census records delivered piggybacked on gossip frames. */          \
   X(census_records)                                                          \
@@ -66,6 +77,10 @@ namespace clash {
      frames — numerator of the census overhead gate. Wire-metering           \
      only, like wire_bytes. */                                               \
   X(census_bytes)
+
+#define CLASH_MESSAGE_STATS_FIELDS(X) \
+  CLASH_SERVER_STATS_FIELDS(X)        \
+  CLASH_HARNESS_STATS_FIELDS(X)
 
 struct MessageStats {
 #define CLASH_STATS_DECLARE(name) std::uint64_t name = 0;
@@ -81,11 +96,12 @@ struct MessageStats {
 #undef CLASH_STATS_ZIP
   }
 
-  /// Apply `f("field", value)` to every field (exposition, dumps).
+  /// Apply `f("field", value)` to every field ClashServer counts (the
+  /// node's exposition); harness-only fields are skipped.
   template <typename F>
-  void for_each_named(F&& f) const {
+  void for_each_server_field(F&& f) const {
 #define CLASH_STATS_NAMED(name) f(#name, name);
-    CLASH_MESSAGE_STATS_FIELDS(CLASH_STATS_NAMED)
+    CLASH_SERVER_STATS_FIELDS(CLASH_STATS_NAMED)
 #undef CLASH_STATS_NAMED
   }
 

@@ -96,7 +96,6 @@ void MembershipDriver::handle(ServerId from, const Gossip& msg) {
   // redundancy re-delivers the news on the next period.
   if (msg.checksum != 0 && msg.checksum != wire::content_crc(msg)) {
     ++corrupt_rejected_;
-    corrupt_rejected_c_.inc();
     return;
   }
 

@@ -138,10 +138,6 @@ class MembershipDriver {
                           ? obs::HistogramHandle{}
                           : hub->registry.histogram(
                                 "clash_membership_detect_periods");
-    corrupt_rejected_c_ =
-        hub == nullptr
-            ? obs::Counter{}
-            : hub->registry.counter("clash_corrupt_rejected_total");
   }
 
  private:
@@ -176,7 +172,6 @@ class MembershipDriver {
   // Pointer guarded here; the pointee guards itself (its own token).
   obs::Census* census_ CLASH_GUARDED_BY(affinity_) = nullptr;
   obs::HistogramHandle detect_periods_ CLASH_GUARDED_BY(affinity_);
-  obs::Counter corrupt_rejected_c_ CLASH_GUARDED_BY(affinity_);
 };
 
 }  // namespace clash::membership

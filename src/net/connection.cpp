@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstring>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "wire/buffer.hpp"
@@ -101,7 +102,6 @@ void Connection::handle_readable() {
         ::read(fd_.get(), in_.data() + in_end_, in_.size() - in_end_);
     if (n > 0) {
       in_end_ += std::size_t(n);
-      stats_.bytes_received += std::uint64_t(n);
       bytes_received_c_.inc(std::uint64_t(n));
       continue;
     }
@@ -120,20 +120,26 @@ void Connection::handle_readable() {
 }
 
 void Connection::parse_frames() {
+  // Counted once per batch, not per frame: the counter is an atomic.
+  std::uint64_t frames = 0;
   while (in_end_ - in_pos_ >= 4) {
     const std::uint32_t len = wire::load_u32_le(in_.data() + in_pos_);
     if (len > kMaxFrame) {
       CLASH_WARN << "oversized frame (" << len << " bytes); closing";
+      frames_received_c_.inc(frames);
       close();
       return;
     }
     if (in_end_ - in_pos_ - 4 < len) break;  // incomplete
-    ++stats_.frames_received;
-    frames_received_c_.inc();
+    ++frames;
     on_frame_(std::span<const std::uint8_t>(in_.data() + in_pos_ + 4, len));
-    if (closed()) return;  // handler may close
+    if (closed()) {  // handler may close
+      frames_received_c_.inc(frames);
+      return;
+    }
     in_pos_ += 4 + len;
   }
+  frames_received_c_.inc(frames);
   if (in_pos_ == in_end_) {
     in_pos_ = in_end_ = 0;  // fully drained: rewind, no memmove
   } else if (in_pos_ >= kCompactThreshold) {
@@ -294,8 +300,7 @@ void Connection::schedule_reordered(std::vector<std::uint8_t>&& frame,
 
 bool Connection::enqueue_now(std::vector<std::uint8_t>&& frame) {
   out_q_.push_back(std::move(frame));
-  ++stats_.frames_sent;
-  frames_sent_c_.inc();
+  ++frames_unpublished_;
   // One flush per tick: the first frame schedules it; later sends in
   // the same tick ride along. When EPOLLOUT is armed the kernel
   // buffer is full — the readiness callback will flush instead.
@@ -315,6 +320,7 @@ bool Connection::enqueue_now(std::vector<std::uint8_t>&& frame) {
 
 void Connection::flush() {
   flush_scheduled_ = false;
+  frames_sent_c_.inc(std::exchange(frames_unpublished_, 0));
   const bool had_backlog = !out_q_.empty();
   while (!out_q_.empty() && !closed()) {
     std::array<iovec, kMaxIov> iov;
@@ -336,7 +342,6 @@ void Connection::flush() {
     hdr.msg_iov = iov.data();
     hdr.msg_iovlen = niov;
     const ssize_t n = ::sendmsg(fd_.get(), &hdr, MSG_NOSIGNAL);
-    ++stats_.flush_syscalls;
     flush_syscalls_c_.inc();
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -346,7 +351,6 @@ void Connection::flush() {
       close();
       return;
     }
-    stats_.bytes_sent += std::uint64_t(n);
     bytes_sent_c_.inc(std::uint64_t(n));
     std::size_t consumed = std::size_t(n);
     while (consumed > 0) {
@@ -386,6 +390,7 @@ void Connection::update_interest() {
 void Connection::close() {
   on_loop_.assert_held();
   if (closed()) return;
+  frames_sent_c_.inc(std::exchange(frames_unpublished_, 0));
   loop_.assert_on_loop();
   loop_.remove_fd(fd_.get());
   fd_.reset();

@@ -39,19 +39,14 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// reject with a close is refused here instead).
   static constexpr std::uint32_t kMaxFrame = 16u << 20;
 
-  /// Transport counters (loop thread only).
+  /// Counters the registry does not carry (loop thread only). Transport
+  /// volumes (frames, bytes, flushes) are counted only into the
+  /// clash_net_* cells of the hub attached with set_obs.
   struct Stats {
-    std::uint64_t frames_sent = 0;
-    std::uint64_t frames_received = 0;
-    std::uint64_t bytes_sent = 0;
-    std::uint64_t bytes_received = 0;
-    /// sendmsg(2) calls; frames_sent / flush_syscalls is the
-    /// small-frame coalescing ratio.
-    std::uint64_t flush_syscalls = 0;
     /// Sends rejected for exceeding kMaxFrame.
     std::uint64_t send_oversized = 0;
-    /// Frames eaten / held back / multiplied by an attached
-    /// FaultInjector.
+    /// Frames eaten / held back / multiplied / damaged by an attached
+    /// FaultInjector: the faults actually applied.
     std::uint64_t faults_dropped = 0;
     std::uint64_t faults_delayed = 0;
     std::uint64_t faults_duplicated = 0;
@@ -93,11 +88,12 @@ class Connection : public std::enable_shared_from_this<Connection> {
     fault_ = std::move(injector);
   }
 
-  /// Mirror the transport counters into a metrics registry: every
+  /// Count transport volumes into a metrics registry: every
   /// connection wired to the same hub shares the clash_net_* series
   /// (counters are get-or-created by name), so the node's totals sum
   /// across peers with no aggregation step. nullptr detaches — the
-  /// handles go empty and the hot path pays only a null check.
+  /// handles go empty, nothing is counted, and the hot path pays only
+  /// a null check.
   /// Fault-injector verdicts also land in the hub's event ring,
   /// stamped steady-clock-us minus `epoch_us` (pass the node's epoch
   /// so connection events share the node's timeline; 0 = raw).
@@ -186,8 +182,11 @@ class Connection : public std::enable_shared_from_this<Connection> {
 
   Stats stats_ CLASH_GUARDED_BY(on_loop_);
 
-  // Registry mirrors of the hot-path Stats fields (empty = detached).
+  // Transport volume counters (empty = detached).
   obs::Counter frames_sent_c_ CLASH_GUARDED_BY(on_loop_);
+  /// Frames queued since the last flush: frames_sent_c_ takes them in
+  /// one add per flush (or at close) instead of one atomic per frame.
+  std::uint64_t frames_unpublished_ CLASH_GUARDED_BY(on_loop_) = 0;
   obs::Counter bytes_sent_c_ CLASH_GUARDED_BY(on_loop_);
   obs::Counter flush_syscalls_c_ CLASH_GUARDED_BY(on_loop_);
   obs::Counter frames_received_c_ CLASH_GUARDED_BY(on_loop_);

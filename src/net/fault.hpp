@@ -37,15 +37,6 @@ class FaultInjector {
     }
   };
 
-  struct Stats {
-    std::uint64_t dropped = 0;
-    std::uint64_t delayed = 0;
-    std::uint64_t passed = 0;
-    std::uint64_t duplicated = 0;
-    std::uint64_t reordered = 0;
-    std::uint64_t corrupted = 0;
-  };
-
   struct Verdict {
     bool drop = false;
     std::chrono::microseconds delay{0};
@@ -76,39 +67,22 @@ class FaultInjector {
     drop_rest_ = true;
   }
 
-  /// Decide one frame's fate (consumes randomness on lossy links).
+  /// Decide one frame's fate (consumes randomness on lossy links). The
+  /// Connection applying the verdict counts the faults it applied.
   Verdict judge() {
     if (forced_drops_ > 0) {
       --forced_drops_;
-      ++stats_.dropped;
       return Verdict{true, {}, false, false, false};
     }
     if (drop_rest_) {
-      if (pass_quota_ == 0) {
-        ++stats_.dropped;
-        return Verdict{true, {}, false, false, false};
-      }
+      if (pass_quota_ == 0) return Verdict{true, {}, false, false, false};
       --pass_quota_;
-      ++stats_.passed;
       return Verdict{};
     }
     const auto fv = judge_fault(cfg_, rng_);
-    if (!fv.deliver) {
-      ++stats_.dropped;
-      return Verdict{true, {}, false, false, false};
-    }
-    Verdict v{false, std::chrono::microseconds(fv.delay_usec), fv.duplicate,
-              fv.reorder, fv.corrupt};
-    if (v.duplicate) ++stats_.duplicated;
-    if (v.corrupt) ++stats_.corrupted;
-    if (v.reorder) {
-      ++stats_.reordered;
-    } else if (v.delay.count() > 0) {
-      ++stats_.delayed;
-    } else if (!v.duplicate) {
-      ++stats_.passed;
-    }
-    return v;
+    if (!fv.deliver) return Verdict{true, {}, false, false, false};
+    return Verdict{false, std::chrono::microseconds(fv.delay_usec),
+                   fv.duplicate, fv.reorder, fv.corrupt};
   }
 
   /// Corrupt-mode mutation: flip one random byte inside `payload`
@@ -119,11 +93,8 @@ class FaultInjector {
     payload[pos] ^= std::uint8_t(1 + rng_.below(255));
   }
 
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-
  private:
   Config cfg_;
-  Stats stats_;
   unsigned forced_drops_ = 0;
   unsigned pass_quota_ = 0;
   bool drop_rest_ = false;

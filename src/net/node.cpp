@@ -73,7 +73,7 @@ class ClashNode::Env final : public ServerEnv {
       return node_.config_.snapshot_burst_chunks;
     }
     // Backpressure signal: the outbound queue depth (equivalently, a
-    // flush_syscalls count that stopped advancing while the queue
+    // flush count that stopped advancing while the queue
     // grows). At or past the threshold the transfer pauses; the
     // connection's drain callback pumps it again.
     if (it->second->send_queue_bytes() >= node_.config_.snapshot_pace_bytes) {
@@ -440,15 +440,6 @@ void ClashNode::clear_link_fault(ServerId peer) {
   });
 }
 
-FaultInjector::Stats ClashNode::link_fault_stats(ServerId peer) {
-  return call_on_loop([&] {
-    on_loop_.assert_held();
-    const auto it = link_faults_.find(peer);
-    return it != link_faults_.end() ? it->second->stats()
-                                    : FaultInjector::Stats{};
-  });
-}
-
 std::size_t ClashNode::ring_server_count() {
   return call_on_loop([&] {
     on_loop_.assert_held();
@@ -509,15 +500,24 @@ void ClashNode::register_node_gauges() {
     on_loop_.assert_held();
     return double(ring_->server_count());
   });
-  // One gauge per MessageStats field, straight off the X-macro list:
-  // the field reference aims at the server's live stats_ member, which
-  // outlives every scrape (reset_stats() assigns in place).
-  server_->stats().for_each_named(
+  // One gauge per field ClashServer counts, straight off its X-macro
+  // list: the field reference aims at the server's live stats_ member,
+  // which outlives every scrape (reset_stats() assigns in place).
+  server_->stats().for_each_server_field(
       [&](const char* name, const std::uint64_t& field) {
         const std::uint64_t* ptr = &field;
         r.gauge_callback(std::string("clash_msgs_") + name,
                          [ptr] { return double(*ptr); });
       });
+  // Corruption fences sit in two places, each counting its own
+  // rejections once: the server (snapshot/append payloads) and the
+  // membership driver (gossip frames).
+  r.gauge_callback("clash_corrupt_rejected_total", [this] {
+    on_loop_.assert_held();
+    const std::uint64_t gossip =
+        membership_ != nullptr ? membership_->corrupt_rejected() : 0;
+    return double(server_->stats().corrupt_rejected + gossip);
+  });
   // Cluster-wide series off the gossiped census: every node serves the
   // same converged numbers, so any one scrape target shows the whole
   // deployment. view() folds the table fresh per scrape (loop thread).

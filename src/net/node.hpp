@@ -184,8 +184,6 @@ class ClashNode {
   void set_link_fault(ServerId peer, FaultInjector::Config cfg);
   /// Detach the injector and deliver cleanly again.
   void clear_link_fault(ServerId peer);
-  /// Counters of the injector on the link to `peer` (zeros when none).
-  [[nodiscard]] FaultInjector::Stats link_fault_stats(ServerId peer);
 
  private:
   class Env;

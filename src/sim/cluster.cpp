@@ -79,12 +79,12 @@ class SimCluster::ServerEnvImpl final : public ServerEnv {
           cluster->stats_.dropped_msgs++;
           return;
         }
-        cluster->count_message(msg);
+        cluster->meter_wire(msg);
         cluster->server(to).deliver(from, msg);
       });
       return;
     }
-    cluster_.count_message(msg);
+    cluster_.meter_wire(msg);
     // Synchronous delivery: the protocol's message chains are shallow
     // (split -> accept -> ack) and handlers are re-entrancy safe.
     cluster_.server(to).deliver(self_, msg);
@@ -319,6 +319,9 @@ std::vector<KeyGroup> SimCluster::forget_groups_of(ServerId id) {
 }
 
 void SimCluster::boot_server(ServerId id) {
+  // A restart replaces the server, not its history: what it counted
+  // stays in the totals.
+  if (servers_[id.value] != nullptr) stats_ += servers_[id.value]->stats();
   servers_[id.value] = std::make_unique<ClashServer>(
       id, config_.clash, *server_envs_[id.value], ring_.hasher());
   // No grace: call_after runs inline, after the synchronous recovery
@@ -450,47 +453,8 @@ void SimCluster::reset_stats() {
   for (auto& srv : servers_) srv->reset_stats();
 }
 
-void SimCluster::count_message(const Message& msg) {
-  if (meter_wire_) {
-    stats_.wire_bytes += wire::encoded_payload_size(msg);
-  }
-  std::visit(
-      [&](const auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, AcceptKeyGroup>) {
-          stats_.keygroup_transfers++;
-        } else if constexpr (std::is_same_v<T, AcceptKeyGroupAck>) {
-          stats_.keygroup_acks++;
-        } else if constexpr (std::is_same_v<T, LoadReport>) {
-          stats_.load_reports++;
-        } else if constexpr (std::is_same_v<T, ReclaimKeyGroup>) {
-          stats_.reclaim_requests++;
-        } else if constexpr (std::is_same_v<T, ReclaimAck> ||
-                             std::is_same_v<T, ReclaimRefused>) {
-          stats_.reclaim_replies++;
-        } else if constexpr (std::is_same_v<T, DropReplica>) {
-          stats_.replica_drops++;
-        } else if constexpr (std::is_same_v<T, ReplAppend>) {
-          stats_.repl_appends++;
-        } else if constexpr (std::is_same_v<T, ReplAck>) {
-          stats_.repl_acks++;
-        } else if constexpr (std::is_same_v<T, SnapshotOffer>) {
-          stats_.snapshot_offers++;
-        } else if constexpr (std::is_same_v<T, SnapshotChunk>) {
-          stats_.snapshot_chunks++;
-        } else if constexpr (std::is_same_v<T, AntiEntropyProbe>) {
-          stats_.anti_entropy_probes++;
-        } else if constexpr (std::is_same_v<T, AntiEntropyDiff>) {
-          stats_.anti_entropy_diffs++;
-        } else if constexpr (std::is_same_v<T, Gossip>) {
-          stats_.gossip_msgs++;
-        } else if constexpr (std::is_same_v<T, AcceptObject> ||
-                             std::is_same_v<T, AcceptObjectOk> ||
-                             std::is_same_v<T, IncorrectDepth>) {
-          // Client-path messages are counted by ClientEnvImpl.
-        }
-      },
-      msg);
+void SimCluster::meter_wire(const Message& msg) {
+  if (meter_wire_) stats_.wire_bytes += wire::encoded_payload_size(msg);
 }
 
 std::optional<std::string> SimCluster::check_invariants() const {

@@ -201,9 +201,10 @@ class SimCluster {
   };
   [[nodiscard]] LoadSnapshot snapshot() const;
 
-  /// Transport+client counters plus the sum of per-server event stats.
+  /// Harness counters plus the sum of every ClashServer's counts
+  /// (servers replaced by a restart included).
   [[nodiscard]] MessageStats total_stats() const;
-  /// Mutable access for client-side accounting (probes, hops, ...).
+  /// Mutable access for the harness-only fields (probes, hops, ...).
   [[nodiscard]] MessageStats& transport_stats() { return stats_; }
   void reset_stats();
 
@@ -226,7 +227,9 @@ class SimCluster {
   class ServerEnvImpl;
   class ClientEnvImpl;
 
-  void count_message(const Message& msg);
+  /// Wire metering of one delivered message (message classes are
+  /// counted by the receiving ClashServer).
+  void meter_wire(const Message& msg);
 
   /// Drop `id`'s entries from the owner index; returns those groups.
   std::vector<KeyGroup> forget_groups_of(ServerId id);

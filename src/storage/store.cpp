@@ -45,10 +45,21 @@ void NodeStore::set_obs(obs::Hub* hub, std::uint64_t node) {
   hub_ = hub;
   node_ = node;
   if (hub_ == nullptr) {
-    fsync_us_ = obs::HistogramHandle{};
+    fsync_us_ = {};
+    wal_records_ = wal_bytes_ = segments_deleted_ = {};
+    snapshot_writes_ = snapshot_bytes_ = snapshot_write_failures_ = {};
+    io_errors_ = {};
     return;
   }
-  fsync_us_ = hub_->registry.histogram("clash_wal_fsync_usec");
+  auto& r = hub_->registry;
+  fsync_us_ = r.histogram("clash_wal_fsync_usec");
+  wal_records_ = r.counter("clash_wal_records_total");
+  wal_bytes_ = r.counter("clash_wal_bytes_total");
+  segments_deleted_ = r.counter("clash_wal_segments_deleted_total");
+  snapshot_writes_ = r.counter("clash_snapshot_writes_total");
+  snapshot_bytes_ = r.counter("clash_snapshot_bytes_total");
+  snapshot_write_failures_ = r.counter("clash_snapshot_write_failures_total");
+  io_errors_ = r.counter("clash_storage_io_errors_total");
   hub_->registry.gauge("clash_storage_recovery_usec").set(recovery_usec_);
   hub_->tracer.record(obs::SpanKind::kRecoveryScan, node_, SimTime{0},
                       SimDuration{recovery_usec_}, recovered_groups_);
@@ -57,17 +68,22 @@ void NodeStore::set_obs(obs::Hub* hub, std::uint64_t node) {
 std::uint64_t NodeStore::append_op(const KeyGroup& group, repl::LogHead head,
                                    const repl::LogOp& op, SimTime now) {
   affinity_.assert_held();
-  const std::uint64_t before = wal_->stats().bytes;
-  const std::uint64_t segments_before = wal_->stats().segments_opened;
-  wal_->append_op(group, head, op);
-  stats_.ops_appended++;
-  if (hub_ != nullptr &&
-      wal_->stats().segments_opened != segments_before) {
-    hub_->tracer.record(obs::SpanKind::kWalRollover, node_, now,
-                        SimDuration{0}, wal_->stats().segments_opened);
-  }
+  const std::uint64_t bytes =
+      note_append(wal_->append_op(group, head, op), now);
   maybe_sync(now);
-  return wal_->stats().bytes - before;
+  return bytes;
+}
+
+std::uint64_t NodeStore::note_append(const Wal::AppendResult& r,
+                                     SimTime now) {
+  if (r.bytes > 0) wal_records_.inc();
+  wal_bytes_.inc(r.bytes);
+  io_errors_.inc(r.io_errors);
+  if (r.rolled && hub_ != nullptr) {
+    hub_->tracer.record(obs::SpanKind::kWalRollover, node_, now,
+                        SimDuration{0}, wal_->open_segment_index());
+  }
+  return r.bytes;
 }
 
 std::uint64_t NodeStore::write_snapshot(const SnapshotImage& img) {
@@ -79,15 +95,15 @@ std::uint64_t NodeStore::write_snapshot(const SnapshotImage& img) {
     // through the WAL): flag the group so the server re-persists it
     // at the next load check instead of presenting partial recovery
     // as success.
-    stats_.snapshot_write_failures++;
+    snapshot_write_failures_.inc();
     failed_snapshots_.insert(img.group);
     CLASH_ERROR << "snapshot write failed for " << img.group.label()
                 << " (will retry at the next load check)";
     return 0;
   }
   failed_snapshots_.erase(img.group);
-  stats_.snapshots_written++;
-  stats_.snapshot_bytes += bytes.size();
+  snapshot_writes_.inc();
+  snapshot_bytes_.inc(bytes.size());
   floors_[img.group] = img.head;
   truncate();
   return bytes.size();
@@ -96,8 +112,7 @@ std::uint64_t NodeStore::write_snapshot(const SnapshotImage& img) {
 void NodeStore::drop_group(const KeyGroup& group, std::uint64_t epoch,
                            SimTime now) {
   affinity_.assert_held();
-  (void)now;
-  wal_->append_drop(group, epoch);
+  (void)note_append(wal_->append_drop(group, epoch), now);
   // The drop record must be durable BEFORE the snapshot deletion is —
   // regardless of fsync policy (drops are rare; a sync costs little).
   // An unsynced drop paired with the immediately-durable unlink below
@@ -108,26 +123,28 @@ void NodeStore::drop_group(const KeyGroup& group, std::uint64_t epoch,
   floors_.erase(group);
   auto [it, inserted] = dropped_.try_emplace(group, epoch);
   if (!inserted && it->second < epoch) it->second = epoch;
-  stats_.drops++;
   truncate();
 }
 
 void NodeStore::truncate() {
   constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
-  stats_.truncated_segments += wal_->truncate_covered(
+  segments_deleted_.inc(wal_->truncate_covered(
       [this, kMax](const KeyGroup& group, repl::LogHead tail) {
         const auto floor = floors_.find(group);
         if (floor != floors_.end() && tail <= floor->second) return true;
         const auto dropped = dropped_.find(group);
         return dropped != dropped_.end() &&
                tail <= repl::LogHead{dropped->second, kMax};
-      });
+      }));
 }
 
 bool NodeStore::timed_sync(SimTime now) {
-  if (!fsync_us_.valid()) return wal_->sync();
   const auto t0 = std::chrono::steady_clock::now();
-  const bool ok = wal_->sync();
+  const Wal::SyncResult result = wal_->sync();
+  if (result == Wal::SyncResult::kIdle) return true;
+  const bool ok = result == Wal::SyncResult::kSynced;
+  if (!ok) io_errors_.inc();
+  if (!fsync_us_.valid()) return ok;
   const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                       std::chrono::steady_clock::now() - t0)
                       .count();

@@ -46,15 +46,6 @@ class NodeStore {
     }
   };
 
-  struct Stats {
-    std::uint64_t ops_appended = 0;
-    std::uint64_t snapshots_written = 0;
-    std::uint64_t snapshot_bytes = 0;
-    std::uint64_t snapshot_write_failures = 0;
-    std::uint64_t drops = 0;
-    std::uint64_t truncated_segments = 0;
-  };
-
   /// Scans `backend` (recovery) and opens the WAL one segment past the
   /// highest on disk. The backend must outlive the store.
   NodeStore(Backend& backend, Config cfg);
@@ -111,24 +102,21 @@ class NodeStore {
     timed_sync(last_sync_);
   }
 
-  /// Attach an observability hub: fsync latencies feed its
-  /// clash_wal_fsync_usec histogram (wall-clock cost of each sync,
-  /// traced as WalFsync spans stamped with `node`), and the
-  /// construction-time recovery scan is published as the
+  /// Attach an observability hub, the only place storage events are
+  /// counted: WAL records/bytes, reclaimed segments, snapshot
+  /// writes/bytes/failures and I/O errors go to its clash_wal_* /
+  /// clash_snapshot_* / clash_storage_* counters, and each fsync's
+  /// wall-clock cost to the clash_wal_fsync_usec histogram (traced as
+  /// WalFsync spans stamped with `node`), whose count is the fsync
+  /// count. The construction-time recovery scan is published as the
   /// clash_storage_recovery_usec gauge plus a RecoveryScan span.
   void set_obs(obs::Hub* hub, std::uint64_t node);
-
-  [[nodiscard]] const Stats& stats() const {
-    affinity_.assert_held();
-    return stats_;
-  }
-  [[nodiscard]] const Wal::Stats& wal_stats() const {
-    affinity_.assert_held();
-    return wal_->stats();
-  }
   [[nodiscard]] const Config& config() const { return cfg_; }
 
  private:
+  /// Count one WAL append's outcome (and trace a rollover).
+  std::uint64_t note_append(const Wal::AppendResult& r, SimTime now)
+      CLASH_REQUIRES(affinity_);
   void maybe_sync(SimTime now) CLASH_REQUIRES(affinity_);
   /// wal_->sync() wrapped with the fsync histogram/trace span (`now`
   /// stamps the span; the duration is wall-clock).
@@ -151,11 +139,17 @@ class NodeStore {
   /// snapshot_retry_pending).
   std::set<KeyGroup> failed_snapshots_ CLASH_GUARDED_BY(affinity_);
   SimTime last_sync_ CLASH_GUARDED_BY(affinity_){0};
-  Stats stats_ CLASH_GUARDED_BY(affinity_);
 
   obs::Hub* hub_ CLASH_GUARDED_BY(affinity_) = nullptr;
   std::uint64_t node_ CLASH_GUARDED_BY(affinity_) = 0;
   obs::HistogramHandle fsync_us_ CLASH_GUARDED_BY(affinity_);
+  obs::Counter wal_records_ CLASH_GUARDED_BY(affinity_);
+  obs::Counter wal_bytes_ CLASH_GUARDED_BY(affinity_);
+  obs::Counter segments_deleted_ CLASH_GUARDED_BY(affinity_);
+  obs::Counter snapshot_writes_ CLASH_GUARDED_BY(affinity_);
+  obs::Counter snapshot_bytes_ CLASH_GUARDED_BY(affinity_);
+  obs::Counter snapshot_write_failures_ CLASH_GUARDED_BY(affinity_);
+  obs::Counter io_errors_ CLASH_GUARDED_BY(affinity_);
   // Construction-scan duration / group count (before take_image moves).
   std::int64_t recovery_usec_ CLASH_GUARDED_BY(affinity_) = 0;
   std::size_t recovered_groups_ CLASH_GUARDED_BY(affinity_) = 0;

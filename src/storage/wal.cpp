@@ -94,8 +94,8 @@ std::string Wal::segment_path(const std::string& dir, std::uint64_t index) {
 Wal::Wal(Backend& backend, Config cfg, std::uint64_t next_index)
     : backend_(backend), cfg_(std::move(cfg)), index_(next_index) {}
 
-bool Wal::append_op(const KeyGroup& group, repl::LogHead head,
-                    const repl::LogOp& op) {
+Wal::AppendResult Wal::append_op(const KeyGroup& group, repl::LogHead head,
+                                 const repl::LogOp& op) {
   WalRecord rec;
   rec.kind = RecordKind::kOp;
   rec.group = group;
@@ -104,7 +104,8 @@ bool Wal::append_op(const KeyGroup& group, repl::LogHead head,
   return append_record(rec);
 }
 
-bool Wal::append_drop(const KeyGroup& group, std::uint64_t epoch) {
+Wal::AppendResult Wal::append_drop(const KeyGroup& group,
+                                   std::uint64_t epoch) {
   WalRecord rec;
   rec.kind = RecordKind::kDrop;
   rec.group = group;
@@ -115,32 +116,32 @@ bool Wal::append_drop(const KeyGroup& group, std::uint64_t epoch) {
   return append_record(rec);
 }
 
-bool Wal::append_record(const WalRecord& rec) {
-  if (segment_ == nullptr && !roll_segment()) {
-    stats_.io_errors++;
-    return false;
+Wal::AppendResult Wal::append_record(const WalRecord& rec) {
+  AppendResult out;
+  if (segment_ == nullptr) {
+    roll_segment(out);
+    if (segment_ == nullptr) return out;
   }
   const auto frame = encode_wal_record(rec);
   if (!segment_->append(frame)) {
-    stats_.io_errors++;
+    out.io_errors++;
     CLASH_ERROR << "wal append failed on segment " << index_
                 << " (durability void until the disk recovers)";
-    return false;
+    return out;
   }
-  stats_.records++;
-  stats_.bytes += frame.size();
+  out.bytes = frame.size();
   auto [it, inserted] = open_tails_.try_emplace(rec.group, rec.head);
   if (!inserted && it->second < rec.head) it->second = rec.head;
-  if (segment_->size() >= cfg_.segment_bytes) return roll_segment();
-  return true;
+  if (segment_->size() >= cfg_.segment_bytes) roll_segment(out);
+  return out;
 }
 
-bool Wal::roll_segment() {
+void Wal::roll_segment(AppendResult& out) {
   if (segment_ != nullptr) {
     // A segment must be durable before the writer moves past it, or a
     // crash could lose a middle segment while keeping a later one.
     if (!segment_->sync()) {
-      stats_.io_errors++;
+      out.io_errors++;
       CLASH_ERROR << "wal fsync failed closing segment " << index_;
     }
     closed_.push_back(ClosedSegment{index_, std::move(open_tails_)});
@@ -149,23 +150,20 @@ bool Wal::roll_segment() {
   }
   segment_ = backend_.open_append(segment_path(cfg_.dir, index_));
   if (segment_ == nullptr) {
-    stats_.io_errors++;
-    return false;
+    out.io_errors++;
+    return;
   }
-  stats_.segments_opened++;
-  return true;
+  out.rolled = true;
 }
 
-bool Wal::sync() {
-  if (segment_ == nullptr) return true;
-  stats_.syncs++;
+Wal::SyncResult Wal::sync() {
+  if (segment_ == nullptr) return SyncResult::kIdle;
   if (!segment_->sync()) {
-    stats_.io_errors++;
     CLASH_ERROR << "wal fsync failed on segment " << index_
                 << " (fsync policy guarantee void)";
-    return false;
+    return SyncResult::kFailed;
   }
-  return true;
+  return SyncResult::kSynced;
 }
 
 std::size_t Wal::truncate_covered(
@@ -184,7 +182,6 @@ std::size_t Wal::truncate_covered(
     backend_.remove_file(segment_path(cfg_.dir, seg.index));
     closed_.pop_front();
     ++deleted;
-    stats_.segments_deleted++;
   }
   return deleted;
 }

@@ -72,17 +72,23 @@ class Wal {
     std::uint64_t segment_bytes = 1u << 20;
   };
 
-  struct Stats {
-    std::uint64_t records = 0;
+  /// What one append did; the owning NodeStore counts it.
+  struct AppendResult {
+    /// Framed bytes of the record written (0 when it was not).
     std::uint64_t bytes = 0;
-    std::uint64_t syncs = 0;
-    std::uint64_t segments_opened = 0;
-    std::uint64_t segments_deleted = 0;
-    /// Failed appends/fsyncs (dying disk). The writer keeps going —
-    /// replication still protects the state — but the durability
-    /// guarantee is void until this stops advancing; operators should
-    /// alarm on it.
-    std::uint64_t io_errors = 0;
+    /// A new segment was opened.
+    bool rolled = false;
+    /// Failed appends/fsyncs/segment opens (dying disk). The writer
+    /// keeps going — replication still protects the state — but the
+    /// durability guarantee is void while these occur.
+    unsigned io_errors = 0;
+    explicit operator bool() const { return io_errors == 0; }
+  };
+
+  enum class SyncResult : std::uint8_t {
+    kIdle,    // no segment open: nothing to sync
+    kSynced,
+    kFailed,  // an I/O error
   };
 
   /// `next_index` is the first segment index to write (recovery passes
@@ -98,14 +104,14 @@ class Wal {
     closed_.push_back(ClosedSegment{index, std::move(tails)});
   }
 
-  /// Append one op record; false on backend I/O failure.
-  bool append_op(const KeyGroup& group, repl::LogHead head,
-                 const repl::LogOp& op);
+  /// Append one op record; the result is false on backend I/O failure.
+  AppendResult append_op(const KeyGroup& group, repl::LogHead head,
+                         const repl::LogOp& op);
   /// Append a drop record for `group` at `epoch`.
-  bool append_drop(const KeyGroup& group, std::uint64_t epoch);
+  AppendResult append_drop(const KeyGroup& group, std::uint64_t epoch);
 
-  /// fsync the current segment (no-op when nothing is open).
-  bool sync();
+  /// fsync the current segment (kIdle when nothing is open).
+  SyncResult sync();
 
   /// Delete every closed segment whose records are all covered:
   /// `covered(group, tail)` must return true when the durable snapshot
@@ -115,15 +121,15 @@ class Wal {
   std::size_t truncate_covered(
       const std::function<bool(const KeyGroup&, repl::LogHead)>& covered);
 
-  [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::uint64_t open_segment_index() const { return index_; }
 
   [[nodiscard]] static std::string segment_path(const std::string& dir,
                                                 std::uint64_t index);
 
  private:
-  bool append_record(const WalRecord& rec);
-  bool roll_segment();
+  AppendResult append_record(const WalRecord& rec);
+  /// Close the open segment (fsync first) and open the next one.
+  void roll_segment(AppendResult& out);
 
   struct ClosedSegment {
     std::uint64_t index = 0;
@@ -138,7 +144,6 @@ class Wal {
   std::unique_ptr<AppendFile> segment_;
   std::map<KeyGroup, repl::LogHead> open_tails_;
   std::deque<ClosedSegment> closed_;
-  Stats stats_;
 };
 
 }  // namespace clash::storage

@@ -12,7 +12,9 @@
 
 #include <csignal>
 #include <cstring>
+#include <string_view>
 
+#include "obs/hub.hpp"
 #include "wire/buffer.hpp"
 #include "wire/codec.hpp"
 
@@ -30,6 +32,12 @@ struct ConnFixture : ::testing::Test {
           frames.emplace_back(frame.begin(), frame.end());
         },
         [this] { closed = true; });
+    conn->set_obs(&hub);
+  }
+
+  /// A transport volume the connection counted into the hub.
+  [[nodiscard]] std::uint64_t count(std::string_view series) const {
+    return hub.registry.counter_value(series);
   }
 
   void TearDown() override {
@@ -47,6 +55,7 @@ struct ConnFixture : ::testing::Test {
     ASSERT_EQ(::write(raw_peer, data, n), ssize_t(n));
   }
 
+  obs::Hub hub;  // outlives the connection that counts into it
   EventLoop loop;
   std::shared_ptr<Connection> conn;
   int raw_peer = -1;
@@ -123,7 +132,7 @@ TEST_F(ConnFixture, FlushToClosedPeerSurvivesDefaultSigpipe) {
   pump();
   std::signal(SIGPIPE, previous);
   EXPECT_TRUE(closed);
-  EXPECT_EQ(conn->stats().flush_syscalls, 1u);
+  EXPECT_EQ(count("clash_net_flush_syscalls_total"), 1u);
 }
 
 TEST_F(ConnFixture, SendFrameRoundTrip) {
@@ -163,6 +172,7 @@ TEST(ConnFraming, ReassemblesAcrossEverySplitPoint) {
     stream.insert(stream.end(), f.begin(), f.end());
   }
   for (std::size_t split = 1; split < stream.size(); ++split) {
+    obs::Hub hub;
     EventLoop loop;
     int fds[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
@@ -175,6 +185,7 @@ TEST(ConnFraming, ReassemblesAcrossEverySplitPoint) {
         [] {});
     ASSERT_EQ(::write(fds[1], stream.data(), split), ssize_t(split));
     CLASH_ASSERT_ON_LOOP(loop);  // loop not started yet
+    conn->set_obs(&hub);
     loop.call_after(std::chrono::milliseconds(5), [&] {
       ASSERT_EQ(::write(fds[1], stream.data() + split, stream.size() - split),
                 ssize_t(stream.size() - split));
@@ -185,7 +196,8 @@ TEST(ConnFraming, ReassemblesAcrossEverySplitPoint) {
     for (std::size_t i = 0; i < payloads.size(); ++i) {
       EXPECT_EQ(got[i], payloads[i]) << "split at " << split;
     }
-    EXPECT_EQ(conn->stats().frames_received, payloads.size());
+    EXPECT_EQ(hub.registry.counter_value("clash_net_frames_received_total"),
+              payloads.size());
     ::close(fds[1]);
   }
 }
@@ -202,9 +214,9 @@ TEST_F(ConnFixture, CoalescesTickBatchIntoOneWritev) {
     }
   }));
   pump();
-  EXPECT_EQ(conn->stats().frames_sent, kFrames);
+  EXPECT_EQ(count("clash_net_frames_sent_total"), kFrames);
   // 100 frames > kMaxIov (64): two sendmsg calls, not one hundred writes.
-  EXPECT_LE(conn->stats().flush_syscalls, 2u);
+  EXPECT_LE(count("clash_net_flush_syscalls_total"), 2u);
   std::vector<std::uint8_t> received(kFrames * (4 + payload.size()));
   std::size_t got = 0;
   while (got < received.size()) {
@@ -226,7 +238,7 @@ TEST_F(ConnFixture, OversizedSendRejectedAtSender) {
   pump(10);
   EXPECT_FALSE(accepted);
   EXPECT_EQ(conn->stats().send_oversized, 1u);
-  EXPECT_EQ(conn->stats().frames_sent, 0u);
+  EXPECT_EQ(count("clash_net_frames_sent_total"), 0u);
   EXPECT_FALSE(conn->closed());
   // Nothing went out on the wire.
   std::uint8_t buf[16];
@@ -260,7 +272,7 @@ TEST_F(ConnFixture, MalformedWireFrameDropped) {
       loop.post([&] { accepted = conn->send_wire_frame(std::move(bogus)); }));
   pump(10);
   EXPECT_FALSE(accepted);
-  EXPECT_EQ(conn->stats().frames_sent, 0u);
+  EXPECT_EQ(count("clash_net_frames_sent_total"), 0u);
 }
 
 TEST_F(ConnFixture, SlowReaderBackpressureReArmsEpollout) {
@@ -304,7 +316,7 @@ TEST_F(ConnFixture, SlowReaderBackpressureReArmsEpollout) {
   EXPECT_EQ(got, total);
   EXPECT_EQ(conn->send_queue_bytes(), 0u);
   EXPECT_FALSE(conn->closed());
-  EXPECT_EQ(conn->stats().bytes_sent, total);
+  EXPECT_EQ(count("clash_net_bytes_sent_total"), total);
 }
 
 }  // namespace

@@ -191,9 +191,11 @@ TEST(Recovery, RecoveredImageMatchesPreCrashServerExactly) {
   MemBackend backend;
   NullEnv env;
   const auto cfg = durable_config();
+  obs::Hub hub;  // outlives the store that counts into it
   ClashServer server(ServerId{0}, cfg, env,
                      dht::KeyHasher(32, dht::KeyHasher::Algo::kMix64, 0));
   NodeStore store(backend, NodeStore::Config::from(cfg));
+  store.set_obs(&hub, 0);
   server.set_storage(&store);
 
   ServerTableEntry entry;
@@ -246,7 +248,8 @@ TEST(Recovery, RecoveredImageMatchesPreCrashServerExactly) {
   for (const auto& [id, q] : live->queries) {
     EXPECT_EQ(rec.state.queries.count(id), 1u);
   }
-  EXPECT_GT(store.stats().snapshots_written, 1u);  // checkpoints cut
+  EXPECT_GT(hub.registry.counter_value("clash_snapshot_writes_total"),
+            1u);  // checkpoints cut
 }
 
 TEST(Recovery, RestartedStoreReclaimsItsPredecessorsSegments) {
@@ -261,9 +264,11 @@ TEST(Recovery, RestartedStoreReclaimsItsPredecessorsSegments) {
   std::size_t last_files = 0;
   std::uint64_t last_replayed = 0;
   for (int cycle = 0; cycle < 4; ++cycle) {
+    obs::Hub hub;  // outlives the store that counts into it
     ClashServer server(ServerId{0}, cfg, env,
                        dht::KeyHasher(32, dht::KeyHasher::Algo::kMix64, 0));
     NodeStore store(backend, NodeStore::Config::from(cfg));
+    store.set_obs(&hub, 0);
     server.set_storage(&store);
     const auto replayed = store.recovery_stats().records_replayed;
     if (cycle == 0) {
@@ -291,7 +296,9 @@ TEST(Recovery, RestartedStoreReclaimsItsPredecessorsSegments) {
       // replay cost must plateau, not grow with cycle count.
       EXPECT_LE(files, last_files + 1) << "cycle " << cycle;
       EXPECT_LE(replayed, last_replayed + 64) << "cycle " << cycle;
-      EXPECT_GT(store.wal_stats().segments_deleted, 0u);
+      EXPECT_GT(
+          hub.registry.counter_value("clash_wal_segments_deleted_total"),
+          0u);
     }
     last_files = files;
     last_replayed = replayed;
@@ -299,9 +306,10 @@ TEST(Recovery, RestartedStoreReclaimsItsPredecessorsSegments) {
 }
 
 TEST(Recovery, FsyncHistogramStatsAndRingAllCountEveryAppend) {
-  // Observability accuracy: with per-append fsync, the fsync histogram,
-  // the WAL's own sync counter and the ring's wal_fsync events are three
-  // views of one ground truth, the append count.
+  // Observability accuracy: with per-append fsync, the fsync histogram
+  // (the one fsync count) and the ring's wal_fsync events are two views
+  // of one ground truth, the append count; the record counter is the
+  // append count itself.
   constexpr std::uint64_t kAppends = 50;
   MemBackend backend;
   obs::Hub hub;
@@ -319,7 +327,7 @@ TEST(Recovery, FsyncHistogramStatsAndRingAllCountEveryAppend) {
   for (const auto& span : hub.tracer.spans()) {
     ring_fsyncs += span.kind == obs::SpanKind::kWalFsync;
   }
-  EXPECT_EQ(store.wal_stats().syncs, kAppends);
+  EXPECT_EQ(hub.registry.counter_value("clash_wal_records_total"), kAppends);
   EXPECT_EQ(hub.registry.histogram("clash_wal_fsync_usec").raw()->count(),
             kAppends);
   EXPECT_EQ(ring_fsyncs, kAppends);
