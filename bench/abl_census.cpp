@@ -102,7 +102,11 @@ int run_until_converged(ChurnSim& sim, std::size_t servers, int bound) {
   return -1;
 }
 
-std::size_t ingest(ChurnSim& sim, std::size_t n, std::uint64_t salt) {
+/// Insert `n` objects. With a nonzero `spread` they arrive one per
+/// slice of that much sim time, not in one burst (whose ReplAppends
+/// would leave as one batch per group, like one tick's on a node).
+std::size_t ingest(ChurnSim& sim, std::size_t n, std::uint64_t salt,
+                   SimDuration spread = SimDuration{0}) {
   ClashClient client(sim.cluster().clash_config(),
                      sim.cluster().client_env(ServerId{0}),
                      sim.cluster().hasher());
@@ -119,6 +123,9 @@ std::size_t ingest(ChurnSim& sim, std::size_t n, std::uint64_t salt) {
       obj.stream_rate = 1.0;
     }
     if (client.insert(obj).ok) ++acked;
+    if (spread.usec > 0) {
+      sim.run_for(SimDuration{spread.usec / std::int64_t(n)});
+    }
   }
   return acked;
 }
@@ -305,8 +312,8 @@ int main(int argc, char** argv) {
     sim.cluster().reset_stats();
     sim.cluster().set_wire_metering(true);
     for (int p = 0; p < overhead_periods; ++p) {
-      ingest(sim, ingest_per_node * servers, /*salt=*/1000 + p);
-      sim.run_for(sim.protocol_period());
+      ingest(sim, ingest_per_node * servers, /*salt=*/1000 + p,
+             sim.protocol_period());
     }
     sim.cluster().set_wire_metering(false);
     const auto stats = sim.cluster().total_stats();

@@ -21,7 +21,7 @@ void report(ChurnSim& sim, const char* phase) {
   std::printf("[t=%7.1fs] %-28s alive=%zu ring=%zu failovers=%llu "
               "lost=%llu gossip=%llu\n",
               sim.events().now().seconds(), phase, cluster.alive_count(),
-              cluster.ring().server_count(),
+              cluster.ring_of(ServerId{0}).server_count(),
               (unsigned long long)stats.failovers,
               (unsigned long long)stats.groups_lost,
               (unsigned long long)stats.gossip_msgs);
@@ -81,7 +81,8 @@ int main(int argc, char** argv) {
   for (int period = 1; period <= 40; ++period) {
     sim.run_for(sim.protocol_period());
     if (sim.all_survivors_see_alive(victim) &&
-        sim.cluster().ring().contains(victim)) {
+        sim.cluster().live_rings_holding(victim) ==
+            sim.cluster().alive_count()) {
       std::printf("           >>> re-admitted to the ring after %d "
                   "protocol periods\n",
                   period);

@@ -71,6 +71,14 @@ struct ClashConfig {
   /// groups promotes its replica.
   unsigned replication_factor = 0;
 
+  /// With replication on: after a member death, or on restart from
+  /// disk, hold each candidate promotion open this long so the
+  /// surviving replica set can stream the missing log suffix (or a
+  /// snapshot) to the heir before it installs. Read by NodeHost in
+  /// both transports; the simulator waits it out only when it runs on
+  /// an event queue (ChurnSim).
+  SimDuration recovery_grace = SimTime::from_seconds(0.25);
+
   /// Vestigial: no code reads it. bench/e2e/ still assigns it; delete
   /// both together.
   enum class ReplicationMode : std::uint8_t { kLog };

@@ -241,7 +241,7 @@ void ClashServer::deliver(ServerId from, const Message& msg) {
           handle_reclaim_refused(from, m);
         } else if constexpr (std::is_same_v<T, DropReplica>) {
           stats_.replica_drops++;
-          handle_drop_replica(from, m);
+          drop_replica(m.group);
         } else if constexpr (std::is_same_v<T, ReplAppend>) {
           stats_.repl_appends++;
           handle_repl_append(from, m);
@@ -275,21 +275,60 @@ void ClashServer::handle_accept_keygroup(ServerId from,
                                          const AcceptKeyGroup& m) {
   // Section 5: a node must accept every ACCEPT_KEYGROUP (it can always
   // split further itself if overloaded).
-  ServerTableEntry entry;
-  entry.group = m.group;
-  entry.parent = m.parent;
-  entry.root = m.root;  // handoffs preserve lineage; splits send false
-  entry.active = true;
-  table_.insert(entry);
+  //
+  // Split views (a false death verdict, a partition) can leave the group
+  // active here too: an heir promoted it while this server kept it, and
+  // handoff_groups sends it back. Fence by epoch: the higher-epoch copy
+  // wins every object both copies hold (this server's on a tie), the
+  // objects only one copy holds are kept, so writes taken on either
+  // side of the split survive, and the group starts a line above both.
+  ServerTableEntry* held = table_.find(m.group);
+  std::uint64_t epoch = m.epoch;
+  bool incoming_wins = true;
+  if (held == nullptr) {
+    ServerTableEntry entry;
+    entry.group = m.group;
+    entry.parent = m.parent;
+    entry.root = m.root;  // handoffs preserve lineage; splits send false
+    entry.active = true;
+    table_.insert(entry);
+    held = table_.find(m.group);
+  } else if (!held->active) {
+    // This server split the group since: its children cover the range.
+    CLASH_WARN << to_string(self_) << ": refusing transfer of "
+               << m.group.label() << " (split here)";
+    return;
+  } else {
+    const auto lit = logs_.find(m.group);
+    const std::uint64_t local = lit != logs_.end() ? lit->second.epoch() : 0;
+    incoming_wins = m.epoch > local;
+    epoch = std::max(epoch, local);
+    if (incoming_wins) {
+      held->parent = m.parent;
+      held->root = m.root;
+    }
+  }
+  // Also on a merge: the sender's copy just deactivated.
   note_group_activated(m.group);
 
   GroupState& gs = state_[m.group];
   for (const auto& s : m.streams) {
-    gs.streams[s.source] = s;
+    auto [it, fresh] = gs.streams.try_emplace(s.source, s);
+    if (!fresh) {
+      if (!incoming_wins) continue;
+      gs.stream_rate -= it->second.rate;
+      it->second = s;
+    }
     gs.stream_rate += s.rate;
   }
-  for (const auto& q : m.queries) gs.queries[q.id] = q;
-  if (app_hooks_ != nullptr && !m.app_state.empty()) {
+  for (const auto& q : m.queries) {
+    if (incoming_wins) {
+      gs.queries[q.id] = q;
+    } else {
+      gs.queries.try_emplace(q.id, q);
+    }
+  }
+  if (app_hooks_ != nullptr && !m.app_state.empty() && incoming_wins) {
     app_hooks_->import_state(m.group, m.app_state);
   }
   // A transfer supersedes any in-flight recovery of the same group
@@ -302,8 +341,8 @@ void ClashServer::handle_accept_keygroup(ServerId from,
   // replica, or its owner's crash in that window would lose it (and,
   // in the deployed layer, leave its key range unroutable -- no
   // survivor would even know the group existed).
-  if (log_replication() || durable()) init_group_log(m.group, m.epoch + 1);
-  if (cfg_.replication_factor > 0) snapshot_group(entry);
+  if (log_replication() || durable()) init_group_log(m.group, epoch + 1);
+  if (cfg_.replication_factor > 0) snapshot_group(*held);
 
   env_.send(from, AcceptKeyGroupAck{m.group});
 }
@@ -769,11 +808,10 @@ void ClashServer::gc_stale_replicas() {
   }
 }
 
-void ClashServer::handle_drop_replica(ServerId /*from*/,
-                                      const DropReplica& m) {
-  replicas_.erase(m.group);
-  const ServerTableEntry* entry = table_.find(m.group);
-  if (entry == nullptr || !entry->active) group_costs_.erase(m.group);
+void ClashServer::drop_replica(const KeyGroup& group) {
+  replicas_.erase(group);
+  const ServerTableEntry* entry = table_.find(group);
+  if (entry == nullptr || !entry->active) group_costs_.erase(group);
 }
 
 // ---------------------------------------------------------------------------
@@ -1668,7 +1706,7 @@ bool ClashServer::promote_replica(const KeyGroup& group) {
   // Pull the freshest suffix from the surviving holders before
   // installing anything: a replica that lags the highest advertised
   // head is repaired (or superseded by a fresher peer), never silently
-  // promoted. A no-op when FailoverController already opened the
+  // promoted. A no-op when NodeHost already opened the
   // session, or without replication (no holder to pull from).
   (void)begin_group_recovery(group);
   const auto it = replicas_.find(group);

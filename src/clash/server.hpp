@@ -209,7 +209,7 @@ class ClashServer {
   bool signal_overload();
 
   // --- Fault tolerance (replication extension) ------------------------
-  /// Promote this server's replica of `group` (FailoverController calls
+  /// Promote this server's replica of `group` (NodeHost calls
   /// it once its rule holds): pull the freshest suffix from surviving
   /// holders, then install under a bumped epoch. Returns whether the
   /// group is active here; with no replica held or pulled, nothing is.
@@ -302,7 +302,7 @@ class ClashServer {
   [[nodiscard]] bool has_replica(const KeyGroup& group) const {
     return replicas_.count(group) > 0;
   }
-  /// FailoverController's inputs: the groups held as replica records,
+  /// NodeHost's inputs: the groups held as replica records,
   /// and the owner a record names (nullopt: no record).
   [[nodiscard]] std::vector<KeyGroup> replica_groups() const {
     std::vector<KeyGroup> out;
@@ -315,6 +315,9 @@ class ClashServer {
     return it == replicas_.end() ? std::nullopt
                                  : std::optional(it->second.owner);
   }
+  /// Forget the replica record of `group` (DropReplica; NodeHost once
+  /// the ring no longer places this server in the group's replica set).
+  void drop_replica(const KeyGroup& group);
 
   // --- Client RPC (Section 5, three cases) ----------------------------
   [[nodiscard]] AcceptObjectReply handle_accept_object(const AcceptObject& m);
@@ -358,7 +361,6 @@ class ClashServer {
   void handle_reclaim(ServerId from, const ReclaimKeyGroup& m);
   void handle_reclaim_ack(ServerId from, const ReclaimAck& m);
   void handle_reclaim_refused(ServerId from, const ReclaimRefused& m);
-  void handle_drop_replica(ServerId from, const DropReplica& m);
   void handle_repl_append(ServerId from, const ReplAppend& m);
   void handle_repl_ack(ServerId from, const ReplAck& m);
   void handle_snapshot_offer(ServerId from, const SnapshotOffer& m);

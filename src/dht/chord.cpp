@@ -16,6 +16,21 @@ ChordRing::ChordRing(Config config)
   }
 }
 
+std::shared_ptr<const ChordRing> ChordRing::derive(ServerId id,
+                                                   bool add) const {
+  std::weak_ptr<const ChordRing>& slot = derived_[{id, add}];
+  if (auto ring = slot.lock()) return ring;
+  auto ring = std::make_shared<ChordRing>(*this);
+  ring->derived_.clear();
+  if (add) {
+    ring->add_server(id);
+  } else {
+    ring->remove_server(id);
+  }
+  slot = ring;
+  return ring;
+}
+
 std::uint64_t ChordRing::mask() const {
   return bits::low_mask(config_.hash_bits);
 }

@@ -11,7 +11,9 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "dht/dht.hpp"
@@ -38,6 +40,17 @@ class ChordRing final : public Dht {
     return owned_positions_.count(id) > 0;
   }
 
+  /// A new ring: this one with `id` added / removed. The same change to
+  /// the same ring yields the same object, so holders whose views agree
+  /// share one ring (1000 simulated servers hold one copy, not 1000).
+  /// Like the rest of the ring, not thread-safe.
+  [[nodiscard]] std::shared_ptr<const ChordRing> with(ServerId id) const {
+    return derive(id, /*add=*/true);
+  }
+  [[nodiscard]] std::shared_ptr<const ChordRing> without(ServerId id) const {
+    return derive(id, /*add=*/false);
+  }
+
   /// Owner of `h`: the first ring position clockwise from h (successor).
   [[nodiscard]] ServerId map(HashKey h) const override;
 
@@ -59,6 +72,8 @@ class ChordRing final : public Dht {
 
  private:
   [[nodiscard]] std::uint64_t mask() const;
+  [[nodiscard]] std::shared_ptr<const ChordRing> derive(ServerId id,
+                                                        bool add) const;
   /// First position >= p clockwise (wrapping).
   [[nodiscard]] std::map<std::uint64_t, ServerId>::const_iterator successor_it(
       std::uint64_t p) const;
@@ -67,6 +82,9 @@ class ChordRing final : public Dht {
   KeyHasher hasher_;
   std::map<std::uint64_t, ServerId> ring_;  // position -> physical server
   std::map<ServerId, std::vector<std::uint64_t>> owned_positions_;
+  /// Rings derived from this one, by change.
+  mutable std::map<std::pair<ServerId, bool>, std::weak_ptr<const ChordRing>>
+      derived_;
 };
 
 }  // namespace clash::dht

@@ -18,7 +18,19 @@ void MembershipDriver::send(ServerId to, GossipKind kind,
   msg.kind = kind;
   msg.sequence = sequence;
   msg.target = target;
-  msg.updates = view_.pick_updates(cfg_.gossip_max_updates);
+  // A member we hold suspect or dead hears our verdict first, so it
+  // can refute with a bumped incarnation (the revival and the
+  // partition-heal paths ride on this).
+  std::size_t budget = cfg_.gossip_max_updates;
+  if (budget > 0 && to != self_ && view_.knows(to) &&
+      view_.state_of(to) != MemberState::kAlive) {
+    msg.updates.push_back(
+        MemberUpdate{to, view_.state_of(to), view_.incarnation_of(to)});
+    --budget;
+  }
+  for (MemberUpdate& update : view_.pick_updates(budget)) {
+    msg.updates.push_back(update);
+  }
   if (census_ != nullptr) {
     msg.census = census_->pick_records(cfg_.census_max_records);
   }
@@ -85,6 +97,19 @@ void MembershipDriver::tick() {
   for (const auto& [proxy, probe] : actions.ping_reqs) {
     send(proxy, GossipKind::kPingReq, probe.sequence, probe.target);
   }
+
+  // Reconnect: a member held dead may only have been cut off (a healed
+  // partition leaves each side holding the other dead, and nobody
+  // probes the dead). Now and then ping one, round robin; if it is
+  // alive, the exchange tells each side the other's verdict, and both
+  // refute (see handle).
+  if (period_ % kReconnectPeriods == 0) {
+    const auto dead = view_.dead_members();
+    if (!dead.empty()) {
+      const ServerId to = dead[(period_ / kReconnectPeriods) % dead.size()];
+      send(to, GossipKind::kPing, kUntrackedSequence, to);
+    }
+  }
 }
 
 void MembershipDriver::handle(ServerId from, const Gossip& msg) {
@@ -99,14 +124,8 @@ void MembershipDriver::handle(ServerId from, const Gossip& msg) {
     return;
   }
 
-  // A message from a member we hold suspect or dead contradicts the
-  // view; re-queue the rumour so our reply tells them and they can
-  // refute with a bumped incarnation (the revival path rides on this).
-  if (from != self_ && view_.state_of(from) != MemberState::kAlive) {
-    view_.regossip(from);
-  }
-
   // Piggybacked rumours first: even a bare ack carries news.
+  const std::uint64_t incarnation = view_.self_incarnation();
   for (const MemberUpdate& update : msg.updates) {
     view_.apply(update);
   }
@@ -135,6 +154,17 @@ void MembershipDriver::handle(ServerId from, const Gossip& msg) {
     }
   }
   drain_view_events();
+
+  // Answer at once when the sender must hear from us: we just refuted
+  // its verdict against us, or we still hold it suspect or dead (our
+  // verdict rides first on the reply, see send). A ping's ack does
+  // both anyway. Either side may be the only member that can still
+  // reach the other (a reconnect exchange).
+  if (msg.kind != GossipKind::kPing && from != self_ &&
+      (view_.self_incarnation() != incarnation ||
+       view_.state_of(from) != MemberState::kAlive)) {
+    send(from, GossipKind::kAck, kUntrackedSequence, self_);
+  }
 
   switch (msg.kind) {
     case GossipKind::kPing:

@@ -149,6 +149,11 @@ class MembershipDriver {
   /// Relayed (ping-req) sequences are tagged with the top bit so acks
   /// for them can never collide with the detector's own probes.
   static constexpr std::uint64_t kRelayBit = std::uint64_t{1} << 63;
+  /// Sequence of messages no detector waits on (reconnect pings and
+  /// refutation replies); detector sequences start at 1.
+  static constexpr std::uint64_t kUntrackedSequence = 0;
+  /// Protocol periods between two reconnect pings to members held dead.
+  static constexpr std::uint64_t kReconnectPeriods = 10;
 
   struct Relay {
     ServerId origin{};

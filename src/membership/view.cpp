@@ -47,14 +47,14 @@ bool MembershipView::apply(const MemberUpdate& update) {
   // Rumours about self: alive at <= our incarnation is stale noise;
   // suspect/dead at >= our incarnation must be refuted with a fresher
   // alive (SWIM's incarnation bump), or routing would drop a live node.
+  // A stale accusation is answered too, without a bump: its sender may
+  // never have heard our last refutation (a healed partition).
   if (update.subject == self_) {
-    if (update.state != MemberState::kAlive &&
-        update.incarnation >= self_inc_) {
-      self_inc_ = update.incarnation + 1;
-      enqueue(MemberUpdate{self_, MemberState::kAlive, self_inc_});
-      return true;
-    }
-    return false;
+    if (update.state == MemberState::kAlive) return false;
+    const bool refute = update.incarnation >= self_inc_;
+    if (refute) self_inc_ = update.incarnation + 1;
+    enqueue(MemberUpdate{self_, MemberState::kAlive, self_inc_});
+    return refute;
   }
 
   const auto it = members_.find(update.subject);
@@ -132,12 +132,6 @@ std::vector<MemberUpdate> MembershipView::pick_updates(std::size_t max) {
   return out;
 }
 
-void MembershipView::regossip(ServerId id) {
-  const auto it = members_.find(id);
-  if (it == members_.end()) return;
-  enqueue(MemberUpdate{id, it->second.state, it->second.incarnation});
-}
-
 std::vector<ServerId> MembershipView::take_died() {
   return std::exchange(died_, {});
 }
@@ -167,6 +161,14 @@ std::vector<ServerId> MembershipView::probe_candidates() const {
   out.reserve(members_.size());
   for (const auto& [id, info] : members_) {
     if (info.state != MemberState::kDead) out.push_back(id);
+  }
+  return out;
+}
+
+std::vector<ServerId> MembershipView::dead_members() const {
+  std::vector<ServerId> out;
+  for (const auto& [id, info] : members_) {
+    if (info.state == MemberState::kDead) out.push_back(id);
   }
   return out;
 }

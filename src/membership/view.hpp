@@ -50,11 +50,6 @@ class MembershipView {
   /// least-transmitted first; decrements their remaining budget.
   [[nodiscard]] std::vector<MemberUpdate> pick_updates(std::size_t max);
 
-  /// Re-queue `id`'s current state with a fresh budget. Used when live
-  /// evidence contradicts the view (a message arrives from a member we
-  /// hold suspect/dead): the exhausted rumour must reach them again so
-  /// they can refute it with a bumped incarnation.
-  void regossip(ServerId id);
   [[nodiscard]] std::size_t pending_rumours() const { return queue_.size(); }
 
   // --- Events (drained by the driver) ---------------------------------
@@ -69,6 +64,8 @@ class MembershipView {
   [[nodiscard]] std::uint64_t incarnation_of(ServerId id) const;
   /// Non-dead members excluding self: the failure detector's targets.
   [[nodiscard]] std::vector<ServerId> probe_candidates() const;
+  /// Members held dead (reconnect targets).
+  [[nodiscard]] std::vector<ServerId> dead_members() const;
   /// Non-dead members including self: the ring the cluster should run.
   [[nodiscard]] std::vector<ServerId> living_members() const;
   [[nodiscard]] std::size_t member_count() const { return members_.size(); }

@@ -29,13 +29,13 @@ class ClashNode::Env final : public ServerEnv {
 
   dht::LookupResult dht_lookup(dht::HashKey h) override {
     node_.on_loop_.assert_held();
-    return node_.ring_->lookup(h, node_.config_.id);
+    return node_.host_->ring().lookup(h, node_.config_.id);
   }
 
   std::vector<ServerId> replica_targets(dht::HashKey h,
                                         unsigned n) override {
     node_.on_loop_.assert_held();
-    auto servers = node_.ring_->successors(h, std::size_t(n) + 1);
+    auto servers = node_.host_->ring().successors(h, std::size_t(n) + 1);
     if (!servers.empty()) servers.erase(servers.begin());  // drop owner
     return servers;
   }
@@ -143,15 +143,13 @@ ClashNode::ClashNode(NodeConfig config)
   // in checked builds. Everything in this constructor passes the probe
   // because the loop is idle until start() spawns its thread.
   census_.affinity().bind(&node_loop_probe, loop_.get(), "Census");
-  ring_ = std::make_unique<dht::ChordRing>(dht::ChordRing::Config{
+  auto ring = std::make_shared<dht::ChordRing>(dht::ChordRing::Config{
       config_.hash_bits, config_.virtual_servers, config_.hash_algo,
       config_.ring_salt});
-  for (const auto& [id, _] : config_.members) ring_->add_server(id);
+  for (const auto& [id, _] : config_.members) ring->add_server(id);
   env_ = std::make_unique<Env>(*this);
-  server_ = std::make_unique<ClashServer>(config_.id, config_.clash, *env_,
-                                          ring_->hasher());
-  failover_ = std::make_unique<FailoverController>(
-      *server_, *env_, *ring_, SimDuration(config_.recovery_grace.count()));
+  host_ = std::make_unique<NodeHost>(config_.id, config_.clash, *env_,
+                                     std::move(ring));
   if (config_.clash.durability_mode != ClashConfig::DurabilityMode::kNone) {
     if (config_.storage_dir.empty()) {
       throw std::invalid_argument(
@@ -163,7 +161,7 @@ ClashNode::ClashNode(NodeConfig config)
         *storage_backend_, storage::NodeStore::Config::from(config_.clash));
     store_->affinity().bind(&node_loop_probe, loop_.get(), "NodeStore");
     store_->set_obs(&hub_, config_.id.value);
-    server_->set_storage(store_.get());
+    host_->server().set_storage(store_.get());
   }
   if (config_.enable_membership) {
     gossip_env_ = std::make_unique<GossipEnv>(*this);
@@ -178,7 +176,7 @@ ClashNode::ClashNode(NodeConfig config)
     // collector folds this server's registry + group costs on each
     // refresh cadence, the driver piggybacks and absorbs records.
     census_.set_collector([this](NodeCensusRecord& rec) {
-      server_->fold_census(rec, config_.census.top_k);
+      host_->server().fold_census(rec, config_.census.top_k);
     });
     membership_->set_census(&census_);
   }
@@ -224,7 +222,13 @@ void ClashNode::start() {
     on_listener_ready();
   });
   if (config_.stats_port >= 0) start_stats_listener();
-  if (store_ != nullptr && !recovered_) recover_from_storage();
+  if (store_ != nullptr && !recovered_) {  // first start only
+    recovered_ = true;
+    if (const std::size_t restored = host_->restore(); restored > 0) {
+      CLASH_INFO << to_string(config_.id) << ": restored " << restored
+                 << " group(s) from " << config_.storage_dir;
+    }
+  }
   schedule_load_check();
   if (membership_ != nullptr) schedule_membership_tick();
 
@@ -333,7 +337,7 @@ void ClashNode::refresh_postmortem_cache() {
   fresh += hub_.registry.render_json(0);
   fresh += ",\"census\":";
   fresh += census_view_json(census_.view());
-  fresh += ",\"ring_servers\":" + std::to_string(ring_->server_count());
+  fresh += ",\"ring_servers\":" + std::to_string(host_->ring().server_count());
   fresh += "}";
   const common::MutexLock lock(pm_cache_mu_);
   pm_cache_ = std::move(fresh);
@@ -364,7 +368,7 @@ void ClashNode::schedule_load_check() {
   loop_->assert_on_loop();
   loop_->call_after(config_.load_check_interval, [this] {
     on_loop_.assert_held();
-    server_->run_load_check();
+    host_->run_load_check();
     schedule_load_check();
   });
 }
@@ -378,37 +382,25 @@ void ClashNode::schedule_membership_tick() {
   });
 }
 
-void ClashNode::recover_from_storage() {
-  loop_->assert_on_loop();
-  recovered_ = true;
-  const std::size_t restored = server_->restore_from_storage();
-  if (restored == 0) return;
-  CLASH_INFO << to_string(config_.id) << ": restored " << restored
-             << " group(s) from " << config_.storage_dir;
-  failover_->restored();
-}
-
 void ClashNode::on_member_dead(ServerId id) {
   loop_->assert_on_loop();
-  if (id == config_.id || !ring_->contains(id)) return;
+  if (id == config_.id || !host_->ring().contains(id)) return;
   CLASH_WARN << to_string(config_.id) << ": member " << to_string(id)
              << " declared dead; removing from ring";
   hub_.tracer.record(obs::SpanKind::kMemberDead, config_.id.value,
                      SimTime(node_now_us()), SimDuration{0}, id.value);
-  ring_->remove_server(id);
   peers_.erase(id);
   drop_pending_connect(id, "member died");
-  failover_->member_died();
+  host_->member_died(id);
 }
 
 void ClashNode::on_member_joined(ServerId id) {
-  if (ring_->contains(id)) return;
+  if (host_->ring().contains(id)) return;
   CLASH_INFO << to_string(config_.id) << ": member " << to_string(id)
              << " rejoined; adding to ring";
   hub_.tracer.record(obs::SpanKind::kMemberJoined, config_.id.value,
                      SimTime(node_now_us()), SimDuration{0}, id.value);
-  ring_->add_server(id);
-  const std::size_t moved = failover_->member_joined(id);
+  const std::size_t moved = host_->member_joined(id);
   if (moved > 0) {
     CLASH_INFO << to_string(config_.id) << ": handed " << moved
                << " group(s) back to rejoined " << to_string(id);
@@ -443,7 +435,7 @@ void ClashNode::clear_link_fault(ServerId peer) {
 std::size_t ClashNode::ring_server_count() {
   return call_on_loop([&] {
     on_loop_.assert_held();
-    return ring_->server_count();
+    return host_->ring().server_count();
   });
 }
 
@@ -490,20 +482,20 @@ void ClashNode::register_node_gauges() {
   });
   r.gauge_callback("clash_node_active_groups", [this] {
     on_loop_.assert_held();
-    return double(server_->table().active_count());
+    return double(host_->server().table().active_count());
   });
   r.gauge_callback("clash_node_replica_records", [this] {
     on_loop_.assert_held();
-    return double(server_->replica_count());
+    return double(host_->server().replica_count());
   });
   r.gauge_callback("clash_node_ring_servers", [this] {
     on_loop_.assert_held();
-    return double(ring_->server_count());
+    return double(host_->ring().server_count());
   });
   // One gauge per field ClashServer counts, straight off its X-macro
   // list: the field reference aims at the server's live stats_ member,
   // which outlives every scrape (reset_stats() assigns in place).
-  server_->stats().for_each_server_field(
+  host_->server().stats().for_each_server_field(
       [&](const char* name, const std::uint64_t& field) {
         const std::uint64_t* ptr = &field;
         r.gauge_callback(std::string("clash_msgs_") + name,
@@ -516,7 +508,7 @@ void ClashNode::register_node_gauges() {
     on_loop_.assert_held();
     const std::uint64_t gossip =
         membership_ != nullptr ? membership_->corrupt_rejected() : 0;
-    return double(server_->stats().corrupt_rejected + gossip);
+    return double(host_->server().stats().corrupt_rejected + gossip);
   });
   // Cluster-wide series off the gossiped census: every node serves the
   // same converged numbers, so any one scrape target shows the whole
@@ -647,7 +639,7 @@ void ClashNode::on_stats_client(int fd, std::uint32_t events) {
     } else if (client.in.find(" /healthz") != std::string::npos) {
       const auto view = census_.view();
       body = "{\"status\":\"ok\",\"ring_servers\":" +
-             std::to_string(ring_->server_count()) +
+             std::to_string(host_->ring().server_count()) +
              ",\"trace_spans\":" + std::to_string(hub_.tracer.size()) +
              ",\"trace_dropped\":" +
              std::to_string(hub_.tracer.dropped()) +
@@ -735,7 +727,8 @@ std::shared_ptr<Connection> ClashNode::adopt_outbound(ServerId to, Fd fd) {
   // instead of waiting for the next load check.
   conn->set_drain_handler([this] {
     on_loop_.assert_held();
-    if (server_->has_pending_snapshots()) server_->pump_snapshots();
+    ClashServer& server = host_->server();
+    if (server.has_pending_snapshots()) server.pump_snapshots();
   });
   if (const auto fault = link_faults_.find(to);
       fault != link_faults_.end()) {
@@ -840,7 +833,7 @@ void ClashNode::send_to_peer(ServerId to, std::vector<std::uint8_t>&& frame) {
         std::span<const std::uint8_t>(frame).subspan(4));
     if (decoded.ok()) {
       const auto msg = wire::decode_message(decoded.value().payload);
-      if (msg.ok()) server_->deliver(config_.id, msg.value());
+      if (msg.ok()) host_->server().deliver(config_.id, msg.value());
     }
     return;
   }
@@ -892,7 +885,7 @@ void ClashNode::handle_frame(const std::shared_ptr<Connection>& conn,
         if (membership_ != nullptr) membership_->handle(env.sender, *gossip);
         break;
       }
-      server_->deliver(env.sender, msg.value());
+      host_->server().deliver(env.sender, msg.value());
       break;
     case wire::FrameKind::kRequest: {
       const auto* obj = std::get_if<AcceptObject>(&msg.value());
@@ -901,7 +894,8 @@ void ClashNode::handle_frame(const std::shared_ptr<Connection>& conn,
         conn->close();
         return;
       }
-      const AcceptObjectReply reply = server_->handle_accept_object(*obj);
+      const AcceptObjectReply reply =
+          host_->server().handle_accept_object(*obj);
       auto w = wire::begin_frame(wire::Envelope{
           wire::FrameKind::kResponse, env.request_id, config_.id});
       wire::encode_reply(w, reply);

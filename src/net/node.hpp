@@ -4,9 +4,9 @@
 // book (seed view); from there the SWIM membership driver keeps the
 // ring live — it pings peers every protocol period, declares silent
 // ones dead and shrinks the Chord ring; rejoining members are
-// re-admitted once they refute their death rumour. Each ring change
-// then runs the node's clash::FailoverController, the one failover
-// rule the simulator runs too; with replication off nothing fails over.
+// re-admitted once they refute their death rumour. The server, its ring
+// and the failover rule live in one clash::NodeHost, the host each
+// simulated server runs too; with replication off nothing fails over.
 #pragma once
 
 #include <atomic>
@@ -56,12 +56,6 @@ struct NodeConfig {
   /// Abandon a non-blocking peer connect after this long; the loop is
   /// never blocked while one is pending.
   std::chrono::microseconds connect_timeout = std::chrono::seconds(3);
-  /// With replication on (clash.replication_factor > 0): after a member
-  /// death, or on restart from disk, hold each candidate promotion open
-  /// this long so the surviving replica set can stream the missing log
-  /// suffix (or a snapshot) to the heir before it installs — the
-  /// RecoveryCoordinator's pull window over TCP.
-  std::chrono::microseconds recovery_grace = std::chrono::milliseconds(250);
   /// Snapshot-chunk pacing: while a peer connection's outbound queue
   /// already holds this many bytes, no further SnapshotChunks are
   /// handed to it (ServerEnv::snapshot_chunk_budget returns 0); the
@@ -135,7 +129,7 @@ class ClashNode {
   auto run_on_loop(Fn fn) -> decltype(fn(std::declval<ClashServer&>())) {
     return call_on_loop([&] {
       on_loop_.assert_held();
-      return fn(*server_);
+      return fn(host_->server());
     });
   }
 
@@ -271,12 +265,9 @@ class ClashNode {
   }
   void on_member_dead(ServerId id) CLASH_REQUIRES(on_loop_);
   void on_member_joined(ServerId id) CLASH_REQUIRES(on_loop_);
-  /// First start only: restore the durable image; the failover
-  /// controller re-promotes the groups the ring still maps here.
-  void recover_from_storage() CLASH_REQUIRES(on_loop_);
 
   NodeConfig config_;  // immutable after construction
-  /// Declared before env_/server_: the Env's obs() override hands this
+  /// Declared before env_/host_: the Env's obs() override hands this
   /// hub to the ClashServer constructor. Internally synchronized (the
   /// registry carries its own mutex, the event ring is lock-free) —
   /// but gauge callbacks registered by this node touch loop-affine
@@ -287,10 +278,9 @@ class ClashNode {
   /// The loop's affinity capability (alias of loop_->loop_thread());
   /// guards every loop-affine member below.
   common::AffinityToken& on_loop_;
-  std::unique_ptr<dht::ChordRing> ring_ CLASH_PT_GUARDED_BY(on_loop_);
   std::unique_ptr<Env> env_;  // pointer immutable after construction
-  std::unique_ptr<ClashServer> server_ CLASH_PT_GUARDED_BY(on_loop_);
-  std::unique_ptr<FailoverController> failover_ CLASH_PT_GUARDED_BY(on_loop_);
+  /// The server, its ring (this node's view) and the failover rule.
+  std::unique_ptr<NodeHost> host_ CLASH_PT_GUARDED_BY(on_loop_);
   std::unique_ptr<storage::FileBackend> storage_backend_;
   std::unique_ptr<storage::NodeStore> store_ CLASH_PT_GUARDED_BY(on_loop_);
   bool recovered_ CLASH_GUARDED_BY(on_loop_) = false;

@@ -17,97 +17,53 @@ SimDuration skewed(SimDuration d, double rate) {
 }
 }  // namespace
 
-// Gossip transport over the event queue: per-message latency, messages
-// to crashed servers dropped, every message counted.
+// The drivers' environment: the cluster's transport and ring hosts.
 class ChurnSim::GossipEnvImpl final : public membership::MembershipEnv {
  public:
   GossipEnvImpl(ChurnSim& sim, ServerId self) : sim_(sim), self_(self) {}
 
-  void gossip_send(ServerId to, const Gossip& orig) override {
-    // Gossip crosses the same faulty links as protocol traffic — a
-    // partition must starve the failure detector too, or SWIM would
-    // see through the very faults it is meant to detect.
-    SimDuration delay = sim_.config_.gossip_delay;
-    bool duplicate = false;
-    Gossip msg = orig;
-    if (!sim_.cluster_->links().quiet()) {
-      // The clean-link latency goes in as the judge's base so a
-      // link-level slow fault multiplies it rather than stacking on top.
-      const auto verdict = sim_.cluster_->links().judge(
-          self_, to, sim_.config_.gossip_delay);
-      if (!verdict.deliver) {
-        sim_.cluster_->transport_stats().link_drops++;
-        return;
-      }
-      delay = verdict.delay;
-      duplicate = verdict.duplicate;
-      if (verdict.corrupt) {
-        auto mangled = wire::corrupt_message(Message{msg},
-                                             sim_.corrupt_rng_);
-        if (!mangled || !std::holds_alternative<Gossip>(*mangled)) {
-          sim_.cluster_->transport_stats().corrupt_drops++;
-          return;
-        }
-        msg = std::get<Gossip>(*mangled);
-      }
-    }
-    // Fail-slow endpoints pay their lag on gossip too — that is how
-    // the failure detector sees the slowness in the first place.
-    if (sim_.cluster_->any_node_slow()) {
-      delay.usec += sim_.cluster_->slow_penalty(self_).usec;
-      delay.usec += sim_.cluster_->slow_penalty(to).usec;
-    }
-    const auto deliver = [this, to, msg] {
-      // Look the driver up at delivery time: a revival swaps it out.
-      if (!sim_.cluster_->is_alive(to)) {
-        sim_.cluster_->transport_stats().dropped_msgs++;
-        return;
-      }
-      sim_.drivers_[to.value]->handle(self_, msg);
-    };
-    count_sent(msg);
-    sim_.events_.after(delay, deliver);
-    if (duplicate) {
-      count_sent(msg);
-      sim_.events_.after(delay, deliver);
-    }
+  void gossip_send(ServerId to, const Gossip& msg) override {
+    sim_.cluster_->send(self_, to, Message(msg));
   }
 
-  void on_member_dead(ServerId) override { sim_.sweep_convergence(); }
-  void on_member_joined(ServerId) override { sim_.sweep_convergence(); }
+  // Each verdict moves this server's own ring, as on a ClashNode.
+  void on_member_dead(ServerId id) override {
+    sim_.cluster_->host(self_).member_died(id);
+    sim_.cluster_->settle_crashes();
+    sim_.excommunicate();
+  }
+  void on_member_joined(ServerId id) override {
+    (void)sim_.cluster_->host(self_).member_joined(id);
+    sim_.excommunicate();  // may complete a revived node's admission
+  }
 
  private:
-  /// Account one gossip frame on the wire. Record counts are always
-  /// cheap; byte counts need a second encode, so they ride the same
-  /// opt-in switch as protocol wire metering (overhead benches).
-  void count_sent(const Gossip& msg) {
-    auto& stats = sim_.cluster_->transport_stats();
-    stats.gossip_msgs++;
-    stats.census_records += msg.census.size();
-    if (sim_.cluster_->wire_metering()) {
-      stats.wire_bytes += wire::encoded_payload_size(Message{msg});
-      stats.census_bytes += wire::encoded_census_size(msg.census);
-    }
-  }
-
   ChurnSim& sim_;
   ServerId self_;
 };
 
-ChurnSim::ChurnSim(Config config)
-    : config_(config), corrupt_rng_(config.seed ^ 0x90551bf1ULL) {
+ChurnSim::ChurnSim(Config config) : config_(config) {
   cluster_ = std::make_unique<SimCluster>(config_.cluster);
-  // Link delays ride the event queue; without this sink SimCluster
-  // would deliver delayed messages inline.
+  // Link delays and server timers ride the event queue; without this
+  // sink SimCluster would run them inline.
   cluster_->set_delay_sink(
-      [this](SimDuration delay, std::function<void()> deliver) {
-        events_.after(delay, std::move(deliver));
+      [this](SimDuration delay, std::function<void()> fn) {
+        events_.after(delay, [this, fn = std::move(fn)] {
+          cluster_->set_now(events_.now());
+          fn();
+        });
+      });
+  cluster_->set_gossip_sink(
+      config_.gossip_delay,
+      [this](ServerId from, ServerId to, const Gossip& msg) {
+        drivers_[to.value]->handle(from, msg);
       });
   const std::size_t n = config_.cluster.num_servers;
   envs_.reserve(n);
   censuses_.reserve(n);
   drivers_.reserve(n);
   generation_.assign(n, 0);
+  admitted_.assign(n, true);
   clock_rate_.assign(n, 1.0);
   for (std::size_t i = 0; i < n; ++i) {
     envs_.push_back(std::make_unique<GossipEnvImpl>(*this, ServerId{i}));
@@ -186,12 +142,7 @@ void ChurnSim::tick_server(std::size_t idx) {
 
 void ChurnSim::run_load_check(std::size_t idx) {
   cluster_->set_now(events_.now());
-  // Skip servers between restart and ring re-admission: they own no
-  // ring position yet, so they cannot route splits.
-  if (cluster_->is_alive(ServerId{idx}) &&
-      cluster_->ring().contains(ServerId{idx})) {
-    cluster_->run_load_check(ServerId{idx});
-  }
+  cluster_->run_load_check(ServerId{idx});
   events_.after(
       skewed(config_.cluster.clash.load_check_period, clock_rate_[idx]),
       [this, idx] { run_load_check(idx); });
@@ -200,8 +151,8 @@ void ChurnSim::run_load_check(std::size_t idx) {
 void ChurnSim::kill(ServerId id) {
   cluster_->crash_server(id);
   // The kill may have silenced the last dissenter blocking some other
-  // victim's eviction.
-  sweep_convergence();
+  // node's excommunication.
+  excommunicate();
 }
 
 void ChurnSim::revive(ServerId id) {
@@ -213,6 +164,9 @@ void ChurnSim::revive(ServerId id) {
   censuses_[id.value] = make_census(id);
   drivers_[id.value] = make_driver(id, ++generation_[id.value]);
   cluster_->restart_server(id);
+  // A quick restart never left the rings.
+  admitted_[id.value] =
+      cluster_->live_rings_holding(id) == cluster_->alive_count();
 }
 
 void ChurnSim::set_slow(ServerId id, double factor) {
@@ -285,47 +239,26 @@ void ChurnSim::schedule_flaps(std::vector<ServerId> side, SimDuration period,
   });
 }
 
-void ChurnSim::sweep_convergence() {
-  // An eviction can unblock another victim's gate (it shrinks the
-  // survivor set), so iterate to a fixed point.
+void ChurnSim::excommunicate() {
+  // The survivors unanimously hold an *alive* node dead — a fail-slow,
+  // skewed, or cut-off process that could not refute in time. Their
+  // rings already dropped it; the harness makes the verdict true by
+  // crashing the process (it rejoins via revive: accepting its stale
+  // writes would fork history). A crash can complete another verdict.
   bool progressed = true;
   while (progressed) {
     progressed = false;
     for (std::size_t i = 0; i < drivers_.size(); ++i) {
       const ServerId id{i};
-      if (!cluster_->is_alive(id) && cluster_->ring().contains(id) &&
+      if (!cluster_->is_alive(id)) continue;
+      admitted_[i] = admitted_[i] || cluster_->live_rings_holding(id) ==
+                                         cluster_->alive_count();
+      // Unanimity among zero peers is vacuous: spare the last node.
+      if (admitted_[i] && cluster_->alive_count() > 1 &&
           all_survivors_see_dead(id)) {
-        cluster_->evict_server(id);
+        cluster_->crash_server(id);
+        cluster_->transport_stats().slow_evictions++;
         progressed = true;
-      }
-      if (cluster_->is_alive(id) && !cluster_->ring().contains(id) &&
-          all_survivors_see_alive(id)) {
-        cluster_->join_server(id);
-        progressed = true;
-      }
-      // Excommunication: the survivors unanimously hold an *alive* ring
-      // member dead — a fail-slow, skewed, or cut-off process that kept
-      // running but could not refute in time. The group fences it out:
-      // its state is discarded and its groups fail over exactly as for
-      // a crash (it must rejoin via revive, like any evicted node —
-      // accepting its stale writes after eviction would fork history).
-      if (cluster_->is_alive(id) && cluster_->ring().contains(id) &&
-          all_survivors_see_dead(id)) {
-        // Unanimity among zero peers is vacuous; never self-fence the
-        // last live node.
-        bool has_peer = false;
-        for (std::size_t j = 0; j < drivers_.size(); ++j) {
-          if (j != i && cluster_->is_alive(ServerId{j})) {
-            has_peer = true;
-            break;
-          }
-        }
-        if (has_peer) {
-          cluster_->crash_server(id);
-          cluster_->evict_server(id);
-          cluster_->transport_stats().slow_evictions++;
-          progressed = true;
-        }
       }
     }
   }
@@ -359,7 +292,8 @@ bool ChurnSim::all_survivors_see_alive(ServerId id) const {
 bool ChurnSim::ring_matches_membership() const {
   for (std::size_t i = 0; i < drivers_.size(); ++i) {
     const ServerId id{i};
-    if (cluster_->is_alive(id) != cluster_->ring().contains(id)) {
+    const std::size_t holding = cluster_->live_rings_holding(id);
+    if (holding != (cluster_->is_alive(id) ? cluster_->alive_count() : 0)) {
       return false;
     }
   }

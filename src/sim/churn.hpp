@@ -1,18 +1,17 @@
-// ChurnSim: a SimCluster whose ring is driven by live SWIM membership
-// instead of the failure oracle. Every server runs a MembershipDriver;
-// gossip messages travel through the discrete-event queue with a
-// configurable delay; kills and revivals only take effect on the Chord
-// ring once the survivors' views converge — exactly the lifecycle a
-// real deployment sees:
+// ChurnSim: a SimCluster driven by live SWIM membership instead of the
+// failure oracle. Every server runs a MembershipDriver, and each
+// server's ring follows its own driver's verdicts, as on a ClashNode;
+// gossip, link delays and server timers ride the discrete-event queue.
+// The lifecycle a real deployment sees:
 //
-//   kill(x)              -> crash_server: messages to x drop
-//   survivors suspect,   (randomized ping + ping-req + suspicion
-//   then declare dead     timeout, disseminated by gossip)
-//   all survivors agree  -> evict_server: ring shrinks, heirs promote
-//                           their replicas (automatic failover)
-//   revive(x)            -> restart_server + fresh driver; x refutes
-//                           the death rumour with a bumped incarnation
-//   all survivors agree  -> join_server: ring grows again
+//   kill(x)            -> crash_server: messages to x drop
+//   a survivor         -> its ring drops x; after the grace it promotes
+//   declares x dead       the replicas it now heirs
+//   no ring holds x    -> detection window closes (groups_lost counted)
+//   revive(x)          -> restart_server + fresh driver, ring = seeds;
+//                         x refutes its death with a bumped incarnation
+//   a survivor sees x  -> its ring re-adds x and hands x the groups it
+//   alive again           now maps there
 #pragma once
 
 #include <map>
@@ -71,12 +70,11 @@ class ChurnSim {
   /// Advance simulated time by `d`.
   void run_for(SimDuration d);
 
-  /// Crash `id` now: its driver stops, messages to it drop. The ring
-  /// reacts only when the survivors converge.
+  /// Crash `id` now: its driver stops, messages to it drop.
   void kill(ServerId id);
 
   /// Restart `id` with a fresh driver (and empty protocol state). It
-  /// refutes its own death rumour and rejoins the ring on convergence.
+  /// refutes its own death rumour and rejoins each survivor's ring.
   void revive(ServerId id);
 
   // --- Beyond crash-stop ------------------------------------------------
@@ -86,8 +84,8 @@ class ChurnSim {
   /// gains cluster.slow_node_lag * (factor - 1) of latency each way —
   /// gossip included. A factor large enough to push probe round trips
   /// past the SWIM timeouts gets the node suspected, declared dead, and
-  /// excommunicated (crash + evict) once the survivors agree; revive()
-  /// brings it back as a fresh process.
+  /// excommunicated (crashed) once every survivor's view holds it dead;
+  /// revive() brings it back as a fresh process.
   void set_slow(ServerId id, double factor);
 
   /// Skew `id`'s local clock: it runs its protocol periods and load
@@ -96,9 +94,6 @@ class ChurnSim {
   /// probes, suspects, and expires suspicions on its own notion of
   /// time — eviction/refutation must stay correct regardless.
   void set_clock_rate(ServerId id, double rate);
-  [[nodiscard]] double clock_rate(ServerId id) const {
-    return id.value < clock_rate_.size() ? clock_rate_[id.value] : 1.0;
-  }
 
   /// Retune one node's suspicion timeout live (applies to the current
   /// driver and to every future revival of `id`).
@@ -122,7 +117,7 @@ class ChurnSim {
   // All protocol AND gossip traffic consults cluster().links(); these
   // helpers drive whole-partition scenarios on it. Partition events
   // compose with kill/revive — e.g. kill a server while its side is
-  // partitioned and watch eviction wait for the heal.
+  // partitioned and watch each side's rings diverge until the heal.
 
   [[nodiscard]] LinkMatrix& links() { return cluster_->links(); }
 
@@ -148,7 +143,7 @@ class ChurnSim {
   [[nodiscard]] bool all_survivors_see_dead(ServerId victim) const;
   /// Every live server's view (including `id`'s own) marks `id` alive.
   [[nodiscard]] bool all_survivors_see_alive(ServerId id) const;
-  /// The ring holds exactly the live servers.
+  /// Every live server's ring holds exactly the live servers.
   [[nodiscard]] bool ring_matches_membership() const;
   [[nodiscard]] std::uint64_t gossip_messages() const;
 
@@ -160,11 +155,10 @@ class ChurnSim {
   /// Everyone not in `side`.
   [[nodiscard]] std::vector<ServerId> complement(
       const std::vector<ServerId>& side) const;
-  /// Re-evaluate every pending eviction and re-admission. Run on every
-  /// membership change — including kills: removing a dissenting
-  /// survivor can be exactly what makes the remaining views unanimous,
-  /// and no view transition would fire for the original victim then.
-  void sweep_convergence();
+  /// Note admissions, then crash every admitted live node all
+  /// survivors hold dead. Run on every verdict and every kill: removing
+  /// a dissenter can be what makes the remaining views unanimous.
+  void excommunicate();
   [[nodiscard]] std::unique_ptr<membership::MembershipDriver> make_driver(
       ServerId id, std::uint64_t generation);
   [[nodiscard]] std::unique_ptr<obs::Census> make_census(ServerId id);
@@ -176,8 +170,10 @@ class ChurnSim {
   std::vector<std::unique_ptr<obs::Census>> censuses_;
   std::vector<std::unique_ptr<membership::MembershipDriver>> drivers_;
   std::vector<std::uint64_t> generation_;  // bumped per revival
+  /// Every live ring has held the node since its last boot (a revived
+  /// one stays dead in every view until its refutation spreads).
+  std::vector<bool> admitted_;
   std::vector<double> clock_rate_;         // local-clock speed (1 = true)
-  Rng corrupt_rng_;                        // gossip byte-flip stream
   bool started_ = false;
 };
 

@@ -19,7 +19,7 @@ class SimCluster::ServerEnvImpl final : public ServerEnv {
       : cluster_(cluster), self_(self) {}
 
   dht::LookupResult dht_lookup(dht::HashKey h) override {
-    const auto result = cluster_.ring_.lookup(h, self_);
+    const auto result = cluster_.ring_of(self_).lookup(h, self_);
     cluster_.stats_.dht_hops += result.hops;
     return result;
   }
@@ -29,43 +29,47 @@ class SimCluster::ServerEnvImpl final : public ServerEnv {
       cluster_.stats_.dropped_msgs++;
       return;
     }
+    // Gossip rides the same links as protocol traffic, as on a
+    // ClashNode (a partition must starve the failure detector too),
+    // with the gossip latency as its clean-link delay, which a slow
+    // link stretches.
+    const SimDuration base = std::holds_alternative<Gossip>(msg)
+                                 ? cluster_.gossip_latency_
+                                 : SimDuration{0};
+    LinkMatrix::Verdict verdict{true, base};
+    if (!cluster_.links_.quiet()) {
+      verdict = cluster_.links_.judge(self_, to, base);
+    }
+    if (!verdict.deliver) {
+      cluster_.stats_.link_drops++;
+      return;
+    }
     // Fail-slow nodes pay their lag on every message they touch, even
     // over otherwise-clean links: the slowness lives in the process
     // (GC pauses, dying disk, saturated NIC), not the wire.
-    SimDuration delay{0};
+    SimDuration delay = verdict.delay;
     if (cluster_.any_node_slow()) {
       delay.usec += cluster_.slow_penalty(self_).usec;
       delay.usec += cluster_.slow_penalty(to).usec;
     }
-    if (!cluster_.links_.quiet()) {
-      const auto verdict = cluster_.links_.judge(self_, to);
-      if (!verdict.deliver) {
-        cluster_.stats_.link_drops++;
+    std::optional<Message> mangled;
+    if (verdict.corrupt) {
+      // In-flight byte damage: re-encode, flip, re-decode. When the
+      // codec itself rejects the mangled frame the message simply
+      // vanishes (a wire-level fence); when it decodes, the receiver
+      // gets structurally-valid garbage and its content fences must
+      // hold the line.
+      mangled = wire::corrupt_message(msg, cluster_.corrupt_rng_);
+      if (!mangled) {
+        cluster_.stats_.corrupt_drops++;
         return;
       }
-      delay.usec += verdict.delay.usec;
-      if (verdict.corrupt) {
-        // In-flight byte damage: re-encode, flip, re-decode. When the
-        // codec itself rejects the mangled frame the message simply
-        // vanishes (a wire-level fence); when it decodes, the receiver
-        // gets structurally-valid garbage and its content fences must
-        // hold the line.
-        auto mangled = wire::corrupt_message(msg, cluster_.corrupt_rng_);
-        if (!mangled) {
-          cluster_.stats_.corrupt_drops++;
-          return;
-        }
-        deliver_copy(to, *mangled, delay);
-        if (verdict.duplicate) deliver_copy(to, *mangled, delay);
-        return;
-      }
-      deliver_copy(to, msg, delay);
-      // A duplicating link delivers the same frame again (same delay:
-      // the copies travel together — receivers must be idempotent).
-      if (verdict.duplicate) deliver_copy(to, msg, delay);
-      return;
     }
-    deliver_copy(to, msg, delay);
+    const Message& out = mangled ? *mangled : msg;
+    deliver_copy(to, out, delay);
+    // A duplicating link delivers the same frame again (same delay:
+    // the copies travel together — receivers must be idempotent).
+    if (verdict.duplicate) deliver_copy(to, out, delay);
   }
 
   void deliver_copy(ServerId to, const Message& msg, SimDuration delay) {
@@ -79,35 +83,65 @@ class SimCluster::ServerEnvImpl final : public ServerEnv {
           cluster->stats_.dropped_msgs++;
           return;
         }
-        cluster->meter_wire(msg);
-        cluster->server(to).deliver(from, msg);
+        cluster->deliver(from, to, msg);
       });
       return;
     }
-    cluster_.meter_wire(msg);
     // Synchronous delivery: the protocol's message chains are shallow
     // (split -> accept -> ack) and handlers are re-entrancy safe.
-    cluster_.server(to).deliver(self_, msg);
+    cluster_.deliver(self_, to, msg);
   }
 
   std::vector<ServerId> replica_targets(dht::HashKey h,
                                         unsigned n) override {
     // The owner plus n successors; the caller skips itself.
-    auto servers = cluster_.ring_.successors(h, std::size_t(n) + 1);
+    auto servers = cluster_.ring_of(self_).successors(h, std::size_t(n) + 1);
     if (!servers.empty()) servers.erase(servers.begin());
     return servers;
   }
 
   [[nodiscard]] SimTime now() const override { return cluster_.now_; }
 
+  void defer(std::function<void()> fn) override {
+    call_after(SimDuration{0}, std::move(fn));
+  }
+
+  // Timers follow deliver_copy's rule: on the delay sink when one is
+  // installed, inline otherwise. A timer dies with the process that set
+  // it: a crash, or a restart since, cancels it.
+  void call_after(SimDuration delay, std::function<void()> fn) override {
+    if (!cluster_.delay_sink_) {
+      fn();
+      return;
+    }
+    cluster_.delay_sink_(delay, [this, life = life_, fn = std::move(fn)] {
+      if (life_ == life) fn();
+    });
+  }
+
+  std::uint64_t life_ = 0;  // bumped when the process dies
+
   void on_group_activated(const KeyGroup& group) override {
-    cluster_.owners_[group] = self_;
+    auto [it, fresh] = cluster_.owners_.try_emplace(group, self_);
+    // Split views: the previous holder may still own the group too.
+    if (!fresh && it->second != self_) cluster_.contested_.insert(group);
+    it->second = self_;
   }
 
   void on_group_deactivated(const KeyGroup& group) override {
     const auto it = cluster_.owners_.find(group);
-    if (it != cluster_.owners_.end() && it->second == self_) {
-      cluster_.owners_.erase(it);
+    if (it == cluster_.owners_.end() || it->second != self_) return;
+    cluster_.owners_.erase(it);
+    if (cluster_.contested_.erase(group) == 0) return;
+    // Another live holder keeps the group indexed.
+    for (const auto& host : cluster_.hosts_) {
+      const ClashServer& srv = host->server();
+      const ServerTableEntry* e = srv.table().find(group);
+      if (e != nullptr && e->active && cluster_.is_alive(srv.id())) {
+        cluster_.owners_[group] = srv.id();
+        cluster_.contested_.insert(group);
+        return;
+      }
     }
   }
 
@@ -124,14 +158,14 @@ class SimCluster::ClientEnvImpl final : public ClientEnv {
   dht::LookupResult dht_lookup(dht::HashKey h) override {
     // A client whose access point died re-attaches to a live server.
     if (!cluster_.is_alive(origin_)) {
-      for (std::size_t i = 0; i < cluster_.servers_.size(); ++i) {
+      for (std::size_t i = 0; i < cluster_.hosts_.size(); ++i) {
         if (cluster_.alive_[i]) {
           origin_ = ServerId{i};
           break;
         }
       }
     }
-    const auto result = cluster_.ring_.lookup(h, origin_);
+    const auto result = cluster_.ring_of(origin_).lookup(h, origin_);
     cluster_.stats_.dht_hops += result.hops;
     return result;
   }
@@ -159,15 +193,17 @@ class SimCluster::ClientEnvImpl final : public ClientEnv {
 
 SimCluster::SimCluster(Config config)
     : config_(config),
-      ring_(dht::ChordRing::Config{config.hash_bits, config.virtual_servers,
-                                   config.hash_algo, config.seed}),
       corrupt_rng_(config.seed ^ 0xc044f1a7ULL),
       links_(config.seed ^ 0x11ae5eedULL) {
   if (config_.num_servers == 0) {
     throw std::invalid_argument("cluster needs at least one server");
   }
-  servers_.resize(config_.num_servers);
-  failovers_.resize(config_.num_servers);
+  // Every host boots on the seed ring, complete before anything routes.
+  auto seeds = std::make_shared<dht::ChordRing>(
+      dht::ChordRing::Config{config.hash_bits, config.virtual_servers,
+                             config.hash_algo, config.seed});
+  ring_ = seeds;
+  hosts_.resize(config_.num_servers);
   server_envs_.reserve(config_.num_servers);
   alive_.assign(config_.num_servers, true);
   node_slow_.assign(config_.num_servers, 1.0);
@@ -178,16 +214,16 @@ SimCluster::SimCluster(Config config)
       config_.clash.durability_mode != ClashConfig::DurabilityMode::kNone;
   for (std::size_t i = 0; i < config_.num_servers; ++i) {
     const ServerId id{i};
-    ring_.add_server(id);
+    seeds->add_server(id);
     server_envs_.push_back(std::make_unique<ServerEnvImpl>(*this, id));
-    boot_server(id);
+    boot_server(id, ring_);
     if (durable) {
       backends_.push_back(std::make_unique<storage::MemBackend>());
       stores_.push_back(std::make_unique<storage::NodeStore>(
           *backends_.back(),
           storage::NodeStore::Config::from(config_.clash)));
       stores_.back()->set_obs(&obs::Hub::global(), i);
-      servers_[i]->set_storage(stores_.back().get());
+      server(id).set_storage(stores_.back().get());
     }
   }
 }
@@ -195,14 +231,15 @@ SimCluster::SimCluster(Config config)
 SimCluster::~SimCluster() = default;
 
 ClashServer& SimCluster::server(ServerId id) {
-  assert(id.value < servers_.size());
-  return *servers_[id.value];
+  assert(id.value < hosts_.size());
+  return hosts_[id.value]->server();
 }
 
 const ClashServer& SimCluster::server(ServerId id) const {
-  assert(id.value < servers_.size());
-  return *servers_[id.value];
+  assert(id.value < hosts_.size());
+  return hosts_[id.value]->server();
 }
+
 
 ClientEnv& SimCluster::client_env(ServerId access_point) {
   const auto it = client_env_by_origin_.find(access_point.value);
@@ -216,7 +253,7 @@ void SimCluster::bootstrap() {
   const unsigned n = config_.clash.key_width;
   const KeyGroup root = KeyGroup::root(n);
   const ServerId root_owner =
-      ring_.map(hasher().hash_key(root.virtual_key()));
+      ring_->map(hasher().hash_key(root.virtual_key()));
 
   ServerTableEntry root_entry;
   root_entry.group = root;
@@ -230,36 +267,36 @@ void SimCluster::bootstrap() {
   bool progressed = true;
   while (progressed) {
     progressed = false;
-    for (auto& srv : servers_) {
+    for (auto& host : hosts_) {
+      ClashServer& srv = host->server();
       // Collect first: splitting mutates the table.
       std::vector<KeyGroup> to_split;
-      for (const ServerTableEntry* e : srv->table().active_entries()) {
+      for (const ServerTableEntry* e : srv.table().active_entries()) {
         if (e->group.depth() < config_.clash.initial_depth) {
           to_split.push_back(e->group);
         }
       }
-      for (const auto& g : to_split) progressed |= srv->force_split(g);
+      for (const auto& g : to_split) progressed |= srv.force_split(g);
     }
   }
 
   // The depth-d0 leaves become root entries: the administrative floor
   // below which consolidation cannot collapse the tree (Section 5).
-  for (auto& srv : servers_) {
-    for (const ServerTableEntry* e : srv->table().active_entries()) {
-      srv->mark_group_root(e->group);
+  for (auto& host : hosts_) {
+    ClashServer& srv = host->server();
+    for (const ServerTableEntry* e : srv.table().active_entries()) {
+      srv.mark_group_root(e->group);
     }
   }
   reset_stats();
 }
 
 void SimCluster::run_load_check(ServerId id) {
-  if (is_alive(id)) server(id).run_load_check();
+  if (is_alive(id)) hosts_[id.value]->run_load_check();
 }
 
 void SimCluster::run_all_load_checks() {
-  for (auto& srv : servers_) {
-    if (is_alive(srv->id())) srv->run_load_check();
-  }
+  for (std::size_t i = 0; i < hosts_.size(); ++i) run_load_check(ServerId{i});
 }
 
 std::size_t SimCluster::alive_count() const {
@@ -273,61 +310,63 @@ std::size_t SimCluster::fail_server(ServerId id) {
 }
 
 void SimCluster::crash_server(ServerId id) {
-  if (id.value >= alive_.size()) return;
+  if (!is_alive(id)) return;
   // The simulated disk takes the hit exactly once, at the moment of
   // death (a second crash_server on a dead node must not tear more).
-  if (alive_[id.value] && id.value < backends_.size()) {
-    backends_[id.value]->crash();
-  }
-  if (alive_[id.value]) crash_time_[id.value] = now_;
+  if (id.value < backends_.size()) backends_[id.value]->crash();
+  crash_time_[id.value] = now_;
+  ++server_envs_[id.value]->life_;
   alive_[id.value] = false;
+  settle_crashes();  // it may have held the last ring naming another
 }
 
 std::size_t SimCluster::evict_server(ServerId id) {
-  if (is_alive(id) || !ring_.contains(id)) return 0;
-  // The detection window closes here: survivors converged on the
-  // death. Under fail_server (oracle detection) the gap is zero; a
-  // staged crash -> set_now -> evict sequence measures the real one.
-  if (crash_time_[id.value].usec >= 0) {
-    failover_detect_us_.record_signed((now_ - crash_time_[id.value]).usec);
-    crash_time_[id.value] = SimTime{-1};
-  }
-  ring_.remove_server(id);
-  // A group of the dead owner that no live server holds a replica of
-  // can never come back.
-  for (const KeyGroup& group : forget_groups_of(id)) {
-    const bool held = std::any_of(
-        servers_.begin(), servers_.end(), [&](const auto& srv) {
-          return is_alive(srv->id()) && srv->has_replica(group);
-        });
-    if (!held) stats_.groups_lost++;
-  }
+  if (is_alive(id) || !ring_->contains(id)) return 0;
   const std::uint64_t before = total_stats().failovers;
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    if (alive_[i]) failovers_[i]->member_died();
+  ring_ = ring_->without(id);
+  for (std::size_t i = 0; i < hosts_.size(); ++i) {
+    if (alive_[i]) hosts_[i]->member_died(id);
   }
+  settle_crashes();
   return total_stats().failovers - before;
 }
 
-std::vector<KeyGroup> SimCluster::forget_groups_of(ServerId id) {
-  std::vector<KeyGroup> owned;
-  for (const auto& [group, owner] : owners_) {
-    if (owner == id) owned.push_back(group);
+std::size_t SimCluster::live_rings_holding(ServerId id) const {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < hosts_.size(); ++i) {
+    n += alive_[i] && hosts_[i]->ring().contains(id);
   }
-  for (const auto& group : owned) owners_.erase(group);
-  return owned;
+  return n;
 }
 
-void SimCluster::boot_server(ServerId id) {
+void SimCluster::settle_crashes() {
+  for (std::size_t v = 0; v < crash_time_.size(); ++v) {
+    const ServerId id{v};
+    if (crash_time_[v].usec < 0 || live_rings_holding(id) > 0) continue;
+    // Under fail_server (oracle detection) the gap is zero.
+    failover_detect_us_.record_signed((now_ - crash_time_[v]).usec);
+    crash_time_[v] = SimTime{-1};
+    // A group of the dead owner that no live server holds a replica
+    // of can never come back.
+    std::erase_if(owners_, [&](const auto& entry) {
+      if (entry.second != id) return false;
+      stats_.groups_lost += std::none_of(
+          hosts_.begin(), hosts_.end(), [&](const auto& host) {
+            return is_alive(host->server().id()) &&
+                   host->server().has_replica(entry.first);
+          });
+      return true;
+    });
+  }
+}
+
+void SimCluster::boot_server(ServerId id, NodeHost::Ring ring) {
+  auto& host = hosts_[id.value];
   // A restart replaces the server, not its history: what it counted
   // stays in the totals.
-  if (servers_[id.value] != nullptr) stats_ += servers_[id.value]->stats();
-  servers_[id.value] = std::make_unique<ClashServer>(
-      id, config_.clash, *server_envs_[id.value], ring_.hasher());
-  // No grace: call_after runs inline, after the synchronous recovery
-  // pull has finished.
-  failovers_[id.value] = std::make_unique<FailoverController>(
-      *servers_[id.value], *server_envs_[id.value], ring_, SimDuration{0});
+  if (host != nullptr) stats_ += host->server().stats();
+  host = std::make_unique<NodeHost>(id, config_.clash,
+                                    *server_envs_[id.value], std::move(ring));
 }
 
 void SimCluster::set_node_slow(ServerId id, double factor) {
@@ -340,30 +379,30 @@ void SimCluster::set_node_slow(ServerId id, double factor) {
 }
 
 void SimCluster::restart_server(ServerId id) {
-  if (id.value >= servers_.size() || is_alive(id)) return;
+  if (id.value >= hosts_.size() || is_alive(id)) return;
   alive_[id.value] = true;
   crash_time_[id.value] = SimTime{-1};  // restart without eviction
   set_node_slow(id, 1.0);  // replacement hardware: slowness dies with it
-  (void)forget_groups_of(id);  // all protocol state died with it
-  boot_server(id);
+  // All protocol state died with it.
+  std::erase_if(owners_, [id](const auto& e) { return e.second == id; });
+  boot_server(id, ring_->contains(id) ? ring_ : ring_->with(id));
   if (id.value < backends_.size()) {
     // The store outlived the process: rebuild it over the surviving
-    // backend and restore the pre-crash groups as replica records,
-    // which a server still on the ring re-adopts in place.
+    // backend and restore the pre-crash groups, which the server
+    // re-adopts where its ring maps them here.
     stores_[id.value] = std::make_unique<storage::NodeStore>(
         *backends_[id.value], storage::NodeStore::Config::from(config_.clash));
     stores_[id.value]->set_obs(&obs::Hub::global(), id.value);
-    servers_[id.value]->set_storage(stores_[id.value].get());
-    servers_[id.value]->restore_from_storage();
-    failovers_[id.value]->restored();
+    server(id).set_storage(stores_[id.value].get());
+    (void)hosts_[id.value]->restore();
   }
 }
 
 void SimCluster::join_server(ServerId id) {
-  if (!is_alive(id) || ring_.contains(id)) return;
-  ring_.add_server(id);
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    if (alive_[i] && i != id.value) failovers_[i]->member_joined(id);
+  if (!is_alive(id) || ring_->contains(id)) return;
+  ring_ = ring_->with(id);
+  for (std::size_t i = 0; i < hosts_.size(); ++i) {
+    if (alive_[i]) (void)hosts_[i]->member_joined(id);
   }
 }
 
@@ -399,7 +438,7 @@ void SimCluster::withdraw_query(QueryId id, const Key& key) {
 
 void SimCluster::ensure_group(const KeyGroup& group) {
   if (owners_.count(group) > 0) return;
-  const ServerId owner = ring_.map(hasher().hash_key(group.virtual_key()));
+  const ServerId owner = ring_->map(hasher().hash_key(group.virtual_key()));
   ServerTableEntry entry;
   entry.group = group;
   entry.root = true;
@@ -411,9 +450,9 @@ SimCluster::LoadSnapshot SimCluster::snapshot() const {
   LoadSnapshot snap;
   const double capacity = config_.clash.capacity;
   double active_load_total = 0;
-  for (const auto& srv : servers_) {
-    if (!is_alive(srv->id())) continue;
-    const double load = srv->server_load();
+  for (const auto& host : hosts_) {
+    if (!is_alive(host->server().id())) continue;
+    const double load = host->server().server_load();
     snap.max_load_frac = std::max(snap.max_load_frac, load / capacity);
     if (load > 0) {
       ++snap.active_servers;
@@ -444,17 +483,32 @@ SimCluster::LoadSnapshot SimCluster::snapshot() const {
 
 MessageStats SimCluster::total_stats() const {
   MessageStats total = stats_;
-  for (const auto& srv : servers_) total += srv->stats();
+  for (const auto& host : hosts_) total += host->server().stats();
   return total;
 }
 
 void SimCluster::reset_stats() {
   stats_ = MessageStats{};
-  for (auto& srv : servers_) srv->reset_stats();
+  for (auto& host : hosts_) host->server().reset_stats();
 }
 
-void SimCluster::meter_wire(const Message& msg) {
+void SimCluster::send(ServerId from, ServerId to, const Message& msg) {
+  server_envs_[from.value]->send(to, msg);
+}
+
+void SimCluster::deliver(ServerId from, ServerId to, const Message& msg) {
+  const auto* gossip = std::get_if<Gossip>(&msg);
   if (meter_wire_) stats_.wire_bytes += wire::encoded_payload_size(msg);
+  if (gossip == nullptr) {
+    server(to).deliver(from, msg);
+    return;
+  }
+  stats_.gossip_msgs++;
+  stats_.census_records += gossip->census.size();
+  if (meter_wire_) {
+    stats_.census_bytes += wire::encoded_census_size(gossip->census);
+  }
+  if (gossip_sink_) gossip_sink_(from, to, *gossip);
 }
 
 std::optional<std::string> SimCluster::check_invariants() const {
@@ -468,18 +522,19 @@ std::optional<std::string> SimCluster::check_invariants() const {
 
 std::optional<std::string> SimCluster::check_invariants_impl() const {
   std::size_t active_total = 0;
-  for (const auto& srv : servers_) {
-    if (!is_alive(srv->id())) continue;  // dead tables are tombstones
-    if (const auto err = srv->table().check_invariants()) {
-      return to_string(srv->id()) + ": " + *err;
+  for (const auto& host : hosts_) {
+    const ClashServer& srv = host->server();
+    if (!is_alive(srv.id())) continue;  // dead tables are tombstones
+    if (const auto err = srv.table().check_invariants()) {
+      return to_string(srv.id()) + ": " + *err;
     }
-    for (const ServerTableEntry* e : srv->table().active_entries()) {
+    for (const ServerTableEntry* e : srv.table().active_entries()) {
       ++active_total;
       const auto it = owners_.find(e->group);
       if (it == owners_.end()) {
         return "active group " + e->group.label() + " missing from index";
       }
-      if (it->second != srv->id()) {
+      if (it->second != srv.id()) {
         return "owner index disagrees for " + e->group.label();
       }
     }

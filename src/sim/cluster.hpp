@@ -1,8 +1,11 @@
-// SimCluster: a full CLASH deployment in one address space — Chord ring,
-// one ClashServer + FailoverController per node, synchronous message
-// delivery with per-class counting, the bootstrap splitter, and a
-// global owner index for exact metrics. This is the substrate of every
-// experiment (and reusable by integration tests without the event queue).
+// SimCluster: a full CLASH deployment in one address space — one
+// clash::NodeHost per node (its ClashServer, its own ring, the failover
+// rule: what net::ClashNode runs), synchronous message delivery, the
+// bootstrap splitter, and a global owner index for exact metrics. This
+// is the substrate of every experiment (and reusable by integration
+// tests without the event queue). Oracle membership (fail, evict, join,
+// revive) gives every live host one new ring in one step; ChurnSim
+// moves each host's ring on that server's own SWIM verdicts instead.
 #pragma once
 
 #include <deque>
@@ -10,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "clash/client.hpp"
@@ -54,12 +58,18 @@ class SimCluster {
   void bootstrap();
 
   // --- Topology -------------------------------------------------------
-  [[nodiscard]] std::size_t num_servers() const { return servers_.size(); }
+  [[nodiscard]] std::size_t num_servers() const { return hosts_.size(); }
   [[nodiscard]] ClashServer& server(ServerId id);
   [[nodiscard]] const ClashServer& server(ServerId id) const;
-  [[nodiscard]] const dht::ChordRing& ring() const { return ring_; }
+  [[nodiscard]] NodeHost& host(ServerId id) { return *hosts_[id.value]; }
+  /// The oracle ring (under ChurnSim, the seed list); ring_of(id) is
+  /// a server's own view.
+  [[nodiscard]] const dht::ChordRing& ring() const { return *ring_; }
+  [[nodiscard]] const dht::ChordRing& ring_of(ServerId id) const {
+    return hosts_[id.value]->ring();
+  }
   [[nodiscard]] const dht::KeyHasher& hasher() const {
-    return ring_.hasher();
+    return ring_->hasher();
   }
   [[nodiscard]] const ClashConfig& clash_config() const {
     return config_.clash;
@@ -102,12 +112,24 @@ class SimCluster {
   [[nodiscard]] LinkMatrix& links() { return links_; }
   [[nodiscard]] const LinkMatrix& links() const { return links_; }
 
-  /// Sink for link-delayed deliveries. Without one (plain SimCluster,
-  /// no event queue), a delayed message is delivered inline — only
-  /// drops and cuts apply. ChurnSim installs its event queue here.
+  /// Sink for link-delayed deliveries and server timers (defer,
+  /// call_after). Without one (plain SimCluster, no event queue), both
+  /// run inline — only drops and cuts apply. ChurnSim installs its
+  /// event queue here.
   using DelaySink =
       std::function<void(SimDuration delay, std::function<void()> deliver)>;
   void set_delay_sink(DelaySink sink) { delay_sink_ = std::move(sink); }
+
+  /// Send `msg` from server `from`. Gossip (ChurnSim's drivers) rides
+  /// this transport as on a ClashNode: `latency` is its clean-link
+  /// delay, and arriving Gossip goes to `sink`.
+  void send(ServerId from, ServerId to, const Message& msg);
+  using GossipSink =
+      std::function<void(ServerId from, ServerId to, const Gossip& msg)>;
+  void set_gossip_sink(SimDuration latency, GossipSink sink) {
+    gossip_latency_ = latency;
+    gossip_sink_ = std::move(sink);
+  }
 
   // --- Fail-slow injection ----------------------------------------------
   /// Mark a node fail-slow: it keeps running and answering, but every
@@ -148,7 +170,6 @@ class SimCluster {
   /// message into transport_stats().wire_bytes (bench instrumentation:
   /// off by default, it encodes each message a second time).
   void set_wire_metering(bool on) { meter_wire_ = on; }
-  [[nodiscard]] bool wire_metering() const { return meter_wire_; }
 
   // --- Failure injection (replication extension) -----------------------
   /// Oracle-style crash: crash_server + evict_server in one step, as if
@@ -156,33 +177,35 @@ class SimCluster {
   /// whose state was recovered from a replica.
   std::size_t fail_server(ServerId id);
 
-  // The same lifecycle split into the phases a live membership layer
-  // (membership::MembershipDriver via ChurnSim) drives individually:
-  // crash when the process dies, evict when the survivors' views
-  // converge on the death, restart/join when it comes back.
-
-  /// The process dies: messages to it are dropped. The ring still
-  /// holds it until evict_server — the detection window, during which
-  /// the owner index intentionally has stale entries.
+  /// The process dies: messages to it drop and its timers never fire.
+  /// Live rings hold it until their hosts drop it — the detection
+  /// window, during which the owner index has stale entries.
   void crash_server(ServerId id);
 
-  /// The survivors gave up on a crashed server: remove it from the
-  /// ring, then run every live server's FailoverController. Each of its
-  /// groups that no live server holds a replica of counts into
-  /// transport_stats().groups_lost. Returns groups promoted.
+  /// Close the detection window of each crashed server no live ring
+  /// holds: record it into clash_failover_detect_usec, and count its
+  /// groups no live server holds a replica of into groups_lost.
+  void settle_crashes();
+
+  /// Oracle eviction: every live host drops a crashed server from its
+  /// ring (and fails over). Returns groups promoted.
   std::size_t evict_server(ServerId id);
 
   /// The process restarts with its in-memory state lost; the owner
-  /// index forgets its groups. A durable server still on the ring
-  /// re-adopts them from disk; a diskless one re-adopts nothing. Does
-  /// not touch the ring — join_server does, once the survivors agree.
+  /// index forgets its groups. Its ring is the oracle ring plus itself.
+  /// A durable server re-adopts the restored groups its ring maps to
+  /// it; a diskless one re-adopts nothing.
   void restart_server(ServerId id);
 
-  /// Re-admit a restarted server to the ring (handing it its groups).
+  /// Oracle re-admission: every live host adds a restarted server to
+  /// its ring (handing it its groups).
   void join_server(ServerId id);
 
   /// Oracle-style rejoin: restart_server + join_server.
   void revive_server(ServerId id);
+
+  /// How many live servers' rings hold `id`.
+  [[nodiscard]] std::size_t live_rings_holding(ServerId id) const;
 
   [[nodiscard]] bool is_alive(ServerId id) const {
     return id.value < alive_.size() && alive_[id.value];
@@ -227,38 +250,36 @@ class SimCluster {
   class ServerEnvImpl;
   class ClientEnvImpl;
 
-  /// Wire metering of one delivered message (message classes are
-  /// counted by the receiving ClashServer).
-  void meter_wire(const Message& msg);
+  /// Meter one arriving message and hand it to its receiver: the
+  /// server (which counts protocol classes) or the gossip sink.
+  void deliver(ServerId from, ServerId to, const Message& msg);
 
-  /// Drop `id`'s entries from the owner index; returns those groups.
-  std::vector<KeyGroup> forget_groups_of(ServerId id);
-  /// (Re)create server `id` and its failover controller, owning nothing.
-  void boot_server(ServerId id);
+  /// (Re)create server `id`'s host, owning nothing, over `ring`.
+  void boot_server(ServerId id, NodeHost::Ring ring);
 
   Config config_;
-  dht::ChordRing ring_;
+  NodeHost::Ring ring_;  // the oracle ring
   std::vector<std::unique_ptr<ServerEnvImpl>> server_envs_;
-  std::vector<std::unique_ptr<ClashServer>> servers_;
-  std::vector<std::unique_ptr<FailoverController>> failovers_;
+  std::vector<std::unique_ptr<NodeHost>> hosts_;
   std::vector<std::unique_ptr<storage::MemBackend>> backends_;
   std::vector<std::unique_ptr<storage::NodeStore>> stores_;
   bool meter_wire_ = false;
   std::deque<ClientEnvImpl> client_envs_;  // stable addresses
   std::unordered_map<std::uint64_t, std::size_t> client_env_by_origin_;
   std::unordered_map<KeyGroup, ServerId> owners_;
+  std::unordered_set<KeyGroup> contested_;  // activated over a holder
   std::vector<bool> alive_;
   std::vector<double> node_slow_;  // fail-slow factor per node (1 = ok)
   std::size_t slow_nodes_ = 0;     // count of factors > 1
   Rng corrupt_rng_;                // byte-flip stream (corrupt faults)
-  /// Sim-time of each server's crash (usec < 0 = none pending); the
-  /// crash -> evict gap is the detection window, recorded into
-  /// clash_failover_detect_usec when the eviction lands.
+  /// Sim-time of each server's crash (usec < 0 = none pending).
   std::vector<SimTime> crash_time_;
   obs::HistogramHandle failover_detect_us_;
   MessageStats stats_;
   LinkMatrix links_;
   DelaySink delay_sink_;
+  SimDuration gossip_latency_{0};
+  GossipSink gossip_sink_;
   SimTime now_{0};
 };
 

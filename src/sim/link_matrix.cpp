@@ -100,22 +100,15 @@ LinkMatrix::Verdict LinkMatrix::judge(ServerId from, ServerId to,
     const bool drop = sit->second.front();
     sit->second.pop_front();
     if (sit->second.empty()) scripts_.erase(sit);
-    if (drop) {
-      ++stats_.dropped;
-      return Verdict{false, SimDuration{0}};
-    }
+    if (drop) return Verdict{false, SimDuration{0}};
     return Verdict{true, base};
   }
   const Fault f = fault_of(from, to);
   const auto fv = judge_fault(f, rng_, base.usec);
-  if (!fv.deliver) {
-    ++stats_.dropped;
-    return Verdict{false, SimDuration{0}};
-  }
+  if (!fv.deliver) return Verdict{false, SimDuration{0}};
   if (f.delay_usec > 0) ++stats_.delayed;
   if (fv.duplicate) ++stats_.duplicated;
   if (fv.reorder) ++stats_.reordered;
-  if (f.slow_factor > 1.0) ++stats_.slowed;
   if (fv.corrupt) ++stats_.corrupted;
   return Verdict{true, SimDuration{fv.delay_usec}, fv.duplicate, fv.corrupt};
 }

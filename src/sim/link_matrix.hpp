@@ -49,12 +49,12 @@ class LinkMatrix {
     bool corrupt = false;
   };
 
+  /// Drops are not counted here: each caller counts the ones it acts
+  /// on, once, into MessageStats::link_drops.
   struct Stats {
-    std::uint64_t dropped = 0;  // probabilistic drops + cut links
     std::uint64_t delayed = 0;
     std::uint64_t duplicated = 0;
     std::uint64_t reordered = 0;
-    std::uint64_t slowed = 0;    // messages stretched by slow_factor
     std::uint64_t corrupted = 0; // messages flagged for byte flips
   };
 

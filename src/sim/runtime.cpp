@@ -208,7 +208,7 @@ ResolveOutcome Runtime::insert_fixed(Source& src, AcceptObject obj) {
   ServerId best{};
   double best_load = std::numeric_limits<double>::infinity();
   for (const auto cand : po2_->candidates(obj.key)) {
-    const auto route = cluster_->ring().lookup(cand, src.access);
+    const auto route = cluster_->ring_of(src.access).lookup(cand, src.access);
     ++out.dht_lookups;
     out.dht_hops += route.hops;
     cluster_->transport_stats().dht_hops += route.hops;

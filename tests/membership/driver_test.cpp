@@ -176,7 +176,7 @@ TEST(MembershipDriver, DeadNodeRejoinsByRefutingItsDeath) {
 
   // Restart node 3 with a fresh driver (it lost all state, including
   // its incarnation). It learns of its own death from the survivors'
-  // regossip and refutes with a bumped incarnation.
+  // replies and refutes with a bumped incarnation.
   auto& node = *net.nodes[3];
   node.driver = std::make_unique<MembershipDriver>(ServerId{3},
                                                    MembershipConfig{}, node,
@@ -191,6 +191,35 @@ TEST(MembershipDriver, DeadNodeRejoinsByRefutingItsDeath) {
     EXPECT_EQ(std::count(net.nodes[i]->joins.begin(),
                          net.nodes[i]->joins.end(), ServerId{3}),
               1);
+  }
+}
+
+TEST(MembershipDriver, HealedPartitionReMergesViews) {
+  LoopbackNet net(4);
+  const auto cross = [&](bool cut) {
+    for (std::size_t a : {0, 1}) {
+      for (std::size_t b : {2, 3}) {
+        cut ? net.cut(ServerId{a}, ServerId{b})
+            : net.heal(ServerId{a}, ServerId{b});
+      }
+    }
+  };
+  cross(true);
+  for (int period = 0; period < 30; ++period) net.tick_all();
+  // Each side holds the other dead, and nobody probes the dead.
+  ASSERT_EQ(net.state(0, 2), MemberState::kDead);
+  ASSERT_EQ(net.state(2, 0), MemberState::kDead);
+
+  cross(false);
+  // Reconnect pings reach the other side; each exchange carries both
+  // verdicts, and each side refutes its own.
+  for (int period = 0; period < 60; ++period) net.tick_all();
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      if (i != j) {
+        EXPECT_EQ(net.state(i, j), MemberState::kAlive) << i << j;
+      }
+    }
   }
 }
 

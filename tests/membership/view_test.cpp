@@ -141,19 +141,5 @@ TEST(MembershipView, PickUpdatesPrefersLeastTransmitted) {
   EXPECT_EQ(updates[0].subject, ServerId{2});
 }
 
-TEST(MembershipView, RegossipRequeuesCurrentState) {
-  auto view = seeded_view(4);
-  view.declare_dead(ServerId{2});
-  (void)view.take_died();
-  while (!view.pick_updates(4).empty()) {
-  }
-  EXPECT_EQ(view.pending_rumours(), 0u);
-  view.regossip(ServerId{2});
-  const auto updates = view.pick_updates(4);
-  ASSERT_EQ(updates.size(), 1u);
-  EXPECT_EQ(updates[0].subject, ServerId{2});
-  EXPECT_EQ(updates[0].state, MemberState::kDead);
-}
-
 }  // namespace
 }  // namespace clash::membership

@@ -153,7 +153,7 @@ TEST(DurableRestartNet, QuickRestartKeepsOwnershipWithoutSnapshotPull) {
     cfg.ring_salt = 99;
     cfg.load_check_interval = std::chrono::milliseconds(25);
     cfg.protocol_period = std::chrono::milliseconds(50);
-    cfg.recovery_grace = std::chrono::milliseconds(80);
+    cfg.clash.recovery_grace = SimTime::from_seconds(0.08);
     // A quick restart must beat the death verdict.
     cfg.membership.suspicion_periods = 40;
   }

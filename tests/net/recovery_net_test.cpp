@@ -44,7 +44,7 @@ struct RecoveryNetCluster {
       cfg.ring_salt = 77;
       cfg.load_check_interval = std::chrono::milliseconds(25);
       cfg.protocol_period = std::chrono::milliseconds(20);
-      cfg.recovery_grace = grace;
+      cfg.clash.recovery_grace = SimDuration(grace.count() * 1000);
       configs.push_back(cfg);
     }
     for (std::size_t i = 0; i < kNodes; ++i) {

@@ -203,5 +203,38 @@ TEST(Cluster, ConsolidationShrinksTreeWhenLoadLeaves) {
   EXPECT_GT(cluster.total_stats().merges, 0u);
 }
 
+/// Another live server than `owner`.
+ServerId other_than(ServerId owner) {
+  return ServerId{(owner.value + 1) % 16};
+}
+
+TEST(Cluster, InvariantsCatchOverlappingActiveGroups) {
+  SimCluster cluster(testing::small_cluster_config(16, 8, 3));
+  cluster.bootstrap();
+  const auto [group, owner] = *cluster.owner_index().begin();
+  ServerTableEntry child;
+  child.group = group.left_child();
+  child.active = true;
+  cluster.server(other_than(owner)).install_entry(child);
+  const auto err = cluster.check_invariants();
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(*err, "active groups " + group.label() + " and " +
+                      child.group.label() + " overlap");
+}
+
+TEST(Cluster, InvariantsCatchIndexDisagreeingWithATable) {
+  SimCluster cluster(testing::small_cluster_config(16, 8, 3));
+  cluster.bootstrap();
+  const auto [group, owner] = *cluster.owner_index().begin();
+  ServerTableEntry twin;
+  twin.group = group;
+  twin.active = true;
+  // The index now names the second server; the owner's table disagrees.
+  cluster.server(other_than(owner)).install_entry(twin);
+  const auto err = cluster.check_invariants();
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(*err, "owner index disagrees for " + group.label());
+}
+
 }  // namespace
 }  // namespace clash::sim

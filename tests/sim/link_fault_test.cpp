@@ -19,7 +19,6 @@ TEST(LinkMatrix, QuietByDefaultAndDeliversClean) {
   const auto v = links.judge(ServerId{0}, ServerId{1});
   EXPECT_TRUE(v.deliver);
   EXPECT_EQ(v.delay.usec, 0);
-  EXPECT_EQ(links.stats().dropped, 0u);
 }
 
 TEST(LinkMatrix, CutIsDirectionalAndHeals) {
@@ -32,7 +31,6 @@ TEST(LinkMatrix, CutIsDirectionalAndHeals) {
   links.heal(ServerId{0}, ServerId{1});
   EXPECT_TRUE(links.judge(ServerId{0}, ServerId{1}).deliver);
   EXPECT_TRUE(links.quiet());
-  EXPECT_EQ(links.stats().dropped, 1u);
 }
 
 TEST(LinkMatrix, ProbabilisticDropIsSeededAndRoughlyCalibrated) {

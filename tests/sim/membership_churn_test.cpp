@@ -88,9 +88,10 @@ TEST(MembershipChurn, KillFourServersConvergesAndFailsOver) {
 
   // The ring reflects exactly the surviving set.
   EXPECT_EQ(sim.cluster().alive_count(), kServers - victims.size());
-  EXPECT_EQ(sim.cluster().ring().server_count(), kServers - victims.size());
+  EXPECT_EQ(sim.cluster().ring_of(ServerId{0}).server_count(),
+            kServers - victims.size());
   for (const ServerId v : victims) {
-    EXPECT_FALSE(sim.cluster().ring().contains(v));
+    EXPECT_EQ(sim.cluster().live_rings_holding(v), 0u);
   }
 
   // Failover promoted replicas: no group lost its state, and the
@@ -149,14 +150,15 @@ TEST(MembershipChurn, RevivedServerRefutesAndRejoinsRing) {
   const ServerId victim{6};
   sim.kill(victim);
   ASSERT_GE(run_until_converged(sim, {victim}), 0);
-  ASSERT_FALSE(sim.cluster().ring().contains(victim));
+  ASSERT_EQ(sim.cluster().live_rings_holding(victim), 0u);
 
   sim.revive(victim);
   bool rejoined = false;
   for (int period = 0; period < kConvergenceBound && !rejoined; ++period) {
     sim.run_for(sim.protocol_period());
     rejoined = sim.all_survivors_see_alive(victim) &&
-               sim.cluster().ring().contains(victim);
+               sim.cluster().live_rings_holding(victim) ==
+                   sim.cluster().alive_count();
   }
   ASSERT_TRUE(rejoined) << "revived server never re-admitted";
   EXPECT_TRUE(sim.ring_matches_membership());

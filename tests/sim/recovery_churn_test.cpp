@@ -183,7 +183,8 @@ TEST(RecoveryChurn, KillReviveLosesNoQueriesAndConvergesHeads) {
   for (int period = 0; period < kConvergenceBound && !rejoined; ++period) {
     sim.run_for(sim.protocol_period());
     rejoined = sim.all_survivors_see_alive(victim) &&
-               sim.cluster().ring().contains(victim);
+               sim.cluster().live_rings_holding(victim) ==
+                   sim.cluster().alive_count();
   }
   ASSERT_TRUE(rejoined);
 
