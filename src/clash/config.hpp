@@ -107,15 +107,16 @@ struct ClashConfig {
   DurabilityMode durability_mode = DurabilityMode::kNone;
 
   /// When WAL appends reach stable storage:
-  ///  - kPerAppend: fsync every record (no loss, highest latency).
-  ///  - kInterval: group commit — fsync at most once per
-  ///    kFsyncInterval (bounded loss window).
+  ///  - kPerAppend: no reply before its record is synced (no loss);
+  ///    the appends of one loop tick share one fsync at its end.
+  ///  - kInterval: fsync at most once per kFsyncInterval (bounded
+  ///    loss window).
   ///  - kNever: leave it to the OS (a crash may lose any unsynced
   ///    suffix; recovery still truncates to the last complete record).
   enum class FsyncPolicy : std::uint8_t { kPerAppend, kInterval, kNever };
   FsyncPolicy fsync_policy = FsyncPolicy::kInterval;
 
-  /// Group-commit window for FsyncPolicy::kInterval.
+  /// Sync window for FsyncPolicy::kInterval.
   static constexpr SimDuration kFsyncInterval = SimTime::from_seconds(1);
 
   /// WAL segment rollover size (truncation reclaims whole segments).

@@ -592,7 +592,7 @@ void ClashServer::run_load_check() {
   }
   last_load_check_ = now;
   if (durable()) {
-    storage_->tick(now);  // group-commit fsync backstop
+    storage_->tick(now);  // kInterval fsync backstop
     // Re-anchor any group whose snapshot write failed (ENOSPC,
     // transient I/O): without the baseline, recovery would replay its
     // ops onto an empty image and call the partial result success.
@@ -948,6 +948,16 @@ void ClashServer::log_op(const KeyGroup& group, repl::LogOp op) {
   if (durable()) {
     meter_storage_bytes(group, storage_->append_op(group, head, op,
                                                    env_.now()));
+    if (!commit_scheduled_ && storage_->commit_pending()) {
+      // kPerAppend: every append of this tick shares one fsync at its
+      // end, appends no client waits on (removals, handoffs) included.
+      // A synchronous env commits inline: one fsync per append.
+      commit_scheduled_ = true;
+      env_.defer([this] {
+        commit_scheduled_ = false;
+        storage_->commit(env_.now());
+      });
+    }
   }
   log.append(std::move(op));
   if (replicating && !append_flush_scheduled_) {

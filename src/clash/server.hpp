@@ -271,8 +271,10 @@ class ClashServer {
 
   // --- Durable storage subsystem (src/storage/) ------------------------
   /// Attach the node's durable store: every owned-group mutation
-  /// appends to its WAL, activations write baseline snapshots, and
-  /// log compaction cuts checkpoint snapshots that truncate the WAL.
+  /// appends to its WAL (under kPerAppend, a tick that appended ends
+  /// in one deferred NodeStore::commit), activations write baseline
+  /// snapshots, and log compaction cuts checkpoint snapshots that
+  /// truncate the WAL.
   /// Attach before any traffic; the store must outlive the server.
   void set_storage(storage::NodeStore* store) { storage_ = store; }
 
@@ -531,6 +533,8 @@ class ClashServer {
   };
   std::map<KeyGroup, PendingAppend> pending_appends_;
   bool append_flush_scheduled_ = false;
+  /// The tick's WAL group commit is deferred (kPerAppend).
+  bool commit_scheduled_ = false;
   /// Build and fan one batch out to the group's replica set.
   void send_append_batch(const KeyGroup& group, PendingAppend&& batch);
 

@@ -6,6 +6,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "wire/codec.hpp"
@@ -899,12 +900,39 @@ void ClashNode::handle_frame(const std::shared_ptr<Connection>& conn,
       auto w = wire::begin_frame(wire::Envelope{
           wire::FrameKind::kResponse, env.request_id, config_.id});
       wire::encode_reply(w, reply);
-      conn->send_wire_frame(wire::finish_frame(std::move(w)));
+      auto out = wire::finish_frame(std::move(w));
+      const bool must_park =
+          !parked_replies_.empty() ||
+          (store_ != nullptr && store_->commit_pending());
+      if (!must_park) {
+        conn->send_wire_frame(std::move(out));
+        break;
+      }
+      // The reply waits for the commit that covers its record. Sending
+      // it now could flush it before the sync: the connection's flush
+      // may already be deferred ahead of the commit. A reply behind a
+      // parked one parks too, so each connection stays in order.
+      if (parked_replies_.empty()) {
+        loop_->defer([this] {
+          on_loop_.assert_held();
+          release_replies();
+        });
+      }
+      parked_replies_.push_back(ParkedReply{conn, std::move(out)});
       break;
     }
     case wire::FrameKind::kResponse:
       // Server nodes never issue requests; ignore.
       break;
+  }
+}
+
+void ClashNode::release_replies() {
+  store_->commit(env_->now());
+  for (auto& parked : std::exchange(parked_replies_, {})) {
+    if (const auto conn = parked.conn.lock()) {
+      conn->send_wire_frame(std::move(parked.frame));
+    }
   }
 }
 

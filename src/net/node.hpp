@@ -233,6 +233,8 @@ class ClashNode {
   void handle_frame(const std::shared_ptr<Connection>& conn,
                     std::span<const std::uint8_t> frame)
       CLASH_REQUIRES(on_loop_);
+  /// The tick's WAL group commit, then the replies parked behind it.
+  void release_replies() CLASH_REQUIRES(on_loop_);
   /// Takes an owned, finished wire frame (wire::finish_frame output).
   void send_to_peer(ServerId to, std::vector<std::uint8_t>&& frame)
       CLASH_REQUIRES(on_loop_);
@@ -308,6 +310,13 @@ class ClashNode {
       CLASH_GUARDED_BY(on_loop_);
   std::vector<std::shared_ptr<Connection>> inbound_
       CLASH_GUARDED_BY(on_loop_);
+  /// AcceptObject replies waiting for the tick's group commit, in
+  /// arrival order (kPerAppend: no reply before its record is synced).
+  struct ParkedReply {
+    std::weak_ptr<Connection> conn;
+    std::vector<std::uint8_t> frame;
+  };
+  std::vector<ParkedReply> parked_replies_ CLASH_GUARDED_BY(on_loop_);
   std::thread thread_;
   std::atomic<bool> running_{false};
   std::chrono::steady_clock::time_point epoch_;  // set once in ctor

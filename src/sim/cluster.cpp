@@ -179,7 +179,14 @@ class SimCluster::ClientEnvImpl final : public ClientEnv {
       return IncorrectDepth{0};
     }
     cluster_.stats_.object_replies++;  // the response message
-    return cluster_.server(to).handle_accept_object(msg);
+    AcceptObjectReply reply = cluster_.server(to).handle_accept_object(msg);
+    // No reply before its record is synced: the server's own
+    // end-of-tick commit rides the event queue, so a crash in this
+    // same instant would lose an acked write.
+    if (storage::NodeStore* store = cluster_.storage_of(to)) {
+      store->commit(cluster_.now_);
+    }
+    return reply;
   }
 
  private:

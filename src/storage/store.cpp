@@ -141,6 +141,7 @@ void NodeStore::truncate() {
 bool NodeStore::timed_sync(SimTime now) {
   const auto t0 = std::chrono::steady_clock::now();
   const Wal::SyncResult result = wal_->sync();
+  commit_pending_ = false;
   if (result == Wal::SyncResult::kIdle) return true;
   const bool ok = result == Wal::SyncResult::kSynced;
   if (!ok) io_errors_.inc();
@@ -157,7 +158,7 @@ bool NodeStore::timed_sync(SimTime now) {
 void NodeStore::maybe_sync(SimTime now) {
   switch (cfg_.fsync) {
     case ClashConfig::FsyncPolicy::kPerAppend:
-      timed_sync(now);
+      commit_pending_ = true;
       break;
     case ClashConfig::FsyncPolicy::kInterval:
       if (now - last_sync_ >= ClashConfig::kFsyncInterval) {
@@ -177,6 +178,11 @@ void NodeStore::tick(SimTime now) {
     timed_sync(now);
     last_sync_ = now;
   }
+}
+
+void NodeStore::commit(SimTime now) {
+  affinity_.assert_held();
+  if (commit_pending_) timed_sync(now);
 }
 
 }  // namespace clash::storage

@@ -69,8 +69,10 @@ class NodeStore {
   }
 
   /// Append one mutation of an owned group (`head` is the op's
-  /// position after the append). Applies the fsync policy. Returns the
-  /// WAL bytes the record cost (per-group storage metering).
+  /// position after the append). Applies the fsync policy: under
+  /// kPerAppend the record stays pending until the next commit().
+  /// Returns the WAL bytes the record cost (per-group storage
+  /// metering).
   std::uint64_t append_op(const KeyGroup& group, repl::LogHead head,
                           const repl::LogOp& op, SimTime now);
 
@@ -86,20 +88,28 @@ class NodeStore {
   /// file.
   void drop_group(const KeyGroup& group, std::uint64_t epoch, SimTime now);
 
-  /// Periodic driver hook: group-commit fsync (kInterval policy).
+  /// Periodic hook (each load check): the kInterval policy's timed
+  /// fsync.
   void tick(SimTime now);
+
+  /// kPerAppend's group commit: one fsync makes every record appended
+  /// since the last sync durable. The server runs it once at the end
+  /// of each loop tick that appended, and no reply to a put leaves
+  /// before it. A no-op when nothing is pending.
+  void commit(SimTime now);
+
+  /// True when kPerAppend records await commit(). Any sync of the open
+  /// segment (a drop record's, a commit's) clears it.
+  [[nodiscard]] bool commit_pending() const {
+    affinity_.assert_held();
+    return commit_pending_;
+  }
 
   /// True when `group`'s last snapshot write failed and the server
   /// should re-persist it (checked each load check).
   [[nodiscard]] bool snapshot_retry_pending(const KeyGroup& group) const {
     affinity_.assert_held();
     return failed_snapshots_.count(group) > 0;
-  }
-
-  /// Force everything appended so far to stable storage.
-  void flush() {
-    affinity_.assert_held();
-    timed_sync(last_sync_);
   }
 
   /// Attach an observability hub, the only place storage events are
@@ -119,7 +129,8 @@ class NodeStore {
       CLASH_REQUIRES(affinity_);
   void maybe_sync(SimTime now) CLASH_REQUIRES(affinity_);
   /// wal_->sync() wrapped with the fsync histogram/trace span (`now`
-  /// stamps the span; the duration is wall-clock).
+  /// stamps the span; the duration is wall-clock). Clears
+  /// commit_pending_.
   bool timed_sync(SimTime now) CLASH_REQUIRES(affinity_);
   void truncate() CLASH_REQUIRES(affinity_);
 
@@ -139,6 +150,7 @@ class NodeStore {
   /// snapshot_retry_pending).
   std::set<KeyGroup> failed_snapshots_ CLASH_GUARDED_BY(affinity_);
   SimTime last_sync_ CLASH_GUARDED_BY(affinity_){0};
+  bool commit_pending_ CLASH_GUARDED_BY(affinity_) = false;
 
   obs::Hub* hub_ CLASH_GUARDED_BY(affinity_) = nullptr;
   std::uint64_t node_ CLASH_GUARDED_BY(affinity_) = 0;

@@ -6,6 +6,7 @@
 // evict -> promote -> rejoin -> hand-back path.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -200,6 +201,40 @@ TEST(DurabilityRestart, SurvivesRestartWithoutAnyReplicas) {
     }
     EXPECT_EQ(cluster.check_invariants(), std::nullopt);
   }
+}
+
+TEST(DurabilityRestart, AckedPutSurvivesACrashInTheSameInstant) {
+  // kPerAppend: no reply before its record is synced. The server's
+  // end-of-tick commit rides the event queue, so the client path must
+  // commit before it returns the ack; a crash at the same sim time,
+  // before the queue runs, must not lose the acked write.
+  std::vector<std::function<void()>> queued;  // never run before the crash
+  SimCluster cluster(
+      durable_cluster_config(ClashConfig::DurabilityMode::kWalSnapshot, 0));
+  cluster.bootstrap();
+  cluster.set_delay_sink([&queued](SimDuration, std::function<void()> fn) {
+    queued.push_back(std::move(fn));
+  });
+  for (std::size_t i = 0; i < cluster.num_servers(); ++i) {
+    cluster.storage_backend(ServerId{i})->set_crash_fault(
+        storage::MemBackend::CrashFault{.drop_unsynced = true});
+  }
+
+  ClashClient client(cluster.clash_config(), cluster.client_env(ServerId{0}),
+                     cluster.hasher());
+  AcceptObject obj;
+  obj.key = Key(0xABCDEF, 24);
+  obj.kind = ObjectKind::kData;
+  obj.source = ClientId{7};
+  obj.stream_rate = 1;
+  const auto acked = client.insert(obj);
+  ASSERT_TRUE(acked.ok);
+  ASSERT_EQ(cluster.server(acked.server).total_streams(), 1u);
+
+  cluster.crash_server(acked.server);
+  cluster.restart_server(acked.server);
+  EXPECT_EQ(cluster.server(acked.server).total_streams(), 1u)
+      << "the acked put was lost with the unsynced WAL tail";
 }
 
 TEST(DurabilityRestart, FullChurnLifecycleComposesWithStaleDiskImages) {
