@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot code paths: key ops,
-// ServerTable lookups, hashing, Chord routing, client resolution, and
-// split/merge cost.
+// ServerTable lookups, hashing, Chord routing, client resolution,
+// split/merge cost, and the two kernels of a replicated put (the group
+// state upsert and the ReplAppend codec round trip).
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -10,7 +11,9 @@
 #include "common/rng.hpp"
 #include "common/sha1.hpp"
 #include "dht/chord.hpp"
+#include "repl/log.hpp"
 #include "sim/cluster.hpp"
+#include "wire/codec.hpp"
 
 using namespace clash;
 
@@ -164,6 +167,55 @@ void BM_SplitMergeCycle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SplitMergeCycle);
+
+// One put's group-state upsert, as the owner and every replica run it:
+// re-register an existing source (new key and rate) in a 1,024-stream
+// group, sources visited in a scattered order.
+void BM_GroupStateUpsert(benchmark::State& state) {
+  constexpr std::uint64_t kStreams = 1024;
+  GroupState st;
+  for (std::uint64_t i = 0; i < kStreams; ++i) {
+    repl::GroupLog::apply(
+        repl::LogOp::put_stream({ClientId{i}, Key(i, 24), 1.0}), st);
+  }
+  Rng rng(5);
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    const ClientId source{(i++ * 617) % kStreams};
+    repl::GroupLog::apply(
+        repl::LogOp::put_stream(
+            {source, Key(rng.next() & 0xFFFFFF, 24), 1.0 + double(i % 3)}),
+        st);
+    benchmark::DoNotOptimize(st.stream_rate);
+  }
+}
+BENCHMARK(BM_GroupStateUpsert);
+
+// The replication codec per batch: the owner stamps the content fence
+// and encodes a two-entry ReplAppend; the replica decodes it and
+// re-checks the fence.
+void BM_ReplAppendRoundTrip(benchmark::State& state) {
+  ReplAppend m;
+  m.group = KeyGroup::of(Key(0x600000, 24), 6);
+  m.owner = ServerId{3};
+  m.epoch = 5;
+  m.base_seq = 41;
+  m.entries.push_back(
+      repl::LogOp::put_stream({ClientId{9}, Key(0x601234, 24), 2.5}));
+  m.entries.push_back(
+      repl::LogOp::put_stream({ClientId{10}, Key(0x60ABCD, 24), 1.5}));
+  Message msg(std::move(m));
+  ReplAppend& out = std::get<ReplAppend>(msg);
+  for (auto _ : state) {
+    out.checksum = wire::content_crc(out);
+    wire::Writer w;
+    wire::encode_message(w, msg);
+    const auto decoded = wire::decode_message(w.data());
+    const auto& back = std::get<ReplAppend>(decoded.value());
+    benchmark::DoNotOptimize(wire::content_crc(back) == back.checksum);
+  }
+}
+BENCHMARK(BM_ReplAppendRoundTrip);
 
 }  // namespace
 

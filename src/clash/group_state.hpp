@@ -4,7 +4,7 @@
 // the whole server.
 #pragma once
 
-#include <map>
+#include <unordered_map>
 
 #include "clash/objects.hpp"
 #include "common/types.hpp"
@@ -12,9 +12,13 @@
 namespace clash {
 
 /// Objects (stream registrations + stored queries) held by one group.
+/// Hashed by id: every put upserts here, on the owner and on each
+/// replica, so the lookup is one probe. Iteration order is unspecified
+/// and may differ between two copies holding the same objects; nothing
+/// may depend on it (transfers, snapshots and splits carry sets).
 struct GroupState {
-  std::map<ClientId, StreamInfo> streams;
-  std::map<QueryId, QueryInfo> queries;
+  std::unordered_map<ClientId, StreamInfo> streams;
+  std::unordered_map<QueryId, QueryInfo> queries;
   double stream_rate = 0;  // invariant: sum of streams[*].rate
 
   [[nodiscard]] bool empty() const {

@@ -1,9 +1,12 @@
-// Bit-manipulation helpers used by the key machinery and Chord.
+// Bit-manipulation helpers used by the key machinery and Chord, and the
+// little-endian loads/stores shared by the wire codec and CRC32.
 #pragma once
 
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
 
 namespace clash::bits {
 
@@ -51,6 +54,38 @@ namespace clash::bits {
     r = (r << 2) | (((a >> i) & 1U) << 1) | ((b >> i) & 1U);
   }
   return r;
+}
+
+/// `v` in little-endian byte order (the identity on little-endian
+/// hosts; the loop compiles to one bswap elsewhere).
+template <class T>
+[[nodiscard]] constexpr T to_little_endian(T v) {
+  static_assert(std::is_unsigned_v<T>);
+  if constexpr (std::endian::native == std::endian::little) {
+    return v;
+  } else {
+    T out = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      out = T(out << 8) | T(v & 0xFF);
+      v = T(v >> 8);
+    }
+    return out;
+  }
+}
+
+/// Store `v` at `p` as sizeof(T) little-endian bytes (any alignment).
+template <class T>
+inline void store_le(std::uint8_t* p, T v) {
+  const T le = to_little_endian(v);
+  std::memcpy(p, &le, sizeof le);
+}
+
+/// Load sizeof(T) little-endian bytes from `p` (any alignment).
+template <class T>
+[[nodiscard]] inline T load_le(const std::uint8_t* p) {
+  T le;
+  std::memcpy(&le, p, sizeof le);
+  return to_little_endian(le);  // a byte swap is its own inverse
 }
 
 }  // namespace clash::bits

@@ -235,6 +235,11 @@ ResolveOutcome Runtime::insert_fixed(Source& src, AcceptObject obj) {
   cluster_->transport_stats().object_replies++;
   const AcceptObjectReply reply =
       cluster_->server(best).handle_accept_object(obj);
+  // No ack before its record is synced, as on the client path
+  // (SimCluster's rpc_accept_object).
+  if (storage::NodeStore* store = cluster_->storage_of(best)) {
+    store->commit(cluster_->now());
+  }
   out.ok = std::holds_alternative<AcceptObjectOk>(reply);
   out.server = best;
   out.depth = depth;

@@ -2,13 +2,19 @@
 // Integers are little-endian fixed width; doubles are IEEE-754 bit
 // patterns. The Reader is bounds-checked and latches an error state
 // instead of throwing, so malformed peer input can never crash a node.
+// Every codec field goes through these scalars, so they are inline and
+// move a whole word per call: one bounds check and one copy, with a
+// byte swap only on a big-endian host.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/bits.hpp"
 
 namespace clash::wire {
 
@@ -16,15 +22,11 @@ namespace clash::wire {
 // framing layer (the u32 length prefix), so framing bytes match the
 // codec on any host endianness.
 inline void store_u32_le(std::uint8_t* p, std::uint32_t v) {
-  p[0] = std::uint8_t(v);
-  p[1] = std::uint8_t(v >> 8);
-  p[2] = std::uint8_t(v >> 16);
-  p[3] = std::uint8_t(v >> 24);
+  bits::store_le(p, v);
 }
 
-inline std::uint32_t load_u32_le(const std::uint8_t* p) {
-  return std::uint32_t(p[0]) | (std::uint32_t(p[1]) << 8) |
-         (std::uint32_t(p[2]) << 16) | (std::uint32_t(p[3]) << 24);
+[[nodiscard]] inline std::uint32_t load_u32_le(const std::uint8_t* p) {
+  return bits::load_le<std::uint32_t>(p);
 }
 
 /// Append-only encoder over a pooled backing buffer. The default
@@ -45,10 +47,10 @@ class Writer {
   void reserve(std::size_t n) { buf_.reserve(n); }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void f64(double v);
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void f64(double v) { put(std::bit_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
   void bytes(std::span<const std::uint8_t> data);
   /// Length-prefixed (u32) string.
@@ -63,6 +65,13 @@ class Writer {
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
  private:
+  template <class T>
+  void put(T v) {
+    std::uint8_t bytes[sizeof v];
+    bits::store_le(bytes, v);
+    buf_.insert(buf_.end(), bytes, bytes + sizeof v);
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 
@@ -70,11 +79,11 @@ class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
 
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  double f64();
+  std::uint8_t u8() { return get<std::uint8_t>(); }
+  std::uint16_t u16() { return get<std::uint16_t>(); }
+  std::uint32_t u32() { return get<std::uint32_t>(); }
+  std::uint64_t u64() { return get<std::uint64_t>(); }
+  double f64() { return std::bit_cast<double>(u64()); }
   bool boolean() { return u8() != 0; }
   /// Length-prefixed (u32) string; empty on error.
   std::string str();
@@ -82,15 +91,31 @@ class Reader {
   /// True while all reads so far were in bounds.
   [[nodiscard]] bool ok() const { return ok_; }
   /// Latch the error state (semantic validation failed upstream).
-  void fail() { ok_ = false; }
+  /// The cursor jumps to the end, so every later read fails its
+  /// bounds check without testing the flag.
+  void fail() {
+    ok_ = false;
+    pos_ = data_.size();
+  }
   /// True when the payload was consumed exactly.
   [[nodiscard]] bool exhausted() const { return ok_ && pos_ == data_.size(); }
-  [[nodiscard]] std::size_t remaining() const {
-    return ok_ ? data_.size() - pos_ : 0;
-  }
+  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
-  [[nodiscard]] bool take(std::size_t n);
+  /// True when `n` more bytes are in bounds; latches failure otherwise.
+  [[nodiscard]] bool take(std::size_t n) {
+    if (data_.size() - pos_ >= n) return true;
+    fail();
+    return false;
+  }
+
+  template <class T>
+  T get() {
+    if (!take(sizeof(T))) return 0;
+    const T v = bits::load_le<T>(data_.data() + pos_);
+    pos_ += sizeof(T);
+    return v;
+  }
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

@@ -7,11 +7,13 @@
 // can be blackholed to force divergence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
 
 #include "clash/server.hpp"
+#include "common/rng.hpp"
 #include "repl/log.hpp"
 
 namespace clash {
@@ -203,20 +205,21 @@ TEST(ReplicationLog, LagPastCompactionFloorGetsChunkedSnapshot) {
 }
 
 /// Field-by-field equality: a replica must hold the owner's exact
-/// objects, not just the same counts.
+/// objects, not just the same counts. Matched by id: the two copies'
+/// iteration orders may differ.
 void expect_same_state(const GroupState& replica, const GroupState& owner) {
   ASSERT_EQ(replica.streams.size(), owner.streams.size());
-  for (auto r = replica.streams.begin(), o = owner.streams.begin();
-       r != replica.streams.end(); ++r, ++o) {
-    EXPECT_EQ(r->first, o->first);
-    EXPECT_EQ(r->second.key, o->second.key);
-    EXPECT_DOUBLE_EQ(r->second.rate, o->second.rate);
+  for (const auto& [id, s] : owner.streams) {
+    const auto r = replica.streams.find(id);
+    ASSERT_NE(r, replica.streams.end()) << "stream " << id.value;
+    EXPECT_EQ(r->second.key, s.key);
+    EXPECT_DOUBLE_EQ(r->second.rate, s.rate);
   }
   ASSERT_EQ(replica.queries.size(), owner.queries.size());
-  for (auto r = replica.queries.begin(), o = owner.queries.begin();
-       r != replica.queries.end(); ++r, ++o) {
-    EXPECT_EQ(r->first, o->first);
-    EXPECT_EQ(r->second.key, o->second.key);
+  for (const auto& [id, q] : owner.queries) {
+    const auto r = replica.queries.find(id);
+    ASSERT_NE(r, replica.queries.end()) << "query " << id.value;
+    EXPECT_EQ(r->second.key, q.key);
   }
   EXPECT_DOUBLE_EQ(replica.stream_rate, owner.stream_rate);
 }
@@ -438,6 +441,136 @@ TEST(ReplicationLog, HandoffToSelfOrUnmappedGroupsIsANoOp) {
   cluster.router.lookup_owner = ServerId{0};  // still maps here
   EXPECT_EQ(cluster.s(0).handoff_groups(ServerId{2}), 0u);
   EXPECT_TRUE(cluster.s(0).is_active());
+}
+
+// --- Group-state order -------------------------------------------------
+// GroupState is hashed, so its iteration order is unspecified and
+// follows insertion history. Every path that walks a group (snapshot
+// chunking, the AcceptKeyGroup transfer, the split's extract_subset)
+// must carry the same object sets whatever order the objects came in.
+
+struct Objects {
+  std::map<std::uint64_t, StreamInfo> streams;  // by source
+  std::map<std::uint64_t, QueryInfo> queries;   // by id
+};
+
+/// 48 streams with uneven rates (their sum rounds differently in
+/// different orders) and 16 queries, keys spread over the whole space.
+Objects make_objects() {
+  Objects objs;
+  for (std::uint64_t i = 1; i <= 48; ++i) {
+    objs.streams[i] = StreamInfo{ClientId{i}, Key(i * 37 % 256, kWidth),
+                                 0.1 * double(i % 11) + 0.013 * double(i)};
+  }
+  for (std::uint64_t i = 1; i <= 16; ++i) {
+    objs.queries[i] = QueryInfo{QueryId{i}, Key(i * 53 % 256, kWidth)};
+  }
+  return objs;
+}
+
+/// Put every object of `objs` through s(0), in an order shuffled by
+/// `seed`.
+void insert_shuffled(LogCluster& cluster, const Objects& objs,
+                     std::uint64_t seed) {
+  std::vector<std::pair<bool, std::uint64_t>> order;  // (is query, id)
+  for (const auto& [id, _] : objs.streams) order.emplace_back(false, id);
+  for (const auto& [id, _] : objs.queries) order.emplace_back(true, id);
+  Rng rng(seed);
+  std::shuffle(order.begin(), order.end(), rng);
+  for (const auto& [is_query, id] : order) {
+    if (is_query) {
+      cluster.add_query(id, objs.queries.at(id).key.value());
+    } else {
+      const StreamInfo& s = objs.streams.at(id);
+      cluster.add_stream(id, s.key.value(), s.rate);
+    }
+  }
+}
+
+/// `st` holds exactly the objects of `objs` that `g` covers, and its
+/// cached rate equals their sum within 1e-9 relative.
+void expect_holds(const GroupState& st, const Objects& objs,
+                  const KeyGroup& g) {
+  std::set<std::uint64_t> want_streams;
+  std::set<std::uint64_t> want_queries;
+  double want_rate = 0;
+  for (const auto& [id, s] : objs.streams) {
+    if (!g.contains(s.key)) continue;
+    want_streams.insert(id);
+    want_rate += s.rate;
+  }
+  for (const auto& [id, q] : objs.queries) {
+    if (g.contains(q.key)) want_queries.insert(id);
+  }
+  std::set<std::uint64_t> got_streams;
+  for (const auto& [id, s] : st.streams) {
+    got_streams.insert(id.value);
+    EXPECT_EQ(s.key, objs.streams.at(id.value).key);
+    EXPECT_EQ(s.rate, objs.streams.at(id.value).rate);
+  }
+  std::set<std::uint64_t> got_queries;
+  for (const auto& [id, q] : st.queries) {
+    got_queries.insert(id.value);
+    EXPECT_EQ(q.key, objs.queries.at(id.value).key);
+  }
+  EXPECT_EQ(got_streams, want_streams) << g.label();
+  EXPECT_EQ(got_queries, want_queries) << g.label();
+  EXPECT_NEAR(st.stream_rate, want_rate, 1e-9 * want_rate) << g.label();
+}
+
+TEST(GroupStateOrder, ChunkedSnapshotAndAppendsReproduceTheOwner) {
+  // s(1) misses every append and catches up from a chunked snapshot
+  // (two objects per chunk); s(2) applies the appends one by one. Both
+  // must hold the owner's exact state, for any insert order.
+  const Objects objs = make_objects();
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    auto cfg = log_config();
+    cfg.log_compact_threshold = 3;  // s(1) lags past the floor
+    LogCluster cluster(3, cfg);
+    const KeyGroup root = cluster.install_root();
+    cluster.router.blackholed.insert(1);
+    insert_shuffled(cluster, objs, seed);
+    cluster.router.blackholed.erase(1);
+    cluster.s(0).run_load_check();  // probe -> diff -> chunked snapshot
+
+    const GroupState* owner = cluster.s(0).group_state(root);
+    ASSERT_NE(owner, nullptr);
+    expect_holds(*owner, objs, root);
+    for (std::size_t r : {1u, 2u}) {
+      SCOPED_TRACE(r);
+      EXPECT_EQ(cluster.s(r).replica_head(root), cluster.s(0).log_head(root));
+      const GroupState* replica = cluster.s(r).replica_state(root);
+      ASSERT_NE(replica, nullptr);
+      expect_same_state(*replica, *owner);
+      expect_holds(*replica, objs, root);
+    }
+  }
+}
+
+TEST(GroupStateOrder, SplitAndHandoffCarryTheSameSets) {
+  // The split's extract_subset keeps the left half and ships the right
+  // one in an AcceptKeyGroup; a handoff then ships the left half too.
+  const Objects objs = make_objects();
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    LogCluster cluster(4);
+    const KeyGroup root = cluster.install_root();
+    insert_shuffled(cluster, objs, seed);
+
+    cluster.router.lookup_owner = ServerId{3};
+    ASSERT_TRUE(cluster.s(0).force_split(root));
+    const KeyGroup left = root.left_child();
+    const KeyGroup right = root.right_child();
+    ASSERT_NE(cluster.s(0).group_state(left), nullptr);
+    ASSERT_NE(cluster.s(3).group_state(right), nullptr);
+    expect_holds(*cluster.s(0).group_state(left), objs, left);
+    expect_holds(*cluster.s(3).group_state(right), objs, right);
+
+    EXPECT_EQ(cluster.s(0).handoff_groups(ServerId{3}), 1u);
+    ASSERT_NE(cluster.s(3).group_state(left), nullptr);
+    expect_holds(*cluster.s(3).group_state(left), objs, left);
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "common/rng.hpp"
 #include "sim/churn.hpp"
 #include "sim/cluster.hpp"
+#include "sim/runtime.hpp"
 
 namespace clash::sim {
 namespace {
@@ -235,6 +236,65 @@ TEST(DurabilityRestart, AckedPutSurvivesACrashInTheSameInstant) {
   cluster.restart_server(acked.server);
   EXPECT_EQ(cluster.server(acked.server).total_streams(), 1u)
       << "the acked put was lost with the unsynced WAL tail";
+}
+
+TEST(DurabilityRestart, PowerOfTwoPlacementAcksOnlySyncedPuts) {
+  // The Runtime's power-of-two path puts straight into the cooler
+  // candidate, bypassing the client RPC. It too must commit before it
+  // counts a put as acked: every server timer (the end-of-tick commit
+  // included) is queued and never run, and a crash right after the run
+  // must keep every placed object.
+  RuntimeConfig rc;
+  rc.cluster =
+      durable_cluster_config(ClashConfig::DurabilityMode::kWalSnapshot, 0);
+  rc.mode = Mode::kPowerOfTwo;
+  rc.num_sources = 64;
+  rc.num_query_clients = 16;
+  rc.mean_stream_packets = 1e9;  // no key changes within the run
+  rc.mean_query_lifetime = SimTime::from_hours(1e4);
+  rc.phases = {{'A', SimTime::from_minutes(1)}};
+  Runtime rt(std::move(rc));
+  SimCluster& cluster = rt.cluster();
+  std::vector<std::function<void()>> queued;  // never run before the crash
+  cluster.set_delay_sink([&queued](SimDuration, std::function<void()> fn) {
+    queued.push_back(std::move(fn));
+  });
+  for (std::size_t i = 0; i < cluster.num_servers(); ++i) {
+    cluster.storage_backend(ServerId{i})->set_crash_fault(
+        storage::MemBackend::CrashFault{.drop_unsynced = true});
+  }
+  const RunResult r = rt.run();
+  ASSERT_EQ(r.failed_resolves, 0u);
+
+  std::size_t streams = 0;
+  std::size_t queries = 0;
+  for (std::size_t i = 0; i < cluster.num_servers(); ++i) {
+    streams += cluster.server(ServerId{i}).total_streams();
+    queries += cluster.server(ServerId{i}).total_queries();
+  }
+  ASSERT_EQ(streams, 64u);
+  ASSERT_EQ(queries, 16u);
+
+  // Objects a server holds: its active groups, plus the recovered
+  // records it did not re-adopt (placement need not follow the ring).
+  const auto held = [&cluster](ServerId id) {
+    const ClashServer& s = cluster.server(id);
+    std::size_t n = s.total_streams() + s.total_queries();
+    for (const KeyGroup& g : s.replica_groups()) {
+      n += s.replica_state(g)->streams.size() +
+           s.replica_state(g)->queries.size();
+    }
+    return n;
+  };
+  cluster.set_delay_sink(nullptr);  // recovery's own timers run inline
+  for (std::size_t i = 0; i < cluster.num_servers(); ++i) {
+    const ServerId id{i};
+    const std::size_t before = held(id);
+    cluster.crash_server(id);
+    cluster.restart_server(id);
+    EXPECT_EQ(held(id), before)
+        << "s" << i << " lost acked puts with its unsynced WAL tail";
+  }
 }
 
 TEST(DurabilityRestart, FullChurnLifecycleComposesWithStaleDiskImages) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace clash::wire {
 namespace {
 
@@ -72,6 +74,53 @@ TEST(Buffer, EmptyString) {
   Reader r(w.data());
   EXPECT_EQ(r.str(), "");
   EXPECT_TRUE(r.exhausted());
+}
+
+TEST(Buffer, ScalarBytesArePinnedLittleEndian) {
+  // The wire format: fixed-width little-endian integers, doubles as
+  // their IEEE-754 bit pattern, on any host.
+  Writer w;
+  w.u16(0x1234);
+  w.u32(0xDEADBEEF);
+  w.u64(0x0123456789ABCDEFull);
+  w.f64(-2.5);  // 0xC004000000000000
+  const std::vector<std::uint8_t> want = {
+      0x34, 0x12,                                      // u16
+      0xEF, 0xBE, 0xAD, 0xDE,                          // u32
+      0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,  // u64
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0xC0,  // f64
+  };
+  EXPECT_EQ(w.data(), want);
+  EXPECT_EQ(load_u32_le(want.data() + 2), 0xDEADBEEFu);
+  std::uint8_t slot[4];
+  store_u32_le(slot, 0xDEADBEEF);
+  EXPECT_TRUE(std::equal(slot, slot + 4, want.begin() + 2));
+}
+
+TEST(Buffer, TruncatedReaderLatchesAtEveryWidth) {
+  // A scalar one or more bytes short fails as a whole: zero, never the
+  // bytes that were there, and every later read fails too.
+  const std::vector<std::uint8_t> ones(8, 0xFF);
+  for (std::size_t width : {1u, 2u, 4u, 8u}) {
+    for (std::size_t have = 0; have < width; ++have) {
+      SCOPED_TRACE(testing::Message() << "width " << width << " have " << have);
+      Reader r(std::span<const std::uint8_t>(ones.data(), have));
+      std::uint64_t got = 1;
+      switch (width) {
+        case 1: got = r.u8(); break;
+        case 2: got = r.u16(); break;
+        case 4: got = r.u32(); break;
+        default: got = r.u64(); break;
+      }
+      EXPECT_EQ(got, 0u);
+      EXPECT_FALSE(r.ok());
+      EXPECT_EQ(r.remaining(), 0u);
+      EXPECT_EQ(r.u8(), 0u);
+      EXPECT_EQ(r.f64(), 0.0);
+      EXPECT_FALSE(r.ok());
+      EXPECT_FALSE(r.exhausted());
+    }
+  }
 }
 
 }  // namespace

@@ -285,6 +285,55 @@ TEST(Codec, SnapshotFramesRejectDuplicatedPayloads) {
   EXPECT_FALSE(decode_message(doubled_chunk).ok());
 }
 
+TEST(Codec, ReplAppendBytesArePinned) {
+  // The exact encoding of a two-entry batch, checksum included: a codec
+  // change that moves one byte breaks mixed-version clusters and every
+  // content fence.
+  ReplAppend m;
+  m.group = KeyGroup::parse("0110*", 24).value();
+  m.owner = ServerId{3};
+  m.epoch = 5;
+  m.base_seq = 41;
+  m.trace_id = 0xABCDEF99ULL;
+  m.entries.push_back(
+      repl::LogOp::put_stream({ClientId{9}, Key(0x601234, 24), 2.5}));
+  m.entries.push_back(
+      repl::LogOp::put_query(QueryInfo{QueryId{44}, Key(0x60AAAA, 24)}));
+  m.checksum = content_crc(m);
+  EXPECT_EQ(m.checksum, 0x379A2141u);
+
+  Writer w;
+  encode_message(w, Message(m));
+  const std::vector<std::uint8_t> want = {
+      0x0D,                                            // kReplAppend
+      0x41, 0x21, 0x9A, 0x37,                          // checksum
+      0x18,                                            // group: width 24
+      0x00, 0x00, 0x60, 0x00, 0x00, 0x00, 0x00, 0x00,  //   virtual key
+      0x04,                                            //   depth 4
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // owner
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // epoch
+      0x29, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // base_seq
+      0x99, 0xEF, 0xCD, 0xAB, 0x00, 0x00, 0x00, 0x00,  // trace_id
+      0x02, 0x00, 0x00, 0x00,                          // 2 entries
+      0x00,                                            // put_stream
+      0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   source
+      0x18,                                            //   key width
+      0x34, 0x12, 0x60, 0x00, 0x00, 0x00, 0x00, 0x00,  //   key value
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40,  //   rate 2.5
+      0x02,                                            // put_query
+      0x2C, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   id 44
+      0x18,                                            //   key width
+      0xAA, 0xAA, 0x60, 0x00, 0x00, 0x00, 0x00, 0x00,  //   key value
+  };
+  EXPECT_EQ(w.data(), want);
+
+  const auto out = decode_message(want);
+  ASSERT_TRUE(out.ok());
+  const auto& back = std::get<ReplAppend>(out.value());
+  EXPECT_EQ(back.checksum, m.checksum);
+  EXPECT_EQ(content_crc(back), m.checksum);
+}
+
 TEST(Codec, ReplAppendRejectsBadOpKind) {
   ReplAppend m;
   m.group = KeyGroup::parse("0*", 24).value();
