@@ -5,12 +5,15 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
+#include "clash/bootstrap.hpp"
 #include "clash/client.hpp"
 #include "clash/server_table.hpp"
 #include "common/rng.hpp"
 #include "common/sha1.hpp"
 #include "dht/chord.hpp"
+#include "net/node.hpp"
 #include "repl/log.hpp"
 #include "sim/cluster.hpp"
 #include "wire/codec.hpp"
@@ -95,6 +98,33 @@ void BM_TableActiveLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TableActiveLookup)->Arg(4)->Arg(16)->Arg(23);
+
+// One e2e node's table: the bootstrap cascade to depth 6 (64 groups)
+// over 3 servers on a ring built as a ClashNode builds it, keys uniform.
+// A key either hits one of the node's active groups (one probe at depth
+// 6) or misses the node.
+void BM_TableActiveLookupBootstrap(benchmark::State& state) {
+  ClashConfig cfg;
+  cfg.key_width = 24;
+  cfg.initial_depth = 6;
+  const net::NodeConfig node;
+  dht::ChordRing ring(dht::ChordRing::Config{
+      node.hash_bits, node.virtual_servers, node.hash_algo, node.ring_salt});
+  for (std::uint64_t i = 0; i < 3; ++i) ring.add_server(ServerId{i});
+  ServerTable t(24);
+  for (const auto& e :
+       compute_bootstrap_entries(ring, ring.hasher(), cfg).at(ServerId{0})) {
+    t.insert(e);
+  }
+  Rng rng(9);
+  for (auto _ : state) {
+    const Key k(rng.next() & 0xFFFFFF, 24);
+    benchmark::DoNotOptimize(t.active_entry_for(k));
+  }
+  state.counters["entries"] = double(t.size());
+  state.counters["active"] = double(t.active_count());
+}
+BENCHMARK(BM_TableActiveLookupBootstrap);
 
 void BM_ChordLookup(benchmark::State& state) {
   dht::ChordRing::Config cfg;
@@ -190,6 +220,32 @@ void BM_GroupStateUpsert(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GroupStateUpsert);
+
+// The same upsert at one e2e node's scale: about 21,800 streams over
+// 21 groups (a third of 65,536 sources on 64 groups), each put from a
+// random source. The state no longer fits in cache, so each upsert
+// pays its misses; the 1024-stream case above stays cache-resident.
+void BM_GroupStateUpsertNodeSized(benchmark::State& state) {
+  constexpr std::uint64_t kStreams = 21800;
+  constexpr std::uint64_t kGroups = 21;
+  std::vector<GroupState> groups(kGroups);
+  for (std::uint64_t i = 0; i < kStreams; ++i) {
+    repl::GroupLog::apply(
+        repl::LogOp::put_stream({ClientId{i}, Key(i, 24), 1.0}),
+        groups[i % kGroups]);
+  }
+  Rng rng(5);
+  for (auto _ : state) {
+    const std::uint64_t i = rng.below(kStreams);
+    GroupState& st = groups[i % kGroups];
+    repl::GroupLog::apply(
+        repl::LogOp::put_stream(
+            {ClientId{i}, Key(rng.next() & 0xFFFFFF, 24), 1.0 + double(i % 3)}),
+        st);
+    benchmark::DoNotOptimize(st.stream_rate);
+  }
+}
+BENCHMARK(BM_GroupStateUpsertNodeSized);
 
 // The replication codec per batch: the owner stamps the content fence
 // and encodes a two-entry ReplAppend; the replica decodes it and

@@ -4,21 +4,23 @@
 // the whole server.
 #pragma once
 
-#include <unordered_map>
-
 #include "clash/objects.hpp"
+#include "common/flat_map.hpp"
 #include "common/types.hpp"
 
 namespace clash {
 
 /// Objects (stream registrations + stored queries) held by one group.
-/// Hashed by id: every put upserts here, on the owner and on each
-/// replica, so the lookup is one probe. Iteration order is unspecified
-/// and may differ between two copies holding the same objects; nothing
-/// may depend on it (transfers, snapshots and splits carry sets).
+/// Hashed by id in flat open-addressed maps: every put upserts here, on
+/// the owner and on each replica, so the lookup is one probe into one
+/// slot array. No iterator, pointer or reference into `streams` or
+/// `queries` survives an insert or an erase (see common/flat_map.hpp).
+/// Iteration order is unspecified and may differ between two copies
+/// holding the same objects; nothing may depend on it (transfers,
+/// snapshots and splits carry sets).
 struct GroupState {
-  std::unordered_map<ClientId, StreamInfo> streams;
-  std::unordered_map<QueryId, QueryInfo> queries;
+  FlatMap<ClientId, StreamInfo> streams;
+  FlatMap<QueryId, QueryInfo> queries;
   double stream_rate = 0;  // invariant: sum of streams[*].rate
 
   [[nodiscard]] bool empty() const {

@@ -152,9 +152,11 @@ AcceptObjectReply ClashServer::handle_accept_object(const AcceptObject& m) {
   // Cases (a) (right depth) and (b) (wrong depth, right server) differ
   // only in the echoed depth; the client compares.
   if (!m.probe_only) {
-    hub_.tracer.record(obs::SpanKind::kIngest, self_.value, env_.now(),
-                       SimDuration{0}, std::uint64_t(m.kind), 0,
-                       active_trace_);
+    if (hub_.tracer.enabled()) {
+      hub_.tracer.record(obs::SpanKind::kIngest, self_.value, env_.now(),
+                         SimDuration{0}, std::uint64_t(m.kind), 0,
+                         active_trace_);
+    }
     GroupState& gs = state_[entry->group];
     GroupCost& cost = group_costs_[entry->group];
     ++cost.puts;
@@ -434,7 +436,7 @@ void ClashServer::handle_reclaim_ack(ServerId from, const ReclaimAck& m) {
   table_.erase(left);
   (void)left_entry;
   note_group_deactivated(left);
-  parent_entry->active = true;
+  table_.set_active(*parent_entry, true);
   parent_entry->right_child = ServerId{};
   state_[parent_group] = std::move(merged);
   note_group_activated(parent_group);
@@ -503,7 +505,7 @@ void ClashServer::split_group(const KeyGroup& group,
 
     ServerTableEntry* cur_entry = table_.find(current);
     assert(cur_entry != nullptr);
-    cur_entry->active = false;
+    table_.set_active(*cur_entry, false);
     cur_entry->right_child = owner.owner;
     note_group_deactivated(current);
 
@@ -1323,8 +1325,10 @@ void ClashServer::handle_repl_append(ServerId from, const ReplAppend& m) {
   const std::size_t applied =
       m.entries.size() > skip ? m.entries.size() - skip : 0;
   if (applied > 0) {
-    hub_.tracer.record(obs::SpanKind::kReplApply, self_.value, env_.now(),
-                       SimDuration{0}, applied, 0, active_trace_);
+    if (hub_.tracer.enabled()) {
+      hub_.tracer.record(obs::SpanKind::kReplApply, self_.value, env_.now(),
+                         SimDuration{0}, applied, 0, active_trace_);
+    }
     if (recovery_.active(m.group)) {
       recovery_.note_entries_repaired(m.group, applied);
       progress_recovery_op(m.group, applied);
@@ -1769,26 +1773,19 @@ bool ClashServer::promote_replica(const KeyGroup& group) {
 
 GroupState ClashServer::extract_subset(GroupState& st,
                                        const KeyGroup& subset) {
+  // A partition into two fresh maps: erasing from a flat map while
+  // iterating it would skip the entries its backward shift moves.
+  GroupState keep;
   GroupState out;
-  for (auto it = st.streams.begin(); it != st.streams.end();) {
-    if (subset.contains(it->second.key)) {
-      out.stream_rate += it->second.rate;
-      st.stream_rate -= it->second.rate;
-      out.streams.insert(*it);
-      it = st.streams.erase(it);
-    } else {
-      ++it;
-    }
+  for (const auto& [id, s] : st.streams) {
+    GroupState& dst = subset.contains(s.key) ? out : keep;
+    dst.streams.try_emplace(id, s);
+    dst.stream_rate += s.rate;
   }
-  if (st.stream_rate < 0) st.stream_rate = 0;
-  for (auto it = st.queries.begin(); it != st.queries.end();) {
-    if (subset.contains(it->second.key)) {
-      out.queries.insert(*it);
-      it = st.queries.erase(it);
-    } else {
-      ++it;
-    }
+  for (const auto& [id, q] : st.queries) {
+    (subset.contains(q.key) ? out : keep).queries.try_emplace(id, q);
   }
+  st = std::move(keep);
   return out;
 }
 

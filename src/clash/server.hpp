@@ -11,6 +11,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -161,7 +162,8 @@ class ClashServer {
   /// what each group costs in serving, replication, and storage. The
   /// record follows the group — split, handoff, and replica drop
   /// evict it (keeping the census bounded under churn).
-  [[nodiscard]] const std::map<KeyGroup, GroupCost>& group_costs() const {
+  [[nodiscard]] const std::unordered_map<KeyGroup, GroupCost>& group_costs()
+      const {
     return group_costs_;
   }
   [[nodiscard]] GroupCost total_group_cost() const {
@@ -351,6 +353,10 @@ class ClashServer {
   [[nodiscard]] std::vector<unsigned> active_depths() const;
   [[nodiscard]] bool is_active() const { return table_.active_count() > 0; }
 
+  /// Move the members of `subset` out of `st` into the returned state
+  /// (a split's right half); each side's stream_rate is its own sum.
+  static GroupState extract_subset(GroupState& st, const KeyGroup& subset);
+
  private:
   struct ChildReport {
     double load = 0;
@@ -387,9 +393,6 @@ class ClashServer {
   [[nodiscard]] std::optional<KeyGroup> pick_split_candidate();
   [[nodiscard]] std::optional<KeyGroup> pick_merge_candidate() const;
 
-  /// Move the members of `subset` out of `st` into the returned state.
-  static GroupState extract_subset(GroupState& st, const KeyGroup& subset);
-
   /// Drop an emptied ephemeral group (fixed-depth baseline mode).
   void maybe_gc_group(const KeyGroup& group);
 
@@ -400,7 +403,7 @@ class ClashServer {
   AppHooks* app_hooks_ = nullptr;
   storage::NodeStore* storage_ = nullptr;
   ServerTable table_;
-  std::map<KeyGroup, GroupState> state_;
+  std::unordered_map<KeyGroup, GroupState> state_;
   std::map<KeyGroup, ChildReport> child_reports_;  // right-child group -> report
   std::set<KeyGroup> pending_reclaims_;            // right-child groups asked back
 
@@ -563,7 +566,7 @@ class ClashServer {
   obs::Counter puts_total_;
   obs::Counter repl_bytes_total_;
 
-  std::map<KeyGroup, GroupCost> group_costs_;
+  std::unordered_map<KeyGroup, GroupCost> group_costs_;
   /// ReplAppend batches in flight: head seq + send time, popped by the
   /// first ok ReplAck at or past that seq (commit-latency histogram).
   struct PendingCommit {

@@ -1,6 +1,7 @@
 #include "clash/server_table.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,14 +12,34 @@ void ServerTable::insert(const ServerTableEntry& entry) {
     throw std::invalid_argument("entry key width mismatch");
   }
   const auto [it, inserted] = entries_.emplace(entry.group, entry);
-  (void)it;
   if (!inserted) {
     throw std::invalid_argument("duplicate key group in server table: " +
                                 entry.group.label());
   }
+  count_active(it->second, +1);
 }
 
-void ServerTable::erase(const KeyGroup& group) { entries_.erase(group); }
+void ServerTable::erase(const KeyGroup& group) {
+  const auto it = entries_.find(group);
+  if (it == entries_.end()) return;
+  count_active(it->second, -1);
+  entries_.erase(it);
+}
+
+void ServerTable::set_active(ServerTableEntry& entry, bool active) {
+  assert(find(entry.group) == &entry);
+  if (entry.active == active) return;
+  count_active(entry, -1);
+  entry.active = active;
+  count_active(entry, +1);
+}
+
+void ServerTable::count_active(const ServerTableEntry& entry, int delta) {
+  // Unsigned wrap-around makes a delta of -1 a decrement.
+  if (entry.active) {
+    active_at_depth_[entry.group.depth()] += std::uint32_t(delta);
+  }
+}
 
 ServerTableEntry* ServerTable::find(const KeyGroup& group) {
   const auto it = entries_.find(group);
@@ -36,11 +57,14 @@ ServerTableEntry* ServerTable::active_entry_for(const Key& k) {
 }
 
 const ServerTableEntry* ServerTable::active_entry_for(const Key& k) const {
-  // A server's table is small (lineage depth x managed groups), so a
-  // linear scan is both simple and fast; prefix-freeness guarantees at
-  // most one active match.
-  for (const auto& [group, entry] : entries_) {
-    if (entry.active && group.contains(k)) return &entry;
+  // Active groups are prefix-free, so at most one contains `k`: the
+  // key's own prefix at that group's depth. Deepest first, since the
+  // groups that split deepest are the ones that drew the most load.
+  if (k.width() != key_width_) return nullptr;
+  for (unsigned d = key_width_ + 1; d-- > 0;) {
+    if (active_at_depth_[d] == 0) continue;
+    const auto it = entries_.find(KeyGroup::of(k, d));
+    if (it != entries_.end() && it->second.active) return &it->second;
   }
   return nullptr;
 }
@@ -56,16 +80,14 @@ unsigned ServerTable::longest_prefix_match(const Key& k) const {
 }
 
 std::size_t ServerTable::active_count() const {
-  return std::size_t(std::count_if(
-      entries_.begin(), entries_.end(),
-      [](const auto& kv) { return kv.second.active; }));
+  std::size_t n = 0;
+  for (const std::uint32_t c : active_at_depth_) n += c;
+  return n;
 }
 
 std::vector<const ServerTableEntry*> ServerTable::active_entries() const {
-  std::vector<const ServerTableEntry*> out;
-  for (const auto& [_, entry] : entries_) {
-    if (entry.active) out.push_back(&entry);
-  }
+  std::vector<const ServerTableEntry*> out = all_entries();
+  std::erase_if(out, [](const ServerTableEntry* e) { return !e->active; });
   return out;
 }
 
@@ -73,22 +95,34 @@ std::vector<const ServerTableEntry*> ServerTable::all_entries() const {
   std::vector<const ServerTableEntry*> out;
   out.reserve(entries_.size());
   for (const auto& [_, entry] : entries_) out.push_back(&entry);
+  std::sort(out.begin(), out.end(),
+            [](const ServerTableEntry* a, const ServerTableEntry* b) {
+              return a->group < b->group;
+            });
   return out;
 }
 
 std::optional<std::string> ServerTable::check_invariants() const {
   std::vector<const ServerTableEntry*> active;
-  for (const auto& [group, entry] : entries_) {
+  std::array<std::uint32_t, Key::kMaxWidth + 1> per_depth{};
+  for (const ServerTableEntry* e : all_entries()) {
+    const KeyGroup& group = e->group;
     if (group.key_width() != key_width_) {
       return "entry " + group.label() + " has wrong key width";
     }
     if (shape(group.virtual_key(), group.depth()) != group.virtual_key()) {
       return "entry " + group.label() + " has non-zero suffix bits";
     }
-    if (!entry.active && !entry.right_child.valid()) {
+    if (!e->active && !e->right_child.valid()) {
       return "inactive entry " + group.label() + " lacks a right child";
     }
-    if (entry.active) active.push_back(&entry);
+    if (e->active) {
+      active.push_back(e);
+      ++per_depth[group.depth()];
+    }
+  }
+  if (per_depth != active_at_depth_) {
+    return std::string("active counts per depth disagree with the entries");
   }
   for (std::size_t i = 0; i < active.size(); ++i) {
     for (std::size_t j = i + 1; j < active.size(); ++j) {
@@ -106,8 +140,10 @@ std::string ServerTable::to_string() const {
   std::ostringstream os;
   os << "No.  VirtualKeyGroup  Depth  Parent  RightChild  Active\n";
   std::size_t n = 1;
-  for (const auto& [group, entry] : entries_) {
-    os << n++ << "    " << group.label() << "  " << group.depth() << "  ";
+  for (const ServerTableEntry* e : all_entries()) {
+    const ServerTableEntry& entry = *e;
+    os << n++ << "    " << entry.group.label() << "  " << entry.group.depth()
+       << "  ";
     if (entry.root) {
       os << "-1";
     } else if (entry.parent.valid()) {

@@ -5,10 +5,12 @@
 // consolidation).
 #pragma once
 
+#include <array>
 #include <cstddef>
-#include <map>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -29,10 +31,18 @@ struct ServerTableEntry {
   /// entry is split).
   ServerId right_child{};
   /// True when this entry is a leaf of the logical tree — i.e. this
-  /// server actively manages the group's objects.
+  /// server actively manages the group's objects. Once the entry is in
+  /// a table, flip it only through ServerTable::set_active.
   bool active = true;
 };
 
+/// Entries are hashed by group. An active-entry lookup probes the key's
+/// prefix at each depth that holds an active entry, deepest first,
+/// instead of scanning the table; a count of active entries per depth
+/// names those depths. The ordered readers (all_entries,
+/// active_entries, to_string, check_invariants) sort by group, so their
+/// output is deterministic. Entry pointers stay valid until that entry
+/// is erased.
 class ServerTable {
  public:
   explicit ServerTable(unsigned key_width) : key_width_(key_width) {}
@@ -43,6 +53,9 @@ class ServerTable {
   void insert(const ServerTableEntry& entry);
 
   void erase(const KeyGroup& group);
+
+  /// Flips `entry` (an entry of this table) active or inactive.
+  void set_active(ServerTableEntry& entry, bool active);
 
   [[nodiscard]] ServerTableEntry* find(const KeyGroup& group);
   [[nodiscard]] const ServerTableEntry* find(const KeyGroup& group) const;
@@ -62,6 +75,7 @@ class ServerTable {
   [[nodiscard]] bool empty() const { return entries_.empty(); }
   [[nodiscard]] std::size_t active_count() const;
 
+  /// Sorted by group.
   [[nodiscard]] std::vector<const ServerTableEntry*> active_entries() const;
   [[nodiscard]] std::vector<const ServerTableEntry*> all_entries() const;
 
@@ -69,7 +83,8 @@ class ServerTable {
   ///  1. active groups are mutually prefix-free,
   ///  2. every inactive entry has a valid right_child,
   ///  3. every entry's virtual key has a zeroed suffix and the table's
-  ///     key width.
+  ///     key width,
+  ///  4. the per-depth active counts match the entries.
   /// Returns an explanation of the first violation, or nullopt.
   [[nodiscard]] std::optional<std::string> check_invariants() const;
 
@@ -77,8 +92,12 @@ class ServerTable {
   [[nodiscard]] std::string to_string() const;
 
  private:
+  void count_active(const ServerTableEntry& entry, int delta);
+
   unsigned key_width_;
-  std::map<KeyGroup, ServerTableEntry> entries_;
+  std::unordered_map<KeyGroup, ServerTableEntry> entries_;
+  /// Active entries at each depth 0..key_width.
+  std::array<std::uint32_t, Key::kMaxWidth + 1> active_at_depth_{};
 };
 
 }  // namespace clash

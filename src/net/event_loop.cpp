@@ -101,10 +101,11 @@ void EventLoop::defer(Task task) { deferred_.push_back(std::move(task)); }
 void EventLoop::run_deferred() {
   // A deferred task may defer again (a flush that queues a reply);
   // keep going until the round is quiescent.
+  // The two vectors trade places each pass and keep their capacity.
   while (!deferred_.empty()) {
-    std::vector<Task> batch;
-    batch.swap(deferred_);
-    for (auto& t : batch) t();
+    deferred_running_.swap(deferred_);
+    for (auto& t : deferred_running_) t();
+    deferred_running_.clear();
   }
 }
 

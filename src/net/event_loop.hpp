@@ -188,6 +188,8 @@ class EventLoop {
   std::uint64_t next_timer_id_ CLASH_GUARDED_BY(affinity_) = 1;
 
   std::vector<Task> deferred_ CLASH_GUARDED_BY(affinity_);
+  // The round run_deferred is executing; kept to reuse its capacity.
+  std::vector<Task> deferred_running_ CLASH_GUARDED_BY(affinity_);
 
   common::Mutex posted_mutex_;
   std::vector<Task> posted_ CLASH_GUARDED_BY(posted_mutex_);

@@ -709,9 +709,7 @@ Expected<DecodedFrame> decode_frame(std::span<const std::uint8_t> frame) {
   out.envelope.request_id = r.u64();
   out.envelope.sender = ServerId{r.u64()};
   if (!r.ok()) return Error::protocol("truncated frame header");
-  out.payload.assign(frame.begin() + std::ptrdiff_t(frame.size() -
-                                                    r.remaining()),
-                     frame.end());
+  out.payload = frame.last(r.remaining());
   return out;
 }
 

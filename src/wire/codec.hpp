@@ -127,9 +127,11 @@ void encode_reply(Writer& w, const AcceptObjectReply& reply);
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(
     const Envelope& env, std::span<const std::uint8_t> payload);
 
+/// `payload` views the bytes after the header inside the frame passed
+/// to decode_frame: it lives only as long as that frame's buffer.
 struct DecodedFrame {
   Envelope envelope;
-  std::vector<std::uint8_t> payload;
+  std::span<const std::uint8_t> payload;
 };
 [[nodiscard]] Expected<DecodedFrame> decode_frame(
     std::span<const std::uint8_t> frame);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <vector>
+
 #include "common/rng.hpp"
 
 namespace clash {
@@ -146,6 +150,166 @@ TEST(ServerTable, LongestPrefixMatchesBruteForce) {
       EXPECT_EQ(t.longest_prefix_match(k), expect);
     }
   }
+}
+
+// Property: over random split, merge and handoff sequences, the probe
+// by depth finds the same active entry as a linear scan over a model
+// of the table kept here, including after the in-place active flips
+// that splits and merges make through set_active.
+TEST(ServerTable, ActiveLookupMatchesLinearScanUnderChurn) {
+  constexpr unsigned kWidth = 12;
+  const ServerId self{0};
+  const ServerId peer{1};
+  Rng rng(77);
+  ServerTable t(kWidth);
+  std::map<KeyGroup, bool> model;  // group -> active
+  t.insert({KeyGroup::root(kWidth), true, ServerId{}, ServerId{}, true});
+  model[KeyGroup::root(kWidth)] = true;
+
+  const auto pick = [&](bool active) -> std::optional<KeyGroup> {
+    std::vector<KeyGroup> pool;
+    for (const auto& [grp, on] : model) {
+      if (on == active) pool.push_back(grp);
+    }
+    if (pool.empty()) return std::nullopt;
+    return pool[rng.below(pool.size())];
+  };
+  const auto scan = [&](const Key& k) -> std::optional<KeyGroup> {
+    for (const auto& [grp, on] : model) {
+      if (on && grp.contains(k)) return grp;
+    }
+    return std::nullopt;
+  };
+
+  int splits = 0, merges = 0, outs = 0, ins = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const std::uint64_t op = rng.below(100);
+    if (op < 40) {  // split: the parent flips inactive in place
+      const auto g = pick(true);
+      if (!g || g->depth() >= kWidth || model.count(g->left_child()) ||
+          model.count(g->right_child())) {
+        continue;
+      }
+      const bool keep_right = rng.below(2) == 0;
+      ServerTableEntry* e = t.find(*g);
+      ASSERT_NE(e, nullptr);
+      t.set_active(*e, false);
+      e->right_child = keep_right ? self : peer;
+      model[*g] = false;
+      t.insert({g->left_child(), false, self, ServerId{}, true});
+      model[g->left_child()] = true;
+      if (keep_right) {
+        t.insert({g->right_child(), false, self, ServerId{}, true});
+        model[g->right_child()] = true;
+      }
+      ++splits;
+    } else if (op < 65) {  // merge: the parent flips active in place
+      const auto p = pick(false);
+      if (!p) continue;
+      const auto left = model.find(p->left_child());
+      const auto right = model.find(p->right_child());
+      if (left == model.end() || !left->second ||
+          (right != model.end() && !right->second)) {
+        continue;
+      }
+      // A group handed in under the parent since the split would
+      // overlap the merged parent.
+      bool covered = false;
+      for (const auto& [grp, on] : model) {
+        covered = covered || (on && p->covers(grp) &&
+                              grp != p->left_child() &&
+                              grp != p->right_child());
+      }
+      if (covered) continue;
+      t.erase(p->left_child());
+      model.erase(left);
+      if (right != model.end()) {
+        t.erase(p->right_child());
+        model.erase(right);
+      }
+      ServerTableEntry* e = t.find(*p);
+      ASSERT_NE(e, nullptr);
+      t.set_active(*e, true);
+      e->right_child = ServerId{};
+      model[*p] = true;
+      ++merges;
+    } else if (op < 80) {  // handoff out
+      const auto g = pick(true);
+      if (!g) continue;
+      t.erase(*g);
+      model.erase(*g);
+      ++outs;
+    } else {  // handoff in, if prefix-free against the actives held
+      const KeyGroup g = KeyGroup::of(Key(rng.below(1u << kWidth), kWidth),
+                                      unsigned(rng.below(kWidth + 1)));
+      bool clash = model.count(g) != 0;
+      for (const auto& [grp, on] : model) {
+        clash = clash || (on && (grp.covers(g) || g.covers(grp)));
+      }
+      if (clash) continue;
+      t.insert({g, false, peer, ServerId{}, true});
+      model[g] = true;
+      ++ins;
+    }
+
+    ASSERT_EQ(t.check_invariants(), std::nullopt) << "step " << step;
+    std::vector<Key> probes;
+    for (int i = 0; i < 16; ++i) {
+      probes.emplace_back(rng.below(1u << kWidth), kWidth);
+    }
+    if (const auto g = pick(true)) {
+      probes.push_back(g->virtual_key());  // a key known to be held
+    }
+    const ServerTable& ct = t;
+    for (const Key& k : probes) {
+      const auto want = scan(k);
+      const ServerTableEntry* got = ct.active_entry_for(k);
+      ASSERT_EQ(got != nullptr, want.has_value())
+          << "step " << step << " key " << k.to_string();
+      if (got != nullptr) {
+        ASSERT_EQ(got->group, *want) << "step " << step;
+        ASSERT_EQ(t.active_entry_for(k), t.find(*want));
+      }
+    }
+    std::vector<KeyGroup> actives;
+    for (const ServerTableEntry* e : t.active_entries()) {
+      actives.push_back(e->group);
+    }
+    std::vector<KeyGroup> want_actives;
+    for (const auto& [grp, on] : model) {
+      if (on) want_actives.push_back(grp);
+    }
+    ASSERT_EQ(actives, want_actives);  // sorted, as the model is
+    ASSERT_EQ(t.active_count(), want_actives.size());
+    ASSERT_EQ(t.size(), model.size());
+  }
+  // Every kind of step ran many times.
+  EXPECT_GT(splits, 100);
+  EXPECT_GT(merges, 50);
+  EXPECT_GT(outs, 50);
+  EXPECT_GT(ins, 50);
+}
+
+TEST(ServerTable, CopyKeepsItsOwnActiveCounts) {
+  auto t = figure2_table();
+  ServerTable copy = t;
+  t.set_active(*t.find(g("01100*")), false);
+  t.find(g("01100*"))->right_child = ServerId{9};
+  const Key k = Key::parse("0110001").value();
+  EXPECT_EQ(t.active_entry_for(k), nullptr);
+  ASSERT_NE(copy.active_entry_for(k), nullptr);
+  EXPECT_EQ(copy.active_entry_for(k), copy.find(g("01100*")));
+  EXPECT_EQ(copy.check_invariants(), std::nullopt);
+  EXPECT_EQ(t.check_invariants(), std::nullopt);
+}
+
+TEST(ServerTable, FlipOutsideSetActiveIsReported) {
+  auto t = figure2_table();
+  t.find(g("01100*"))->active = false;  // bypasses the per-depth count
+  t.find(g("01100*"))->right_child = ServerId{9};
+  const auto err = t.check_invariants();
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("per depth"), std::string::npos);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 // scripted environment plus cluster-level checks.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "clash/server.hpp"
 #include "tests/clash/test_util.hpp"
 
@@ -277,6 +281,61 @@ TEST(Split, ZeroLoadGroupNotSplit) {
   s.run_load_check();
   EXPECT_EQ(s.stats().splits, 0u);
   EXPECT_TRUE(s.table().find(group("1*", 7))->active);
+}
+
+// extract_subset partitions a group's objects: each moves exactly once
+// and each side's stream_rate is the sum of its own streams. The ids are
+// chosen so that a dozen objects share the last two home slots of the
+// flat maps and their probe run wraps over the array end, where an
+// erase-while-iterating loop would skip or revisit entries.
+TEST(Split, ExtractSubsetAcrossTheSlotArrayEnd) {
+  constexpr std::uint64_t kSlots = 64;  // 40 objects: capacity 64
+  const auto home = [](auto id) {
+    return FlatHash<decltype(id)>{}(id) >> (64 - 6);
+  };
+  const KeyGroup subset = group("1*", 7);
+  std::vector<std::uint64_t> wrapped, rest;
+  for (std::uint64_t id = 1; wrapped.size() < 12 || rest.size() < 28; ++id) {
+    const std::uint64_t h = home(ClientId{id});
+    if (h >= kSlots - 2 && wrapped.size() < 12) wrapped.push_back(id);
+    if (h >= 8 && h < 40 && rest.size() < 28) rest.push_back(id);
+  }
+  GroupState st;
+  double total_rate = 0;
+  std::map<std::uint64_t, bool> in_subset;
+  const auto add = [&](std::uint64_t id, std::uint64_t i) {
+    // Alternate sides so the wrapped run mixes movers and stayers.
+    const Key k((i % 2 == 0 ? 0x40 : 0x00) | (id & 0x3F), 7);
+    const double rate = 0.1 * double(1 + id % 7);
+    st.streams.try_emplace(ClientId{id}, StreamInfo{ClientId{id}, k, rate});
+    st.stream_rate += rate;
+    total_rate += rate;
+    st.queries.try_emplace(QueryId{id}, QueryInfo{QueryId{id}, k});
+    in_subset[id] = subset.contains(k);
+  };
+  for (std::size_t i = 0; i < wrapped.size(); ++i) add(wrapped[i], i);
+  for (std::size_t i = 0; i < rest.size(); ++i) add(rest[i], i);
+  ASSERT_EQ(st.streams.capacity(), kSlots);
+
+  const GroupState out = ClashServer::extract_subset(st, subset);
+  EXPECT_EQ(st.streams.size() + out.streams.size(), in_subset.size());
+  EXPECT_EQ(st.queries.size() + out.queries.size(), in_subset.size());
+  for (const auto& [id, moves] : in_subset) {
+    const GroupState& want = moves ? out : st;
+    const GroupState& other = moves ? st : out;
+    EXPECT_EQ(want.streams.count(ClientId{id}), 1u) << id;
+    EXPECT_EQ(other.streams.count(ClientId{id}), 0u) << id;
+    EXPECT_EQ(want.queries.count(QueryId{id}), 1u) << id;
+    EXPECT_EQ(other.queries.count(QueryId{id}), 0u) << id;
+  }
+  for (const GroupState* side : {&std::as_const(st), &out}) {
+    double sum = 0;
+    for (const auto& [_, s] : side->streams) sum += s.rate;
+    EXPECT_NEAR(side->stream_rate, sum, 1e-9);
+  }
+  EXPECT_NEAR(st.stream_rate + out.stream_rate, total_rate, 1e-9);
+  EXPECT_FALSE(out.streams.empty());
+  EXPECT_FALSE(st.streams.empty());
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
 
@@ -598,6 +601,31 @@ TEST(Codec, FrameRoundTrip) {
   const auto msg = decode_message(decoded.value().payload);
   ASSERT_TRUE(msg.ok());
   EXPECT_EQ(std::get<AcceptObjectOk>(msg.value()).depth, 9u);
+}
+
+TEST(Codec, FramePayloadAliasesTheFrame) {
+  Writer payload;
+  encode_message(payload, Message(AcceptObjectOk{3}));
+  const auto frame =
+      encode_frame(Envelope{FrameKind::kRequest, 5, ServerId{2}},
+                   payload.data());
+  const auto decoded = decode_frame(frame);
+  ASSERT_TRUE(decoded.ok());
+  // No copy: the payload is the tail of the caller's frame.
+  const auto& body = decoded.value().payload;
+  ASSERT_EQ(body.size(), payload.data().size());
+  EXPECT_EQ(body.data() + body.size(), frame.data() + frame.size());
+  EXPECT_TRUE(std::equal(body.begin(), body.end(), payload.data().begin()));
+  // Every cut inside the 18-byte header (version, kind, request id,
+  // sender) fails; a cut right after it leaves an empty payload.
+  const std::size_t header = frame.size() - body.size();
+  ASSERT_EQ(header, 18u);
+  for (std::size_t len = 0; len < header; ++len) {
+    EXPECT_FALSE(decode_frame(std::span(frame.data(), len)).ok()) << len;
+  }
+  const auto bare = decode_frame(std::span(frame.data(), header));
+  ASSERT_TRUE(bare.ok());
+  EXPECT_TRUE(bare.value().payload.empty());
 }
 
 TEST(Codec, FrameRejectsBadVersionAndKind) {
