@@ -135,7 +135,7 @@ RunResult run_one(ClashConfig::DurabilityMode mode, std::size_t n_servers,
     obj.query_id = QueryId{i};
     if (!client.insert(obj).ok) std::abort();
   }
-  cluster.set_now(SimTime::from_minutes(5));
+  cluster.run_until(SimTime::from_minutes(5));
   cluster.run_all_load_checks();
 
   const ServerId victim = busiest_server(cluster);
@@ -156,15 +156,19 @@ RunResult run_one(ClashConfig::DurabilityMode mode, std::size_t n_servers,
   const auto before = cluster.total_stats();
   cluster.crash_server(victim);
   const auto t0 = std::chrono::steady_clock::now();
+  // Each step waits out the heirs' recovery grace before the next.
+  const SimDuration grace = cluster.clash_config().recovery_grace;
   if (mode == ClashConfig::DurabilityMode::kNone) {
     // A diskless node cannot re-adopt anything: the survivors evict
     // it, promote its groups from their replicas, and hand them back
     // once it rejoins.
     cluster.evict_server(victim);
+    cluster.run_until(cluster.now() + grace);
     cluster.restart_server(victim);
     cluster.join_server(victim);
   } else {
     cluster.restart_server(victim);  // re-adopts from disk in place
+    cluster.run_until(cluster.now() + grace);
   }
   const auto t1 = std::chrono::steady_clock::now();
   const auto delta = cluster.total_stats() - before;

@@ -15,7 +15,6 @@
 //                     [--trace=PATH]   (Chrome trace of the x2 run)
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -41,32 +40,14 @@ constexpr std::int64_t kLinkDelayUsec = 1500;
 /// Crash -> eviction gap, standing in for SWIM's detection time.
 constexpr std::int64_t kDetectWindowUsec = 2'000'000;
 
-/// Minimal delay sink for a bare SimCluster: delayed deliveries park
-/// in a deadline-ordered queue; run_all() drains it, advancing the
-/// cluster clock to each deadline, until the message chains quiesce.
-class DelayPump {
- public:
-  explicit DelayPump(SimCluster& cluster) : cluster_(cluster) {
-    cluster_.set_delay_sink(
-        [this](SimDuration delay, std::function<void()> deliver) {
-          queue_.emplace(cluster_.now() + delay, std::move(deliver));
-        });
+/// Runs the cluster's queue until every in-flight message chain has
+/// landed: a bare SimCluster schedules nothing periodic, so its queue
+/// empties once the wire is quiet.
+void settle(SimCluster& cluster) {
+  while (!cluster.events().empty()) {
+    cluster.run_until(cluster.now() + SimDuration{kLinkDelayUsec});
   }
-
-  void run_all() {
-    while (!queue_.empty()) {
-      const auto it = queue_.begin();
-      cluster_.set_now(it->first);
-      auto deliver = std::move(it->second);
-      queue_.erase(it);
-      deliver();  // may enqueue further delayed messages
-    }
-  }
-
- private:
-  SimCluster& cluster_;
-  std::multimap<SimTime, std::function<void()>> queue_;
-};
+}
 
 struct HistSummary {
   std::uint64_t count = 0;
@@ -130,7 +111,6 @@ RunResult run_one(unsigned factor, std::size_t n_servers, std::size_t n_sources,
   SimCluster cluster(cfg);
   cluster.bootstrap();
 
-  DelayPump pump(cluster);
   LinkMatrix::Fault wire;
   wire.delay_usec = kLinkDelayUsec;
   cluster.links().set_default_fault(wire);
@@ -156,19 +136,19 @@ RunResult run_one(unsigned factor, std::size_t n_servers, std::size_t n_sources,
   // Let every in-flight append land and ack before anything crashes:
   // the replicas must be caught up for the survival gate to be a
   // statement about replication, not about racing the wire.
-  pump.run_all();
+  settle(cluster);
 
   // Steady state: the registrations above already replicated (the log
   // streams each op). Measure two quiet check periods of refresh
   // traffic.
-  cluster.set_now(SimTime::from_minutes(5));
+  cluster.run_until(SimTime::from_minutes(5));
   cluster.run_all_load_checks();
-  pump.run_all();
+  settle(cluster);
   const auto before = cluster.total_stats();
   for (int round = 2; round <= 3; ++round) {
-    cluster.set_now(SimTime::from_minutes(5 * round));
+    cluster.run_until(SimTime::from_minutes(5 * round));
     cluster.run_all_load_checks();
-    pump.run_all();
+    settle(cluster);
   }
   const auto steady = cluster.total_stats() - before;
 
@@ -181,10 +161,10 @@ RunResult run_one(unsigned factor, std::size_t n_servers, std::size_t n_sources,
       const ServerId victim{crash_rng.below(n_servers)};
       if (cluster.is_alive(victim)) {
         cluster.crash_server(victim);
-        pump.run_all();  // in-flight frames to the corpse drop on arrival
-        cluster.set_now(cluster.now() + SimDuration{kDetectWindowUsec});
+        // In-flight frames to the corpse drop on arrival.
+        cluster.run_until(cluster.now() + SimDuration{kDetectWindowUsec});
         cluster.evict_server(victim);
-        pump.run_all();  // recovery pulls + re-replication settle
+        settle(cluster);  // recovery pulls + re-replication settle
         break;
       }
     }

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
     }
   }
   for (int round = 1; round <= 16; ++round) {
-    cluster.set_now(SimTime::from_minutes(5 * round));
+    cluster.run_until(SimTime::from_minutes(5 * round));
     cluster.run_all_load_checks();
   }
   const auto snap = cluster.snapshot();

@@ -321,7 +321,7 @@ int main(int argc, char** argv) {
     r.corrupt_rejected = total_corrupt_rejected(sim);
     r.corrupt_drops = sim.cluster().total_stats().corrupt_drops;
     r.replica_records = replica_records(sim.cluster());
-    r.pending_events = sim.events().pending();
+    r.pending_events = sim.cluster().events().pending();
 
     if (const auto err = sim.cluster().check_invariants()) {
       std::fprintf(stderr, "INVARIANT VIOLATION (round %u): %s\n", round,

@@ -20,7 +20,7 @@ void report(ChurnSim& sim, const char* phase) {
   const auto stats = cluster.total_stats();
   std::printf("[t=%7.1fs] %-28s alive=%zu ring=%zu failovers=%llu "
               "lost=%llu gossip=%llu\n",
-              sim.events().now().seconds(), phase, cluster.alive_count(),
+              cluster.now().seconds(), phase, cluster.alive_count(),
               cluster.ring_of(ServerId{0}).server_count(),
               (unsigned long long)stats.failovers,
               (unsigned long long)stats.groups_lost,

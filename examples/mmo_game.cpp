@@ -91,7 +91,7 @@ int main() {
     players.emplace_back(ClientId{i}, pos);
   }
   for (int r = 1; r <= 4; ++r) {
-    cluster.set_now(SimTime::from_minutes(5 * r));
+    cluster.run_until(SimTime::from_minutes(5 * r));
     cluster.run_all_load_checks();
   }
   report(cluster, "steady world");
@@ -122,7 +122,7 @@ int main() {
   }
 
   for (int r = 5; r <= 14; ++r) {
-    cluster.set_now(SimTime::from_minutes(5 * r));
+    cluster.run_until(SimTime::from_minutes(5 * r));
     cluster.run_all_load_checks();
   }
   report(cluster, "during event");
@@ -158,7 +158,7 @@ int main() {
     key = pos;
   }
   for (int r = 15; r <= 40; ++r) {
-    cluster.set_now(SimTime::from_minutes(5 * r));
+    cluster.run_until(SimTime::from_minutes(5 * r));
     cluster.run_all_load_checks();
   }
   report(cluster, "after event");

@@ -65,7 +65,7 @@ int main() {
   // 4. Periodic load checks run the CLASH protocol: the hottest group
   //    splits, the right child moves to whatever server the DHT picks.
   for (int round = 1; round <= 4; ++round) {
-    cluster.set_now(SimTime::from_minutes(5 * round));
+    cluster.run_until(SimTime::from_minutes(5 * round));
     cluster.run_all_load_checks();
   }
   const auto stats = cluster.total_stats();

@@ -67,7 +67,7 @@ int main() {
 
   // Let CLASH adapt: the downtown group is ~420 units on one server.
   for (int round = 1; round <= 8; ++round) {
-    cluster.set_now(SimTime::from_minutes(5 * round));
+    cluster.run_until(SimTime::from_minutes(5 * round));
     cluster.run_all_load_checks();
   }
   const auto snap = cluster.snapshot();

@@ -48,8 +48,8 @@ std::uint64_t approx_chunk_bytes(const SnapshotChunk& c) {
 
 /// RAII for ClashServer::active_trace_: installs `id` (when nonzero)
 /// for the duration of one message dispatch and restores the previous
-/// value on exit, so nested dispatches under synchronous transports
-/// keep their own correlation ids.
+/// value on exit, so nested dispatches under an env that delivers
+/// inline keep their own correlation ids.
 class TraceScope {
  public:
   TraceScope(std::uint64_t& slot, std::uint64_t id)
@@ -933,9 +933,8 @@ void ClashServer::log_op(const KeyGroup& group, repl::LogOp op) {
   if (replicating) {
     // One ReplAppend frame per group per dispatch tick: the transport
     // already coalesces writes, but encode/decode cost is per message,
-    // so ops accumulate here and flush at the tick boundary. A
-    // synchronous env runs the deferred flush inline — per-op
-    // delivery, exactly the old behaviour.
+    // so ops accumulate here and flush at the tick boundary. An env
+    // with the inline defer default flushes per op.
     auto [pit, fresh] = pending_appends_.try_emplace(group);
     if (fresh) {
       pit->second.epoch = log.epoch();
@@ -953,7 +952,7 @@ void ClashServer::log_op(const KeyGroup& group, repl::LogOp op) {
     if (!commit_scheduled_ && storage_->commit_pending()) {
       // kPerAppend: every append of this tick shares one fsync at its
       // end, appends no client waits on (removals, handoffs) included.
-      // A synchronous env commits inline: one fsync per append.
+      // An env with the inline defer default: one fsync per append.
       commit_scheduled_ = true;
       env_.defer([this] {
         commit_scheduled_ = false;
@@ -963,8 +962,8 @@ void ClashServer::log_op(const KeyGroup& group, repl::LogOp op) {
   }
   log.append(std::move(op));
   if (replicating && !append_flush_scheduled_) {
-    // Scheduled only after the local append: a synchronous env runs
-    // the deferred flush inline, and the batch must never be sent
+    // Scheduled only after the local append: an env with the inline
+    // defer default flushes at once, and the batch must never be sent
     // ahead of the owner's own log head.
     append_flush_scheduled_ = true;
     env_.defer([this] { flush_pending_appends(); });
@@ -1011,8 +1010,9 @@ void ClashServer::send_append_batch(const KeyGroup& group,
     }
   }
   if (fanned_out) {
-    // Register the in-flight head *before* sending: a synchronous env
-    // delivers the holders' acks re-entrantly inside env_.send.
+    // Register the in-flight head *before* sending: an env that
+    // delivers inline runs the holders' acks re-entrantly inside
+    // env_.send.
     auto& inflight = pending_commits_[group];
     if (inflight.empty()) {
       // Deque going empty -> non-empty opens the group's replication

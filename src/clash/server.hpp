@@ -61,7 +61,7 @@ class ServerEnv {
 
   /// How many more replication SnapshotChunk messages the transport is
   /// willing to carry toward `to` right now. The default (unlimited)
-  /// suits synchronous simulators, which deliver instantly; the TCP
+  /// suits the simulator, whose links have no send queue; the TCP
   /// layer derives the budget from the peer connection's outbound
   /// queue depth so huge snapshots never bury a socket, and
   /// ClashServer::pump_snapshots resumes paused transfers as the
@@ -72,14 +72,18 @@ class ServerEnv {
   }
 
   /// Run `fn` at the end of the current dispatch tick — the
-  /// transport's write-coalescing boundary. Synchronous environments
-  /// have no tick, so the default runs it inline. ClashServer uses
-  /// this to batch the tick's ReplAppend entries into one frame per
-  /// group.
+  /// transport's write-coalescing boundary (ClashNode's loop tick,
+  /// SimCluster's lane). ClashServer uses this to batch the tick's
+  /// ReplAppend entries into one frame per group and to group-commit
+  /// the tick's WAL records. The inline default serves the envs that
+  /// have no tick: the unit-test envs (MockServerEnv and the
+  /// replication and recovery test routers).
   virtual void defer(std::function<void()> fn) { fn(); }
 
-  /// Run `fn` once `delay` has passed (the failover grace timer); the
-  /// default runs it inline, like defer.
+  /// Run `fn` once `delay` has passed (the failover grace timer).
+  /// ClashNode and SimCluster wait it out. The inline default, which
+  /// skips the wait, serves the unit-test envs and
+  /// bench/e2e/replay.cpp, which has a tick but no timers.
   virtual void call_after(SimDuration, std::function<void()> fn) { fn(); }
 
   /// Table-change notifications: `group` became / stopped being an
@@ -247,8 +251,9 @@ class ClashServer {
   /// Open a recovery session for a group this server is about to be
   /// promoted for: probes the surviving replica set for fresher
   /// (epoch, seq) heads so peers can stream the missing suffix before
-  /// promote_replica installs. Synchronous transports finish the
-  /// repair inside this call; the TCP layer holds a grace window.
+  /// promote_replica installs. An env that delivers inline finishes
+  /// the repair inside this call; ClashNode and SimCluster hold a
+  /// grace window.
   /// Returns whether a new session opened (none if one is already open).
   bool begin_group_recovery(const KeyGroup& group);
 
@@ -413,8 +418,8 @@ class ClashServer {
   /// Append one op to an active group's log and queue it for the
   /// replica set (no-op unless the log engine is on). Ops queued
   /// during one dispatch tick coalesce into a single ReplAppend frame
-  /// per group (flushed through ServerEnv::defer; synchronous
-  /// environments flush inline, i.e. per op).
+  /// per group (flushed through ServerEnv::defer; an env with the
+  /// inline default flushes per op).
   void log_op(const KeyGroup& group, repl::LogOp op);
   /// Send every queued ReplAppend batch now.
   void flush_pending_appends();

@@ -928,7 +928,6 @@ void ClashNode::handle_frame(const std::shared_ptr<Connection>& conn,
 }
 
 void ClashNode::release_replies() {
-  store_->commit(env_->now());
   for (auto& parked : std::exchange(parked_replies_, {})) {
     if (const auto conn = parked.conn.lock()) {
       conn->send_wire_frame(std::move(parked.frame));

@@ -233,7 +233,9 @@ class ClashNode {
   void handle_frame(const std::shared_ptr<Connection>& conn,
                     std::span<const std::uint8_t> frame)
       CLASH_REQUIRES(on_loop_);
-  /// The tick's WAL group commit, then the replies parked behind it.
+  /// Send the replies parked behind the tick's WAL group commit.
+  /// ClashServer deferred that commit before the first of them parked,
+  /// and deferred tasks run in order, so it has run by now.
   void release_replies() CLASH_REQUIRES(on_loop_);
   /// Takes an owned, finished wire frame (wire::finish_frame output).
   void send_to_peer(ServerId to, std::vector<std::uint8_t>&& frame)

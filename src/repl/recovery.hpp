@@ -7,10 +7,10 @@
 // session records how far the local copy advanced, so a stale replica
 // is never silently promoted when a fresher peer existed.
 //
-// The coordinator is transport-agnostic: under the synchronous
-// simulator the probe replies land before begin() even returns; under
-// TCP the node layer holds the session open for a recovery-grace
-// window before finishing the promotion.
+// The coordinator is transport-agnostic: under an env that delivers
+// inline the probe replies land before begin() even returns; ClashNode
+// and SimCluster hold the session open for a recovery-grace window
+// before finishing the promotion.
 #pragma once
 
 #include <cstdint>

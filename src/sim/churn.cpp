@@ -44,15 +44,6 @@ class ChurnSim::GossipEnvImpl final : public membership::MembershipEnv {
 
 ChurnSim::ChurnSim(Config config) : config_(config) {
   cluster_ = std::make_unique<SimCluster>(config_.cluster);
-  // Link delays and server timers ride the event queue; without this
-  // sink SimCluster would run them inline.
-  cluster_->set_delay_sink(
-      [this](SimDuration delay, std::function<void()> fn) {
-        events_.after(delay, [this, fn = std::move(fn)] {
-          cluster_->set_now(events_.now());
-          fn();
-        });
-      });
   cluster_->set_gossip_sink(
       config_.gossip_delay,
       [this](ServerId from, ServerId to, const Gossip& msg) {
@@ -115,35 +106,33 @@ void ChurnSim::start() {
     const auto stagger =
         SimTime(config_.protocol_period.usec * std::int64_t(i + 1) /
                 std::int64_t(n));
-    events_.after(stagger, [this, i] { tick_server(i); });
+    cluster_->events().after(stagger, [this, i] { tick_server(i); });
     if (config_.run_load_checks) {
       const auto check_stagger =
           SimTime(config_.cluster.clash.load_check_period.usec *
                   std::int64_t(i + 1) / std::int64_t(n));
-      events_.after(check_stagger, [this, i] { run_load_check(i); });
+      cluster_->events().after(check_stagger,
+                               [this, i] { run_load_check(i); });
     }
   }
 }
 
 void ChurnSim::run_for(SimDuration d) {
-  events_.run_until(events_.now() + d);
-  cluster_->set_now(events_.now());
+  cluster_->run_until(cluster_->now() + d);
 }
 
 void ChurnSim::tick_server(std::size_t idx) {
-  cluster_->set_now(events_.now());
   if (cluster_->is_alive(ServerId{idx})) drivers_[idx]->tick();
   // The next period fires on this node's own clock: a skewed node's
   // suspicion timers (counted in local ticks) stretch or shrink in
   // true time accordingly.
-  events_.after(skewed(config_.protocol_period, clock_rate_[idx]),
-                [this, idx] { tick_server(idx); });
+  cluster_->events().after(skewed(config_.protocol_period, clock_rate_[idx]),
+                           [this, idx] { tick_server(idx); });
 }
 
 void ChurnSim::run_load_check(std::size_t idx) {
-  cluster_->set_now(events_.now());
   cluster_->run_load_check(ServerId{idx});
-  events_.after(
+  cluster_->events().after(
       skewed(config_.cluster.clash.load_check_period, clock_rate_[idx]),
       [this, idx] { run_load_check(idx); });
 }
@@ -224,7 +213,8 @@ void ChurnSim::schedule_flaps(std::vector<ServerId> side, SimDuration period,
                               unsigned cycles) {
   if (cycles == 0) return;
   partition(side);
-  events_.after(period, [this, side = std::move(side), period, cycles] {
+  EventQueue& events = cluster_->events();
+  events.after(period, [this, side = std::move(side), period, cycles] {
     // Heal only this side's links (any default fault stays in force).
     const auto rest = complement(side);
     for (const ServerId a : side) {
@@ -233,7 +223,7 @@ void ChurnSim::schedule_flaps(std::vector<ServerId> side, SimDuration period,
         cluster_->links().heal(b, a);
       }
     }
-    events_.after(period, [this, side, period, cycles] {
+    cluster_->events().after(period, [this, side, period, cycles] {
       schedule_flaps(side, period, cycles - 1);
     });
   });

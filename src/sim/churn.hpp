@@ -1,7 +1,8 @@
 // ChurnSim: a SimCluster driven by live SWIM membership instead of the
 // failure oracle. Every server runs a MembershipDriver, and each
 // server's ring follows its own driver's verdicts, as on a ClashNode;
-// gossip, link delays and server timers ride the discrete-event queue.
+// its protocol periods and load checks ride the cluster's event queue
+// with the gossip, link delays and server timers.
 // The lifecycle a real deployment sees:
 //
 //   kill(x)            -> crash_server: messages to x drop
@@ -22,7 +23,6 @@
 #include "membership/driver.hpp"
 #include "obs/census.hpp"
 #include "sim/cluster.hpp"
-#include "sim/event_queue.hpp"
 
 namespace clash::sim {
 
@@ -58,7 +58,6 @@ class ChurnSim {
 
   [[nodiscard]] SimCluster& cluster() { return *cluster_; }
   [[nodiscard]] const SimCluster& cluster() const { return *cluster_; }
-  [[nodiscard]] EventQueue& events() { return events_; }
   [[nodiscard]] SimDuration protocol_period() const {
     return config_.protocol_period;
   }
@@ -165,7 +164,6 @@ class ChurnSim {
 
   Config config_;
   std::unique_ptr<SimCluster> cluster_;
-  EventQueue events_;
   std::vector<std::unique_ptr<GossipEnvImpl>> envs_;
   std::vector<std::unique_ptr<obs::Census>> censuses_;
   std::vector<std::unique_ptr<membership::MembershipDriver>> drivers_;

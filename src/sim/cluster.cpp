@@ -73,23 +73,19 @@ class SimCluster::ServerEnvImpl final : public ServerEnv {
   }
 
   void deliver_copy(ServerId to, const Message& msg, SimDuration delay) {
-    if (delay.usec > 0 && cluster_.delay_sink_) {
-      // Late-bound delivery: the target may die while the message is
-      // in flight, so aliveness is re-checked at arrival time.
-      SimCluster* cluster = &cluster_;
-      const ServerId from = self_;
-      cluster_.delay_sink_(delay, [cluster, from, to, msg] {
-        if (!cluster->is_alive(to)) {
-          cluster->stats_.dropped_msgs++;
-          return;
-        }
-        cluster->deliver(from, to, msg);
-      });
-      return;
+    auto arrive = [cluster = &cluster_, from = self_, to, msg] {
+      cluster->deliver(from, to, msg);
+    };
+    EventQueue& events = cluster_.events_;
+    if (delay.usec > 0) {
+      events.after(delay, std::move(arrive));
+    } else if (events.dispatching()) {
+      events.post(std::move(arrive));  // after this handler returns
+    } else {
+      // Sent by a direct call (a test driving a server by hand): the
+      // receiver's handler starts a dispatch of its own.
+      events.dispatch(arrive);
     }
-    // Synchronous delivery: the protocol's message chains are shallow
-    // (split -> accept -> ack) and handlers are re-entrancy safe.
-    cluster_.deliver(self_, to, msg);
   }
 
   std::vector<ServerId> replica_targets(dht::HashKey h,
@@ -100,23 +96,23 @@ class SimCluster::ServerEnvImpl final : public ServerEnv {
     return servers;
   }
 
-  [[nodiscard]] SimTime now() const override { return cluster_.now_; }
+  [[nodiscard]] SimTime now() const override { return cluster_.now(); }
 
+  // The end of this handler's tick is the lane; a timer waits on the
+  // queue. Either dies with the process that set it: a crash, or a
+  // restart since, cancels it.
   void defer(std::function<void()> fn) override {
-    call_after(SimDuration{0}, std::move(fn));
+    cluster_.events_.post(guarded(std::move(fn)));
   }
 
-  // Timers follow deliver_copy's rule: on the delay sink when one is
-  // installed, inline otherwise. A timer dies with the process that set
-  // it: a crash, or a restart since, cancels it.
   void call_after(SimDuration delay, std::function<void()> fn) override {
-    if (!cluster_.delay_sink_) {
-      fn();
-      return;
-    }
-    cluster_.delay_sink_(delay, [this, life = life_, fn = std::move(fn)] {
+    cluster_.events_.after(delay, guarded(std::move(fn)));
+  }
+
+  std::function<void()> guarded(std::function<void()> fn) {
+    return [this, life = life_, fn = std::move(fn)] {
       if (life_ == life) fn();
-    });
+    };
   }
 
   std::uint64_t life_ = 0;  // bumped when the process dies
@@ -179,13 +175,12 @@ class SimCluster::ClientEnvImpl final : public ClientEnv {
       return IncorrectDepth{0};
     }
     cluster_.stats_.object_replies++;  // the response message
-    AcceptObjectReply reply = cluster_.server(to).handle_accept_object(msg);
-    // No reply before its record is synced: the server's own
-    // end-of-tick commit rides the event queue, so a crash in this
-    // same instant would lose an acked write.
-    if (storage::NodeStore* store = cluster_.storage_of(to)) {
-      store->commit(cluster_.now_);
-    }
+    // One tick: the handler, then the lane (the tick's WAL commit and
+    // ReplAppend flush), then the reply, as ClashNode sends it.
+    AcceptObjectReply reply;
+    cluster_.events_.dispatch([&] {
+      reply = cluster_.server(to).handle_accept_object(msg);
+    });
     return reply;
   }
 
@@ -266,7 +261,7 @@ void SimCluster::bootstrap() {
   root_entry.group = root;
   root_entry.root = true;  // lineage top: no parent
   root_entry.active = true;
-  server(root_owner).install_entry(root_entry);
+  events_.dispatch([&] { server(root_owner).install_entry(root_entry); });
 
   // Force-split every active group shallower than the initial depth.
   // Splits may hand groups to servers later in the scan, so iterate to
@@ -283,7 +278,9 @@ void SimCluster::bootstrap() {
           to_split.push_back(e->group);
         }
       }
-      for (const auto& g : to_split) progressed |= srv.force_split(g);
+      for (const auto& g : to_split) {
+        events_.dispatch([&] { progressed |= srv.force_split(g); });
+      }
     }
   }
 
@@ -291,15 +288,18 @@ void SimCluster::bootstrap() {
   // below which consolidation cannot collapse the tree (Section 5).
   for (auto& host : hosts_) {
     ClashServer& srv = host->server();
-    for (const ServerTableEntry* e : srv.table().active_entries()) {
-      srv.mark_group_root(e->group);
-    }
+    events_.dispatch([&] {
+      for (const ServerTableEntry* e : srv.table().active_entries()) {
+        srv.mark_group_root(e->group);
+      }
+    });
   }
   reset_stats();
 }
 
 void SimCluster::run_load_check(ServerId id) {
-  if (is_alive(id)) hosts_[id.value]->run_load_check();
+  if (!is_alive(id)) return;
+  events_.dispatch([&] { hosts_[id.value]->run_load_check(); });
 }
 
 void SimCluster::run_all_load_checks() {
@@ -312,8 +312,11 @@ std::size_t SimCluster::alive_count() const {
 
 std::size_t SimCluster::fail_server(ServerId id) {
   if (!is_alive(id)) return 0;
+  const std::uint64_t before = total_stats().failovers;
   crash_server(id);
-  return evict_server(id);
+  evict_server(id);
+  run_until(now() + config_.clash.recovery_grace);
+  return total_stats().failovers - before;
 }
 
 void SimCluster::crash_server(ServerId id) {
@@ -321,7 +324,7 @@ void SimCluster::crash_server(ServerId id) {
   // The simulated disk takes the hit exactly once, at the moment of
   // death (a second crash_server on a dead node must not tear more).
   if (id.value < backends_.size()) backends_[id.value]->crash();
-  crash_time_[id.value] = now_;
+  crash_time_[id.value] = now();
   ++server_envs_[id.value]->life_;
   alive_[id.value] = false;
   settle_crashes();  // it may have held the last ring naming another
@@ -332,7 +335,7 @@ std::size_t SimCluster::evict_server(ServerId id) {
   const std::uint64_t before = total_stats().failovers;
   ring_ = ring_->without(id);
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    if (alive_[i]) hosts_[i]->member_died(id);
+    if (alive_[i]) events_.dispatch([&] { hosts_[i]->member_died(id); });
   }
   settle_crashes();
   return total_stats().failovers - before;
@@ -351,7 +354,7 @@ void SimCluster::settle_crashes() {
     const ServerId id{v};
     if (crash_time_[v].usec < 0 || live_rings_holding(id) > 0) continue;
     // Under fail_server (oracle detection) the gap is zero.
-    failover_detect_us_.record_signed((now_ - crash_time_[v]).usec);
+    failover_detect_us_.record_signed((now() - crash_time_[v]).usec);
     crash_time_[v] = SimTime{-1};
     // A group of the dead owner that no live server holds a replica
     // of can never come back.
@@ -401,7 +404,7 @@ void SimCluster::restart_server(ServerId id) {
         *backends_[id.value], storage::NodeStore::Config::from(config_.clash));
     stores_[id.value]->set_obs(&obs::Hub::global(), id.value);
     server(id).set_storage(stores_[id.value].get());
-    (void)hosts_[id.value]->restore();
+    events_.dispatch([&] { (void)hosts_[id.value]->restore(); });
   }
 }
 
@@ -409,7 +412,9 @@ void SimCluster::join_server(ServerId id) {
   if (!is_alive(id) || ring_->contains(id)) return;
   ring_ = ring_->with(id);
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    if (alive_[i]) (void)hosts_[i]->member_joined(id);
+    if (alive_[i]) {
+      events_.dispatch([&] { (void)hosts_[i]->member_joined(id); });
+    }
   }
 }
 
@@ -504,6 +509,10 @@ void SimCluster::send(ServerId from, ServerId to, const Message& msg) {
 }
 
 void SimCluster::deliver(ServerId from, ServerId to, const Message& msg) {
+  if (!is_alive(to)) {  // died while the message was on its way
+    stats_.dropped_msgs++;
+    return;
+  }
   const auto* gossip = std::get_if<Gossip>(&msg);
   if (meter_wire_) stats_.wire_bytes += wire::encoded_payload_size(msg);
   if (gossip == nullptr) {

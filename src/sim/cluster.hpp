@@ -1,11 +1,13 @@
 // SimCluster: a full CLASH deployment in one address space — one
 // clash::NodeHost per node (its ClashServer, its own ring, the failover
-// rule: what net::ClashNode runs), synchronous message delivery, the
-// bootstrap splitter, and a global owner index for exact metrics. This
-// is the substrate of every experiment (and reusable by integration
-// tests without the event queue). Oracle membership (fail, evict, join,
-// revive) gives every live host one new ring in one step; ChurnSim
-// moves each host's ring on that server's own SWIM verdicts instead.
+// rule: what net::ClashNode runs), the bootstrap splitter, and a global
+// owner index for exact metrics. It owns the one event queue and clock,
+// on which Runtime and ChurnSim schedule too. Handlers run to completion:
+// a zero-delay message or a defer runs on the lane after its handler
+// (a node's end of tick), a delayed one or a call_after on the queue.
+// Oracle membership (fail, evict, join, revive) gives every live host
+// one new ring in one step; ChurnSim moves each host's ring on that
+// server's own SWIM verdicts instead.
 #pragma once
 
 #include <deque>
@@ -23,6 +25,7 @@
 #include "clash/stats.hpp"
 #include "dht/chord.hpp"
 #include "obs/hub.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/link_matrix.hpp"
 #include "storage/backend.hpp"
 #include "storage/store.hpp"
@@ -81,10 +84,18 @@ class SimCluster {
   [[nodiscard]] ClientEnv& client_env(ServerId access_point);
 
   // --- Time & periodic work ----------------------------------------------
-  void set_now(SimTime t) { now_ = t; }
-  [[nodiscard]] SimTime now() const { return now_; }
+  /// A test calling a server directly is outside any dispatch: what it
+  /// defers waits for the next one, and what it sends starts its own.
+  [[nodiscard]] EventQueue& events() { return events_; }
+  [[nodiscard]] SimTime now() const { return events_.now(); }
+  /// Run every message, timer and event due by `t`; leaves now() == t
+  /// (or unchanged, when `t` is past). Not from inside a handler.
+  void run_until(SimTime t) { events_.run_until(t); }
 
   /// Run one load check on one server (the runtime staggers these).
+  /// Like every SimCluster operation that runs protocol handlers (the
+  /// client RPC, bootstrap, evict, restart, join), it dispatches each
+  /// server's handler: the lane runs before it returns.
   void run_load_check(ServerId id);
   /// Run a load check on every server (tests).
   void run_all_load_checks();
@@ -112,14 +123,6 @@ class SimCluster {
   [[nodiscard]] LinkMatrix& links() { return links_; }
   [[nodiscard]] const LinkMatrix& links() const { return links_; }
 
-  /// Sink for link-delayed deliveries and server timers (defer,
-  /// call_after). Without one (plain SimCluster, no event queue), both
-  /// run inline — only drops and cuts apply. ChurnSim installs its
-  /// event queue here.
-  using DelaySink =
-      std::function<void(SimDuration delay, std::function<void()> deliver)>;
-  void set_delay_sink(DelaySink sink) { delay_sink_ = std::move(sink); }
-
   /// Send `msg` from server `from`. Gossip (ChurnSim's drivers) rides
   /// this transport as on a ClashNode: `latency` is its clean-link
   /// delay, and arriving Gossip goes to `sink`.
@@ -137,7 +140,6 @@ class SimCluster {
   /// extra latency each way (dispatch-level slowness, independent of
   /// any per-link fault). factor 1 restores full speed; restart_server
   /// also clears it (a restarted process is presumed healthy).
-  /// Needs the delay sink (ChurnSim) for the lag to be real.
   void set_node_slow(ServerId id, double factor);
   [[nodiscard]] double node_slow(ServerId id) const {
     return id.value < node_slow_.size() ? node_slow_[id.value] : 1.0;
@@ -173,8 +175,9 @@ class SimCluster {
 
   // --- Failure injection (replication extension) -----------------------
   /// Oracle-style crash: crash_server + evict_server in one step, as if
-  /// failure detection were instantaneous. Returns the number of groups
-  /// whose state was recovered from a replica.
+  /// failure detection were instantaneous, then the queue runs through
+  /// the heirs' recovery_grace. Returns the number of groups whose
+  /// state was recovered from a replica.
   std::size_t fail_server(ServerId id);
 
   /// The process dies: messages to it drop and its timers never fire.
@@ -188,7 +191,9 @@ class SimCluster {
   void settle_crashes();
 
   /// Oracle eviction: every live host drops a crashed server from its
-  /// ring (and fails over). Returns groups promoted.
+  /// ring (and fails over). Returns groups promoted at once; under log
+  /// replication the heirs promote only after recovery_grace, when the
+  /// queue runs past it.
   std::size_t evict_server(ServerId id);
 
   /// The process restarts with its in-memory state lost; the owner
@@ -250,8 +255,8 @@ class SimCluster {
   class ServerEnvImpl;
   class ClientEnvImpl;
 
-  /// Meter one arriving message and hand it to its receiver: the
-  /// server (which counts protocol classes) or the gossip sink.
+  /// Meter one arriving message and hand it to its receiver, if alive:
+  /// the server (which counts protocol classes) or the gossip sink.
   void deliver(ServerId from, ServerId to, const Message& msg);
 
   /// (Re)create server `id`'s host, owning nothing, over `ring`.
@@ -277,10 +282,9 @@ class SimCluster {
   obs::HistogramHandle failover_detect_us_;
   MessageStats stats_;
   LinkMatrix links_;
-  DelaySink delay_sink_;
   SimDuration gossip_latency_{0};
   GossipSink gossip_sink_;
-  SimTime now_{0};
+  EventQueue events_;
 };
 
 }  // namespace clash::sim

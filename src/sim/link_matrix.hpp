@@ -6,8 +6,8 @@
 //   - delayed by a fixed extra latency (slow links),
 //   - duplicated (retransmitting middleboxes / at-least-once relays),
 //   - reordered by a random jitter inside the reorder window (multi-
-//     path routing — needs a delay sink so the jittered copy genuinely
-//     lands late),
+//     path routing: the jittered copy waits on the cluster's event
+//     queue and lands late),
 //   - slowed by a latency multiplier (fail-slow links: everything
 //     arrives, just 10-100x late),
 //   - corrupted (bytes flipped inside the payload in flight), or

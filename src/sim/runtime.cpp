@@ -52,8 +52,7 @@ RunResult Runtime::run() {
   for (const auto& phase : config_.phases) total = total + phase.duration;
 
   take_sample();  // t = 0 baseline
-  events_.run_until(total);
-  cluster_->set_now(total);
+  cluster_->run_until(total);
 
   // Close the final phase.
   PhaseStats last;
@@ -69,7 +68,7 @@ RunResult Runtime::run() {
   }
 
   result_.totals = cluster_->total_stats();
-  result_.events_processed = events_.processed();
+  result_.events_processed = cluster_->events().processed();
   return result_;
 }
 
@@ -79,8 +78,7 @@ void Runtime::setup_phases() {
   SimTime t{0};
   for (std::size_t i = 1; i < config_.phases.size(); ++i) {
     t = t + config_.phases[i - 1].duration;
-    events_.at(t, [this, i, t] {
-      cluster_->set_now(t);
+    cluster_->events().at(t, [this, i, t] {
       PhaseStats done;
       done.workload = phase_specs_[current_phase_].name;
       done.duration = t - phase_start_time_;
@@ -122,13 +120,12 @@ void Runtime::setup_sources() {
     s.client = std::make_unique<ClashClient>(
         config_.cluster.clash, cluster_->client_env(s.access),
         cluster_->hasher(), opts, config_.seed ^ (i * 977));
-    events_.at(SimTime{0}, [this, i] { register_source(i); });
+    cluster_->events().at(SimTime{0}, [this, i] { register_source(i); });
   }
 }
 
 void Runtime::register_source(std::size_t idx) {
   Source& s = sources_[idx];
-  cluster_->set_now(events_.now());
 
   AcceptObject obj;
   obj.key = s.key;
@@ -136,9 +133,13 @@ void Runtime::register_source(std::size_t idx) {
   obj.stream_rate = s.rate;
   obj.source = s.id;
 
-  const ResolveOutcome out = (config_.mode == Mode::kClash)
-                                 ? s.client->insert(obj)
-                                 : insert_fixed(s, obj);
+  if (config_.mode == Mode::kFixedDepth) {
+    cluster_->ensure_group(
+        KeyGroup::of(obj.key, config_.cluster.clash.initial_depth));
+  }
+  const ResolveOutcome out = config_.mode == Mode::kPowerOfTwo
+                                 ? insert_po2(s.access, obj)
+                                 : s.client->insert(obj);
   s.registered = out.ok;
   if (!out.ok) ++result_.failed_resolves;
   record_outcome(out);
@@ -150,13 +151,12 @@ void Runtime::schedule_key_change(std::size_t idx) {
   // Virtual stream length ~ exp(mean Ld packets) at `rate` packets/sec.
   const double secs =
       s.rng.exponential(config_.mean_stream_packets / s.rate);
-  events_.after(SimTime::from_seconds(secs),
-                [this, idx] { on_key_change(idx); });
+  cluster_->events().after(SimTime::from_seconds(secs),
+                           [this, idx] { on_key_change(idx); });
 }
 
 void Runtime::on_key_change(std::size_t idx) {
   Source& s = sources_[idx];
-  cluster_->set_now(events_.now());
 
   if (s.registered) {
     if (config_.mode == Mode::kPowerOfTwo) {
@@ -177,38 +177,18 @@ void Runtime::on_key_change(std::size_t idx) {
   s.key = fresh ? current_keygen().sample(s.rng)
                 : current_keygen().local_move(s.key, config_.local_move_bits,
                                               s.rng);
-
-  AcceptObject obj;
-  obj.key = s.key;
-  obj.kind = ObjectKind::kData;
-  obj.stream_rate = s.rate;
-  obj.source = s.id;
-
-  const ResolveOutcome out = (config_.mode == Mode::kClash)
-                                 ? s.client->insert(obj)
-                                 : insert_fixed(s, obj);
-  s.registered = out.ok;
-  if (!out.ok) ++result_.failed_resolves;
-  record_outcome(out);
-  schedule_key_change(idx);
+  register_source(idx);
 }
 
-ResolveOutcome Runtime::insert_fixed(Source& src, AcceptObject obj) {
+ResolveOutcome Runtime::insert_po2(ServerId access, AcceptObject obj) {
   const unsigned depth = config_.cluster.clash.initial_depth;
   const KeyGroup group = KeyGroup::of(obj.key, depth);
-
-  if (config_.mode == Mode::kFixedDepth) {
-    cluster_->ensure_group(group);
-    return src.client->insert(obj);
-  }
-
-  // Power-of-two-choices: probe both candidates, keep the cooler one.
   assert(po2_ != nullptr);
   ResolveOutcome out;
   ServerId best{};
   double best_load = std::numeric_limits<double>::infinity();
   for (const auto cand : po2_->candidates(obj.key)) {
-    const auto route = cluster_->ring_of(src.access).lookup(cand, src.access);
+    const auto route = cluster_->ring_of(access).lookup(cand, access);
     ++out.dht_lookups;
     out.dht_hops += route.hops;
     cluster_->transport_stats().dht_hops += route.hops;
@@ -231,15 +211,8 @@ ResolveOutcome Runtime::insert_fixed(Source& src, AcceptObject obj) {
   }
   obj.depth = depth;
   ++out.probes;
-  cluster_->transport_stats().object_probes++;
-  cluster_->transport_stats().object_replies++;
   const AcceptObjectReply reply =
-      cluster_->server(best).handle_accept_object(obj);
-  // No ack before its record is synced, as on the client path
-  // (SimCluster's rpc_accept_object).
-  if (storage::NodeStore* store = cluster_->storage_of(best)) {
-    store->commit(cluster_->now());
-  }
+      cluster_->client_env(access).rpc_accept_object(best, obj);
   out.ok = std::holds_alternative<AcceptObjectOk>(reply);
   out.server = best;
   out.depth = depth;
@@ -257,12 +230,11 @@ void Runtime::setup_query_clients() {
     po2_query_home_.assign(config_.num_query_clients, ServerId{});
   }
   for (std::size_t slot = 0; slot < config_.num_query_clients; ++slot) {
-    events_.at(SimTime{0}, [this, slot] { spawn_query(slot); });
+    cluster_->events().at(SimTime{0}, [this, slot] { spawn_query(slot); });
   }
 }
 
 void Runtime::spawn_query(std::size_t slot) {
-  cluster_->set_now(events_.now());
   LiveQuery& q = queries_[slot];
   q.id = QueryId{next_query_id_++};
   Rng qrng = master_rng_.split(q.id.value * 2);
@@ -276,9 +248,7 @@ void Runtime::spawn_query(std::size_t slot) {
 
   const ServerId access{qrng.below(cluster_->num_servers())};
   if (config_.mode == Mode::kPowerOfTwo) {
-    Source dummy;
-    dummy.access = access;
-    ResolveOutcome out = insert_fixed(dummy, obj);
+    ResolveOutcome out = insert_po2(access, obj);
     if (out.ok) po2_query_home_[slot] = out.server;
     record_outcome(out);
     if (!out.ok) ++result_.failed_resolves;
@@ -302,15 +272,15 @@ void Runtime::spawn_query(std::size_t slot) {
   const std::uint64_t generation = ++query_generation_[slot];
   const double secs =
       qrng.exponential(config_.mean_query_lifetime.seconds());
-  events_.after(SimTime::from_seconds(secs), [this, slot, generation] {
-    expire_query(slot, generation);
-  });
+  cluster_->events().after(SimTime::from_seconds(secs),
+                           [this, slot, generation] {
+                             expire_query(slot, generation);
+                           });
 }
 
 void Runtime::expire_query(std::size_t slot,
                            std::uint64_t expected_generation) {
   if (query_generation_[slot] != expected_generation) return;
-  cluster_->set_now(events_.now());
   LiveQuery& q = queries_[slot];
   if (q.alive) {
     if (config_.mode == Mode::kPowerOfTwo) {
@@ -333,18 +303,14 @@ void Runtime::setup_load_checks() {
     const auto offset =
         SimTime(std::int64_t(master_rng_.below(std::uint64_t(period.usec)))) +
         SimTime(1);
-    // The runtime owns the tick closure; rescheduling captures a weak
-    // reference (a self-owning shared_ptr cycle would never free).
-    auto tick = std::make_shared<std::function<void()>>();
-    const std::weak_ptr<std::function<void()>> weak = tick;
-    *tick = [this, i, period, weak] {
-      cluster_->set_now(events_.now());
-      cluster_->run_load_check(ServerId{i});
-      if (const auto self = weak.lock()) events_.after(period, *self);
-    };
-    events_.at(offset, *tick);
-    load_check_ticks_.push_back(std::move(tick));
+    cluster_->events().at(offset, [this, i] { load_check(i); });
   }
+}
+
+void Runtime::load_check(std::size_t idx) {
+  cluster_->run_load_check(ServerId{idx});
+  cluster_->events().after(config_.cluster.clash.load_check_period,
+                           [this, idx] { load_check(idx); });
 }
 
 void Runtime::setup_sampling() {
@@ -352,13 +318,12 @@ void Runtime::setup_sampling() {
   for (const auto& phase : config_.phases) total = total + phase.duration;
   const SimDuration period = config_.sample_period;
   for (SimTime t = period; t <= total; t = t + period) {
-    events_.at(t, [this] { take_sample(); });
+    cluster_->events().at(t, [this] { take_sample(); });
   }
 }
 
 void Runtime::take_sample() {
-  cluster_->set_now(events_.now());
-  const SimTime t = events_.now();
+  const SimTime t = cluster_->now();
   const auto snap = cluster_->snapshot();
   result_.max_load_pct.add(t, snap.max_load_frac * 100.0);
   result_.avg_load_pct.add(t, snap.avg_active_load_frac * 100.0);

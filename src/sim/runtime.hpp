@@ -6,14 +6,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "clash/client.hpp"
 #include "sim/cluster.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/metrics.hpp"
 #include "sim/workload.hpp"
 
@@ -101,6 +99,8 @@ struct RunResult {
   std::uint64_t searches = 0;
   std::uint64_t failed_resolves = 0;
 
+  /// Handlers the cluster's queue ran: the runtime's own events plus
+  /// the cluster's timers and message deliveries.
   std::uint64_t events_processed = 0;
   std::string invariant_violation;  // empty when clean
 };
@@ -139,6 +139,7 @@ class Runtime {
   void setup_sources();
   void setup_query_clients();
   void setup_load_checks();
+  void load_check(std::size_t idx);  // runs one, schedules the next
   void setup_sampling();
 
   void register_source(std::size_t idx);
@@ -154,12 +155,12 @@ class Runtime {
   [[nodiscard]] const WorkloadSpec& current_spec() const;
   [[nodiscard]] const KeyGenerator& current_keygen() const;
 
-  /// Fixed-depth / power-of-two insert path (no depth search).
-  ResolveOutcome insert_fixed(Source& src, AcceptObject obj);
+  /// Power-of-two placement: probe both candidates' loads, put into
+  /// the cooler one (no depth search).
+  ResolveOutcome insert_po2(ServerId access, AcceptObject obj);
 
   RuntimeConfig config_;
   std::unique_ptr<SimCluster> cluster_;
-  EventQueue events_;
   Rng master_rng_;
 
   std::vector<WorkloadSpec> phase_specs_;
@@ -169,9 +170,6 @@ class Runtime {
   std::deque<Source> sources_;
   std::vector<LiveQuery> queries_;
   std::vector<std::uint64_t> query_generation_;
-  /// Per-server load-check closures (owned here so the rescheduling
-  /// lambdas can capture weakly instead of leaking a self-cycle).
-  std::vector<std::shared_ptr<std::function<void()>>> load_check_ticks_;
   std::uint64_t next_query_id_ = 1;
 
   // Power-of-two-choices bookkeeping (kPowerOfTwo mode only).

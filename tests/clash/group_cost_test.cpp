@@ -49,7 +49,7 @@ TEST(GroupCostLifecycle, HandoffEvictsTheOldOwnersCostRecord) {
                      cluster.hasher());
   const Key key(0b0110000000, 10);
   testing::add_stream(cluster, client, ClientId{2}, key, 2.0);
-  cluster.set_now(SimTime::from_minutes(5));
+  cluster.run_until(SimTime::from_minutes(5));
   cluster.run_all_load_checks();
 
   const KeyGroup group = cluster.find_active_group(key).value();
@@ -81,7 +81,7 @@ TEST(GroupCostLifecycle, DropReplicaEvictsCostButSparesTheActiveOwner) {
                      cluster.hasher());
   const Key key(0b1100000000, 10);
   testing::add_stream(cluster, client, ClientId{3}, key, 2.0);
-  cluster.set_now(SimTime::from_minutes(5));
+  cluster.run_until(SimTime::from_minutes(5));
   cluster.run_all_load_checks();
 
   const KeyGroup group = cluster.find_active_group(key).value();

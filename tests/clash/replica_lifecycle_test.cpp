@@ -27,7 +27,7 @@ TEST(ReplicaLifecycle, ReplicasLandOnRingSuccessors) {
     testing::add_stream(cluster, client, ClientId{i},
                         Key((i * 37) & 0x3FF, 10), 1.0);
   }
-  cluster.set_now(SimTime::from_minutes(5));
+  cluster.run_until(SimTime::from_minutes(5));
   cluster.run_all_load_checks();
 
   // Every active group's replicas sit on exactly the 2 ring successors
@@ -62,7 +62,7 @@ TEST(ReplicaLifecycle, SplitRetiresStaleParentReplicas) {
                      cluster.hasher());
   const Key hot(0b1010000000, 10);
   testing::add_stream(cluster, client, ClientId{1}, hot, 3.0);
-  cluster.set_now(SimTime::from_minutes(5));
+  cluster.run_until(SimTime::from_minutes(5));
   cluster.run_all_load_checks();
 
   const KeyGroup parent = cluster.find_active_group(hot).value();
@@ -82,7 +82,7 @@ TEST(ReplicaLifecycle, SplitRetiresStaleParentReplicas) {
   EXPECT_GT(cluster.total_stats().replica_drops, 0u);
 
   // The children replicate at the next check.
-  cluster.set_now(SimTime::from_minutes(10));
+  cluster.run_until(SimTime::from_minutes(10));
   cluster.run_all_load_checks();
   const KeyGroup child = cluster.find_active_group(hot).value();
   ASSERT_GT(child.depth(), parent.depth());
@@ -102,7 +102,7 @@ TEST(ReplicaLifecycle, PromotionRecoversExactState) {
   testing::add_stream(cluster, client, ClientId{10}, key, 2.5);
   testing::add_stream(cluster, client, ClientId{11}, Key(0b0110000001, 10),
                       1.5);
-  cluster.set_now(SimTime::from_minutes(5));
+  cluster.run_until(SimTime::from_minutes(5));
   cluster.run_all_load_checks();
 
   const KeyGroup group = cluster.find_active_group(key).value();
@@ -133,7 +133,7 @@ TEST(ReplicaLifecycle, FreshSplitGroupsAreProtectedImmediately) {
                      cluster.hasher());
   const Key key(0b0011000000, 10);
   testing::add_stream(cluster, client, ClientId{40}, key, 2.0);
-  cluster.set_now(SimTime::from_minutes(5));
+  cluster.run_until(SimTime::from_minutes(5));
   cluster.run_all_load_checks();
 
   // Split the group; no load check runs before the owner dies.
@@ -163,7 +163,7 @@ TEST(ReplicaLifecycle, BackToBackOwnerDeathsWithinOnePeriod) {
                      cluster.hasher());
   const Key key(0b1100000000, 10);
   testing::add_stream(cluster, client, ClientId{30}, key, 2.0);
-  cluster.set_now(SimTime::from_minutes(5));
+  cluster.run_until(SimTime::from_minutes(5));
   cluster.run_all_load_checks();
 
   const ServerId first_owner = *cluster.find_owner(key);
@@ -206,7 +206,7 @@ TEST(ReplicaLifecycle, EmptyRootFallbackWithoutReplicas) {
                      cluster.hasher());
   const Key key(0b0001000000, 10);
   testing::add_stream(cluster, client, ClientId{20}, key, 2.0);
-  cluster.set_now(SimTime::from_minutes(5));
+  cluster.run_until(SimTime::from_minutes(5));
   cluster.run_all_load_checks();
 
   const KeyGroup group = cluster.find_active_group(key).value();

@@ -63,7 +63,7 @@ TEST_P(ChurnSweep, InvariantsHoldUnderRandomChurn) {
       cluster.withdraw_query(QueryId{it->first}, it->second);
       live_queries.erase(it);
     } else if (dice < 85) {  // a server runs its load check
-      cluster.set_now(SimTime::from_minutes(5 * ++checks));
+      cluster.run_until(SimTime::from_minutes(5 * ++checks));
       cluster.run_load_check(ServerId{rng.below(cfg.num_servers)});
     } else if (dice < 92) {  // adversarial forced split
       const Key k(rng.next() & 0x3FF, 10);

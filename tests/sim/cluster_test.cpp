@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "tests/clash/test_util.hpp"
 
@@ -67,6 +69,47 @@ TEST(Cluster, OwnerIndexTracksSplits) {
   EXPECT_EQ(cluster.check_invariants(), std::nullopt);
   // 8 roots -> 9 leaves after one split.
   EXPECT_EQ(cluster.owner_index().size(), 9u);
+}
+
+TEST(Cluster, ZeroDelayMessageLandsAfterItsSendersHandler) {
+  SimCluster cluster(testing::small_cluster_config(16, 8, 2, 1e9));
+  cluster.bootstrap();
+  // A group whose right child maps to another server: its split ships
+  // the child there in an AcceptKeyGroup.
+  KeyGroup group;
+  ServerId owner;
+  ServerId right_owner;
+  for (const auto& [g, o] : cluster.owner_index()) {
+    const ServerId to = cluster.ring().map(
+        cluster.hasher().hash_key(g.right_child().virtual_key()));
+    if (to != o) {
+      group = g;
+      owner = o;
+      right_owner = to;
+      break;
+    }
+  }
+  ASSERT_TRUE(owner.valid());
+  const KeyGroup right = group.right_child();
+
+  std::vector<std::string> order;
+  const SimTime t = cluster.now();
+  cluster.events().at(t, [&] {
+    EXPECT_TRUE(cluster.server(owner).force_split(group));
+    order.push_back(cluster.owner_index().count(right) > 0
+                        ? "landed inside the sender's handler"
+                        : "sender returned");
+  });
+  cluster.events().at(t, [&] {
+    order.push_back(cluster.owner_index().count(right) > 0
+                        ? "landed before the next event"
+                        : "next event ran first");
+  });
+  cluster.run_until(t);
+  EXPECT_EQ(order, (std::vector<std::string>{"sender returned",
+                                             "landed before the next event"}));
+  EXPECT_EQ(cluster.owner_index().at(right), right_owner);
+  EXPECT_EQ(cluster.check_invariants(), std::nullopt);
 }
 
 TEST(Cluster, WithdrawStreamRemovesRate) {
@@ -156,7 +199,7 @@ TEST(Cluster, LoadChecksSplitHotspotAcrossServers) {
   }
 
   for (int round = 0; round < 12; ++round) {
-    cluster.set_now(SimTime::from_minutes(5 * (round + 1)));
+    cluster.run_until(SimTime::from_minutes(5 * (round + 1)));
     cluster.run_all_load_checks();
   }
   const auto snap = cluster.snapshot();
@@ -184,7 +227,7 @@ TEST(Cluster, ConsolidationShrinksTreeWhenLoadLeaves) {
     ASSERT_TRUE(client.insert(obj).ok);
   }
   for (int round = 0; round < 12; ++round) {
-    cluster.set_now(SimTime::from_minutes(5 * (round + 1)));
+    cluster.run_until(SimTime::from_minutes(5 * (round + 1)));
     cluster.run_all_load_checks();
   }
   const auto peak_groups = cluster.owner_index().size();
@@ -195,7 +238,7 @@ TEST(Cluster, ConsolidationShrinksTreeWhenLoadLeaves) {
     cluster.withdraw_stream(ClientId{std::uint64_t(i)}, keys[std::size_t(i)]);
   }
   for (int round = 12; round < 40; ++round) {
-    cluster.set_now(SimTime::from_minutes(5 * (round + 1)));
+    cluster.run_until(SimTime::from_minutes(5 * (round + 1)));
     cluster.run_all_load_checks();
   }
   EXPECT_EQ(cluster.owner_index().size(), 4u);  // back to the root floor

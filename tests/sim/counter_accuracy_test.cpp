@@ -51,7 +51,7 @@ struct Replicated {
                cluster.hasher()) {
     cluster.bootstrap();
     put_streams(client, 0, 60, 17);
-    cluster.set_now(SimTime::from_minutes(5));
+    cluster.run_until(SimTime::from_minutes(5));
     cluster.run_all_load_checks();
   }
 

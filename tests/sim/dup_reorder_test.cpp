@@ -12,7 +12,6 @@
 #include "clash/client.hpp"
 #include "common/rng.hpp"
 #include "sim/cluster.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/link_matrix.hpp"
 
 namespace clash::sim {
@@ -48,26 +47,13 @@ TEST(LinkMatrixDupReorder, VerdictsAndStats) {
   EXPECT_TRUE(LinkMatrix::Fault{}.benign());
 }
 
-struct DelayedCluster {
-  explicit DelayedCluster(SimCluster::Config cfg)
-      : cluster(std::move(cfg)) {
-    cluster.set_delay_sink(
-        [this](SimDuration delay, std::function<void()> deliver) {
-          events.after(delay, std::move(deliver));
-        });
+/// Delayed deliveries can schedule further delayed deliveries (nack ->
+/// restart -> more chunks); run the cluster's queue to quiescence.
+void drain(SimCluster& cluster) {
+  while (!cluster.events().empty()) {
+    cluster.run_until(SimTime{cluster.now().usec + 10'000'000});
   }
-
-  void drain() {
-    // Delayed deliveries can schedule further delayed deliveries
-    // (nack -> restart -> more chunks); run to quiescence.
-    while (!events.empty()) {
-      events.run_until(SimTime{events.now().usec + 10'000'000});
-    }
-  }
-
-  SimCluster cluster;
-  EventQueue events;
-};
+}
 
 SimCluster::Config replicated_config() {
   SimCluster::Config cfg;
@@ -82,8 +68,7 @@ SimCluster::Config replicated_config() {
 }
 
 TEST(DupReorderReplication, DuplicatedAppendsApplyOnce) {
-  DelayedCluster sim(replicated_config());
-  SimCluster& cluster = sim.cluster;
+  SimCluster cluster(replicated_config());
   cluster.bootstrap();
 
   // Every link duplicates aggressively from the start.
@@ -104,7 +89,7 @@ TEST(DupReorderReplication, DuplicatedAppendsApplyOnce) {
     expected_rate += 2.0;
     ASSERT_TRUE(client.insert(obj).ok);
   }
-  sim.drain();
+  drain(cluster);
   ASSERT_GT(cluster.links().stats().duplicated, 0u);
 
   // Replica-side rates must equal the originals exactly: a re-applied
@@ -128,8 +113,7 @@ TEST(DupReorderReplication, DuplicatedAppendsApplyOnce) {
 }
 
 TEST(DupReorderReplication, SnapshotAssemblySurvivesDupAndReorder) {
-  DelayedCluster sim(replicated_config());
-  SimCluster& cluster = sim.cluster;
+  SimCluster cluster(replicated_config());
   cluster.bootstrap();
 
   ClashClient client(cluster.clash_config(), cluster.client_env(ServerId{0}),
@@ -144,7 +128,7 @@ TEST(DupReorderReplication, SnapshotAssemblySurvivesDupAndReorder) {
     obj.stream_rate = 1.0;
     ASSERT_TRUE(client.insert(obj).ok);
   }
-  sim.drain();
+  drain(cluster);
 
   // Now make every link duplicate AND reorder, and run the repair
   // rounds through it (the log engine ships activations and repairs
@@ -156,17 +140,17 @@ TEST(DupReorderReplication, SnapshotAssemblySurvivesDupAndReorder) {
   cluster.links().set_default_fault(f);
 
   for (int round = 1; round <= 6; ++round) {
-    cluster.set_now(SimTime::from_minutes(5 * round));
+    cluster.run_until(SimTime::from_minutes(5 * round));
     cluster.run_all_load_checks();
-    sim.drain();
+    drain(cluster);
   }
   ASSERT_GT(cluster.links().stats().reordered, 0u);
 
   // Heal and give anti-entropy a clean round to settle stragglers.
   cluster.links().clear();
-  cluster.set_now(SimTime::from_minutes(40));
+  cluster.run_until(SimTime::from_minutes(40));
   cluster.run_all_load_checks();
-  sim.drain();
+  drain(cluster);
 
   // Every replica of every group sits exactly at its owner's head,
   // with the owner's exact object counts — reordered chunks at worst

@@ -6,9 +6,7 @@
 // evict -> promote -> rejoin -> hand-back path.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <map>
-#include <vector>
 
 #include "clash/client.hpp"
 #include "common/rng.hpp"
@@ -73,6 +71,11 @@ std::pair<std::size_t, std::size_t> count_objects(SimCluster& cluster) {
   return {streams, queries};
 }
 
+/// Run the queue through the heirs' recovery grace window.
+void wait_out_grace(SimCluster& cluster) {
+  cluster.run_until(cluster.now() + cluster.clash_config().recovery_grace);
+}
+
 /// Crash `victim` and bring it back the way a node of this durability
 /// mode comes back. A durable node restarts before anyone evicts it
 /// and re-adopts its groups from disk. A diskless node knows nothing
@@ -82,8 +85,12 @@ void crash_and_restart(SimCluster& cluster, ServerId victim) {
   cluster.crash_server(victim);
   const bool diskless = cluster.clash_config().durability_mode ==
                         ClashConfig::DurabilityMode::kNone;
-  if (diskless) cluster.evict_server(victim);
+  if (diskless) {
+    cluster.evict_server(victim);
+    wait_out_grace(cluster);
+  }
   cluster.restart_server(victim);
+  wait_out_grace(cluster);
   if (diskless) cluster.join_server(victim);
 }
 
@@ -109,7 +116,7 @@ TEST(DurabilityRestart, KilledNodeRecoversItsGroupsFromLocalDisk) {
   SimCluster cluster(cfg);
   cluster.bootstrap();
   const auto loaded = load_cluster(cluster, 600, 150, 7);
-  cluster.set_now(SimTime::from_minutes(5));
+  cluster.run_until(SimTime::from_minutes(5));
   cluster.run_all_load_checks();
 
   const ServerId victim = busiest_server(cluster);
@@ -122,6 +129,7 @@ TEST(DurabilityRestart, KilledNodeRecoversItsGroupsFromLocalDisk) {
   const auto before = cluster.total_stats();
   cluster.crash_server(victim);
   cluster.restart_server(victim);
+  wait_out_grace(cluster);
   const auto delta = cluster.total_stats() - before;
 
   // Every group is back on the victim, with its state, from disk.
@@ -150,7 +158,7 @@ TEST(DurabilityRestart, TornWalTailHealsFromReplicaSuffix) {
   SimCluster cluster(cfg);
   cluster.bootstrap();
   const auto loaded = load_cluster(cluster, 400, 100, 11);
-  cluster.set_now(SimTime::from_minutes(5));
+  cluster.run_until(SimTime::from_minutes(5));
   cluster.run_all_load_checks();
 
   const ServerId victim = busiest_server(cluster);
@@ -162,9 +170,11 @@ TEST(DurabilityRestart, TornWalTailHealsFromReplicaSuffix) {
   const std::size_t victim_queries = cluster.server(victim).total_queries();
   cluster.crash_server(victim);
   cluster.restart_server(victim);
+  wait_out_grace(cluster);
 
-  // The disk lost a tail, but the synchronous recovery pull streamed
-  // the missing suffix from the surviving holders before promotion.
+  // The disk lost a tail, but the recovery pull streamed the missing
+  // suffix from the surviving holders within the grace, before
+  // promotion.
   EXPECT_GT(cluster.server(victim).recovery_stats().entries_repaired +
                 cluster.server(victim).recovery_stats().snapshots_pulled,
             0u);
@@ -185,7 +195,7 @@ TEST(DurabilityRestart, SurvivesRestartWithoutAnyReplicas) {
     SimCluster cluster(cfg);
     cluster.bootstrap();
     const auto loaded = load_cluster(cluster, 300, 80, 23);
-    cluster.set_now(SimTime::from_minutes(5));
+    cluster.run_until(SimTime::from_minutes(5));
     cluster.run_all_load_checks();
 
     const ServerId victim = busiest_server(cluster);
@@ -206,16 +216,12 @@ TEST(DurabilityRestart, SurvivesRestartWithoutAnyReplicas) {
 
 TEST(DurabilityRestart, AckedPutSurvivesACrashInTheSameInstant) {
   // kPerAppend: no reply before its record is synced. The server's
-  // end-of-tick commit rides the event queue, so the client path must
-  // commit before it returns the ack; a crash at the same sim time,
-  // before the queue runs, must not lose the acked write.
-  std::vector<std::function<void()>> queued;  // never run before the crash
+  // commit runs at the end of the request's tick, before the reply
+  // leaves; a crash at the same sim time, before the queue runs again,
+  // must not lose the acked write.
   SimCluster cluster(
       durable_cluster_config(ClashConfig::DurabilityMode::kWalSnapshot, 0));
   cluster.bootstrap();
-  cluster.set_delay_sink([&queued](SimDuration, std::function<void()> fn) {
-    queued.push_back(std::move(fn));
-  });
   for (std::size_t i = 0; i < cluster.num_servers(); ++i) {
     cluster.storage_backend(ServerId{i})->set_crash_fault(
         storage::MemBackend::CrashFault{.drop_unsynced = true});
@@ -239,11 +245,10 @@ TEST(DurabilityRestart, AckedPutSurvivesACrashInTheSameInstant) {
 }
 
 TEST(DurabilityRestart, PowerOfTwoPlacementAcksOnlySyncedPuts) {
-  // The Runtime's power-of-two path puts straight into the cooler
-  // candidate, bypassing the client RPC. It too must commit before it
-  // counts a put as acked: every server timer (the end-of-tick commit
-  // included) is queued and never run, and a crash right after the run
-  // must keep every placed object.
+  // The Runtime's power-of-two path picks the cooler candidate itself
+  // and puts straight into it. It too counts a put as acked only once
+  // the request's tick (its commit included) ran: a crash right after
+  // the run must keep every placed object.
   RuntimeConfig rc;
   rc.cluster =
       durable_cluster_config(ClashConfig::DurabilityMode::kWalSnapshot, 0);
@@ -255,10 +260,6 @@ TEST(DurabilityRestart, PowerOfTwoPlacementAcksOnlySyncedPuts) {
   rc.phases = {{'A', SimTime::from_minutes(1)}};
   Runtime rt(std::move(rc));
   SimCluster& cluster = rt.cluster();
-  std::vector<std::function<void()>> queued;  // never run before the crash
-  cluster.set_delay_sink([&queued](SimDuration, std::function<void()> fn) {
-    queued.push_back(std::move(fn));
-  });
   for (std::size_t i = 0; i < cluster.num_servers(); ++i) {
     cluster.storage_backend(ServerId{i})->set_crash_fault(
         storage::MemBackend::CrashFault{.drop_unsynced = true});
@@ -286,7 +287,6 @@ TEST(DurabilityRestart, PowerOfTwoPlacementAcksOnlySyncedPuts) {
     }
     return n;
   };
-  cluster.set_delay_sink(nullptr);  // recovery's own timers run inline
   for (std::size_t i = 0; i < cluster.num_servers(); ++i) {
     const ServerId id{i};
     const std::size_t before = held(id);
@@ -362,7 +362,7 @@ TEST(DurabilityRestart, LocalRecoveryMovesFewerBytesThanNetworkPull) {
     SimCluster cluster(cfg);
     cluster.bootstrap();
     load_cluster(cluster, 600, 150, 7);
-    cluster.set_now(SimTime::from_minutes(5));
+    cluster.run_until(SimTime::from_minutes(5));
     cluster.run_all_load_checks();
 
     const ServerId victim = busiest_server(cluster);

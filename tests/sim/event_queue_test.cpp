@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace clash::sim {
@@ -96,6 +97,47 @@ TEST(EventQueue, NowAdvancesDuringRun) {
   q.at(SimTime::from_seconds(7), [&] { seen = q.now(); });
   q.run_until(SimTime::from_seconds(10));
   EXPECT_EQ(seen, SimTime::from_seconds(7));
+}
+
+TEST(EventQueue, LaneRunsAfterTheHandlerBeforeTheNextEvent) {
+  EventQueue q;
+  std::vector<std::string> order;
+  const auto t = SimTime::from_seconds(1);
+  q.at(t, [&] {
+    q.post([&] {
+      order.push_back("posted");
+      q.post([&] { order.push_back("posted by posted"); });
+    });
+    order.push_back("handler");
+  });
+  q.at(t, [&] { order.push_back("next event, same instant"); });
+  q.run_until(t);
+  EXPECT_EQ(order, (std::vector<std::string>{"handler", "posted",
+                                             "posted by posted",
+                                             "next event, same instant"}));
+  EXPECT_EQ(q.processed(), 4u);
+}
+
+TEST(EventQueue, WorkPostedOutsideADispatchWaitsForTheNext) {
+  EventQueue q;
+  std::vector<std::string> order;
+  EXPECT_FALSE(q.dispatching());
+  q.post([&] { order.push_back("posted"); });
+  EXPECT_TRUE(order.empty());
+  EXPECT_EQ(q.pending(), 1u);
+  q.dispatch([&] {
+    EXPECT_TRUE(q.dispatching());
+    order.push_back("dispatch");
+  });
+  EXPECT_EQ(order, (std::vector<std::string>{"dispatch", "posted"}));
+
+  // A run_until runs leftover lane work before its first event.
+  q.post([&] { order.push_back("posted again"); });
+  q.at(SimTime(1), [&] { order.push_back("event"); });
+  q.run_until(SimTime(1));
+  EXPECT_EQ(order.back(), "event");
+  EXPECT_EQ(order[order.size() - 2], "posted again");
+  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace

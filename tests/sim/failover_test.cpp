@@ -44,7 +44,7 @@ TEST(Failover, ReplicasFormAfterLoadChecks) {
                      cluster.hasher());
   (void)load_streams(cluster, client, 50, 7);
 
-  cluster.set_now(SimTime::from_minutes(5));
+  cluster.run_until(SimTime::from_minutes(5));
   cluster.run_all_load_checks();
 
   std::size_t replicas = 0;
@@ -62,7 +62,7 @@ TEST(Failover, StateSurvivesServerCrash) {
   ClashClient client(cluster.clash_config(), cluster.client_env(ServerId{0}),
                      cluster.hasher());
   const auto keys = load_streams(cluster, client, 60, 11);
-  cluster.set_now(SimTime::from_minutes(5));
+  cluster.run_until(SimTime::from_minutes(5));
   cluster.run_all_load_checks();  // replicas form
 
   // Crash the busiest server.
@@ -112,7 +112,7 @@ TEST(Failover, WithoutReplicationGroupsComeBackEmpty) {
   ClashClient client(cluster.clash_config(), cluster.client_env(ServerId{0}),
                      cluster.hasher());
   const auto keys = load_streams(cluster, client, 60, 13);
-  cluster.set_now(SimTime::from_minutes(5));
+  cluster.run_until(SimTime::from_minutes(5));
   cluster.run_all_load_checks();
 
   const ServerId victim = *cluster.find_owner(keys[0]);
@@ -147,7 +147,7 @@ TEST(Failover, HeirDyingBeforeItsEvictionStillFailsOver) {
   ClashClient client(cluster.clash_config(), cluster.client_env(ServerId{0}),
                      cluster.hasher());
   const auto keys = load_streams(cluster, client, 80, 31);
-  cluster.set_now(SimTime::from_minutes(5));
+  cluster.run_until(SimTime::from_minutes(5));
   cluster.run_all_load_checks();
 
   const KeyGroup group = *cluster.find_active_group(keys[0]);
@@ -170,6 +170,7 @@ TEST(Failover, HeirDyingBeforeItsEvictionStillFailsOver) {
   EXPECT_EQ(cluster.owner_index().count(group), 0u)
       << "promoted while the ring still maps the group to the dead heir";
   cluster.evict_server(heir);
+  cluster.run_until(cluster.now() + cluster.clash_config().recovery_grace);
 
   for (const auto& [g, streams] : streams_of) {
     const auto now_owner = cluster.owner_index().find(g);
@@ -184,6 +185,82 @@ TEST(Failover, HeirDyingBeforeItsEvictionStillFailsOver) {
   EXPECT_EQ(cluster.check_invariants(), std::nullopt);
 }
 
+/// A loaded, replicated cluster and one group's owner -> heir -> next
+/// holder chain on the oracle ring.
+struct Chain {
+  KeyGroup group;
+  ServerId owner;
+  ServerId heir;
+  ServerId holder;
+  std::size_t streams = 0;
+};
+
+Chain loaded_chain(SimCluster& cluster, std::uint64_t seed) {
+  cluster.bootstrap();
+  ClashClient client(cluster.clash_config(), cluster.client_env(ServerId{0}),
+                     cluster.hasher());
+  const auto keys = load_streams(cluster, client, 80, seed);
+  cluster.run_until(SimTime::from_minutes(5));
+  cluster.run_all_load_checks();
+  Chain c;
+  c.group = *cluster.find_active_group(keys[0]);
+  c.owner = *cluster.find_owner(keys[0]);
+  const auto chain = cluster.ring().successors(
+      cluster.hasher().hash_key(c.group.virtual_key()), 3);
+  c.heir = chain[1];
+  c.holder = chain[2];
+  c.streams = cluster.server(c.owner).group_state(c.group)->streams.size();
+  return c;
+}
+
+TEST(Failover, HeirPromotesOnlyOnceTheGraceWindowPassed) {
+  // Log replication: an heir waits recovery_grace on the cluster's
+  // clock for a fresher holder's suffix before it promotes.
+  SimCluster cluster(replicated_config(2));
+  const Chain c = loaded_chain(cluster, 41);
+  ASSERT_TRUE(cluster.server(c.heir).has_replica(c.group));
+  const SimDuration grace = cluster.clash_config().recovery_grace;
+
+  cluster.crash_server(c.owner);
+  cluster.evict_server(c.owner);
+  EXPECT_EQ(cluster.owner_index().count(c.group), 0u)
+      << "promoted before the grace window closed";
+  cluster.run_until(cluster.now() + SimDuration{grace.usec - 1});
+  EXPECT_EQ(cluster.owner_index().count(c.group), 0u);
+
+  cluster.run_until(cluster.now() + SimDuration{1});
+  ASSERT_EQ(cluster.owner_index().count(c.group), 1u);
+  EXPECT_EQ(cluster.owner_index().at(c.group), c.heir);
+  EXPECT_EQ(cluster.server(c.heir).group_state(c.group)->streams.size(),
+            c.streams);
+  EXPECT_EQ(cluster.check_invariants(), std::nullopt);
+}
+
+TEST(Failover, HeirCrashInsideTheGraceWindowCancelsItsTimer) {
+  SimCluster cluster(replicated_config(2));
+  const Chain c = loaded_chain(cluster, 43);
+  const SimDuration grace = cluster.clash_config().recovery_grace;
+
+  cluster.crash_server(c.owner);
+  cluster.evict_server(c.owner);
+  cluster.run_until(cluster.now() + SimDuration{grace.usec / 2});
+  cluster.crash_server(c.heir);  // its promotion timer is still pending
+  cluster.run_until(cluster.now() + grace);
+  // The dead heir's timer never fired, and the next holder's ring still
+  // maps the group to the heir.
+  EXPECT_EQ(cluster.owner_index().count(c.group), 0u)
+      << "a crashed heir's timer promoted the group";
+
+  cluster.evict_server(c.heir);
+  cluster.run_until(cluster.now() + grace);
+  ASSERT_EQ(cluster.owner_index().count(c.group), 1u);
+  EXPECT_EQ(cluster.owner_index().at(c.group), c.holder);
+  EXPECT_EQ(cluster.server(c.holder).group_state(c.group)->streams.size(),
+            c.streams);
+  EXPECT_EQ(cluster.total_stats().groups_lost, 0u);
+  EXPECT_EQ(cluster.check_invariants(), std::nullopt);
+}
+
 TEST(Failover, CascadingFailuresStayConsistent) {
   SimCluster cluster(replicated_config(3));
   cluster.bootstrap();
@@ -193,7 +270,7 @@ TEST(Failover, CascadingFailuresStayConsistent) {
 
   Rng rng(23);
   for (int round = 0; round < 6; ++round) {
-    cluster.set_now(SimTime::from_minutes(5 * (round + 1)));
+    cluster.run_until(SimTime::from_minutes(5 * (round + 1)));
     cluster.run_all_load_checks();  // refresh replicas between crashes
     // Crash a random live server.
     for (;;) {
@@ -259,7 +336,7 @@ TEST(Failover, SplitGroupsFailOverToo) {
     const auto g = cluster.find_active_group(hot);
     ASSERT_TRUE(cluster.server(*cluster.find_owner(hot)).force_split(*g));
   }
-  cluster.set_now(SimTime::from_minutes(5));
+  cluster.run_until(SimTime::from_minutes(5));
   cluster.run_all_load_checks();  // replicate the deepened tree
 
   const auto deep_group = cluster.find_active_group(hot).value();

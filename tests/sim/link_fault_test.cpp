@@ -159,7 +159,7 @@ TEST(LinkFaultCluster, CutLinkStarvesReplicaUntilHealAndAntiEntropy) {
 
   // Heal; the next anti-entropy round repairs the exact suffix.
   cluster.links().heal(gv.owner, holder);
-  cluster.set_now(SimTime::from_minutes(5));
+  cluster.run_until(SimTime::from_minutes(5));
   cluster.run_all_load_checks();
   EXPECT_EQ(cluster.server(holder).replica_head(gv.group),
             cluster.server(gv.owner).log_head(gv.group));
@@ -217,7 +217,7 @@ TEST(LinkFaultCluster, ScriptedChunkLossNacksAndRestartsWithinTheCheck) {
   // then the chunks. Script the loss of the first chunk.
   cluster.links().script(gv.owner, holder,
                          {false /*probe*/, false /*offer*/, true /*chunk0*/});
-  cluster.set_now(SimTime::from_minutes(5));
+  cluster.run_until(SimTime::from_minutes(5));
   cluster.server(gv.owner).run_load_check();
 
   // The nack-driven restart converged the holder inside this check.
