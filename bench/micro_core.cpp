@@ -1,10 +1,14 @@
 // Microbenchmarks (google-benchmark) for the hot code paths: key ops,
 // ServerTable lookups, hashing, Chord routing, client resolution,
-// split/merge cost, and the two kernels of a replicated put (the group
-// state upsert and the ReplAppend codec round trip).
+// split/merge cost, and the kernels of a replicated put (the group
+// state upsert, the ReplAppend codec round trip, and the owner's
+// log-and-flush to its replica set).
 #include <benchmark/benchmark.h>
 
+#include <functional>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "clash/bootstrap.hpp"
@@ -16,6 +20,7 @@
 #include "net/node.hpp"
 #include "repl/log.hpp"
 #include "sim/cluster.hpp"
+#include "wire/buffer_pool.hpp"
 #include "wire/codec.hpp"
 
 using namespace clash;
@@ -272,6 +277,109 @@ void BM_ReplAppendRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReplAppendRoundTrip);
+
+// A transport that pays what ClashNode pays per message (one pooled
+// frame encoding; a fan-out encodes once and copies the bytes) and
+// counts the frames, with a dispatch tick the bench ends by hand.
+class CountingEnv final : public ServerEnv {
+ public:
+  std::vector<ServerId> replicas;
+  std::vector<std::function<void()>> deferred;
+  std::uint64_t frames = 0;
+
+  dht::LookupResult dht_lookup(dht::HashKey) override {
+    return dht::LookupResult{ServerId{0}, 0};
+  }
+  std::vector<ServerId> replica_targets(dht::HashKey, unsigned) override {
+    return replicas;
+  }
+  void send(ServerId, const Message& msg) override { recycle(frame_of(msg)); }
+  void fan_out(std::span<const ServerId> to, const Message& msg) override {
+    auto frame = frame_of(msg);
+    for (std::size_t i = 1; i < to.size(); ++i) {
+      auto copy = wire::BufferPool::local().acquire();
+      copy.assign(frame.begin(), frame.end());
+      recycle(std::move(copy));
+    }
+    recycle(std::move(frame));
+  }
+  [[nodiscard]] SimTime now() const override { return SimTime{0}; }
+  void defer(std::function<void()> fn) override {
+    deferred.push_back(std::move(fn));
+  }
+  void end_tick() {
+    for (auto& fn : deferred) fn();
+    deferred.clear();
+  }
+
+ private:
+  static std::vector<std::uint8_t> frame_of(const Message& msg) {
+    auto w = wire::begin_frame(
+        wire::Envelope{wire::FrameKind::kOneway, 0, ServerId{0}});
+    wire::encode_message(w, msg);
+    return wire::finish_frame(std::move(w));
+  }
+  void recycle(std::vector<std::uint8_t>&& frame) {
+    ++frames;
+    wire::BufferPool::local().release(std::move(frame));
+  }
+};
+
+// The owner's side of a replicated put, per two-put tick: accept both
+// puts into one of the node's groups (log_op queues each), then the
+// tick's flush sends the two-entry ReplAppend to two replicas. Hashed
+// as a ClashNode hashes (SHA-1, 32 bits). Arg: groups owned (21 is one
+// e2e node's share of 64; 1024 shows what the flush pays per group
+// owned rather than per group logged).
+void BM_ReplAppendFlush(benchmark::State& state) {
+  const auto groups = std::uint64_t(state.range(0));
+  const unsigned depth = groups <= 64 ? 6 : 10;
+  const unsigned shift = 24 - depth;
+  ClashConfig cfg;
+  cfg.key_width = 24;
+  cfg.initial_depth = depth;
+  cfg.capacity = 1e18;
+  cfg.replication_factor = 2;
+  const net::NodeConfig node;
+  CountingEnv env;
+  env.replicas = {ServerId{1}, ServerId{2}};
+  ClashServer server(ServerId{0}, cfg, env,
+                     dht::KeyHasher(node.hash_bits, node.hash_algo,
+                                    node.ring_salt));
+  for (std::uint64_t g = 0; g < groups; ++g) {
+    ServerTableEntry entry;
+    entry.group = KeyGroup::of(Key(g << shift, 24), depth);
+    entry.active = true;
+    server.install_entry(entry);
+  }
+  env.end_tick();
+  env.frames = 0;
+  Rng rng(13);
+  AcceptObject put;
+  put.kind = ObjectKind::kData;
+  put.stream_rate = 1.0;
+  const std::uint64_t low = (std::uint64_t{1} << shift) - 1;
+  // Every group logs once first, as every group of a live node has.
+  for (std::uint64_t g = 0; g < groups; ++g) {
+    put.source = ClientId{g};
+    put.key = Key(g << shift, 24);
+    (void)server.handle_accept_object(put);
+    env.end_tick();
+  }
+  env.frames = 0;
+  for (auto _ : state) {
+    const std::uint64_t g = rng.below(groups);
+    for (int i = 0; i < 2; ++i) {
+      put.source = ClientId{rng.below(1024)};
+      put.key = Key((g << shift) | (rng.next() & low), 24);
+      benchmark::DoNotOptimize(server.handle_accept_object(put));
+    }
+    env.end_tick();
+  }
+  state.counters["frames_per_flush"] =
+      benchmark::Counter(double(env.frames) / double(state.iterations()));
+}
+BENCHMARK(BM_ReplAppendFlush)->Arg(21)->Arg(1024);
 
 }  // namespace
 

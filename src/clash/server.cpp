@@ -776,6 +776,8 @@ void ClashServer::try_consolidate() {
 // ---------------------------------------------------------------------------
 
 void ClashServer::retire_replicas(const KeyGroup& group) {
+  // Read before drop_group_log forgets the cached position.
+  const dht::HashKey pos = ring_pos(group);
   cancel_outbound_snapshots(group);  // the image being streamed is dead
   drop_group_log(group);
   // The group left this server (gc / split / merge / handoff): its cost
@@ -783,12 +785,7 @@ void ClashServer::retire_replicas(const KeyGroup& group) {
   // grow without bound under churn. The new owner meters from zero.
   group_costs_.erase(group);
   if (cfg_.replication_factor == 0) return;
-  const auto targets = env_.replica_targets(
-      hasher_.hash_key(group.virtual_key()), cfg_.replication_factor);
-  for (const ServerId target : targets) {
-    if (target == self_) continue;
-    env_.send(target, DropReplica{group});
-  }
+  env_.fan_out(replica_set(pos), DropReplica{group});
 }
 
 void ClashServer::gc_stale_replicas() {
@@ -821,9 +818,16 @@ void ClashServer::drop_replica(const KeyGroup& group) {
 // log, snapshot + delta state transfer, anti-entropy repair.
 // ---------------------------------------------------------------------------
 
-std::vector<ServerId> ClashServer::replica_set(const KeyGroup& group) {
-  return env_.replica_targets(hasher_.hash_key(group.virtual_key()),
-                              cfg_.replication_factor);
+std::vector<ServerId> ClashServer::replica_set(dht::HashKey pos) {
+  auto targets = env_.replica_targets(pos, cfg_.replication_factor);
+  std::erase(targets, self_);
+  return targets;
+}
+
+dht::HashKey ClashServer::ring_pos(const KeyGroup& group) const {
+  const auto it = pending_appends_.find(group);
+  return it != pending_appends_.end() ? it->second.ring_pos
+                                      : hasher_.hash_key(group.virtual_key());
 }
 
 // ---------------------------------------------------------------------------
@@ -895,8 +899,7 @@ void ClashServer::init_group_log(const KeyGroup& group,
   logs_.insert_or_assign(group, repl::GroupLog(epoch, 0));
   event(obs::SpanKind::kEpochBump, group_tag(group), epoch);
   // Heads registered under the old line can never be acked now.
-  pending_commits_.erase(group);
-  end_append_op(group);
+  drop_pending_commits(group);
   // A new line's baseline must hit the disk before any of its WAL
   // records: recovery anchors the replay on it (the state adopted
   // with the group — a split's share, a handoff, a promoted replica —
@@ -909,8 +912,8 @@ void ClashServer::init_group_log(const KeyGroup& group,
 
 void ClashServer::drop_group_log(const KeyGroup& group) {
   flush_pending_append(group);
-  pending_commits_.erase(group);
-  end_append_op(group);
+  pending_appends_.erase(group);
+  drop_pending_commits(group);
   const auto it = logs_.find(group);
   if (it == logs_.end()) return;
   retired_epochs_[group] = it->second.epoch();
@@ -936,12 +939,15 @@ void ClashServer::log_op(const KeyGroup& group, repl::LogOp op) {
     // so ops accumulate here and flush at the tick boundary. An env
     // with the inline defer default flushes per op.
     auto [pit, fresh] = pending_appends_.try_emplace(group);
-    if (fresh) {
-      pit->second.epoch = log.epoch();
-      pit->second.base_seq = log.head().seq;
+    PendingAppend& batch = pit->second;
+    if (fresh) batch.ring_pos = hasher_.hash_key(group.virtual_key());
+    if (batch.entries.empty()) {
+      batch.epoch = log.epoch();
+      batch.base_seq = log.head().seq;
+      batched_.push_back(group);
     }
-    if (pit->second.trace_id == 0) pit->second.trace_id = active_trace_;
-    pit->second.entries.push_back(op);
+    if (batch.trace_id == 0) batch.trace_id = active_trace_;
+    batch.entries.push_back(op);
   }
   // Append-on-mutate, WAL first: the op is durable (per the fsync
   // policy) before the in-memory log observes it.
@@ -990,74 +996,64 @@ void ClashServer::log_op(const KeyGroup& group, repl::LogOp op) {
 }
 
 void ClashServer::send_append_batch(const KeyGroup& group,
-                                    PendingAppend&& batch) {
+                                    PendingAppend& batch) {
   ReplAppend msg;
   msg.group = group;
   msg.owner = self_;
   msg.epoch = batch.epoch;
   msg.base_seq = batch.base_seq;
-  msg.trace_id = batch.trace_id;
-  msg.entries = std::move(batch.entries);
+  msg.trace_id = std::exchange(batch.trace_id, 0);
+  msg.entries = std::exchange(batch.entries, {});
+  const auto targets = replica_set(batch.ring_pos);
+  if (targets.empty()) return;
   msg.checksum = wire::content_crc(msg);  // trace_id set first: covered
-  const auto targets = replica_set(group);
   std::uint64_t wire = kMsgOverheadBytes;
   for (const auto& op : msg.entries) wire += approx_op_bytes(op);
-  bool fanned_out = false;
-  for (const ServerId target : targets) {
-    if (target != self_) {
-      fanned_out = true;
-      meter_repl_bytes(group, wire);
-    }
+  meter_repl_bytes(group, wire * targets.size());
+  // Register the in-flight head *before* sending: an env that delivers
+  // inline runs the holders' acks re-entrantly inside the fan-out.
+  InflightAppends& inflight = pending_commits_[group];
+  if (inflight.heads.empty()) {
+    // Going empty -> non-empty opens the group's replication op in the
+    // in-flight table; the last draining ack closes it.
+    end_append_op(inflight);
+    inflight.op_token = hub_.inflight.begin(
+        obs::OpKind::kReplAppend, std::uint32_t(self_.value), group.label(),
+        targets.front().value, env_.now().usec);
   }
-  if (fanned_out) {
-    // Register the in-flight head *before* sending: an env that
-    // delivers inline runs the holders' acks re-entrantly inside
-    // env_.send.
-    auto& inflight = pending_commits_[group];
-    if (inflight.empty()) {
-      // Deque going empty -> non-empty opens the group's replication
-      // op in the in-flight table; the last draining ack closes it.
-      auto& tok = append_ops_[group];
-      hub_.inflight.end(tok);
-      std::uint64_t first_peer = 0;
-      for (const ServerId target : targets) {
-        if (target != self_) {
-          first_peer = target.value;
-          break;
-        }
-      }
-      tok = hub_.inflight.begin(obs::OpKind::kReplAppend,
-                                std::uint32_t(self_.value), group.label(),
-                                first_peer, env_.now().usec);
-    }
-    inflight.push_back(PendingCommit{
-        msg.epoch, msg.base_seq + msg.entries.size(), env_.now(),
-        msg.trace_id});
-    if (inflight.size() > 4096) inflight.pop_front();
-  }
-  // One Message for every target: sending the bare struct would build
-  // (deep-copy) a fresh variant per replica.
-  const Message out(std::move(msg));
-  for (const ServerId target : targets) {
-    if (target != self_) env_.send(target, out);
-  }
+  inflight.heads.push_back(PendingCommit{
+      msg.epoch, msg.base_seq + msg.entries.size(), env_.now(),
+      msg.trace_id});
+  if (inflight.heads.size() > 4096) inflight.heads.pop_front();
+  env_.fan_out(targets, Message(std::move(msg)));
 }
 
 void ClashServer::flush_pending_appends() {
   append_flush_scheduled_ = false;
-  // Move the batches out first: sending can re-enter log paths.
-  auto pending = std::exchange(pending_appends_, {});
-  for (auto& [group, batch] : pending) {
-    send_append_batch(group, std::move(batch));
+  // Taken out first: a fan-out that delivers inline (unit-test envs)
+  // can log and queue again. Sorted, the sends leave in the order of
+  // pending_appends_, as they always have (the simulator's goldens
+  // pin it). A group listed twice, or already sent by
+  // flush_pending_append, has an empty batch by its turn.
+  auto groups = std::exchange(batched_, {});
+  std::sort(groups.begin(), groups.end());
+  for (const KeyGroup& group : groups) {
+    const auto it = pending_appends_.find(group);
+    if (it != pending_appends_.end() && !it->second.entries.empty()) {
+      send_append_batch(group, it->second);
+    }
+  }
+  if (batched_.empty()) {  // keep the allocation for the next tick
+    groups.clear();
+    batched_ = std::move(groups);
   }
 }
 
 void ClashServer::flush_pending_append(const KeyGroup& group) {
   const auto it = pending_appends_.find(group);
-  if (it == pending_appends_.end()) return;
-  PendingAppend batch = std::move(it->second);
-  pending_appends_.erase(it);
-  send_append_batch(group, std::move(batch));
+  if (it != pending_appends_.end() && !it->second.entries.empty()) {
+    send_append_batch(group, it->second);
+  }
 }
 
 bool ClashServer::append_app_delta(const KeyGroup& group,
@@ -1078,8 +1074,8 @@ void ClashServer::snapshot_group(const ServerTableEntry& entry) {
   // head; anyone behind it is repaired by the snapshot itself.
   lit->second.compact();
   persist_group_snapshot(entry);
-  for (const ServerId target : replica_set(entry.group)) {
-    if (target != self_) send_snapshot_to(target, entry);
+  for (const ServerId target : replica_set(ring_pos(entry.group))) {
+    send_snapshot_to(target, entry);
   }
 }
 
@@ -1251,10 +1247,8 @@ void ClashServer::send_anti_entropy() {
       continue;
     }
     const auto head = lit->second.head();
-    for (const ServerId target : replica_set(e->group)) {
-      if (target != self_) {
-        per_holder[target].push_back(GroupHead{e->group, head});
-      }
+    for (const ServerId target : replica_set(ring_pos(e->group))) {
+      per_holder[target].push_back(GroupHead{e->group, head});
     }
   }
   for (auto& [holder, heads] : per_holder) {
@@ -1349,25 +1343,22 @@ void ClashServer::handle_repl_ack(ServerId from, const ReplAck& m) {
     // it: record ReplAppend -> ReplAck latency (later acks for the
     // same head find the deque already drained).
     const auto it = pending_commits_.find(m.group);
-    if (it != pending_commits_.end()) {
-      auto& inflight = it->second;
+    if (it != pending_commits_.end() && !it->second.heads.empty()) {
+      auto& heads = it->second.heads;
       const SimTime now = env_.now();
-      while (!inflight.empty() && inflight.front().epoch == m.head.epoch &&
-             inflight.front().seq <= m.head.seq) {
-        const SimDuration latency = now - inflight.front().sent;
+      while (!heads.empty() && heads.front().epoch == m.head.epoch &&
+             heads.front().seq <= m.head.seq) {
+        const SimDuration latency = now - heads.front().sent;
         commit_latency_us_.record_signed(latency.usec);
         hub_.tracer.record(obs::SpanKind::kCommit, self_.value,
-                           inflight.front().sent, latency,
-                           inflight.front().seq, 0,
-                           inflight.front().trace_id);
-        inflight.pop_front();
+                           heads.front().sent, latency, heads.front().seq,
+                           0, heads.front().trace_id);
+        heads.pop_front();
       }
-      if (inflight.empty()) {
-        pending_commits_.erase(it);
-        end_append_op(m.group);
-      } else if (const auto at = append_ops_.find(m.group);
-                 at != append_ops_.end()) {
-        hub_.inflight.progress(at->second, now.usec);
+      if (heads.empty()) {
+        end_append_op(it->second);
+      } else {
+        hub_.inflight.progress(it->second.op_token, now.usec);
       }
     }
     return;
@@ -1607,10 +1598,8 @@ bool ClashServer::begin_group_recovery(const KeyGroup& group) {
   tok = hub_.inflight.begin(obs::OpKind::kRecoveryPull,
                             std::uint32_t(self_.value), group.label(), 0,
                             env_.now().usec);
-  const AntiEntropyDiff pull{{GroupHead{group, start}}};
-  for (const ServerId peer : replica_set(group)) {
-    if (peer != self_) env_.send(peer, pull);
-  }
+  env_.fan_out(replica_set(ring_pos(group)),
+               AntiEntropyDiff{{GroupHead{group, start}}});
   return true;
 }
 

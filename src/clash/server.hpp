@@ -11,6 +11,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -56,6 +57,17 @@ class ServerEnv {
 
   /// Deliver a protocol message to a peer server.
   virtual void send(ServerId to, const Message& msg) = 0;
+
+  /// Deliver one message to each server in `to` (the owner's fan-out
+  /// to a group's replica set). The default sends per target, and the
+  /// simulator and the unit-test envs keep it: each copy stays one
+  /// counted, separately delivered message, so the Figure 5 overheads
+  /// and the simulated replication traffic do not depend on how a
+  /// transport encodes. ClashNode overrides it to encode the frame
+  /// once and copy the bytes to the other targets.
+  virtual void fan_out(std::span<const ServerId> to, const Message& msg) {
+    for (const ServerId target : to) send(target, msg);
+  }
 
   [[nodiscard]] virtual SimTime now() const = 0;
 
@@ -413,19 +425,24 @@ class ClashServer {
   std::set<KeyGroup> pending_reclaims_;            // right-child groups asked back
 
   // --- Replication-log internals (src/repl/) ---------------------------
-  /// The ring successors holding `group`'s replicas.
-  [[nodiscard]] std::vector<ServerId> replica_set(const KeyGroup& group);
+  /// The ring successors of ring position `pos` that hold the replicas
+  /// of the group placed there, this server excluded (a ring shorter
+  /// than the replication factor wraps back to the owner). Asked of
+  /// the env on every call, so a ring change applies to the next send.
+  [[nodiscard]] std::vector<ServerId> replica_set(dht::HashKey pos);
+  /// `group`'s ring position: the hash cached in its PendingAppend
+  /// when it has one, else hashed now.
+  [[nodiscard]] dht::HashKey ring_pos(const KeyGroup& group) const;
   /// Append one op to an active group's log and queue it for the
   /// replica set (no-op unless the log engine is on). Ops queued
   /// during one dispatch tick coalesce into a single ReplAppend frame
   /// per group (flushed through ServerEnv::defer; an env with the
   /// inline default flushes per op).
   void log_op(const KeyGroup& group, repl::LogOp op);
-  /// Send every queued ReplAppend batch now.
+  /// Send every non-empty queued ReplAppend batch now.
   void flush_pending_appends();
-  /// Send (and forget) one group's queued batch — run before its log
-  /// is retired or re-epoched so no batch outlives the line it
-  /// belongs to.
+  /// Send one group's queued batch, if any — run before its log is
+  /// retired or re-epoched so no batch outlives the line it belongs to.
   void flush_pending_append(const KeyGroup& group);
   /// Start (or restart) a group's log at an epoch strictly above both
   /// `min_epoch` and any epoch this server previously used for it.
@@ -529,9 +546,14 @@ class ClashServer {
       outbound_snapshots_;
   bool pumping_snapshots_ = false;  // re-entrancy guard (nack restarts)
 
-  /// Per-tick ReplAppend batches: ops logged during one dispatch tick,
-  /// one frame per group at flush.
+  /// Owner-side ReplAppend state of a group that logged a replicated
+  /// op here: its ring position, hashed once, and the batch of ops
+  /// logged during the current dispatch tick, sent as one frame at the
+  /// flush (empty between ticks). Entries persist across ticks and are
+  /// erased with the group's log (drop_group_log), so the map stays
+  /// the size of the owned set under churn.
   struct PendingAppend {
+    dht::HashKey ring_pos;
     std::uint64_t epoch = 0;
     std::uint64_t base_seq = 0;
     /// Correlation id of the traced op (if any) batched here; a batch
@@ -540,11 +562,15 @@ class ClashServer {
     std::vector<repl::LogOp> entries;
   };
   std::map<KeyGroup, PendingAppend> pending_appends_;
+  /// Groups whose batch went non-empty since the last flush: the flush
+  /// visits these, not every group this server owns.
+  std::vector<KeyGroup> batched_;
   bool append_flush_scheduled_ = false;
   /// The tick's WAL group commit is deferred (kPerAppend).
   bool commit_scheduled_ = false;
-  /// Build and fan one batch out to the group's replica set.
-  void send_append_batch(const KeyGroup& group, PendingAppend&& batch);
+  /// Build and fan one non-empty batch out to the group's replica set
+  /// (empties the batch).
+  void send_append_batch(const KeyGroup& group, PendingAppend& batch);
 
   /// Owner-side logs of the groups this server actively manages.
   /// Acks confirm holder progress; repair is nack-driven, so no
@@ -580,7 +606,15 @@ class ClashServer {
     SimTime sent{0};
     std::uint64_t trace_id = 0;
   };
-  std::map<KeyGroup, std::deque<PendingCommit>> pending_commits_;
+  /// One group's in-flight batches. A drained entry is kept for the
+  /// next batch; the group's log takes it along when it goes.
+  struct InflightAppends {
+    std::deque<PendingCommit> heads;
+    /// The group's kReplAppend in-flight op, open while `heads` is
+    /// non-empty (0: none).
+    std::uint64_t op_token = 0;
+  };
+  std::map<KeyGroup, InflightAppends> pending_commits_;
   /// Recovery sessions opened at promote time (failover span start).
   std::map<KeyGroup, SimTime> recovery_started_;
 
@@ -595,18 +629,20 @@ class ClashServer {
     hub_.tracer.record(kind, self_.value, env_.now(), SimDuration{0}, arg,
                        arg2);
   }
-  /// One kReplAppend in-flight op per group while its pending-commit
-  /// deque is non-empty (token keyed like pending_commits_).
-  std::map<KeyGroup, std::uint64_t> append_ops_;
   /// One kRecoveryPull op per open recovery session.
   std::map<KeyGroup, std::uint64_t> recovery_ops_;
-  /// Retire the per-group kReplAppend op (pending commits drained or
-  /// invalidated by an epoch change).
-  void end_append_op(const KeyGroup& group) {
-    const auto it = append_ops_.find(group);
-    if (it == append_ops_.end()) return;
-    hub_.inflight.end(it->second);
-    append_ops_.erase(it);
+  /// Retire a group's kReplAppend op (its pending commits drained or
+  /// were invalidated by an epoch change).
+  void end_append_op(InflightAppends& inflight) {
+    hub_.inflight.end(inflight.op_token);
+    inflight.op_token = 0;
+  }
+  /// Forget a group's in-flight batches (epoch change or retired log).
+  void drop_pending_commits(const KeyGroup& group) {
+    const auto it = pending_commits_.find(group);
+    if (it == pending_commits_.end()) return;
+    end_append_op(it->second);
+    pending_commits_.erase(it);
   }
   void end_recovery_op(const KeyGroup& group) {
     const auto it = recovery_ops_.find(group);

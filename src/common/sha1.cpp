@@ -9,60 +9,59 @@ constexpr std::uint32_t rotl32(std::uint32_t x, int k) {
   return (x << k) | (x >> (32 - k));
 }
 
+constexpr std::uint32_t kInitialHash[5] = {0x67452301u, 0xEFCDAB89u,
+                                           0x98BADCFEu, 0x10325476u,
+                                           0xC3D2E1F0u};
+
 }  // namespace
 
 Sha1::Sha1() { reset(); }
 
 void Sha1::reset() {
-  h_[0] = 0x67452301u;
-  h_[1] = 0xEFCDAB89u;
-  h_[2] = 0x98BADCFEu;
-  h_[3] = 0x10325476u;
-  h_[4] = 0xC3D2E1F0u;
+  std::memcpy(h_, kInitialHash, sizeof h_);
   total_bytes_ = 0;
   buffered_ = 0;
 }
 
 void Sha1::process_block(const std::uint8_t* block) {
-  std::uint32_t w[80];
+  std::uint32_t w[16];
   for (int i = 0; i < 16; ++i) {
     w[i] = (std::uint32_t(block[i * 4]) << 24) |
            (std::uint32_t(block[i * 4 + 1]) << 16) |
            (std::uint32_t(block[i * 4 + 2]) << 8) |
            std::uint32_t(block[i * 4 + 3]);
   }
+  compress(h_, w);
+}
+
+void Sha1::compress(std::uint32_t h[5], const std::uint32_t block[16]) {
+  std::uint32_t w[80];
+  for (int i = 0; i < 16; ++i) w[i] = block[i];
   for (int i = 16; i < 80; ++i) {
     w[i] = rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
   }
 
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int i = 0; i < 80; ++i) {
-    std::uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5A827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    const std::uint32_t tmp = rotl32(a, 5) + f + e + k + w[i];
+  std::uint32_t a = h[0], b = h[1], c = h[2], d = h[3], e = h[4];
+  // One loop per round function: no per-round branch on i.
+  const auto round = [&](std::uint32_t f, std::uint32_t k, std::uint32_t wi) {
+    const std::uint32_t tmp = rotl32(a, 5) + f + e + k + wi;
     e = d;
     d = c;
     c = rotl32(b, 30);
     b = a;
     a = tmp;
+  };
+  for (int i = 0; i < 20; ++i) round((b & c) | (~b & d), 0x5A827999u, w[i]);
+  for (int i = 20; i < 40; ++i) round(b ^ c ^ d, 0x6ED9EBA1u, w[i]);
+  for (int i = 40; i < 60; ++i) {
+    round((b & c) | (b & d) | (c & d), 0x8F1BBCDCu, w[i]);
   }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
+  for (int i = 60; i < 80; ++i) round(b ^ c ^ d, 0xCA62C1D6u, w[i]);
+  h[0] += a;
+  h[1] += b;
+  h[2] += c;
+  h[3] += d;
+  h[4] += e;
 }
 
 void Sha1::update(std::span<const std::uint8_t> data) {
@@ -137,9 +136,17 @@ std::uint64_t Sha1::hash64(std::span<const std::uint8_t> data) {
 }
 
 std::uint64_t Sha1::hash64(std::uint64_t value) {
-  std::uint8_t bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = std::uint8_t(value >> (56 - 8 * i));
-  return hash64(std::span<const std::uint8_t>(bytes, 8));
+  // An 8-byte message fits one padded block: the value big-endian,
+  // the 0x80 terminator, zeros, and the message length (64 bits).
+  std::uint32_t block[16] = {};
+  block[0] = std::uint32_t(value >> 32);
+  block[1] = std::uint32_t(value);
+  block[2] = 0x80000000u;
+  block[15] = 64;
+  std::uint32_t h[5];
+  std::memcpy(h, kInitialHash, sizeof h);
+  compress(h, block);
+  return (std::uint64_t(h[0]) << 32) | h[1];
 }
 
 std::string Sha1::hex(const Digest& d) {

@@ -35,12 +35,17 @@ class Sha1 {
   /// First 8 bytes of the digest as a big-endian uint64 — the form the
   /// DHT layer consumes before truncating to its hash-space width.
   static std::uint64_t hash64(std::span<const std::uint8_t> data);
+  /// hash64 of the value's 8 big-endian bytes, compressed as the one
+  /// padded block they fill (the DHT hashes every key this way).
   static std::uint64_t hash64(std::uint64_t value);
 
   static std::string hex(const Digest& d);
 
  private:
   void process_block(const std::uint8_t* block);
+  /// The SHA-1 compression function: fold one block of 16 big-endian
+  /// words into the chaining value `h`.
+  static void compress(std::uint32_t h[5], const std::uint32_t block[16]);
 
   std::uint32_t h_[5];
   std::uint64_t total_bytes_ = 0;

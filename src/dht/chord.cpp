@@ -136,6 +136,7 @@ std::vector<ServerId> ChordRing::servers() const {
 std::vector<ServerId> ChordRing::successors(HashKey h, std::size_t n) const {
   std::vector<ServerId> out;
   if (ring_.empty() || n == 0) return out;
+  out.reserve(std::min(n, ring_.size()));
   auto it = successor_it(h.value);
   // Walk clockwise collecting distinct physical servers.
   for (std::size_t steps = 0; steps < ring_.size() && out.size() < n;

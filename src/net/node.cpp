@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/logging.hpp"
+#include "wire/buffer_pool.hpp"
 #include "wire/codec.hpp"
 
 namespace clash::net {
@@ -43,12 +44,21 @@ class ClashNode::Env final : public ServerEnv {
 
   void send(ServerId to, const Message& msg) override {
     node_.on_loop_.assert_held();
-    // Encoded exactly once, straight into the pooled frame buffer the
-    // transport queues and flushes — no intermediate copies.
-    auto w = wire::begin_frame(
-        wire::Envelope{wire::FrameKind::kOneway, 0, node_.config_.id});
-    wire::encode_message(w, msg);
-    node_.send_to_peer(to, wire::finish_frame(std::move(w)));
+    node_.send_to_peer(to, frame_of(msg));
+  }
+
+  void fan_out(std::span<const ServerId> to, const Message& msg) override {
+    node_.on_loop_.assert_held();
+    if (to.empty()) return;
+    // One encoding for the whole replica set: the other targets get a
+    // pooled copy of the finished frame's bytes.
+    auto frame = frame_of(msg);
+    for (const ServerId target : to.first(to.size() - 1)) {
+      auto copy = wire::BufferPool::local().acquire();
+      copy.assign(frame.begin(), frame.end());
+      node_.send_to_peer(target, std::move(copy));
+    }
+    node_.send_to_peer(to.back(), std::move(frame));
   }
 
   [[nodiscard]] SimTime now() const override {
@@ -97,6 +107,15 @@ class ClashNode::Env final : public ServerEnv {
   [[nodiscard]] obs::Hub& obs() override { return node_.hub_; }
 
  private:
+  /// `msg` as a oneway frame, encoded straight into the pooled buffer
+  /// the transport queues and flushes — no intermediate copies.
+  [[nodiscard]] std::vector<std::uint8_t> frame_of(const Message& msg) {
+    auto w = wire::begin_frame(
+        wire::Envelope{wire::FrameKind::kOneway, 0, node_.config_.id});
+    wire::encode_message(w, msg);
+    return wire::finish_frame(std::move(w));
+  }
+
   ClashNode& node_;
 };
 

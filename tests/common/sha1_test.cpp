@@ -4,6 +4,8 @@
 
 #include <string>
 
+#include "common/rng.hpp"
+
 namespace clash {
 namespace {
 
@@ -59,6 +61,25 @@ TEST(Sha1, Hash64IsPrefixOfDigest) {
 
 TEST(Sha1, Hash64DiffersAcrossInputs) {
   EXPECT_NE(Sha1::hash64(std::uint64_t{1}), Sha1::hash64(std::uint64_t{2}));
+}
+
+// hash64(uint64_t) compresses one hand-padded block; the generic
+// update/finish path over the value's 8 big-endian bytes is its
+// reference.
+TEST(Sha1, Hash64OfWordMatchesGenericPath) {
+  const auto generic = [](std::uint64_t v) {
+    std::uint8_t bytes[8];
+    for (int i = 0; i < 8; ++i) bytes[i] = std::uint8_t(v >> (56 - 8 * i));
+    return Sha1::hash64(std::span<const std::uint8_t>(bytes, 8));
+  };
+  EXPECT_EQ(Sha1::hash64(std::uint64_t{0}), generic(0));
+  EXPECT_EQ(Sha1::hash64(std::uint64_t{0}), 0x05fe405753166f12ULL);
+  EXPECT_EQ(Sha1::hash64(~std::uint64_t{0}), generic(~std::uint64_t{0}));
+  Rng rng(22);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t v = rng.next();
+    ASSERT_EQ(Sha1::hash64(v), generic(v)) << std::hex << v;
+  }
 }
 
 TEST(Sha1, BoundaryLengths) {

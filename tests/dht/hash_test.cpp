@@ -56,6 +56,40 @@ TEST(KeyHasher, BothAlgosSpreadUniformly) {
   }
 }
 
+// Ring placement must never drift silently: these positions were
+// recorded from the byte-at-a-time SHA-1 path, before hash64 learned
+// to compress a key in one block. A changed value moves groups (and
+// replica sets) between servers.
+TEST(KeyHasher, PinnedPositions) {
+  struct Pin {
+    std::uint64_t value;
+    unsigned width;
+    std::uint64_t sha1_64;     // 64-bit space, salt 0
+    std::uint64_t sha1_32_s7;  // 32-bit space, salt 7
+    std::uint64_t mix64_64;    // 64-bit space, salt 0
+  };
+  const Pin pins[] = {
+      {0x0, 1, 0xb7fc9906104e870eULL, 0x5552f7edULL, 0xc2b1be2928f5384aULL},
+      {0x0, 24, 0x9cfd938a7a881420ULL, 0x84f15259ULL, 0xdc5c6763d1857abdULL},
+      {0x600000, 24, 0x705d7157b2ea78a1ULL, 0x48d899acULL,
+       0xf320db17df769a7aULL},
+      {0xabcdef, 24, 0x392b61ad33247b22ULL, 0xafdfa54fULL,
+       0xe74d76dbd2381176ULL},
+      {0x280, 10, 0xd5edf62017bdfbbdULL, 0x518aabb0ULL, 0x979b8c307efa17e4ULL},
+      {0x3f, 6, 0x96c2ace442cddeb3ULL, 0x95205488ULL, 0x4bc050d1e88d44c5ULL},
+  };
+  const KeyHasher sha(64, KeyHasher::Algo::kSha1);
+  const KeyHasher sha32(32, KeyHasher::Algo::kSha1, 7);
+  const KeyHasher mix(64, KeyHasher::Algo::kMix64);
+  for (const Pin& p : pins) {
+    const Key k(p.value, p.width);
+    EXPECT_EQ(sha.hash_key(k).value, p.sha1_64) << k.to_string();
+    EXPECT_EQ(sha32.hash_key(k).value, p.sha1_32_s7) << k.to_string();
+    EXPECT_EQ(mix.hash_key(k).value, p.mix64_64) << k.to_string();
+  }
+  EXPECT_EQ(sha.hash_token(3).value, 0xc6dc5ef17ee62185ULL);
+}
+
 TEST(RingMath, OpenInterval) {
   const std::uint64_t mask = 0xFF;
   EXPECT_TRUE(ring_in_open(5, 2, 10, mask));
