@@ -5,12 +5,21 @@ Usage:
   bench_diff.py --base BENCH_net.json --head fresh.json
                 [--tolerance 0.15] [--strict]
                 [--record trajectory.jsonl --label <sha-or-tag>]
+  bench_diff.py --selftest
 
 Flattens both artifacts to path -> number (list entries are keyed by
 their distinguishing field: frame_bytes, round, scenario — index
 otherwise) and compares every metric present in BOTH files; keys the
 older baseline schema lacks are reported as "new" and never gate, so a
 freshly-grown bench section does not need a baseline bump to land.
+
+google-benchmark JSON (micro_core --benchmark_out=... or
+--benchmark_format=json) is recognised by its "context" and
+"benchmarks" keys. Its rows are keyed by `name`; a row's cpu_time and
+real_time become <name>.cpu_time_ns and <name>.real_time_ns
+(converted from the row's time_unit), both lower-is-better and gated
+under --strict. With --benchmark_repetitions only the median rows
+(BM_X_median) count; mean, stddev and cv rows are skipped.
 
 Two gating tiers, because absolute frames/sec only means something when
 base and head ran on the same machine:
@@ -24,7 +33,7 @@ base and head ran on the same machine:
 
 A gated metric regressing by more than --tolerance (default 0.15 =
 15%) fails the run. Direction is inferred from the metric name:
-per_sec/ratio/speedup/ops higher-is-better; us/usec/latency/drops/
+per_sec/ratio/speedup/ops higher-is-better; us/usec/ns/latency/drops/
 aborts/lost lower-is-better; anything else is informational only.
 
 --record appends one JSON line (label, UTC time, flattened head
@@ -44,7 +53,7 @@ LIST_KEYS = ("frame_bytes", "round", "scenario", "bench", "name")
 
 HIGHER_BETTER = re.compile(r"(per_sec|ratio|speedup|ops_per|events_per)")
 LOWER_BETTER = re.compile(
-    r"(_us$|_usec$|latency|_drops$|_aborts$|_lost$|_failures$)"
+    r"(_us$|_usec$|_ns$|latency|_drops$|_aborts$|_lost$|_failures$)"
 )
 SCALE_FREE = re.compile(r"(ratio|speedup|coalesce)")
 
@@ -67,6 +76,32 @@ def flatten(node, prefix="", out=None):
     elif isinstance(node, (int, float)) and not isinstance(node, bool):
         out[prefix] = float(node)
     return out
+
+
+# google-benchmark time units, in nanoseconds.
+GBENCH_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def is_gbench(raw):
+    return (isinstance(raw, dict) and "context" in raw
+            and isinstance(raw.get("benchmarks"), list))
+
+
+def flatten_gbench(raw):
+    """google-benchmark JSON -> {"<name>.cpu_time_ns": t, ...}."""
+    out = {}
+    for row in raw["benchmarks"]:
+        if row.get("run_type") == "aggregate" and \
+                row.get("aggregate_name") != "median":
+            continue  # mean/stddev/cv: the median stands for the runs
+        scale = GBENCH_UNIT_NS[row.get("time_unit", "ns")]
+        for field in ("cpu_time", "real_time"):
+            out[f"{row['name']}.{field}_ns"] = float(row[field]) * scale
+    return out
+
+
+def flatten_any(raw):
+    return flatten_gbench(raw) if is_gbench(raw) else flatten(raw)
 
 
 def direction(path):
@@ -124,13 +159,75 @@ def compare(base, head, tolerance, strict):
     return failures, lines
 
 
+def selftest():
+    """The gate must fire on a seeded regression and stay quiet inside
+    the tolerance, on both input formats."""
+
+    def gbench(rows):
+        return {"context": {"num_cpus": 4}, "benchmarks": rows}
+
+    def row(name, cpu, unit="ns", aggregate=None):
+        r = {"name": name, "cpu_time": cpu, "real_time": cpu,
+             "time_unit": unit, "iterations": 1000,
+             "run_type": "aggregate" if aggregate else "iteration"}
+        if aggregate:
+            r["aggregate_name"] = aggregate
+        return r
+
+    base = flatten_any(gbench([
+        row("BM_A_mean", 100, aggregate="mean"),
+        row("BM_A_median", 100, aggregate="median"),
+        row("BM_A_stddev", 1, aggregate="stddev"),
+        row("BM_B/8_median", 2.0, unit="us", aggregate="median"),
+    ]))
+    assert set(base) == {"BM_A_median.cpu_time_ns",
+                         "BM_A_median.real_time_ns",
+                         "BM_B/8_median.cpu_time_ns",
+                         "BM_B/8_median.real_time_ns"}, base
+    assert base["BM_B/8_median.cpu_time_ns"] == 2000.0
+
+    # 30% slower median (and a stddev that tripled, which never gates).
+    slow = flatten_any(gbench([
+        row("BM_A_median", 130, aggregate="median"),
+        row("BM_A_stddev", 3, aggregate="stddev"),
+        row("BM_B/8_median", 2000, aggregate="median"),
+    ]))
+    failures, _ = compare(base, slow, 0.15, strict=True)
+    assert len(failures) == 2 and all("BM_A_median" in f for f in failures), \
+        failures
+    failures, _ = compare(base, slow, 0.15, strict=False)
+    assert failures == [], "absolute times gate only under --strict"
+
+    near = flatten_any(gbench([
+        row("BM_A_median", 110, aggregate="median"),
+        row("BM_B/8_median", 1.9, unit="us", aggregate="median"),
+    ]))
+    failures, _ = compare(base, near, 0.15, strict=True)
+    assert failures == [], failures
+
+    # Plain iteration rows (no repetitions) are keyed by their name.
+    plain = flatten_any(gbench([row("BM_C", 5.0)]))
+    assert plain == {"BM_C.cpu_time_ns": 5.0, "BM_C.real_time_ns": 5.0}
+
+    # The project's own bench JSON keeps its scale-free gate.
+    own_base = flatten_any({"bench": "x", "coalesce_ratio": 4.0,
+                            "rtt_us": 10.0})
+    own_head = flatten_any({"bench": "x", "coalesce_ratio": 2.0,
+                            "rtt_us": 10.0})
+    failures, _ = compare(own_base, own_head, 0.15, strict=False)
+    assert len(failures) == 1 and "coalesce_ratio" in failures[0], failures
+    print("bench_diff: selftest OK")
+    return 0
+
+
 def record(path, label, head_raw, head_flat):
     entry = {
         "label": label,
         "utc": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
         ),
-        "bench": head_raw.get("bench", "?"),
+        "bench": ("google-benchmark" if is_gbench(head_raw)
+                  else head_raw.get("bench", "?")),
         "metrics": head_flat,
     }
     with open(path, "a", encoding="utf-8") as f:
@@ -138,6 +235,8 @@ def record(path, label, head_raw, head_flat):
 
 
 def main():
+    if "--selftest" in sys.argv:
+        return selftest()
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--base", required=True)
     ap.add_argument("--head", required=True)
@@ -151,8 +250,8 @@ def main():
 
     base_raw = json.loads(pathlib.Path(args.base).read_text())
     head_raw = json.loads(pathlib.Path(args.head).read_text())
-    base = flatten(base_raw)
-    head = flatten(head_raw)
+    base = flatten_any(base_raw)
+    head = flatten_any(head_raw)
 
     failures, lines = compare(base, head, args.tolerance, args.strict)
     print(f"bench_diff: {args.base} -> {args.head} "

@@ -4,6 +4,7 @@
 #   - check_msgtype:   every MsgType is dispatched and fuzz-covered
 #   - check_atomics:   no implicit-memory-order atomics in src/obs
 #   - check_log_lazy:  no eager log formatting on net/repl tick paths
+#   - bench_diff:      the perf gate's selftest (seeded regressions fire)
 #   - check_format:    clang-format --dry-run --Werror (skips when the
 #                      binary is absent; CI enforces)
 # clang-tidy runs separately (run_clang_tidy.sh needs a configured
@@ -25,6 +26,7 @@ run "$PY" "$HERE/check_blocking.py"
 run "$PY" "$HERE/check_msgtype.py"
 run "$PY" "$HERE/check_atomics.py"
 run "$PY" "$HERE/check_log_lazy.py"
+run "$PY" "$HERE/../bench_diff.py" --selftest
 run bash "$HERE/check_format.sh"
 
 if [ "$FAILED" -ne 0 ]; then

@@ -18,7 +18,8 @@ ClashServer::ClashServer(ServerId self, const ClashConfig& cfg, ServerEnv& env,
       hasher_(hasher),
       table_(cfg.key_width),
       rng_(self.value * 0x9e3779b97f4a7c15ULL + 17),
-      hub_(env.obs()) {
+      hub_(env.obs()),
+      recovery_(hub_.inflight, std::uint32_t(self.value)) {
   auto& reg = hub_.registry;
   commit_latency_us_ = reg.histogram("clash_repl_commit_usec");
   failover_us_ = reg.histogram("clash_failover_recovery_usec");
@@ -44,6 +45,61 @@ std::uint64_t approx_chunk_bytes(const SnapshotChunk& c) {
                     16 * c.queries.size() + c.app_state.size();
   for (const auto& d : c.app_deltas) b += d.size();
   return b;
+}
+
+/// Remove `group`'s state from `states` and return it (empty when it
+/// had none).
+GroupState take_state(std::unordered_map<KeyGroup, GroupState>& states,
+                      const KeyGroup& group) {
+  GroupState st;
+  if (const auto it = states.find(group); it != states.end()) {
+    st = std::move(it->second);
+    states.erase(it);
+  }
+  return st;
+}
+
+/// Copy a group's objects into a transfer's vectors (a split's right
+/// half, a reclaimed child, a handoff).
+template <typename Transfer>
+void export_objects(const GroupState& st, Transfer& out) {
+  out.streams.reserve(st.streams.size());
+  for (const auto& [_, s] : st.streams) out.streams.push_back(s);
+  out.queries.reserve(st.queries.size());
+  for (const auto& [_, q] : st.queries) out.queries.push_back(q);
+}
+
+const StreamInfo& object_of(const StreamInfo& s) { return s; }
+const QueryInfo& object_of(const QueryInfo& q) { return q; }
+template <typename Id, typename Object>
+const Object& object_of(const std::pair<const Id, Object>& entry) {
+  return entry.second;
+}
+
+/// Absorb the objects of `in` (a transfer's vectors or another group's
+/// maps) into `gs`. An object both hold keeps the incoming copy when
+/// `incoming_wins`, the local one otherwise; either way stream_rate
+/// stays the sum of the streams' rates.
+template <typename Objects>
+void absorb_objects(GroupState& gs, const Objects& in, bool incoming_wins) {
+  for (const auto& entry : in.streams) {
+    const StreamInfo& s = object_of(entry);
+    auto [it, fresh] = gs.streams.try_emplace(s.source, s);
+    if (!fresh) {
+      if (!incoming_wins) continue;
+      gs.stream_rate -= it->second.rate;
+      it->second = s;
+    }
+    gs.stream_rate += s.rate;
+  }
+  for (const auto& entry : in.queries) {
+    const QueryInfo& q = object_of(entry);
+    if (incoming_wins) {
+      gs.queries[q.id] = q;
+    } else {
+      gs.queries.try_emplace(q.id, q);
+    }
+  }
 }
 
 /// RAII for ClashServer::active_trace_: installs `id` (when nonzero)
@@ -301,8 +357,9 @@ void ClashServer::handle_accept_keygroup(ServerId from,
                << m.group.label() << " (split here)";
     return;
   } else {
-    const auto lit = logs_.find(m.group);
-    const std::uint64_t local = lit != logs_.end() ? lit->second.epoch() : 0;
+    const auto lit = owned_logs_.find(m.group);
+    const std::uint64_t local =
+        lit != owned_logs_.end() ? lit->second.log.epoch() : 0;
     incoming_wins = m.epoch > local;
     epoch = std::max(epoch, local);
     if (incoming_wins) {
@@ -313,30 +370,13 @@ void ClashServer::handle_accept_keygroup(ServerId from,
   // Also on a merge: the sender's copy just deactivated.
   note_group_activated(m.group);
 
-  GroupState& gs = state_[m.group];
-  for (const auto& s : m.streams) {
-    auto [it, fresh] = gs.streams.try_emplace(s.source, s);
-    if (!fresh) {
-      if (!incoming_wins) continue;
-      gs.stream_rate -= it->second.rate;
-      it->second = s;
-    }
-    gs.stream_rate += s.rate;
-  }
-  for (const auto& q : m.queries) {
-    if (incoming_wins) {
-      gs.queries[q.id] = q;
-    } else {
-      gs.queries.try_emplace(q.id, q);
-    }
-  }
+  absorb_objects(state_[m.group], m, incoming_wins);
   if (app_hooks_ != nullptr && !m.app_state.empty() && incoming_wins) {
     app_hooks_->import_state(m.group, m.app_state);
   }
   // A transfer supersedes any in-flight recovery of the same group
   // (e.g. a handoff landing inside a promotion grace window).
   recovery_.cancel(m.group);
-  end_recovery_op(m.group);
 
   // Replicate the freshly adopted group now rather than at the next
   // load check: a group must never live a whole check period with no
@@ -375,12 +415,7 @@ void ClashServer::handle_reclaim(ServerId from, const ReclaimKeyGroup& m) {
     env_.send(from, ReclaimRefused{m.group});
     return;
   }
-  GroupState st;
-  const auto it = state_.find(m.group);
-  if (it != state_.end()) {
-    st = std::move(it->second);
-    state_.erase(it);
-  }
+  const GroupState st = take_state(state_, m.group);
   table_.erase(m.group);
   child_reports_.erase(m.group);
   note_group_deactivated(m.group);
@@ -388,10 +423,7 @@ void ClashServer::handle_reclaim(ServerId from, const ReclaimKeyGroup& m) {
 
   ReclaimAck ack;
   ack.group = m.group;
-  ack.streams.reserve(st.streams.size());
-  for (const auto& [_, s] : st.streams) ack.streams.push_back(s);
-  ack.queries.reserve(st.queries.size());
-  for (const auto& [_, q] : st.queries) ack.queries.push_back(q);
+  export_objects(st, ack);
   if (app_hooks_ != nullptr) {
     ack.app_state = app_hooks_->export_state(m.group, from);
   }
@@ -403,8 +435,7 @@ void ClashServer::handle_reclaim_ack(ServerId from, const ReclaimAck& m) {
   pending_reclaims_.erase(m.group);
   child_reports_.erase(m.group);
 
-  const KeyGroup parent_group = m.group.parent();
-  ServerTableEntry* parent_entry = table_.find(parent_group);
+  ServerTableEntry* parent_entry = table_.find(m.group.parent());
   if (parent_entry == nullptr || parent_entry->active ||
       parent_entry->right_child != from) {
     // Should not happen with the pending-reclaim guard; drop the state
@@ -413,35 +444,29 @@ void ClashServer::handle_reclaim_ack(ServerId from, const ReclaimAck& m) {
                 << m.group.label();
     return;
   }
-
-  const KeyGroup left = parent_group.left_child();
-  ServerTableEntry* left_entry = table_.find(left);
-  assert(left_entry != nullptr && left_entry->active);
-
-  GroupState merged;
-  const auto left_state = state_.find(left);
-  if (left_state != state_.end()) {
-    merged = std::move(left_state->second);
-    state_.erase(left_state);
-  }
-  for (const auto& s : m.streams) {
-    merged.streams[s.source] = s;
-    merged.stream_rate += s.rate;
-  }
-  for (const auto& q : m.queries) merged.queries[q.id] = q;
+  GroupState merged = take_state(state_, m.group.parent().left_child());
+  // An object both halves hold (a source re-registered across the
+  // split without a withdraw) keeps the right half's copy, counted once.
+  absorb_objects(merged, m, /*incoming_wins=*/true);
   if (app_hooks_ != nullptr && !m.app_state.empty()) {
-    app_hooks_->import_state(parent_group, m.app_state);
+    app_hooks_->import_state(parent_entry->group, m.app_state);
   }
+  reactivate_parent(*parent_entry, std::move(merged));
+}
 
+void ClashServer::reactivate_parent(ServerTableEntry& parent_entry,
+                                    GroupState merged) {
+  const KeyGroup parent_group = parent_entry.group;
+  const KeyGroup left = parent_group.left_child();
+  assert(table_.find(left) != nullptr && table_.find(left)->active);
   table_.erase(left);
-  (void)left_entry;
   note_group_deactivated(left);
-  table_.set_active(*parent_entry, true);
-  parent_entry->right_child = ServerId{};
+  table_.set_active(parent_entry, true);
+  parent_entry.right_child = ServerId{};
   state_[parent_group] = std::move(merged);
   note_group_activated(parent_group);
-  if (cfg_.replication_factor > 0) snapshot_group(*parent_entry);
-  ensure_durable_group(*parent_entry);
+  if (cfg_.replication_factor > 0) snapshot_group(parent_entry);
+  ensure_durable_group(parent_entry);
   // The merged parent's baseline is anchored; only now may the left
   // child's durable record be dropped (see split_group).
   retire_replicas(left);
@@ -476,12 +501,7 @@ void ClashServer::split_group(const KeyGroup& group,
   assert(entry != nullptr && entry->active);
   assert(group.depth() < cfg_.key_width);
 
-  GroupState st;
-  const auto state_it = state_.find(group);
-  if (state_it != state_.end()) {
-    st = std::move(state_it->second);
-    state_.erase(state_it);
-  }
+  GroupState st = take_state(state_, group);
 
   KeyGroup current = group;
   // Replica/log retirement of the groups this split deactivates is
@@ -544,14 +564,7 @@ void ClashServer::split_group(const KeyGroup& group,
         AcceptKeyGroup msg;
         msg.group = right;
         msg.parent = self_;
-        msg.streams.reserve(right_state.streams.size());
-        for (const auto& [_, s] : right_state.streams) {
-          msg.streams.push_back(s);
-        }
-        msg.queries.reserve(right_state.queries.size());
-        for (const auto& [_, q] : right_state.queries) {
-          msg.queries.push_back(q);
-        }
+        export_objects(right_state, msg);
         if (app_hooks_ != nullptr) {
           msg.app_state = app_hooks_->export_state(right, owner.owner);
         }
@@ -736,34 +749,21 @@ std::optional<KeyGroup> ClashServer::pick_merge_candidate() const {
 void ClashServer::try_consolidate() {
   const auto candidate = pick_merge_candidate();
   if (!candidate) return;
-  const ServerTableEntry* entry = table_.find(*candidate);
+  ServerTableEntry* entry = table_.find(*candidate);
   assert(entry != nullptr && !entry->active);
   const KeyGroup right = candidate->right_child();
 
   if (entry->right_child == self_) {
     // Both halves local: merge without messages.
-    ServerTableEntry* right_entry = table_.find(right);
-    assert(right_entry != nullptr && right_entry->active);
-    (void)right_entry;
-    GroupState right_state;
-    const auto rs = state_.find(right);
-    if (rs != state_.end()) {
-      right_state = std::move(rs->second);
-      state_.erase(rs);
-    }
+    assert(table_.find(right) != nullptr && table_.find(right)->active);
+    const GroupState right_state = take_state(state_, right);
     table_.erase(right);
+    child_reports_.erase(right);
     note_group_deactivated(right);
     retire_replicas(right);
-
-    ReclaimAck local_ack;
-    local_ack.group = right;
-    for (const auto& [_, s] : right_state.streams) {
-      local_ack.streams.push_back(s);
-    }
-    for (const auto& [_, q] : right_state.queries) {
-      local_ack.queries.push_back(q);
-    }
-    handle_reclaim_ack(self_, local_ack);
+    GroupState merged = take_state(state_, candidate->left_child());
+    absorb_objects(merged, right_state, /*incoming_wins=*/true);
+    reactivate_parent(*entry, std::move(merged));
     return;
   }
 
@@ -825,9 +825,9 @@ std::vector<ServerId> ClashServer::replica_set(dht::HashKey pos) {
 }
 
 dht::HashKey ClashServer::ring_pos(const KeyGroup& group) const {
-  const auto it = pending_appends_.find(group);
-  return it != pending_appends_.end() ? it->second.ring_pos
-                                      : hasher_.hash_key(group.virtual_key());
+  const auto it = owned_logs_.find(group);
+  return it != owned_logs_.end() ? it->second.ring_pos
+                                 : hasher_.hash_key(group.virtual_key());
 }
 
 // ---------------------------------------------------------------------------
@@ -844,8 +844,7 @@ void ClashServer::persist_group_snapshot(const ServerTableEntry& entry) {
   if (!durable()) return;
   storage::SnapshotImage img;
   img.group = entry.group;
-  const auto lit = logs_.find(entry.group);
-  img.head = lit != logs_.end() ? lit->second.head() : repl::LogHead{1, 0};
+  img.head = log_head(entry.group).value_or(repl::LogHead{1, 0});
   img.root = entry.root;
   img.parent = entry.parent;
   const auto st = state_.find(entry.group);
@@ -857,7 +856,7 @@ void ClashServer::persist_group_snapshot(const ServerTableEntry& entry) {
 }
 
 void ClashServer::ensure_durable_group(const ServerTableEntry& entry) {
-  if (!durable() || logs_.count(entry.group) > 0) return;
+  if (!durable() || owned_logs_.count(entry.group) > 0) return;
   // Creating the log writes the baseline snapshot; with replication on
   // the replica push (snapshot_group) usually beat us here and this is
   // a no-op.
@@ -888,18 +887,25 @@ std::size_t ClashServer::restore_from_storage() {
   return image.groups.size();
 }
 
-void ClashServer::init_group_log(const KeyGroup& group,
-                                 std::uint64_t min_epoch) {
-  // A queued batch must not outlive its epoch: send it under the old
-  // line before the new one starts.
-  flush_pending_append(group);
+ClashServer::OwnedLog& ClashServer::init_group_log(const KeyGroup& group,
+                                                  std::uint64_t min_epoch) {
+  auto [it, fresh] = owned_logs_.try_emplace(group);
+  OwnedLog& owned = it->second;
+  if (fresh) {
+    owned.ring_pos = hasher_.hash_key(group.virtual_key());
+  } else {
+    // A queued batch must not outlive its epoch: send it under the old
+    // line before the new one starts.
+    send_append_batch(group, owned);
+    // Heads registered under the old line can never be acked now.
+    end_append_op(owned);
+    owned.inflight.clear();
+  }
   std::uint64_t epoch = std::max<std::uint64_t>(min_epoch, 1);
-  const auto it = retired_epochs_.find(group);
-  if (it != retired_epochs_.end()) epoch = std::max(epoch, it->second + 1);
-  logs_.insert_or_assign(group, repl::GroupLog(epoch, 0));
+  const auto rit = retired_epochs_.find(group);
+  if (rit != retired_epochs_.end()) epoch = std::max(epoch, rit->second + 1);
+  owned.log = repl::GroupLog(epoch, 0);
   event(obs::SpanKind::kEpochBump, group_tag(group), epoch);
-  // Heads registered under the old line can never be acked now.
-  drop_pending_commits(group);
   // A new line's baseline must hit the disk before any of its WAL
   // records: recovery anchors the replay on it (the state adopted
   // with the group — a split's share, a handoff, a promoted replica —
@@ -908,46 +914,37 @@ void ClashServer::init_group_log(const KeyGroup& group,
       entry != nullptr && entry->active) {
     persist_group_snapshot(*entry);
   }
+  return owned;
 }
 
 void ClashServer::drop_group_log(const KeyGroup& group) {
-  flush_pending_append(group);
-  pending_appends_.erase(group);
-  drop_pending_commits(group);
-  const auto it = logs_.find(group);
-  if (it == logs_.end()) return;
-  retired_epochs_[group] = it->second.epoch();
-  if (durable()) {
-    storage_->drop_group(group, it->second.epoch(), env_.now());
-  }
-  logs_.erase(it);
+  const auto it = owned_logs_.find(group);
+  if (it == owned_logs_.end()) return;
+  OwnedLog& owned = it->second;
+  send_append_batch(group, owned);
+  end_append_op(owned);
+  const std::uint64_t epoch = owned.log.epoch();
+  retired_epochs_[group] = epoch;
+  if (durable()) storage_->drop_group(group, epoch, env_.now());
+  owned_logs_.erase(group);
 }
 
 void ClashServer::log_op(const KeyGroup& group, repl::LogOp op) {
   const bool replicating = log_replication();
   if (!replicating && !durable()) return;
-  auto lit = logs_.find(group);
-  if (lit == logs_.end()) {
-    init_group_log(group, 1);
-    lit = logs_.find(group);
-  }
-  repl::GroupLog& log = lit->second;
+  const auto it = owned_logs_.find(group);
+  OwnedLog& owned =
+      it != owned_logs_.end() ? it->second : init_group_log(group, 1);
+  repl::GroupLog& log = owned.log;
 
   if (replicating) {
     // One ReplAppend frame per group per dispatch tick: the transport
     // already coalesces writes, but encode/decode cost is per message,
     // so ops accumulate here and flush at the tick boundary. An env
     // with the inline defer default flushes per op.
-    auto [pit, fresh] = pending_appends_.try_emplace(group);
-    PendingAppend& batch = pit->second;
-    if (fresh) batch.ring_pos = hasher_.hash_key(group.virtual_key());
-    if (batch.entries.empty()) {
-      batch.epoch = log.epoch();
-      batch.base_seq = log.head().seq;
-      batched_.push_back(group);
-    }
-    if (batch.trace_id == 0) batch.trace_id = active_trace_;
-    batch.entries.push_back(op);
+    if (owned.batch.empty()) batched_.push_back(group);
+    if (owned.trace_id == 0) owned.trace_id = active_trace_;
+    owned.batch.push_back(op);
   }
   // Append-on-mutate, WAL first: the op is durable (per the fsync
   // policy) before the in-memory log observes it.
@@ -996,15 +993,16 @@ void ClashServer::log_op(const KeyGroup& group, repl::LogOp op) {
 }
 
 void ClashServer::send_append_batch(const KeyGroup& group,
-                                    PendingAppend& batch) {
+                                    OwnedLog& owned) {
+  if (owned.batch.empty()) return;
   ReplAppend msg;
   msg.group = group;
   msg.owner = self_;
-  msg.epoch = batch.epoch;
-  msg.base_seq = batch.base_seq;
-  msg.trace_id = std::exchange(batch.trace_id, 0);
-  msg.entries = std::exchange(batch.entries, {});
-  const auto targets = replica_set(batch.ring_pos);
+  msg.epoch = owned.log.epoch();
+  msg.base_seq = owned.log.head().seq - owned.batch.size();
+  msg.trace_id = std::exchange(owned.trace_id, 0);
+  msg.entries = std::exchange(owned.batch, {});
+  const auto targets = replica_set(owned.ring_pos);
   if (targets.empty()) return;
   msg.checksum = wire::content_crc(msg);  // trace_id set first: covered
   std::uint64_t wire = kMsgOverheadBytes;
@@ -1012,47 +1010,36 @@ void ClashServer::send_append_batch(const KeyGroup& group,
   meter_repl_bytes(group, wire * targets.size());
   // Register the in-flight head *before* sending: an env that delivers
   // inline runs the holders' acks re-entrantly inside the fan-out.
-  InflightAppends& inflight = pending_commits_[group];
-  if (inflight.heads.empty()) {
+  if (owned.inflight.empty()) {
     // Going empty -> non-empty opens the group's replication op in the
     // in-flight table; the last draining ack closes it.
-    end_append_op(inflight);
-    inflight.op_token = hub_.inflight.begin(
+    end_append_op(owned);
+    owned.op_token = hub_.inflight.begin(
         obs::OpKind::kReplAppend, std::uint32_t(self_.value), group.label(),
         targets.front().value, env_.now().usec);
   }
-  inflight.heads.push_back(PendingCommit{
-      msg.epoch, msg.base_seq + msg.entries.size(), env_.now(),
-      msg.trace_id});
-  if (inflight.heads.size() > 4096) inflight.heads.pop_front();
+  owned.inflight.push_back(PendingCommit{
+      msg.base_seq + msg.entries.size(), env_.now(), msg.trace_id});
+  if (owned.inflight.size() > 4096) owned.inflight.pop_front();
   env_.fan_out(targets, Message(std::move(msg)));
 }
 
 void ClashServer::flush_pending_appends() {
   append_flush_scheduled_ = false;
   // Taken out first: a fan-out that delivers inline (unit-test envs)
-  // can log and queue again. Sorted, the sends leave in the order of
-  // pending_appends_, as they always have (the simulator's goldens
-  // pin it). A group listed twice, or already sent by
-  // flush_pending_append, has an empty batch by its turn.
+  // can log and queue again. Sorted, the sends leave in group order,
+  // as they always have (the simulator's goldens pin it). A group
+  // listed twice, or whose batch a re-epoch already sent, has an empty
+  // batch by its turn; one whose log retired has no record.
   auto groups = std::exchange(batched_, {});
   std::sort(groups.begin(), groups.end());
   for (const KeyGroup& group : groups) {
-    const auto it = pending_appends_.find(group);
-    if (it != pending_appends_.end() && !it->second.entries.empty()) {
-      send_append_batch(group, it->second);
-    }
+    const auto it = owned_logs_.find(group);
+    if (it != owned_logs_.end()) send_append_batch(group, it->second);
   }
   if (batched_.empty()) {  // keep the allocation for the next tick
     groups.clear();
     batched_ = std::move(groups);
-  }
-}
-
-void ClashServer::flush_pending_append(const KeyGroup& group) {
-  const auto it = pending_appends_.find(group);
-  if (it != pending_appends_.end() && !it->second.entries.empty()) {
-    send_append_batch(group, it->second);
   }
 }
 
@@ -1065,25 +1052,22 @@ bool ClashServer::append_app_delta(const KeyGroup& group,
 }
 
 void ClashServer::snapshot_group(const ServerTableEntry& entry) {
-  auto lit = logs_.find(entry.group);
-  if (lit == logs_.end()) {
-    init_group_log(entry.group, 1);
-    lit = logs_.find(entry.group);
-  }
+  const auto it = owned_logs_.find(entry.group);
+  OwnedLog& owned = it != owned_logs_.end() ? it->second
+                                            : init_group_log(entry.group, 1);
   // The snapshot defines the new compaction boundary at the current
   // head; anyone behind it is repaired by the snapshot itself.
-  lit->second.compact();
+  owned.log.compact();
   persist_group_snapshot(entry);
-  for (const ServerId target : replica_set(ring_pos(entry.group))) {
+  for (const ServerId target : replica_set(owned.ring_pos)) {
     send_snapshot_to(target, entry);
   }
 }
 
 void ClashServer::send_snapshot_to(ServerId to,
                                    const ServerTableEntry& entry) {
-  const auto lit = logs_.find(entry.group);
   const repl::LogHead head =
-      lit != logs_.end() ? lit->second.head() : repl::LogHead{1, 0};
+      log_head(entry.group).value_or(repl::LogHead{1, 0});
   static const GroupState kEmpty;
   const auto st = state_.find(entry.group);
   const GroupState& gs = st != state_.end() ? st->second : kEmpty;
@@ -1241,13 +1225,13 @@ void ClashServer::cancel_outbound_snapshots(const KeyGroup& group) {
 void ClashServer::send_anti_entropy() {
   std::map<ServerId, std::vector<GroupHead>> per_holder;
   for (const ServerTableEntry* e : table_.active_entries()) {
-    const auto lit = logs_.find(e->group);
-    if (lit == logs_.end()) {
+    const auto lit = owned_logs_.find(e->group);
+    if (lit == owned_logs_.end()) {
       snapshot_group(*e);  // missing log: heal with a fresh snapshot
       continue;
     }
-    const auto head = lit->second.head();
-    for (const ServerId target : replica_set(ring_pos(e->group))) {
+    const auto head = lit->second.log.head();
+    for (const ServerId target : replica_set(lit->second.ring_pos)) {
       per_holder[target].push_back(GroupHead{e->group, head});
     }
   }
@@ -1323,10 +1307,7 @@ void ClashServer::handle_repl_append(ServerId from, const ReplAppend& m) {
       hub_.tracer.record(obs::SpanKind::kReplApply, self_.value, env_.now(),
                          SimDuration{0}, applied, 0, active_trace_);
     }
-    if (recovery_.active(m.group)) {
-      recovery_.note_entries_repaired(m.group, applied);
-      progress_recovery_op(m.group, applied);
-    }
+    recovery_.note_entries_repaired(m.group, applied, env_.now());
   }
   env_.send(from, ReplAck{m.group, rec.log.head(), true});
 }
@@ -1342,12 +1323,13 @@ void ClashServer::handle_repl_ack(ServerId from, const ReplAck& m) {
     // First positive ack at or past an in-flight batch head commits
     // it: record ReplAppend -> ReplAck latency (later acks for the
     // same head find the deque already drained).
-    const auto it = pending_commits_.find(m.group);
-    if (it != pending_commits_.end() && !it->second.heads.empty()) {
-      auto& heads = it->second.heads;
+    const auto it = owned_logs_.find(m.group);
+    if (it != owned_logs_.end() && !it->second.inflight.empty()) {
+      auto& heads = it->second.inflight;
       const SimTime now = env_.now();
-      while (!heads.empty() && heads.front().epoch == m.head.epoch &&
-             heads.front().seq <= m.head.seq) {
+      // Every head in flight belongs to the log's current line.
+      const bool same_line = m.head.epoch == it->second.log.epoch();
+      while (same_line && !heads.empty() && heads.front().seq <= m.head.seq) {
         const SimDuration latency = now - heads.front().sent;
         commit_latency_us_.record_signed(latency.usec);
         hub_.tracer.record(obs::SpanKind::kCommit, self_.value,
@@ -1460,17 +1442,8 @@ void ClashServer::handle_snapshot_chunk(ServerId from,
     return;
   }
   ReplicaRecord::PendingSnapshot& p = *rec.pending;
-  for (const auto& s : m.streams) {
-    // A re-delivered stream replaces its map entry; its rate must not
-    // accumulate twice (subtract what the overwritten entry carried).
-    auto [sit, inserted] = p.state.streams.try_emplace(s.source, s);
-    if (!inserted) {
-      p.state.stream_rate -= sit->second.rate;
-      sit->second = s;
-    }
-    p.state.stream_rate += s.rate;
-  }
-  for (const auto& q : m.queries) p.state.queries[q.id] = q;
+  // A re-delivered object replaces its copy (its rate not counted twice).
+  absorb_objects(p.state, m, /*incoming_wins=*/true);
   p.app_state.insert(p.app_state.end(), m.app_state.begin(),
                      m.app_state.end());
   for (const auto& d : m.app_deltas) p.app_deltas.push_back(d);
@@ -1493,10 +1466,7 @@ void ClashServer::handle_snapshot_chunk(ServerId from,
                      p.total, p.trace_id);
   hub_.inflight.end(p.inflight_token);
   rec.pending.reset();
-  if (recovery_.active(m.group)) {
-    recovery_.note_snapshot_pulled(m.group);
-    progress_recovery_op(m.group, 1);
-  }
+  recovery_.note_snapshot_pulled(m.group, env_.now());
   env_.send(from, ReplAck{m.group, rec.log.head(), true});
 }
 
@@ -1539,9 +1509,9 @@ void ClashServer::repair_peer(ServerId to, const KeyGroup& group,
   // Active-owner path: repair from the authoritative log.
   const ServerTableEntry* entry = table_.find(group);
   if (entry != nullptr && entry->active) {
-    const auto lit = logs_.find(group);
-    if (lit == logs_.end()) return;  // anti-entropy heals it by snapshot
-    repl::GroupLog& log = lit->second;
+    const auto lit = owned_logs_.find(group);
+    if (lit == owned_logs_.end()) return;  // anti-entropy heals it by snapshot
+    repl::GroupLog& log = lit->second.log;
     std::vector<repl::LogOp> out;
     if (have.epoch == log.epoch() && log.suffix_from(have.seq, out)) {
       if (!out.empty()) {
@@ -1590,14 +1560,10 @@ bool ClashServer::begin_group_recovery(const KeyGroup& group) {
   const auto it = replicas_.find(group);
   const repl::LogHead start =
       it != replicas_.end() ? it->second.log.head() : repl::LogHead{};
-  if (!recovery_.begin(group, start)) return false;  // probes already out
-  recovery_started_.try_emplace(group, env_.now());
+  if (!recovery_.begin(group, start, env_.now())) {
+    return false;  // probes already out
+  }
   event(obs::SpanKind::kRecoveryBegin, group_tag(group));
-  auto& tok = recovery_ops_[group];
-  hub_.inflight.end(tok);
-  tok = hub_.inflight.begin(obs::OpKind::kRecoveryPull,
-                            std::uint32_t(self_.value), group.label(), 0,
-                            env_.now().usec);
   env_.fan_out(replica_set(ring_pos(group)),
                AntiEntropyDiff{{GroupHead{group, start}}});
   return true;
@@ -1605,9 +1571,9 @@ bool ClashServer::begin_group_recovery(const KeyGroup& group) {
 
 std::optional<repl::LogHead> ClashServer::log_head(
     const KeyGroup& group) const {
-  const auto it = logs_.find(group);
-  if (it == logs_.end()) return std::nullopt;
-  return it->second.head();
+  const auto it = owned_logs_.find(group);
+  if (it == owned_logs_.end()) return std::nullopt;
+  return it->second.log.head();
 }
 
 std::optional<repl::LogHead> ClashServer::replica_head(
@@ -1618,8 +1584,8 @@ std::optional<repl::LogHead> ClashServer::replica_head(
 }
 
 const repl::GroupLog* ClashServer::group_log(const KeyGroup& group) const {
-  const auto it = logs_.find(group);
-  return it == logs_.end() ? nullptr : &it->second;
+  const auto it = owned_logs_.find(group);
+  return it == owned_logs_.end() ? nullptr : &it->second.log;
 }
 
 const repl::GroupLog* ClashServer::replica_log(const KeyGroup& group) const {
@@ -1647,9 +1613,7 @@ std::size_t ClashServer::handoff_groups(ServerId to) {
         pending_reclaims_.count(e->group.sibling()) > 0) {
       continue;
     }
-    const auto lookup =
-        env_.dht_lookup(hasher_.hash_key(e->group.virtual_key()));
-    if (lookup.owner == to) {
+    if (env_.dht_lookup(ring_pos(e->group)).owner == to) {
       moving.push_back(Moving{e->group, e->root, e->parent});
     }
   }
@@ -1658,18 +1622,9 @@ std::size_t ClashServer::handoff_groups(ServerId to) {
     msg.group = mv.group;
     msg.parent = mv.parent;
     msg.root = mv.root;
-    const auto lit = logs_.find(mv.group);
-    msg.epoch = lit != logs_.end() ? lit->second.epoch() : 0;
-    GroupState st;
-    const auto sit = state_.find(mv.group);
-    if (sit != state_.end()) {
-      st = std::move(sit->second);
-      state_.erase(sit);
-    }
-    msg.streams.reserve(st.streams.size());
-    for (const auto& [_, s] : st.streams) msg.streams.push_back(s);
-    msg.queries.reserve(st.queries.size());
-    for (const auto& [_, q] : st.queries) msg.queries.push_back(q);
+    const auto lit = owned_logs_.find(mv.group);
+    msg.epoch = lit != owned_logs_.end() ? lit->second.log.epoch() : 0;
+    export_objects(take_state(state_, mv.group), msg);
     if (app_hooks_ != nullptr) {
       msg.app_state = app_hooks_->export_state(mv.group, to);
     }
@@ -1736,17 +1691,12 @@ bool ClashServer::promote_replica(const KeyGroup& group) {
   replicas_.erase(it);
   note_group_activated(group);
   stats_.failovers++;
-  recovery_.finish(group, head, advertised);
-  end_recovery_op(group);
   // One failover edge: spans the recovery session when one was open,
   // an instant otherwise (rf 0 promotes at once).
-  SimTime started = env_.now();
-  if (const auto rs = recovery_started_.find(group);
-      rs != recovery_started_.end()) {
-    started = rs->second;
-    failover_us_.record_signed((env_.now() - started).usec);
-    recovery_started_.erase(rs);
-  }
+  const std::optional<SimTime> opened =
+      recovery_.finish(group, head, advertised);
+  const SimTime started = opened.value_or(env_.now());
+  if (opened) failover_us_.record_signed((env_.now() - started).usec);
   hub_.tracer.record(obs::SpanKind::kFailover, self_.value, started,
                      env_.now() - started, group_tag(group));
   // New ownership line: the epoch rises above anything ever advertised

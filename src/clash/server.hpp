@@ -273,9 +273,7 @@ class ClashServer {
   /// re-check failed: the member rejoined or the ring moved the heir).
   void abandon_group_recovery(const KeyGroup& group) {
     event(obs::SpanKind::kRecoveryAbandon, group_tag(group));
-    end_recovery_op(group);
     recovery_.cancel(group);
-    recovery_started_.erase(group);
   }
 
   /// Hand every active group whose DHT owner is now `to` over to it
@@ -402,6 +400,10 @@ class ClashServer {
   /// randomized attempt" (load-shedding semantics); otherwise both
   /// children simply stay local (administrative splitting).
   void split_group(const KeyGroup& group, bool reshed_on_self_map);
+  /// Merge's last step: the parent entry goes active again over
+  /// `merged` (its left child's objects plus its right half's), and the
+  /// left child's entry and log retire.
+  void reactivate_parent(ServerTableEntry& parent_entry, GroupState merged);
 
   void send_load_reports();
   void try_split_for_overload();
@@ -425,13 +427,58 @@ class ClashServer {
   std::set<KeyGroup> pending_reclaims_;            // right-child groups asked back
 
   // --- Replication-log internals (src/repl/) ---------------------------
+  /// ReplAppend batches in flight: head seq + send time, popped by the
+  /// first ok ReplAck at or past that seq (commit-latency histogram).
+  struct PendingCommit {
+    std::uint64_t seq = 0;
+    SimTime sent{0};
+    std::uint64_t trace_id = 0;
+  };
+  /// Owner-side replication state of one group this server owns and
+  /// logs (replicated or durable). init_group_log makes the record and
+  /// drop_group_log erases it, so everything here lives exactly as
+  /// long as the group's log.
+  struct OwnedLog {
+    /// Acks confirm holder progress; repair is nack-driven, so no
+    /// per-holder state is kept.
+    repl::GroupLog log{0, 0};
+    /// Where the group sits on the ring, hashed once.
+    dht::HashKey ring_pos;
+    /// Ops logged during the current dispatch tick, sent as one frame
+    /// at the flush (empty between ticks). They are the last
+    /// batch.size() entries of `log`'s current line: a re-epoch and a
+    /// retire send the batch first, and compaction never moves the head.
+    std::vector<repl::LogOp> batch;
+    /// Correlation id of the traced op (if any) batched here; a batch
+    /// coalescing several ops keeps the first traced one's id.
+    std::uint64_t trace_id = 0;
+    /// Batches sent under the current line and not yet acked; a
+    /// re-epoch clears them, since no holder can ack an old line now.
+    std::deque<PendingCommit> inflight;
+    /// The group's kReplAppend in-flight op, open while `inflight` is
+    /// non-empty (0: none).
+    std::uint64_t op_token = 0;
+  };
+  /// Keyed by group; node-based, so a record's address survives the
+  /// inserts that an inline-delivering env's re-entrant sends can make.
+  std::unordered_map<KeyGroup, OwnedLog> owned_logs_;
+  /// Groups whose batch went non-empty since the last flush: the flush
+  /// visits these, not every group this server owns.
+  std::vector<KeyGroup> batched_;
+  bool append_flush_scheduled_ = false;
+  /// The tick's WAL group commit is deferred (kPerAppend).
+  bool commit_scheduled_ = false;
+  /// Build and fan `owned`'s batch out to the group's replica set
+  /// (empties the batch; no-op when it is empty).
+  void send_append_batch(const KeyGroup& group, OwnedLog& owned);
+
   /// The ring successors of ring position `pos` that hold the replicas
   /// of the group placed there, this server excluded (a ring shorter
   /// than the replication factor wraps back to the owner). Asked of
   /// the env on every call, so a ring change applies to the next send.
   [[nodiscard]] std::vector<ServerId> replica_set(dht::HashKey pos);
-  /// `group`'s ring position: the hash cached in its PendingAppend
-  /// when it has one, else hashed now.
+  /// `group`'s ring position: the hash kept in its OwnedLog when it has
+  /// one, else hashed now.
   [[nodiscard]] dht::HashKey ring_pos(const KeyGroup& group) const;
   /// Append one op to an active group's log and queue it for the
   /// replica set (no-op unless the log engine is on). Ops queued
@@ -441,12 +488,10 @@ class ClashServer {
   void log_op(const KeyGroup& group, repl::LogOp op);
   /// Send every non-empty queued ReplAppend batch now.
   void flush_pending_appends();
-  /// Send one group's queued batch, if any — run before its log is
-  /// retired or re-epoched so no batch outlives the line it belongs to.
-  void flush_pending_append(const KeyGroup& group);
   /// Start (or restart) a group's log at an epoch strictly above both
   /// `min_epoch` and any epoch this server previously used for it.
-  void init_group_log(const KeyGroup& group, std::uint64_t min_epoch);
+  /// A restart first sends the batch queued under the old line.
+  OwnedLog& init_group_log(const KeyGroup& group, std::uint64_t min_epoch);
   /// Retire a group's log, remembering the epoch for reactivations.
   void drop_group_log(const KeyGroup& group);
   /// Snapshot an active group to its whole replica set and compact.
@@ -546,41 +591,10 @@ class ClashServer {
       outbound_snapshots_;
   bool pumping_snapshots_ = false;  // re-entrancy guard (nack restarts)
 
-  /// Owner-side ReplAppend state of a group that logged a replicated
-  /// op here: its ring position, hashed once, and the batch of ops
-  /// logged during the current dispatch tick, sent as one frame at the
-  /// flush (empty between ticks). Entries persist across ticks and are
-  /// erased with the group's log (drop_group_log), so the map stays
-  /// the size of the owned set under churn.
-  struct PendingAppend {
-    dht::HashKey ring_pos;
-    std::uint64_t epoch = 0;
-    std::uint64_t base_seq = 0;
-    /// Correlation id of the traced op (if any) batched here; a batch
-    /// coalescing several ops keeps the first traced one's id.
-    std::uint64_t trace_id = 0;
-    std::vector<repl::LogOp> entries;
-  };
-  std::map<KeyGroup, PendingAppend> pending_appends_;
-  /// Groups whose batch went non-empty since the last flush: the flush
-  /// visits these, not every group this server owns.
-  std::vector<KeyGroup> batched_;
-  bool append_flush_scheduled_ = false;
-  /// The tick's WAL group commit is deferred (kPerAppend).
-  bool commit_scheduled_ = false;
-  /// Build and fan one non-empty batch out to the group's replica set
-  /// (empties the batch).
-  void send_append_batch(const KeyGroup& group, PendingAppend& batch);
-
-  /// Owner-side logs of the groups this server actively manages.
-  /// Acks confirm holder progress; repair is nack-driven, so no
-  /// per-holder state is kept here.
-  std::map<KeyGroup, repl::GroupLog> logs_;
   /// Last epoch used locally for a no-longer-active group: a
   /// reactivation must start strictly above it so stale copies can
   /// never dominate the new line.
   std::map<KeyGroup, std::uint64_t> retired_epochs_;
-  repl::RecoveryCoordinator recovery_;
   /// Replica-lease clock: the GC lease floors at the slowest observed
   /// gap between run_load_check calls (the real refresh cadence).
   SimTime last_load_check_{-1};
@@ -598,25 +612,9 @@ class ClashServer {
   obs::Counter repl_bytes_total_;
 
   std::unordered_map<KeyGroup, GroupCost> group_costs_;
-  /// ReplAppend batches in flight: head seq + send time, popped by the
-  /// first ok ReplAck at or past that seq (commit-latency histogram).
-  struct PendingCommit {
-    std::uint64_t epoch = 0;
-    std::uint64_t seq = 0;
-    SimTime sent{0};
-    std::uint64_t trace_id = 0;
-  };
-  /// One group's in-flight batches. A drained entry is kept for the
-  /// next batch; the group's log takes it along when it goes.
-  struct InflightAppends {
-    std::deque<PendingCommit> heads;
-    /// The group's kReplAppend in-flight op, open while `heads` is
-    /// non-empty (0: none).
-    std::uint64_t op_token = 0;
-  };
-  std::map<KeyGroup, InflightAppends> pending_commits_;
-  /// Recovery sessions opened at promote time (failover span start).
-  std::map<KeyGroup, SimTime> recovery_started_;
+  /// Recovery sessions: one record each, its kRecoveryPull op and the
+  /// failover span's start included.
+  repl::RecoveryCoordinator recovery_;
 
   // --- Event ring / in-flight table glue --------------------------------
   /// Stable correlation tag for a group in ring events (the label
@@ -629,32 +627,11 @@ class ClashServer {
     hub_.tracer.record(kind, self_.value, env_.now(), SimDuration{0}, arg,
                        arg2);
   }
-  /// One kRecoveryPull op per open recovery session.
-  std::map<KeyGroup, std::uint64_t> recovery_ops_;
   /// Retire a group's kReplAppend op (its pending commits drained or
   /// were invalidated by an epoch change).
-  void end_append_op(InflightAppends& inflight) {
-    hub_.inflight.end(inflight.op_token);
-    inflight.op_token = 0;
-  }
-  /// Forget a group's in-flight batches (epoch change or retired log).
-  void drop_pending_commits(const KeyGroup& group) {
-    const auto it = pending_commits_.find(group);
-    if (it == pending_commits_.end()) return;
-    end_append_op(it->second);
-    pending_commits_.erase(it);
-  }
-  void end_recovery_op(const KeyGroup& group) {
-    const auto it = recovery_ops_.find(group);
-    if (it == recovery_ops_.end()) return;
-    hub_.inflight.end(it->second);
-    recovery_ops_.erase(it);
-  }
-  void progress_recovery_op(const KeyGroup& group, std::uint64_t delta) {
-    const auto it = recovery_ops_.find(group);
-    if (it != recovery_ops_.end()) {
-      hub_.inflight.progress(it->second, env_.now().usec, delta);
-    }
+  void end_append_op(OwnedLog& owned) {
+    hub_.inflight.end(owned.op_token);
+    owned.op_token = 0;
   }
   void end_outbound_op(OutboundSnapshot& out) {
     hub_.inflight.end(out.inflight_token);

@@ -15,8 +15,11 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 
+#include "common/sim_time.hpp"
 #include "keys/key_group.hpp"
+#include "obs/inflight.hpp"
 #include "repl/log.hpp"
 
 namespace clash::repl {
@@ -36,36 +39,54 @@ struct RecoveryStats {
 
 class RecoveryCoordinator {
  public:
-  /// Open a session for `group` starting from the local head. Returns
-  /// false when a session is already open (the peers were probed;
-  /// don't probe again from the promotion path).
-  bool begin(const KeyGroup& group, LogHead local);
+  /// Each open session is one kRecoveryPull op of node `node` in
+  /// `inflight`, which must outlive the coordinator.
+  RecoveryCoordinator(obs::InflightTable& inflight, std::uint32_t node)
+      : inflight_(inflight), node_(node) {}
+
+  /// Open a session for `group` at `now`, starting from the local head.
+  /// Returns false when a session is already open (the peers were
+  /// probed; don't probe again from the promotion path).
+  bool begin(const KeyGroup& group, LogHead local, SimTime now);
 
   [[nodiscard]] bool active(const KeyGroup& group) const {
     return sessions_.count(group) > 0;
   }
 
-  void note_entries_repaired(const KeyGroup& group, std::size_t n);
-  void note_snapshot_pulled(const KeyGroup& group);
+  /// Peer repair reached the local copy of `group` (no-op without an
+  /// open session).
+  void note_entries_repaired(const KeyGroup& group, std::size_t n,
+                             SimTime now);
+  void note_snapshot_pulled(const KeyGroup& group, SimTime now);
 
   /// Close the session (promotion is installing now). `final` is the
   /// local head after repair, `advertised` the freshest head this
-  /// server ever heard for the group. Updates the staleness stats.
-  void finish(const KeyGroup& group, LogHead final, LogHead advertised);
+  /// server ever heard for the group. Updates the staleness stats and
+  /// returns when the session opened (nullopt: none was open).
+  std::optional<SimTime> finish(const KeyGroup& group, LogHead final,
+                                LogHead advertised);
 
   /// Drop the session without promoting (the group became active some
   /// other way, or the death was refuted). A leaked session would
   /// suppress the peer probes of every future recovery of the group.
-  void cancel(const KeyGroup& group) { sessions_.erase(group); }
+  void cancel(const KeyGroup& group);
 
   [[nodiscard]] const RecoveryStats& stats() const { return stats_; }
 
  private:
   struct Session {
     LogHead start;
+    SimTime started;
+    std::uint64_t op_token = 0;  // the kRecoveryPull op
     bool repaired = false;
   };
-  std::map<KeyGroup, Session> sessions_;
+  using Sessions = std::map<KeyGroup, Session>;
+  /// The one exit of a session: ends its op and forgets it.
+  void close(Sessions::iterator it);
+
+  obs::InflightTable& inflight_;
+  std::uint32_t node_;
+  Sessions sessions_;
   RecoveryStats stats_;
 };
 

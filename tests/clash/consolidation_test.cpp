@@ -173,6 +173,31 @@ TEST(Consolidation, LocalSiblingsMergeWithoutMessages) {
   EXPECT_EQ(s.table().check_invariants(), std::nullopt);
 }
 
+TEST(Consolidation, MergeKeepsStreamRateTheSumOfItsStreams) {
+  // A TCP client may re-register a source under a key in the sibling
+  // group without withdrawing it first, so both halves hold it. The
+  // merged parent keeps one copy (the right half's), and its rate must
+  // count that copy once.
+  MockServerEnv env;
+  ClashServer s(ServerId{0}, cfg7(), env, hasher());
+  s.install_entry({group("01*", 7), false, ServerId{}, ServerId{0}, false});
+  s.install_entry({group("010*", 7), false, ServerId{0}, ServerId{}, true});
+  s.install_entry({group("011*", 7), false, ServerId{0}, ServerId{}, true});
+  (void)s.handle_accept_object(data_obj(key("0100000"), ClientId{1}, 5));
+  (void)s.handle_accept_object(data_obj(key("0100001"), ClientId{2}, 3));
+  (void)s.handle_accept_object(data_obj(key("0110000"), ClientId{1}, 7));
+
+  s.run_load_check();
+  ASSERT_EQ(s.stats().merges, 1u);
+  const GroupState* parent = s.group_state(group("01*", 7));
+  ASSERT_NE(parent, nullptr);
+  ASSERT_EQ(parent->streams.size(), 2u);
+  double sum = 0;
+  for (const auto& [_, st] : parent->streams) sum += st.rate;
+  EXPECT_DOUBLE_EQ(parent->stream_rate, sum);
+  EXPECT_DOUBLE_EQ(parent->streams.find(ClientId{1})->second.rate, 7);
+}
+
 TEST(Consolidation, DisabledByConfig) {
   auto cfg = cfg7();
   cfg.enable_consolidation = false;

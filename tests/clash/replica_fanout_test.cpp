@@ -1,7 +1,9 @@
 // The owner's ReplAppend fan-out: one ServerEnv::fan_out call per
 // flushed batch, naming the group's replica set without the owner,
 // re-read from the ring on every batch, and per group (a split child
-// replicates to its own set, not its parent's).
+// replicates to its own set, not its parent's). A re-epoch sends the
+// batch queued under the old line first; a transfer that supersedes a
+// recovery session closes the whole session.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -10,6 +12,7 @@
 #include <vector>
 
 #include "clash/server.hpp"
+#include "obs/hub.hpp"
 
 namespace clash {
 namespace {
@@ -18,8 +21,8 @@ constexpr unsigned kWidth = 8;
 const ServerId kSelf{0};
 
 /// Records sends and fan-outs separately, scripts the replica set per
-/// ring position, and queues deferred work until the test ends the
-/// tick (so several ops can share one batch).
+/// ring position, queues deferred work until the test ends the tick
+/// (so several ops can share one batch), and has its own clock and hub.
 class RecordingEnv final : public ServerEnv {
  public:
   struct FanOut {
@@ -31,6 +34,8 @@ class RecordingEnv final : public ServerEnv {
   std::map<std::uint64_t, std::vector<ServerId>> sets;  // by ring position
   std::vector<ServerId> default_set;
   std::vector<std::function<void()>> deferred;
+  SimTime t{0};
+  obs::Hub hub;
 
   dht::LookupResult dht_lookup(dht::HashKey) override {
     return dht::LookupResult{kSelf, 0};  // splits stay local
@@ -45,7 +50,8 @@ class RecordingEnv final : public ServerEnv {
   void fan_out(std::span<const ServerId> to, const Message& msg) override {
     fan_outs.push_back(FanOut{{to.begin(), to.end()}, msg});
   }
-  [[nodiscard]] SimTime now() const override { return SimTime{0}; }
+  [[nodiscard]] SimTime now() const override { return t; }
+  obs::Hub& obs() override { return hub; }
   void defer(std::function<void()> fn) override {
     deferred.push_back(std::move(fn));
   }
@@ -56,6 +62,13 @@ class RecordingEnv final : public ServerEnv {
       auto fns = std::exchange(deferred, {});
       for (auto& fn : fns) fn();
     }
+  }
+
+  /// Open in-flight ops of `kind`.
+  [[nodiscard]] std::size_t open_ops(obs::OpKind kind) const {
+    std::size_t n = 0;
+    for (const auto& op : hub.inflight.snapshot()) n += op.kind == kind;
+    return n;
   }
 
   /// The ReplAppend fan-outs recorded so far (and forget them all).
@@ -211,6 +224,98 @@ TEST(ReplicaFanOut, SplitChildUsesItsOwnReplicaSet) {
   EXPECT_EQ(by_group[left], (std::vector<ServerId>{ServerId{1}, ServerId{2}}));
   EXPECT_EQ(by_group[right],
             (std::vector<ServerId>{ServerId{5}, ServerId{6}}));
+}
+
+TEST(ReplicaFanOut, ReEpochInsideATickSendsTheOldLineFirst) {
+  Owner o;
+  o.env.default_set = {ServerId{3}, ServerId{5}};
+  const KeyGroup root = o.install_root();
+  o.put(1, 0x12);
+  o.env.end_tick();
+  (void)o.env.take_appends();
+  const std::uint64_t old_epoch = o.server.log_head(root)->epoch;
+
+  // One more op queues under the old line, then a higher-epoch copy of
+  // the group lands in the same tick and starts a new line.
+  o.put(2, 0x34);
+  AcceptKeyGroup higher;
+  higher.group = root;
+  higher.root = true;
+  higher.epoch = old_epoch + 4;
+  o.server.deliver(ServerId{7}, higher);
+  const std::uint64_t new_epoch = o.server.log_head(root)->epoch;
+  EXPECT_GT(new_epoch, higher.epoch);
+
+  auto appends = o.env.take_appends();
+  ASSERT_EQ(appends.size(), 1u);
+  const auto& old_line = std::get<ReplAppend>(appends[0].msg);
+  EXPECT_EQ(old_line.epoch, old_epoch);
+  EXPECT_EQ(old_line.base_seq, 1u);
+  EXPECT_EQ(old_line.entries.size(), 1u);
+  o.env.end_tick();
+  EXPECT_TRUE(o.env.take_appends().empty());
+
+  o.put(3, 0x56);
+  o.env.end_tick();
+  appends = o.env.take_appends();
+  ASSERT_EQ(appends.size(), 1u);
+  const auto& new_line = std::get<ReplAppend>(appends[0].msg);
+  EXPECT_EQ(new_line.epoch, new_epoch);
+  EXPECT_EQ(new_line.base_seq, 0u);
+  EXPECT_EQ(new_line.entries.size(), 1u);
+}
+
+TEST(ReplicaFanOut, TransferClosesTheRecoverySessionItSupersedes) {
+  Owner o;
+  o.env.default_set = {ServerId{3}, ServerId{5}};
+  const KeyGroup g = KeyGroup::root(kWidth);
+  const ServerId parent{9};
+
+  o.env.t = SimTime{100};
+  ASSERT_TRUE(o.server.begin_group_recovery(g));
+  EXPECT_EQ(o.env.open_ops(obs::OpKind::kRecoveryPull), 1u);
+
+  // A transfer of the group lands inside the grace window.
+  AcceptKeyGroup transfer;
+  transfer.group = g;
+  transfer.parent = parent;
+  o.server.deliver(parent, transfer);
+  o.env.end_tick();
+  EXPECT_EQ(o.env.open_ops(obs::OpKind::kRecoveryPull), 0u);
+
+  // The group moves on (its parent reclaims it), a replica of it
+  // arrives from its next owner, and that owner dies too.
+  o.server.deliver(parent, ReclaimKeyGroup{g});
+  ASSERT_EQ(o.server.table().find(g), nullptr);
+  const repl::LogHead head{7, 0};
+  SnapshotOffer offer;
+  offer.group = g;
+  offer.owner = ServerId{4};
+  offer.head = head;
+  offer.parent = parent;
+  o.server.deliver(ServerId{4}, offer);
+  SnapshotChunk chunk;
+  chunk.group = g;
+  chunk.head = head;
+  o.server.deliver(ServerId{4}, chunk);
+  o.env.end_tick();
+  ASSERT_TRUE(o.server.has_replica(g));
+
+  o.env.t = SimTime{500};
+  ASSERT_TRUE(o.server.begin_group_recovery(g));
+  o.env.t = SimTime{700};
+  ASSERT_TRUE(o.server.promote_replica(g));
+  EXPECT_EQ(o.env.open_ops(obs::OpKind::kRecoveryPull), 0u);
+
+  // The failover span times the second session, not the cancelled one.
+  std::size_t failovers = 0;
+  for (const auto& span : o.env.hub.tracer.spans()) {
+    if (span.kind != obs::SpanKind::kFailover) continue;
+    ++failovers;
+    EXPECT_EQ(span.start_us, 500);
+    EXPECT_EQ(span.dur_us, 200);
+  }
+  EXPECT_EQ(failovers, 1u);
 }
 
 }  // namespace

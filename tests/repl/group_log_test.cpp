@@ -102,14 +102,15 @@ TEST(GroupLog, ApplyReplaysOpsOntoGroupState) {
 }
 
 TEST(RecoveryCoordinator, TracksRepairAndStaleness) {
-  RecoveryCoordinator rc;
+  obs::InflightTable inflight;
+  RecoveryCoordinator rc(inflight, 3);
   const KeyGroup g = KeyGroup::of(Key(0x40, 8), 2);
 
   // Healed promotion: started behind, repaired to the advertised head.
-  ASSERT_TRUE(rc.begin(g, LogHead{1, 5}));
-  EXPECT_FALSE(rc.begin(g, LogHead{1, 5}));  // session already open
-  rc.note_entries_repaired(g, 3);
-  rc.finish(g, LogHead{1, 8}, LogHead{1, 8});
+  ASSERT_TRUE(rc.begin(g, LogHead{1, 5}, SimTime{100}));
+  EXPECT_FALSE(rc.begin(g, LogHead{1, 5}, SimTime{200}));  // already open
+  rc.note_entries_repaired(g, 3, SimTime{150});
+  EXPECT_EQ(rc.finish(g, LogHead{1, 8}, LogHead{1, 8}), SimTime{100});
   EXPECT_EQ(rc.stats().sessions, 1u);
   EXPECT_EQ(rc.stats().entries_repaired, 3u);
   EXPECT_EQ(rc.stats().stale_promotions_averted, 1u);
@@ -117,16 +118,45 @@ TEST(RecoveryCoordinator, TracksRepairAndStaleness) {
   EXPECT_FALSE(rc.active(g));
 
   // Stale promotion: nobody could repair us to the advertised head.
-  ASSERT_TRUE(rc.begin(g, LogHead{1, 5}));
+  ASSERT_TRUE(rc.begin(g, LogHead{1, 5}, SimTime{300}));
   rc.finish(g, LogHead{1, 5}, LogHead{1, 9});
   EXPECT_EQ(rc.stats().stale_promotions, 1u);
 
   // Snapshot pull.
-  ASSERT_TRUE(rc.begin(g, LogHead{}));
-  rc.note_snapshot_pulled(g);
+  ASSERT_TRUE(rc.begin(g, LogHead{}, SimTime{400}));
+  rc.note_snapshot_pulled(g, SimTime{450});
   rc.finish(g, LogHead{2, 40}, LogHead{2, 40});
   EXPECT_EQ(rc.stats().snapshots_pulled, 1u);
   EXPECT_EQ(rc.stats().stale_promotions_averted, 2u);
+
+  // No session, no promotion to time and no repair to count.
+  EXPECT_EQ(rc.finish(g, LogHead{2, 40}, LogHead{2, 40}), std::nullopt);
+  rc.note_entries_repaired(g, 2, SimTime{500});
+  EXPECT_EQ(rc.stats().entries_repaired, 3u);
+}
+
+TEST(RecoveryCoordinator, EachSessionIsOneInflightPull) {
+  obs::InflightTable inflight;
+  RecoveryCoordinator rc(inflight, 3);
+  const KeyGroup g = KeyGroup::of(Key(0x40, 8), 2);
+
+  ASSERT_TRUE(rc.begin(g, LogHead{1, 5}, SimTime{100}));
+  auto ops = inflight.snapshot();
+  ASSERT_EQ(ops.size(), 1u);
+  EXPECT_EQ(ops[0].kind, obs::OpKind::kRecoveryPull);
+  EXPECT_EQ(ops[0].node, 3u);
+  EXPECT_EQ(ops[0].start_us, 100);
+  rc.note_entries_repaired(g, 4, SimTime{120});
+  EXPECT_EQ(inflight.snapshot().at(0).progress, 4u);
+
+  // Cancelling closes the op along with the session; the next session
+  // of the group starts its own clock.
+  rc.cancel(g);
+  EXPECT_EQ(inflight.active(), 0u);
+  ASSERT_TRUE(rc.begin(g, LogHead{1, 5}, SimTime{700}));
+  EXPECT_EQ(inflight.active(), 1u);
+  EXPECT_EQ(rc.finish(g, LogHead{1, 5}, LogHead{1, 5}), SimTime{700});
+  EXPECT_EQ(inflight.active(), 0u);
 }
 
 }  // namespace
