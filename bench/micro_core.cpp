@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot code paths: key ops,
 // ServerTable lookups, hashing, Chord routing, client resolution,
-// split/merge cost, and the kernels of a replicated put (the group
-// state upsert, the ReplAppend codec round trip, and the owner's
-// log-and-flush to its replica set).
+// split/merge cost, the kernels of a replicated put (the group state
+// upsert, the ReplAppend codec round trip, and the owner's
+// log-and-flush to its replica set), and continuous-query matching.
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -251,6 +251,38 @@ void BM_GroupStateUpsertNodeSized(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GroupStateUpsertNodeSized);
+
+// Continuous-query matching: one record against one depth-6 group's
+// query index. Half the queries are exact keys; the other half have
+// scopes of depth 2 to 15, so some cover the whole group and some lie
+// inside it; a third carry a predicate. Records are keys inside the
+// group, cycled from a pre-drawn set.
+void BM_GroupQueryMatch(benchmark::State& state) {
+  const auto n = std::uint64_t(state.range(0));
+  const std::uint64_t base = 0x600000;  // group 011000*, depth 6
+  Rng rng(11);
+  GroupState st;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const Key key(base | (rng.next() & 0x3FFFF), 24);
+    const unsigned depth = i % 2 == 0 ? 24 : 2 + unsigned(rng.below(14));
+    std::vector<cq::Predicate> preds;
+    if (i % 3 == 0) {
+      preds.push_back(
+          {0, cq::Predicate::Op::kGe, std::int64_t(rng.below(100))});
+    }
+    st.queries.insert(QueryInfo(QueryId{i}, key, depth, std::move(preds)));
+  }
+  std::vector<cq::Record> records;
+  for (int i = 0; i < 1024; ++i) {
+    records.push_back(cq::Record{Key(base | (rng.next() & 0x3FFFF), 24),
+                                 {std::int64_t(rng.below(100))}});
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(st.queries.match(records[i++ & 1023]));
+  }
+}
+BENCHMARK(BM_GroupQueryMatch)->Arg(16)->Arg(1024);
 
 // The replication codec per batch: the owner stamps the content fence
 // and encodes a two-entry ReplAppend; the replica decodes it and

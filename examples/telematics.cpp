@@ -4,12 +4,10 @@
 // servers; a downtown hotspot triggers binary splitting while rural
 // regions stay consolidated.
 #include <cstdio>
-#include <map>
 #include <vector>
 
 #include "clash/client.hpp"
 #include "common/rng.hpp"
-#include "cq/stream_engine.hpp"
 #include "keys/quadtree.hpp"
 #include "sim/cluster.hpp"
 
@@ -89,9 +87,9 @@ int main() {
   // Continuous spatial queries: "alert me for vehicles inside this
   // rectangle". A region is a key *range*, so the client resolves every
   // active group intersecting the scope (the paper's range-query
-  // extension) and registers the query on each segment's server; the
-  // per-server StreamEngine evaluates incoming reports.
-  std::map<std::uint64_t, cq::StreamEngine> engines;  // server -> engine
+  // extension) and registers the query, under one id, on each segment.
+  // The segment's group stores it with its scope, which may be wider
+  // than the group: a later split hands it to both halves.
   const struct {
     const char* name;
     double x, y;
@@ -109,29 +107,34 @@ int main() {
       std::printf("range resolution failed for %s\n", r.name);
       return 1;
     }
-    for (const auto& [segment, server] : range.segments) {
+    for (const auto& [segment, _] : range.segments) {
+      // A key inside both the segment and the scope: the deeper one's.
+      const KeyGroup& inner =
+          segment.depth() >= scope.depth() ? segment : scope;
       AcceptObject obj;
-      obj.key = segment.virtual_key();
+      obj.key = inner.virtual_key();
       obj.kind = ObjectKind::kQuery;
       obj.query_id = QueryId{qid};
-      (void)client.insert(obj);
-      auto [it, _] = engines.try_emplace(server.value, geo.key_width());
-      it->second.register_query(
-          cq::ContinuousQuery{QueryId{qid}, scope, {}});
-      ++qid;
+      obj.scope_depth = scope.depth();
+      if (!client.insert(obj).ok) {
+        std::printf("registration failed for %s on %s\n", r.name,
+                    segment.label().c_str());
+        return 1;
+      }
     }
+    ++qid;
     std::printf("query %-12s scope=%s -> %zu segment(s) on %zu server(s)\n",
                 r.name, scope.label().c_str(), range.segments.size(),
                 range.distinct_servers());
   }
 
-  // Route one round of position reports and count matches.
+  // Route one round of position reports to their groups' owners and
+  // count matches.
   std::uint64_t matches = 0;
   for (const auto& v : fleet) {
     const auto owner = cluster.find_owner(v.key);
-    const auto it = engines.find(owner->value);
-    if (it == engines.end()) continue;
-    matches += it->second.process(cq::Record{v.key, {}});
+    if (!owner) continue;
+    matches += cluster.server(*owner).match(cq::Record{v.key, {}});
   }
   std::printf("one report round: %llu query matches fired\n",
               (unsigned long long)matches);

@@ -5,7 +5,15 @@ Usage:
   bench_diff.py --base BENCH_net.json --head fresh.json
                 [--tolerance 0.15] [--strict]
                 [--record trajectory.jsonl --label <sha-or-tag>]
+  bench_diff.py --base b1.json --base b2.json --base b3.json
+                --head h1.json --head h2.json --head h3.json [...]
   bench_diff.py --selftest
+
+--base and --head may each be given several times (repeated runs of
+one build, ideally taken alternately with the other side's runs). Each
+side then stands for the per-metric median over its files: one noisy
+run on a shared host cannot fail the gate on its own, while a change
+that moves every run still does.
 
 Flattens both artifacts to path -> number (list entries are keyed by
 their distinguishing field: frame_bytes, round, scenario — index
@@ -102,6 +110,19 @@ def flatten_gbench(raw):
 
 def flatten_any(raw):
     return flatten_gbench(raw) if is_gbench(raw) else flatten(raw)
+
+
+def median(values):
+    v = sorted(values)
+    mid = len(v) // 2
+    return v[mid] if len(v) % 2 else (v[mid - 1] + v[mid]) / 2
+
+
+def combine(runs):
+    """Flattened runs of one build -> {metric: median over the runs that
+    report it}."""
+    paths = set().union(*runs) if runs else set()
+    return {p: median([r[p] for r in runs if p in r]) for p in paths}
 
 
 def direction(path):
@@ -209,6 +230,28 @@ def selftest():
     plain = flatten_any(gbench([row("BM_C", 5.0)]))
     assert plain == {"BM_C.cpu_time_ns": 5.0, "BM_C.real_time_ns": 5.0}
 
+    # Repeated runs compare per-row medians: one slow head run (or one
+    # fast base run) among three stays quiet, a shift in every run
+    # still fires, and a row missing from one run keeps the others.
+    base3 = combine([base, base, flatten_any(gbench([
+        row("BM_A_median", 70, aggregate="median"),
+        row("BM_B/8_median", 2.0, unit="us", aggregate="median"),
+    ]))])
+    assert base3["BM_A_median.cpu_time_ns"] == 100, base3
+    outlier = combine([near, slow, near])
+    assert outlier["BM_A_median.cpu_time_ns"] == 110, outlier
+    failures, _ = compare(base3, outlier, 0.15, strict=True)
+    assert failures == [], failures
+    shifted = combine([slow, slow, near])
+    failures, _ = compare(base3, shifted, 0.15, strict=True)
+    assert len(failures) == 2 and all("BM_A_median" in f for f in failures), \
+        failures
+    partial = combine([plain, flatten_any(gbench([row("BM_C", 7.0)])),
+                       flatten_any(gbench([row("BM_D", 1.0)]))])
+    assert partial == {"BM_C.cpu_time_ns": 6.0, "BM_C.real_time_ns": 6.0,
+                       "BM_D.cpu_time_ns": 1.0,
+                       "BM_D.real_time_ns": 1.0}, partial
+
     # The project's own bench JSON keeps its scale-free gate.
     own_base = flatten_any({"bench": "x", "coalesce_ratio": 4.0,
                             "rtt_us": 10.0})
@@ -238,8 +281,10 @@ def main():
     if "--selftest" in sys.argv:
         return selftest()
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--base", required=True)
-    ap.add_argument("--head", required=True)
+    ap.add_argument("--base", required=True, action="append",
+                    help="base run JSON (repeat for several runs)")
+    ap.add_argument("--head", required=True, action="append",
+                    help="head run JSON (repeat for several runs)")
     ap.add_argument("--tolerance", type=float, default=0.15)
     ap.add_argument("--strict", action="store_true",
                     help="also gate absolute throughput/latency metrics")
@@ -248,20 +293,23 @@ def main():
                     help="label for --record entries (commit sha, tag)")
     args = ap.parse_args()
 
-    base_raw = json.loads(pathlib.Path(args.base).read_text())
-    head_raw = json.loads(pathlib.Path(args.head).read_text())
-    base = flatten_any(base_raw)
-    head = flatten_any(head_raw)
+    def load(paths):
+        raws = [json.loads(pathlib.Path(p).read_text()) for p in paths]
+        return raws, combine([flatten_any(r) for r in raws])
+
+    _, base = load(args.base)
+    head_raws, head = load(args.head)
 
     failures, lines = compare(base, head, args.tolerance, args.strict)
-    print(f"bench_diff: {args.base} -> {args.head} "
+    print(f"bench_diff: {', '.join(args.base)} -> {', '.join(args.head)} "
           f"({'strict' if args.strict else 'scale-free'} gate, "
-          f"tolerance ±{args.tolerance:.0%})")
+          f"tolerance ±{args.tolerance:.0%}"
+          f"{', medians over repeated runs' if len(args.base) > 1 or len(args.head) > 1 else ''})")
     for line in lines:
         print(line)
 
     if args.record:
-        record(args.record, args.label, head_raw, head)
+        record(args.record, args.label, head_raws[0], head)
         print(f"bench_diff: recorded '{args.label}' -> {args.record}")
 
     if failures:

@@ -65,10 +65,10 @@ struct ClashConfig {
   /// streamed to the replica set immediately; the periodic traffic is an
   /// (epoch, seq) anti-entropy probe; failover and rejoin pull exactly
   /// the missing suffix. Every holder compacts its own log; snapshots
-  /// ship only at activation and handoff, to repair a holder behind the
-  /// compaction floor, or to fold app deltas. Staleness ~ one message
-  /// delay. When a server fails, the DHT's new owner of each of its
-  /// groups promotes its replica.
+  /// ship only at activation and handoff, or to repair a holder behind
+  /// the compaction floor. Staleness ~ one message delay. When a server
+  /// fails, the DHT's new owner of each of its groups promotes its
+  /// replica.
   unsigned replication_factor = 0;
 
   /// With replication on: after a member death, or on restart from

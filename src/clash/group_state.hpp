@@ -7,20 +7,23 @@
 #include "clash/objects.hpp"
 #include "common/flat_map.hpp"
 #include "common/types.hpp"
+#include "cq/query_index.hpp"
 
 namespace clash {
 
 /// Objects (stream registrations + stored queries) held by one group.
 /// Hashed by id in flat open-addressed maps: every put upserts here, on
 /// the owner and on each replica, so the lookup is one probe into one
-/// slot array. No iterator, pointer or reference into `streams` or
-/// `queries` survives an insert or an erase (see common/flat_map.hpp).
+/// slot array. `queries` is the group's only store of its continuous
+/// queries, indexed for matching (cq::QueryIndex). No iterator, pointer
+/// or reference into `streams` or `queries` survives an insert or an
+/// erase (see common/flat_map.hpp).
 /// Iteration order is unspecified and may differ between two copies
 /// holding the same objects; nothing may depend on it (transfers,
 /// snapshots and splits carry sets).
 struct GroupState {
   FlatMap<ClientId, StreamInfo> streams;
-  FlatMap<QueryId, QueryInfo> queries;
+  cq::QueryIndex queries;
   double stream_rate = 0;  // invariant: sum of streams[*].rate
 
   [[nodiscard]] bool empty() const {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <variant>
 #include <vector>
 
@@ -22,7 +23,12 @@ struct AcceptObject {
   Key key{0, 24};
   unsigned depth = 0;
   ObjectKind kind = ObjectKind::kData;
-  QueryId query_id{};     // valid when kind == kQuery
+  /// kQuery only (encoded for no other kind): the query's id, its
+  /// scope depth (unset: the key itself) and its predicates — the
+  /// stored QueryInfo.
+  QueryId query_id{};
+  std::optional<unsigned> scope_depth;
+  std::vector<cq::Predicate> predicates;
   double stream_rate = 0; // valid when kind == kData (sim rate model)
   ClientId source{};
   bool probe_only = false;
@@ -147,11 +153,7 @@ struct SnapshotOffer {
   std::uint64_t trace_id = 0;
 };
 
-/// One slice of an announced snapshot: a batch of streams/queries plus
-/// an application-state fragment (fragments concatenate in chunk
-/// order). `app_deltas` is non-empty only for peer-built snapshots:
-/// opaque application deltas logged after the app fragment was cut,
-/// replayed in order at promotion.
+/// One slice of an announced snapshot: a batch of streams/queries.
 struct SnapshotChunk {
   KeyGroup group;
   repl::LogHead head;
@@ -161,8 +163,6 @@ struct SnapshotChunk {
   std::uint64_t trace_id = 0;
   std::vector<StreamInfo> streams;
   std::vector<QueryInfo> queries;
-  std::vector<std::uint8_t> app_state;
-  std::vector<std::vector<std::uint8_t>> app_deltas;
   /// Content CRC fence (see ReplAppend::checksum); 0 = unchecksummed.
   std::uint32_t checksum = 0;
 };

@@ -5,9 +5,13 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "common/types.hpp"
+#include "cq/query.hpp"
 #include "keys/key.hpp"
+#include "keys/key_group.hpp"
 
 namespace clash {
 
@@ -24,10 +28,32 @@ struct StreamInfo {
   double rate = 0;  // packets/sec
 };
 
-/// A stored continuous query.
+/// A stored continuous query (Section 5): it fires for each record
+/// inside its scope whose attributes pass every predicate. The scope is
+/// the prefix group of depth `scope_depth` around `key`; it defaults to
+/// the key itself. The group managing `key` stores the query; a split
+/// hands it, under the same id, to each half its scope intersects, and
+/// a merge keeps one copy.
 struct QueryInfo {
   QueryId id;
   Key key{0, 24};
+  std::uint8_t scope_depth = 24;
+  std::vector<cq::Predicate> predicates;
+
+  QueryInfo() = default;
+  QueryInfo(QueryId qid, Key k) : QueryInfo(qid, k, k.width()) {}
+  QueryInfo(QueryId qid, Key k, unsigned depth,
+            std::vector<cq::Predicate> preds = {})
+      : id(qid),
+        key(k),
+        scope_depth(std::uint8_t(depth)),
+        predicates(std::move(preds)) {}
+
+  [[nodiscard]] KeyGroup scope() const {
+    return KeyGroup::of(key, scope_depth);
+  }
+  /// `r` lies in the scope and passes every predicate (conjunction).
+  [[nodiscard]] bool matches(const cq::Record& r) const;
 };
 
 }  // namespace clash

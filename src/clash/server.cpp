@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <stdexcept>
 
 #include "common/logging.hpp"
@@ -26,6 +27,9 @@ ClashServer::ClashServer(ServerId self, const ClashConfig& cfg, ServerEnv& env,
   snapshot_install_us_ = reg.histogram("clash_snapshot_install_usec");
   puts_total_ = reg.counter("clash_puts_total");
   repl_bytes_total_ = reg.counter("clash_repl_bytes_total");
+  cq_records_total_ = reg.counter("clash_cq_records_total");
+  cq_matches_total_ = reg.counter("clash_cq_matches_total");
+  cq_match_us_ = reg.histogram("clash_cq_match_usec");
 }
 
 // Structural wire-size model for the cost vector: close enough to the
@@ -35,15 +39,19 @@ namespace {
 
 constexpr std::uint64_t kMsgOverheadBytes = 24;
 constexpr std::uint64_t kPutWireBytes = 40;
+constexpr std::uint64_t kMatchWireBytes = 48;  // one match notification
+constexpr std::uint64_t kPredicateWireBytes = 13;
 
 std::uint64_t approx_op_bytes(const repl::LogOp& op) {
-  return 24 + op.app_delta.size();
+  return 24 + kPredicateWireBytes * op.query.predicates.size();
 }
 
 std::uint64_t approx_chunk_bytes(const SnapshotChunk& c) {
   std::uint64_t b = kMsgOverheadBytes + 24 * c.streams.size() +
-                    16 * c.queries.size() + c.app_state.size();
-  for (const auto& d : c.app_deltas) b += d.size();
+                    16 * c.queries.size();
+  for (const auto& q : c.queries) {
+    b += kPredicateWireBytes * q.predicates.size();
+  }
   return b;
 }
 
@@ -95,9 +103,9 @@ void absorb_objects(GroupState& gs, const Objects& in, bool incoming_wins) {
   for (const auto& entry : in.queries) {
     const QueryInfo& q = object_of(entry);
     if (incoming_wins) {
-      gs.queries[q.id] = q;
-    } else {
-      gs.queries.try_emplace(q.id, q);
+      gs.queries.upsert(q);
+    } else if (gs.queries.count(q.id) == 0) {
+      gs.queries.insert(q);
     }
   }
 }
@@ -122,17 +130,6 @@ class TraceScope {
 };
 
 }  // namespace
-
-void ClashServer::meter_matches(const Key& key, std::size_t n,
-                                std::size_t bytes) {
-  const ServerTableEntry* entry = table_.active_entry_for(key);
-  if (entry == nullptr) return;
-  GroupCost& cost = group_costs_[entry->group];
-  cost.matches += n;
-  cost.bytes_served += bytes;
-  hub_.tracer.record(obs::SpanKind::kQueryMatch, self_.value, env_.now(),
-                     SimDuration{0}, n, 0, active_trace_);
-}
 
 void ClashServer::meter_repl_bytes(const KeyGroup& group,
                                    std::uint64_t bytes) {
@@ -219,9 +216,10 @@ AcceptObjectReply ClashServer::handle_accept_object(const AcceptObject& m) {
     cost.bytes_served += kPutWireBytes;
     puts_total_.inc();
     if (m.kind == ObjectKind::kQuery) {
-      gs.queries[m.query_id] = QueryInfo{m.query_id, m.key};
-      log_op(entry->group,
-             repl::LogOp::put_query(QueryInfo{m.query_id, m.key}));
+      QueryInfo q(m.query_id, m.key, m.scope_depth.value_or(m.key.width()),
+                  m.predicates);
+      gs.queries.upsert(q);
+      log_op(entry->group, repl::LogOp::put_query(std::move(q)));
     } else {
       auto [it, inserted] = gs.streams.try_emplace(m.source);
       if (!inserted) gs.stream_rate -= it->second.rate;
@@ -233,6 +231,29 @@ AcceptObjectReply ClashServer::handle_accept_object(const AcceptObject& m) {
     }
   }
   return AcceptObjectOk{entry->group.depth()};
+}
+
+std::size_t ClashServer::match(const cq::Record& r) {
+  const ServerTableEntry* entry = table_.active_entry_for(r.key);
+  if (entry == nullptr) return 0;
+  const auto st = state_.find(entry->group);
+  if (st == state_.end()) return 0;
+  cq_records_total_.inc();
+  // Only a firing record pays for the second clock read.
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::size_t n = st->second.queries.match(r);
+  if (n == 0) return 0;
+  cq_match_us_.record(std::uint64_t(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count()));
+  cq_matches_total_.inc(n);
+  GroupCost& cost = group_costs_[entry->group];
+  cost.matches += n;
+  cost.bytes_served += n * kMatchWireBytes;
+  hub_.tracer.record(obs::SpanKind::kQueryMatch, self_.value, env_.now(),
+                     SimDuration{0}, n, 0, active_trace_);
+  return n;
 }
 
 void ClashServer::remove_stream(ClientId source, const Key& key) {
@@ -849,9 +870,6 @@ void ClashServer::persist_group_snapshot(const ServerTableEntry& entry) {
   img.parent = entry.parent;
   const auto st = state_.find(entry.group);
   if (st != state_.end()) img.state = st->second;
-  if (app_hooks_ != nullptr) {
-    img.app_state = app_hooks_->snapshot_state(entry.group);
-  }
   meter_storage_bytes(entry.group, storage_->write_snapshot(img));
 }
 
@@ -876,8 +894,6 @@ std::size_t ClashServer::restore_from_storage() {
     rec.refreshed = env_.now();
     rec.log.reset(g.head.epoch, g.head.seq);
     rec.advertised = g.head;
-    rec.app_snapshot = std::move(g.app_state);
-    rec.app_tail = std::move(g.app_deltas);
     replicas_[group] = std::move(rec);
     // The group's next ownership line must rise above the recovered
     // one even if promotion happens before any peer is heard.
@@ -976,18 +992,13 @@ void ClashServer::log_op(const KeyGroup& group, repl::LogOp op) {
   // cut is local (on disk it advances the WAL truncation floor): each
   // replica compacts its own copy, so a caught-up holder keeps getting
   // deltas, and one left behind the floor is repaired by snapshot via
-  // nack or anti-entropy. Only a suffix carrying app deltas ships a
-  // snapshot: a replica's opaque app tail folds from nothing else.
+  // nack or anti-entropy.
   if (log.size() > cfg_.log_compact_threshold) {
     const ServerTableEntry* entry = table_.find(group);
     if (entry != nullptr && entry->active) {
       stats_.log_compactions++;
-      if (replicating && log.holds(repl::OpKind::kAppDelta)) {
-        snapshot_group(*entry);
-      } else {
-        persist_group_snapshot(*entry);
-        log.compact();
-      }
+      persist_group_snapshot(*entry);
+      log.compact();
     }
   }
 }
@@ -1043,14 +1054,6 @@ void ClashServer::flush_pending_appends() {
   }
 }
 
-bool ClashServer::append_app_delta(const KeyGroup& group,
-                                   std::vector<std::uint8_t> delta) {
-  const ServerTableEntry* entry = table_.find(group);
-  if (entry == nullptr || !entry->active) return false;
-  log_op(group, repl::LogOp::app_delta_op(std::move(delta)));
-  return true;
-}
-
 void ClashServer::snapshot_group(const ServerTableEntry& entry) {
   const auto it = owned_logs_.find(entry.group);
   OwnedLog& owned = it != owned_logs_.end() ? it->second
@@ -1071,17 +1074,14 @@ void ClashServer::send_snapshot_to(ServerId to,
   static const GroupState kEmpty;
   const auto st = state_.find(entry.group);
   const GroupState& gs = st != state_.end() ? st->second : kEmpty;
-  std::vector<std::uint8_t> app;
-  if (app_hooks_ != nullptr) app = app_hooks_->snapshot_state(entry.group);
   send_state_snapshot(to, entry.group, gs, head, entry.root, entry.parent,
-                      self_, app, {});
+                      self_);
 }
 
-void ClashServer::send_state_snapshot(
-    ServerId to, const KeyGroup& group, const GroupState& st,
-    repl::LogHead head, bool root, ServerId parent, ServerId owner,
-    const std::vector<std::uint8_t>& app_state,
-    const std::vector<std::vector<std::uint8_t>>& app_deltas) {
+void ClashServer::send_state_snapshot(ServerId to, const KeyGroup& group,
+                                      const GroupState& st,
+                                      repl::LogHead head, bool root,
+                                      ServerId parent, ServerId owner) {
   const std::size_t per_chunk = std::max(1u, cfg_.snapshot_chunk_objects);
   const std::size_t objects = st.streams.size() + st.queries.size();
   const auto total =
@@ -1133,10 +1133,6 @@ void ClashServer::send_state_snapshot(
       chunk.queries.push_back(query_it->second);
       ++query_it;
       ++in_chunk;
-    }
-    if (idx == 0) {  // app payload rides whole on the first chunk
-      chunk.app_state = app_state;
-      chunk.app_deltas = app_deltas;
     }
     chunk.checksum = wire::content_crc(chunk);
     out.chunks.push_back(std::move(chunk));
@@ -1292,9 +1288,6 @@ void ClashServer::handle_repl_append(ServerId from, const ReplAppend& m) {
   for (std::size_t i = skip; i < m.entries.size(); ++i) {
     const repl::LogOp& op = m.entries[i];
     repl::GroupLog::apply(op, rec.state);
-    if (op.kind == repl::OpKind::kAppDelta) {
-      rec.app_tail.push_back(op.app_delta);
-    }
     rec.log.append(op);
   }
   // The replica bounds its own suffix at the owner's threshold, which
@@ -1444,9 +1437,6 @@ void ClashServer::handle_snapshot_chunk(ServerId from,
   ReplicaRecord::PendingSnapshot& p = *rec.pending;
   // A re-delivered object replaces its copy (its rate not counted twice).
   absorb_objects(p.state, m, /*incoming_wins=*/true);
-  p.app_state.insert(p.app_state.end(), m.app_state.begin(),
-                     m.app_state.end());
-  for (const auto& d : m.app_deltas) p.app_deltas.push_back(d);
   ++p.received;
   hub_.inflight.progress(p.inflight_token, env_.now().usec);
   if (p.received < p.total) return;
@@ -1456,8 +1446,6 @@ void ClashServer::handle_snapshot_chunk(ServerId from,
   rec.root = p.root;
   rec.parent = p.parent;
   rec.state = std::move(p.state);
-  rec.app_snapshot = std::move(p.app_state);
-  rec.app_tail = std::move(p.app_deltas);
   rec.log.reset(m.head.epoch, m.head.seq);
   if (rec.advertised < m.head) rec.advertised = m.head;
   snapshot_install_us_.record_signed((env_.now() - p.started).usec);
@@ -1546,9 +1534,9 @@ void ClashServer::repair_peer(ServerId to, const KeyGroup& group,
     return;
   }
   // The requester predates our retained suffix: ship a peer-built
-  // snapshot — object state at our head, app snapshot + delta tail.
+  // snapshot of the object state at our head.
   send_state_snapshot(to, group, rec.state, head, rec.root, rec.parent,
-                      rec.owner, rec.app_snapshot, rec.app_tail);
+                      rec.owner);
 }
 
 bool ClashServer::begin_group_recovery(const KeyGroup& group) {
@@ -1682,12 +1670,6 @@ bool ClashServer::promote_replica(const KeyGroup& group) {
   entry.parent = rec.parent;
   table_.insert(entry);
   state_[group] = std::move(rec.state);
-  if (app_hooks_ != nullptr) {
-    if (!rec.app_snapshot.empty()) {
-      app_hooks_->import_state(group, rec.app_snapshot);
-    }
-    for (const auto& d : rec.app_tail) app_hooks_->apply_delta(group, d);
-  }
   replicas_.erase(it);
   note_group_activated(group);
   stats_.failovers++;
@@ -1721,8 +1703,12 @@ GroupState ClashServer::extract_subset(GroupState& st,
     dst.streams.try_emplace(id, s);
     dst.stream_rate += s.rate;
   }
-  for (const auto& [id, q] : st.queries) {
-    (subset.contains(q.key) ? out : keep).queries.try_emplace(id, q);
+  // A query goes to each side its scope intersects: a scope wider than
+  // `subset` reaches both, and each keeps a copy under the same id.
+  for (const auto& [_, q] : st.queries) {
+    const KeyGroup scope = q.scope();
+    if (subset.covers(scope) || scope.covers(subset)) out.queries.insert(q);
+    if (!subset.covers(scope)) keep.queries.insert(q);
   }
   st = std::move(keep);
   return out;

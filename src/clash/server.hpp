@@ -114,8 +114,10 @@ class ServerEnv {
 /// Application integration (Section 7's game-middleware API): the
 /// hosted application can contribute to a group's load ("indicate
 /// application overload") and ship opaque state when CLASH moves a
-/// group ("distribute application-specific state"). All callbacks run
-/// on the server's protocol thread.
+/// group ("distribute application-specific state"). The state rides
+/// splits, merges and handoffs only; replicas do not carry it.
+/// Continuous queries need no hooks: they are group objects. All
+/// callbacks run on the server's protocol thread.
 class AppHooks {
  public:
   virtual ~AppHooks() = default;
@@ -141,24 +143,6 @@ class AppHooks {
                             const std::vector<std::uint8_t>& state) {
     (void)group;
     (void)state;
-  }
-
-  /// Non-destructive serialisation of `group`'s application state for
-  /// a replication snapshot — unlike export_state, the application
-  /// keeps owning (and mutating) the state afterwards.
-  [[nodiscard]] virtual std::vector<std::uint8_t> snapshot_state(
-      const KeyGroup& group) {
-    (void)group;
-    return {};
-  }
-
-  /// Replay one opaque delta previously pushed through
-  /// ClashServer::append_app_delta — called after import_state when a
-  /// recovered replica carries logged deltas beyond its app snapshot.
-  virtual void apply_delta(const KeyGroup& group,
-                           const std::vector<std::uint8_t>& delta) {
-    (void)group;
-    (void)delta;
   }
 };
 
@@ -192,10 +176,6 @@ class ClashServer {
   /// this server's registry and cost map (the obs::Census collector;
   /// identity, seq, and checksum are stamped by the census itself).
   void fold_census(NodeCensusRecord& rec, std::size_t top_k) const;
-  /// Attribute `n` query matches (serving `bytes` to clients) to the
-  /// active group covering `key` — called by cq::EngineHooks when the
-  /// stream engine fires.
-  void meter_matches(const Key& key, std::size_t n, std::size_t bytes);
   /// Meter `bytes` of replication stream out of `group`.
   void meter_repl_bytes(const KeyGroup& group, std::uint64_t bytes);
   /// Meter `bytes` of durable-storage writes for `group`.
@@ -251,14 +231,6 @@ class ClashServer {
   [[nodiscard]] const repl::GroupLog* replica_log(const KeyGroup& group) const;
   /// Replica-side object state (introspection for tests/operators).
   [[nodiscard]] const GroupState* replica_state(const KeyGroup& group) const;
-
-  /// Application-pushed opaque state delta: appended to `group`'s log,
-  /// streamed to the replica set, and replayed through
-  /// AppHooks::apply_delta when a replica is promoted. Returns false
-  /// when this server does not actively own `group` (the caller's
-  /// registration raced a migration — re-resolve and retry).
-  bool append_app_delta(const KeyGroup& group,
-                        std::vector<std::uint8_t> delta);
 
   /// Open a recovery session for a group this server is about to be
   /// promoted for: probes the surviving replica set for fresher
@@ -340,6 +312,14 @@ class ClashServer {
 
   // --- Client RPC (Section 5, three cases) ----------------------------
   [[nodiscard]] AcceptObjectReply handle_accept_object(const AcceptObject& m);
+
+  // --- Continuous queries ----------------------------------------------
+  /// Match `r` against the continuous queries of the active group
+  /// covering its key and return the match count (0 when no group here
+  /// covers it). Meters the group's GroupCost::matches and served
+  /// bytes, the clash_cq_* metrics, and a kQueryMatch span per firing
+  /// record.
+  std::size_t match(const cq::Record& r);
 
   // --- Peer messages ---------------------------------------------------
   void deliver(ServerId from, const Message& msg);
@@ -503,11 +483,9 @@ class ClashServer {
   /// out immediately; chunks flow through the paced outbound cursor
   /// (pump_snapshots) so a large group cannot bury a backpressured
   /// connection in one tick.
-  void send_state_snapshot(
-      ServerId to, const KeyGroup& group, const GroupState& st,
-      repl::LogHead head, bool root, ServerId parent, ServerId owner,
-      const std::vector<std::uint8_t>& app_state,
-      const std::vector<std::vector<std::uint8_t>>& app_deltas);
+  void send_state_snapshot(ServerId to, const KeyGroup& group,
+                           const GroupState& st, repl::LogHead head,
+                           bool root, ServerId parent, ServerId owner);
   /// Drop the unsent remainder of a transfer (receiver nacked it or
   /// the group left this server); repair restarts it from scratch.
   void cancel_outbound_snapshot(ServerId to, const KeyGroup& group);
@@ -544,10 +522,6 @@ class ClashServer {
     repl::GroupLog log{0, 0};
     /// Freshest head any owner/peer ever advertised for the group.
     repl::LogHead advertised;
-    /// Application state at the last snapshot plus the opaque deltas
-    /// logged since — replayed through AppHooks at promotion.
-    std::vector<std::uint8_t> app_snapshot;
-    std::vector<std::vector<std::uint8_t>> app_tail;
 
     /// Head of the last transfer this holder tore down and nacked:
     /// the dead stream's remaining chunks must stay silent (one nack
@@ -565,8 +539,6 @@ class ClashServer {
       std::uint32_t total = 0;
       std::uint32_t received = 0;
       GroupState state;
-      std::vector<std::uint8_t> app_state;
-      std::vector<std::vector<std::uint8_t>> app_deltas;
       /// When the offer opened the assembly (snapshot-transfer span).
       SimTime started{0};
       /// Correlation id from the offer (0 = untraced).
@@ -610,6 +582,9 @@ class ClashServer {
   obs::HistogramHandle snapshot_install_us_;
   obs::Counter puts_total_;
   obs::Counter repl_bytes_total_;
+  obs::Counter cq_records_total_;
+  obs::Counter cq_matches_total_;
+  obs::HistogramHandle cq_match_us_;
 
   std::unordered_map<KeyGroup, GroupCost> group_costs_;
   /// Recovery sessions: one record each, its kRecoveryPull op and the

@@ -43,7 +43,7 @@ namespace clash {
   X(merge_refusals)                                                          \
   X(failovers)        /* groups promoted from replicas */                    \
   X(handoffs)         /* groups handed back on rejoin */                     \
-  X(log_compactions)  /* owner-log cuts; local unless app deltas ship */     \
+  X(log_compactions)  /* owner-log cuts; local, no snapshot ships */         \
   X(snapshot_aborts)  /* out-of-sync transfers nacked */                     \
   X(snapshot_offers_ignored) /* dup offers mid-transfer */                   \
   X(corrupt_rejected) /* decoded-valid corruption rejected by the            \

@@ -1,6 +1,21 @@
 #include "cq/query.hpp"
 
-namespace clash::cq {
+#include <algorithm>
+
+#include "clash/objects.hpp"
+
+namespace clash {
+
+bool QueryInfo::matches(const cq::Record& r) const {
+  return scope().contains(r.key) &&
+         std::all_of(predicates.begin(), predicates.end(),
+                     [&r](const cq::Predicate& p) {
+                       const auto v = r.attr(p.attr);
+                       return v && p.eval(*v);
+                     });
+}
+
+namespace cq {
 
 bool Predicate::eval(std::int64_t x) const {
   switch (op) {
@@ -26,13 +41,5 @@ std::string Predicate::to_string() const {
          std::to_string(value);
 }
 
-bool ContinuousQuery::matches(const Record& r) const {
-  if (!scope.contains(r.key)) return false;
-  for (const auto& p : predicates) {
-    const auto v = r.attr(p.attr);
-    if (!v || !p.eval(*v)) return false;
-  }
-  return true;
-}
-
-}  // namespace clash::cq
+}  // namespace cq
+}  // namespace clash

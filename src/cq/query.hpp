@@ -2,7 +2,9 @@
 // the paper's evaluation simulates (NiagaraCQ/Xfilter-style filtering,
 // Mobiscope-style spatial queries). A query subscribes to a key-space
 // region (a prefix — e.g. a quad-tree cell) plus optional attribute
-// predicates evaluated on each matching data record.
+// predicates evaluated on each matching data record. The query object
+// itself is clash::QueryInfo (clash/objects.hpp), stored by the key
+// group that manages its key.
 #pragma once
 
 #include <cstdint>
@@ -10,9 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "common/types.hpp"
 #include "keys/key.hpp"
-#include "keys/key_group.hpp"
 
 namespace clash::cq {
 
@@ -26,6 +26,8 @@ struct Predicate {
 
   [[nodiscard]] bool eval(std::int64_t x) const;
   [[nodiscard]] std::string to_string() const;
+
+  friend bool operator==(const Predicate&, const Predicate&) = default;
 };
 
 /// A data record flowing through the system: its identifier key (which
@@ -37,16 +39,6 @@ struct Record {
   [[nodiscard]] std::optional<std::int64_t> attr(std::uint32_t id) const {
     return id < attrs.size() ? std::optional(attrs[id]) : std::nullopt;
   }
-};
-
-/// A continuous query: fires for records inside `scope` whose attributes
-/// satisfy every predicate (conjunctive semantics).
-struct ContinuousQuery {
-  QueryId id;
-  KeyGroup scope;
-  std::vector<Predicate> predicates;
-
-  [[nodiscard]] bool matches(const Record& r) const;
 };
 
 }  // namespace clash::cq

@@ -5,76 +5,62 @@
 
 namespace clash::cq {
 
-QueryIndex::QueryIndex(unsigned key_width) : key_width_(key_width) {
-  by_depth_.resize(key_width + 1);
+void QueryIndex::insert(QueryInfo q) {
+  const QueryId id = q.id;
+  if (by_id_.count(id) > 0) throw std::invalid_argument("duplicate query id");
+  add_to_bucket(q);
+  by_id_.try_emplace(id, std::move(q));
 }
 
-void QueryIndex::insert(const ContinuousQuery& q) {
-  if (q.scope.key_width() != key_width_) {
-    throw std::invalid_argument("query scope width mismatch");
-  }
-  const auto [it, inserted] = by_id_.emplace(q.id, q);
-  (void)it;
-  if (!inserted) throw std::invalid_argument("duplicate query id");
-  by_depth_[q.scope.depth()]
-      .by_prefix[q.scope.virtual_key().prefix_value(q.scope.depth())]
-      .push_back(q.id);
+void QueryIndex::upsert(QueryInfo q) {
+  const auto [it, fresh] = by_id_.try_emplace(q.id);
+  if (!fresh) remove_from_bucket(it->second);
+  add_to_bucket(q);
+  it->second = std::move(q);
 }
 
 bool QueryIndex::erase(QueryId id) {
   const auto it = by_id_.find(id);
   if (it == by_id_.end()) return false;
-  const KeyGroup scope = it->second.scope;
-  auto& bucket = by_depth_[scope.depth()].by_prefix;
-  const auto prefix = scope.virtual_key().prefix_value(scope.depth());
-  const auto vec_it = bucket.find(prefix);
-  if (vec_it != bucket.end()) {
-    auto& vec = vec_it->second;
-    vec.erase(std::remove(vec.begin(), vec.end(), id), vec.end());
-    if (vec.empty()) bucket.erase(vec_it);
-  }
+  remove_from_bucket(it->second);
   by_id_.erase(it);
   return true;
 }
 
-const ContinuousQuery* QueryIndex::find(QueryId id) const {
-  const auto it = by_id_.find(id);
-  return it == by_id_.end() ? nullptr : &it->second;
+std::size_t QueryIndex::match(const Record& r) const {
+  std::size_t n = 0;
+  // One bucket probe per scope depth: every scope of depth d that
+  // contains r.key is the d-bit prefix group of r.key.
+  for (const auto& [depth, _] : depths_) {
+    if (depth > r.key.width()) break;
+    const auto bucket = by_scope_.find(KeyGroup::of(r.key, depth));
+    if (bucket == by_scope_.end()) continue;
+    for (const QueryId id : bucket->second) n += by_id_.at(id).matches(r);
+  }
+  return n;
 }
 
-std::vector<const ContinuousQuery*> QueryIndex::match(const Record& r) const {
-  std::vector<const ContinuousQuery*> out;
-  // One bucket probe per scope depth: all scopes containing r.key at
-  // depth d share the same d-bit prefix of r.key.
-  for (unsigned d = 0; d <= key_width_; ++d) {
-    const auto& bucket = by_depth_[d].by_prefix;
-    if (bucket.empty()) continue;
-    const auto it = bucket.find(r.key.prefix_value(d));
-    if (it == bucket.end()) continue;
-    for (const QueryId id : it->second) {
-      const ContinuousQuery& q = by_id_.at(id);
-      if (q.matches(r)) out.push_back(&q);
-    }
+void QueryIndex::add_to_bucket(const QueryInfo& q) {
+  by_scope_[q.scope()].push_back(q.id);
+  const unsigned depth = q.scope_depth;
+  auto it = std::lower_bound(
+      depths_.begin(), depths_.end(), depth,
+      [](const auto& entry, unsigned d) { return entry.first < d; });
+  if (it == depths_.end() || it->first != depth) {
+    it = depths_.insert(it, {depth, 0});
   }
-  return out;
+  ++it->second;
 }
 
-std::vector<QueryId> QueryIndex::queries_within(const KeyGroup& group) const {
-  std::vector<QueryId> out;
-  for (const auto& [id, q] : by_id_) {
-    if (group.covers(q.scope)) out.push_back(id);
-  }
-  return out;
-}
-
-std::vector<ContinuousQuery> QueryIndex::extract_within(
-    const KeyGroup& group) {
-  std::vector<ContinuousQuery> out;
-  for (const QueryId id : queries_within(group)) {
-    out.push_back(by_id_.at(id));
-    erase(id);
-  }
-  return out;
+void QueryIndex::remove_from_bucket(const QueryInfo& q) {
+  const auto bucket = by_scope_.find(q.scope());
+  auto& ids = bucket->second;
+  ids.erase(std::find(ids.begin(), ids.end(), q.id));
+  if (ids.empty()) by_scope_.erase(bucket);
+  const auto it = std::lower_bound(
+      depths_.begin(), depths_.end(), unsigned(q.scope_depth),
+      [](const auto& entry, unsigned d) { return entry.first < d; });
+  if (--it->second == 0) depths_.erase(it);
 }
 
 }  // namespace clash::cq

@@ -1,55 +1,62 @@
-// Prefix-indexed query store. Queries are bucketed by their scope's
-// virtual key prefix, so matching a record costs O(N) bucket probes
-// (one per prefix length present) instead of O(#queries) — the
-// "efficient indices over streams and queries with intersecting
-// attribute values" clustering pay-off Section 1 motivates. This is
-// also why CLASH's per-group query count enters the load model
-// logarithmically rather than linearly.
+// The continuous queries one key group stores (GroupState::queries),
+// indexed for matching. Queries are bucketed by scope, so matching a
+// record costs one bucket probe per scope depth present instead of one
+// test per query — the "efficient indices over streams and queries
+// with intersecting attribute values" clustering pay-off Section 1
+// motivates. This is also why CLASH's per-group query count enters the
+// load model logarithmically rather than linearly.
 #pragma once
 
 #include <cstddef>
-#include <map>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "clash/objects.hpp"
+#include "common/flat_map.hpp"
 #include "cq/query.hpp"
 
 namespace clash::cq {
 
+/// By-id query set plus scope buckets; allocates nothing while empty.
+/// Like the FlatMap behind it, an insert or an erase invalidates every
+/// iterator, pointer and reference into the set, and iteration order is
+/// unspecified.
 class QueryIndex {
  public:
-  explicit QueryIndex(unsigned key_width);
+  using const_iterator = FlatMap<QueryId, QueryInfo>::const_iterator;
 
-  void insert(const ContinuousQuery& q);
+  /// Add a query whose id is new here; throws std::invalid_argument on
+  /// a duplicate id.
+  void insert(QueryInfo q);
+  /// Add `q`, replacing the query with its id if there is one.
+  void upsert(QueryInfo q);
   bool erase(QueryId id);
 
-  [[nodiscard]] const ContinuousQuery* find(QueryId id) const;
+  [[nodiscard]] const_iterator find(QueryId id) const {
+    return by_id_.find(id);
+  }
+  [[nodiscard]] std::size_t count(QueryId id) const {
+    return by_id_.count(id);
+  }
 
-  /// All queries whose scope contains — and whose predicates accept —
-  /// the record.
-  [[nodiscard]] std::vector<const ContinuousQuery*> match(
-      const Record& r) const;
-
-  /// Queries whose scope lies inside `group` (used to migrate state
-  /// when CLASH splits/merges the group).
-  [[nodiscard]] std::vector<QueryId> queries_within(
-      const KeyGroup& group) const;
-
-  /// Remove and return every query inside `group`.
-  std::vector<ContinuousQuery> extract_within(const KeyGroup& group);
+  /// Count the queries whose scope contains — and whose predicates
+  /// accept — the record.
+  [[nodiscard]] std::size_t match(const Record& r) const;
 
   [[nodiscard]] std::size_t size() const { return by_id_.size(); }
   [[nodiscard]] bool empty() const { return by_id_.empty(); }
+  [[nodiscard]] const_iterator begin() const { return by_id_.begin(); }
+  [[nodiscard]] const_iterator end() const { return by_id_.end(); }
 
  private:
-  struct Bucket {
-    // Scope prefix value -> queries anchored at that exact prefix.
-    std::unordered_map<std::uint64_t, std::vector<QueryId>> by_prefix;
-  };
+  void add_to_bucket(const QueryInfo& q);
+  void remove_from_bucket(const QueryInfo& q);
 
-  unsigned key_width_;
-  std::vector<Bucket> by_depth_;  // index = scope depth
-  std::map<QueryId, ContinuousQuery> by_id_;
+  FlatMap<QueryId, QueryInfo> by_id_;
+  FlatMap<KeyGroup, std::vector<QueryId>> by_scope_;
+  /// (scope depth, queries at that depth), ascending by depth: the
+  /// depths a match probes.
+  std::vector<std::pair<unsigned, std::size_t>> depths_;
 };
 
 }  // namespace clash::cq

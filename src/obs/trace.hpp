@@ -44,7 +44,7 @@ enum class SpanKind : std::uint8_t {
   kIngest,      // clash: owner accepted an object; arg: object kind
   kReplApply,   // repl: replica applied a ReplAppend batch; arg: entries
   kCommit,      // repl: ReplAppend send -> first ok ReplAck; arg: seq
-  kQueryMatch,  // cq: one process() batch that fired matches; arg: matches
+  kQueryMatch,  // cq: one ClashServer::match that fired; arg: matches
   // Lifecycle edges: always recorded.
   kFailover,           // recovery session open -> promoted; arg: group
   kSnapshotOfferSent,  // arg: group, arg2: chunks

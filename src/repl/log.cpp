@@ -1,6 +1,5 @@
 #include "repl/log.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "repl/op.hpp"
@@ -28,7 +27,7 @@ LogOp LogOp::del_stream(ClientId source) {
 LogOp LogOp::put_query(QueryInfo q) {
   LogOp op;
   op.kind = OpKind::kPutQuery;
-  op.query = q;
+  op.query = std::move(q);
   return op;
 }
 
@@ -36,13 +35,6 @@ LogOp LogOp::del_query(QueryId id) {
   LogOp op;
   op.kind = OpKind::kDelQuery;
   op.query_id = id;
-  return op;
-}
-
-LogOp LogOp::app_delta_op(std::vector<std::uint8_t> delta) {
-  LogOp op;
-  op.kind = OpKind::kAppDelta;
-  op.app_delta = std::move(delta);
   return op;
 }
 
@@ -63,11 +55,6 @@ bool GroupLog::suffix_from(std::uint64_t after_seq,
     out.push_back(entries_[i]);
   }
   return true;
-}
-
-bool GroupLog::holds(OpKind kind) const {
-  return std::any_of(entries_.begin(), entries_.end(),
-                     [kind](const LogOp& op) { return op.kind == kind; });
 }
 
 void GroupLog::compact() {
@@ -100,13 +87,11 @@ void GroupLog::apply(const LogOp& op, GroupState& st) {
       break;
     }
     case OpKind::kPutQuery:
-      st.queries[op.query.id] = op.query;
+      st.queries.upsert(op.query);
       break;
     case OpKind::kDelQuery:
       st.queries.erase(op.query_id);
       break;
-    case OpKind::kAppDelta:
-      break;  // replayed through AppHooks, not GroupState
   }
 }
 

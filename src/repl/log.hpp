@@ -1,13 +1,12 @@
 // Per-key-group replicated operation log (replication & recovery
 // subsystem). Every mutation of a group's state — stream register/
-// unregister, query register/unregister, opaque application deltas —
-// becomes a sequenced LogOp under the owner's epoch. Owners stream
+// unregister, query register/unregister — becomes a sequenced LogOp
+// under the owner's epoch. Owners stream
 // appends to their replica set; replicas apply them incrementally.
 // Every holder compacts its own copy at the same threshold and keeps
 // the suffix since that cut, so any holder can repair any other by
 // delta (anti-entropy, peer recovery at failover). Snapshots are for
-// repair only: a holder behind the floor, a new replica set, or a
-// suffix with app deltas to fold.
+// repair only: a holder behind the floor or a new replica set.
 //
 // Ordering model: (epoch, seq) LogHead pairs totally order the copies
 // of one group. A copy at head H1 strictly dominates a copy at H2 iff
@@ -50,9 +49,6 @@ class GroupLog {
   [[nodiscard]] bool suffix_from(std::uint64_t after_seq,
                                  std::vector<LogOp>& out) const;
 
-  /// True when a retained entry has kind `kind`.
-  [[nodiscard]] bool holds(OpKind kind) const;
-
   /// Drop every retained entry (a local cut at head(): anyone later
   /// found behind it is repaired by snapshot).
   void compact();
@@ -61,8 +57,7 @@ class GroupLog {
   /// or an owner adopting state under a new epoch).
   void reset(std::uint64_t epoch, std::uint64_t seq);
 
-  /// Apply one op to a group's object state. kAppDelta is a no-op here:
-  /// application deltas are replayed through AppHooks at promotion.
+  /// Apply one op to a group's object state.
   static void apply(const LogOp& op, GroupState& st);
 
  private:

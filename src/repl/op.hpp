@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "clash/objects.hpp"
 #include "common/types.hpp"
@@ -45,22 +44,20 @@ enum class OpKind : std::uint8_t {
   kDelStream = 1,  // erase stream registered by `source`
   kPutQuery = 2,   // upsert `query`
   kDelQuery = 3,   // erase query `query_id`
-  kAppDelta = 4,   // opaque application delta (replayed via AppHooks)
+  // 4 is retired (opaque application deltas): it decodes as an error.
 };
 
 struct LogOp {
   OpKind kind = OpKind::kPutStream;
-  StreamInfo stream;                    // kPutStream
-  ClientId source{};                    // kDelStream
-  QueryInfo query;                      // kPutQuery
-  QueryId query_id{};                   // kDelQuery
-  std::vector<std::uint8_t> app_delta;  // kAppDelta
+  StreamInfo stream;    // kPutStream
+  ClientId source{};    // kDelStream
+  QueryInfo query;      // kPutQuery
+  QueryId query_id{};   // kDelQuery
 
   static LogOp put_stream(StreamInfo s);
   static LogOp del_stream(ClientId source);
   static LogOp put_query(QueryInfo q);
   static LogOp del_query(QueryId id);
-  static LogOp app_delta_op(std::vector<std::uint8_t> delta);
 };
 
 }  // namespace clash::repl

@@ -82,9 +82,6 @@ struct Replayer {
       return;
     }
     repl::GroupLog::apply(rec.op, g.state);
-    if (rec.op.kind == repl::OpKind::kAppDelta) {
-      g.app_deltas.push_back(rec.op.app_delta);
-    }
     g.head = rec.head;
     stats.records_replayed++;
   }
@@ -120,8 +117,6 @@ RecoveredImage recover_image(Backend& backend, const std::string& wal_dir,
     g.root = snap.root;
     g.parent = snap.parent;
     g.state = std::move(snap.state);
-    g.app_state = std::move(snap.app_state);
-    g.app_deltas = std::move(snap.app_deltas);
     image.groups[snap.group] = std::move(g);
     image.snapshot_floors[snap.group] = snap.head;
     image.stats.snapshots_loaded++;

@@ -27,9 +27,6 @@ struct RecoveredGroup {
   bool root = false;
   ServerId parent{};
   GroupState state;
-  std::vector<std::uint8_t> app_state;
-  /// App deltas logged past app_state, replay order.
-  std::vector<std::vector<std::uint8_t>> app_deltas;
 };
 
 struct RecoveryScanStats {

@@ -12,7 +12,9 @@ namespace clash::storage {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x43534E50;  // "CSNP"
-constexpr std::uint8_t kVersion = 1;
+// Version 2 dropped version 1's trailing application blob and delta
+// list; a version-1 file is rejected like a damaged one.
+constexpr std::uint8_t kVersion = 2;
 
 }  // namespace
 
@@ -32,13 +34,6 @@ std::vector<std::uint8_t> encode_snapshot(const SnapshotImage& img) {
   w.u32(std::uint32_t(img.state.queries.size()));
   for (const auto& [_, q] : img.state.queries) {
     wire::encode_log_op(w, repl::LogOp::put_query(q));
-  }
-  w.u32(std::uint32_t(img.app_state.size()));
-  w.bytes(img.app_state);
-  w.u32(std::uint32_t(img.app_deltas.size()));
-  for (const auto& d : img.app_deltas) {
-    w.u32(std::uint32_t(d.size()));
-    w.bytes(d);
   }
   w.u32(crc32(w.data()));
   return w.take();
@@ -65,19 +60,6 @@ bool decode_snapshot(std::span<const std::uint8_t> data, SnapshotImage& out) {
   const auto n_queries = r.u32();
   for (std::uint32_t i = 0; i < n_queries && r.ok(); ++i) {
     repl::GroupLog::apply(wire::decode_log_op(r), out.state);
-  }
-  const auto app_len = r.u32();
-  if (std::size_t(app_len) > r.remaining()) return false;
-  out.app_state.resize(app_len);
-  for (auto& b : out.app_state) b = r.u8();
-  const auto n_deltas = r.u32();
-  out.app_deltas.clear();
-  for (std::uint32_t i = 0; i < n_deltas && r.ok(); ++i) {
-    const auto len = r.u32();
-    if (std::size_t(len) > r.remaining()) return false;
-    std::vector<std::uint8_t> d(len);
-    for (auto& b : d) b = r.u8();
-    out.app_deltas.push_back(std::move(d));
   }
   return r.exhausted();
 }

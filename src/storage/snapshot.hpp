@@ -1,12 +1,11 @@
 // On-disk group snapshots: one atomic file per key group holding the
-// group's full object state at a log head, plus the opaque application
-// payload (the same blob format StreamEngine::export_group produces /
-// import_blob consumes, shipped through AppHooks::snapshot_state).
-// Object state is serialised as a run of put_stream/put_query LogOps —
-// the exact wire encoding the replication subsystem already uses — so
-// recovery replays a snapshot through GroupLog::apply like any log
-// suffix. The whole file is CRC32-trailed: a half-written or bit-rotted
-// snapshot is rejected, never half-applied.
+// group's full object state (streams and continuous queries, predicates
+// included) at a log head. Object state is serialised as a run of
+// put_stream/put_query LogOps — the exact wire encoding the replication
+// subsystem already uses — so recovery replays a snapshot through
+// GroupLog::apply like any log suffix. The whole file is CRC32-trailed:
+// a half-written or bit-rotted snapshot is rejected, never
+// half-applied.
 #pragma once
 
 #include <cstdint>
@@ -27,10 +26,6 @@ struct SnapshotImage {
   bool root = false;
   ServerId parent{};
   GroupState state;
-  std::vector<std::uint8_t> app_state;
-  /// Opaque app deltas logged after app_state was cut (non-empty only
-  /// for images recovered from a replica-sourced baseline).
-  std::vector<std::vector<std::uint8_t>> app_deltas;
 };
 
 /// Serialise an image (magic + version + payload + trailing CRC32).

@@ -7,6 +7,17 @@
 namespace clash::wire {
 namespace {
 
+/// The rest of a key whose width byte the caller already read.
+Key decode_key_value(Reader& r, unsigned width) {
+  const auto value = r.u64();
+  if (!r.ok() || width == 0 || width > Key::kMaxWidth ||
+      (width < 64 && value >= (std::uint64_t{1} << width))) {
+    r.fail();
+    return Key(0, 1);
+  }
+  return Key(value, width);
+}
+
 void encode_stream_info(Writer& w, const StreamInfo& s) {
   w.u64(s.source.value);
   encode_key(w, s.key);
@@ -19,11 +30,6 @@ StreamInfo decode_stream_info(Reader& r) {
   s.key = decode_key(r);
   s.rate = r.f64();
   return s;
-}
-
-void encode_query_info(Writer& w, const QueryInfo& q) {
-  w.u64(q.id.value);
-  encode_key(w, q.key);
 }
 
 void encode_member_update(Writer& w, const MemberUpdate& u) {
@@ -40,13 +46,6 @@ MemberUpdate decode_member_update(Reader& r) {
   u.state = MemberState(state);
   u.incarnation = r.u64();
   return u;
-}
-
-QueryInfo decode_query_info(Reader& r) {
-  QueryInfo q;
-  q.id = QueryId{r.u64()};
-  q.key = decode_key(r);
-  return q;
 }
 
 template <typename T, typename EncodeFn>
@@ -67,6 +66,70 @@ bool decode_vector(Reader& r, std::vector<T>& out, std::size_t min_bytes,
     out.push_back(fn(r));
   }
   return r.ok();
+}
+
+// A query's scope depth and predicates.
+void encode_query_terms(Writer& w, unsigned scope_depth,
+                        const std::vector<cq::Predicate>& predicates) {
+  w.u8(std::uint8_t(scope_depth));
+  encode_vector(w, predicates, [](Writer& pw, const cq::Predicate& p) {
+    pw.u32(p.attr);
+    pw.u8(std::uint8_t(p.op));
+    pw.u64(std::uint64_t(p.value));
+  });
+}
+
+cq::Predicate decode_predicate(Reader& r) {
+  cq::Predicate p;
+  p.attr = r.u32();
+  const auto op = r.u8();
+  if (op > std::uint8_t(cq::Predicate::Op::kGe)) r.fail();
+  p.op = cq::Predicate::Op(op);
+  p.value = std::int64_t(r.u64());
+  return p;
+}
+
+/// False on a scope depth above the key's width or a bad predicate.
+bool decode_query_terms(Reader& r, const Key& key, unsigned& scope_depth,
+                        std::vector<cq::Predicate>& predicates) {
+  scope_depth = r.u8();
+  // 13 = encoded Predicate (attr 4 + op 1 + value 8).
+  return r.ok() && scope_depth <= key.width() &&
+         decode_vector(r, predicates, 13, decode_predicate);
+}
+
+// Set in a query's key-width byte when its scope depth and predicates
+// follow. A query whose scope is its key and that has no predicates
+// leaves it clear and encodes as { id, key } alone: those bytes are
+// pinned (Codec.ReplAppendBytesArePinned).
+constexpr std::uint8_t kScopedQuery = 0x80;
+
+void encode_query_info(Writer& w, const QueryInfo& q) {
+  w.u64(q.id.value);
+  const bool scoped =
+      q.scope_depth != q.key.width() || !q.predicates.empty();
+  w.u8(std::uint8_t(q.key.width() | (scoped ? kScopedQuery : 0)));
+  w.u64(q.key.value());
+  if (scoped) encode_query_terms(w, q.scope_depth, q.predicates);
+}
+
+QueryInfo decode_query_info(Reader& r) {
+  QueryInfo q;
+  q.id = QueryId{r.u64()};
+  const auto width = r.u8();
+  q.key = decode_key_value(r, width & ~kScopedQuery);
+  q.scope_depth = std::uint8_t(q.key.width());
+  if ((width & kScopedQuery) != 0) {
+    unsigned depth = 0;
+    // The flagged form of an unscoped query would be a second encoding
+    // of the same value.
+    if (!decode_query_terms(r, q.key, depth, q.predicates) ||
+        (depth == q.key.width() && q.predicates.empty())) {
+      r.fail();
+    }
+    q.scope_depth = std::uint8_t(depth);
+  }
+  return q;
 }
 
 bool decode_blob(Reader& r, std::vector<std::uint8_t>& out) {
@@ -163,17 +226,13 @@ void encode_log_op(Writer& w, const repl::LogOp& op) {
     case repl::OpKind::kDelQuery:
       w.u64(op.query_id.value);
       break;
-    case repl::OpKind::kAppDelta:
-      w.u32(std::uint32_t(op.app_delta.size()));
-      w.bytes(op.app_delta);
-      break;
   }
 }
 
 repl::LogOp decode_log_op(Reader& r) {
   repl::LogOp op;
   const auto kind = r.u8();
-  if (kind > std::uint8_t(repl::OpKind::kAppDelta)) {
+  if (kind > std::uint8_t(repl::OpKind::kDelQuery)) {
     r.fail();
     return op;
   }
@@ -191,9 +250,6 @@ repl::LogOp decode_log_op(Reader& r) {
     case repl::OpKind::kDelQuery:
       op.query_id = QueryId{r.u64()};
       break;
-    case repl::OpKind::kAppDelta:
-      if (!decode_blob(r, op.app_delta)) r.fail();
-      break;
   }
   return op;
 }
@@ -203,16 +259,7 @@ void encode_key(Writer& w, const Key& k) {
   w.u64(k.value());
 }
 
-Key decode_key(Reader& r) {
-  const auto width = r.u8();
-  const auto value = r.u64();
-  if (!r.ok() || width == 0 || width > Key::kMaxWidth ||
-      (width < 64 && value >= (std::uint64_t{1} << width))) {
-    r.fail();
-    return Key(0, 1);
-  }
-  return Key(value, width);
-}
+Key decode_key(Reader& r) { return decode_key_value(r, r.u8()); }
 
 void encode_group(Writer& w, const KeyGroup& g) {
   encode_key(w, g.virtual_key());
@@ -291,6 +338,10 @@ void encode_payload(Writer& w, const T& m) {
     w.u64(m.source.value);
     w.boolean(m.probe_only);
     w.u64(m.trace_id);
+    if (m.kind == ObjectKind::kQuery) {
+      encode_query_terms(w, m.scope_depth.value_or(m.key.width()),
+                         m.predicates);
+    }
   } else if constexpr (std::is_same_v<T, AcceptObjectOk>) {
     w.u8(std::uint8_t(MsgType::kAcceptObjectOk));
     w.u8(std::uint8_t(m.depth));
@@ -375,13 +426,6 @@ void encode_payload(Writer& w, const T& m) {
     w.u64(m.trace_id);
     encode_vector(w, m.streams, encode_stream_info);
     encode_vector(w, m.queries, encode_query_info);
-    w.u32(std::uint32_t(m.app_state.size()));
-    w.bytes(m.app_state);
-    w.u32(std::uint32_t(m.app_deltas.size()));
-    for (const auto& d : m.app_deltas) {
-      w.u32(std::uint32_t(d.size()));
-      w.bytes(d);
-    }
   } else if constexpr (std::is_same_v<T, AntiEntropyProbe>) {
     w.u8(std::uint8_t(MsgType::kAntiEntropyProbe));
     w.u64(m.owner.value);
@@ -478,6 +522,13 @@ Expected<Message> decode_message(std::span<const std::uint8_t> payload) {
       m.trace_id = r.u64();
       if (r.ok() && m.depth > m.key.width()) {
         return Error::protocol("depth exceeds key width");
+      }
+      if (m.kind == ObjectKind::kQuery) {
+        unsigned scope_depth = 0;
+        if (!decode_query_terms(r, m.key, scope_depth, m.predicates)) {
+          return Error::protocol("bad query scope or predicates");
+        }
+        m.scope_depth = scope_depth;
       }
       out = std::move(m);
       break;
@@ -605,19 +656,8 @@ Expected<Message> decode_message(std::span<const std::uint8_t> payload) {
       m.total = r.u32();
       m.trace_id = r.u64();
       if (!decode_vector(r, m.streams, 17, decode_stream_info) ||
-          !decode_vector(r, m.queries, 17, decode_query_info) ||
-          !decode_blob(r, m.app_state)) {
+          !decode_vector(r, m.queries, 17, decode_query_info)) {
         return Error::protocol("bad snapshot chunk");
-      }
-      const auto n_deltas = r.u32();
-      if (std::size_t(n_deltas) * 4 > r.remaining()) {
-        return Error::protocol("bad snapshot chunk");
-      }
-      m.app_deltas.reserve(n_deltas);
-      for (std::uint32_t i = 0; i < n_deltas && r.ok(); ++i) {
-        if (!decode_blob(r, m.app_deltas.emplace_back())) {
-          return Error::protocol("bad snapshot chunk");
-        }
       }
       out = std::move(m);
       break;

@@ -198,6 +198,29 @@ TEST(Consolidation, MergeKeepsStreamRateTheSumOfItsStreams) {
   EXPECT_DOUBLE_EQ(parent->streams.find(ClientId{1})->second.rate, 7);
 }
 
+TEST(Consolidation, MergeKeepsOneCopyOfAWideQuery) {
+  // The split handed each half a copy of a query whose scope covers
+  // the whole parent; the reclaim brings them back together as one.
+  SplitPair pair;
+  AcceptObject q;
+  q.key = key("0110000");
+  q.kind = ObjectKind::kQuery;
+  q.query_id = QueryId{5};
+  q.scope_depth = 2;
+  (void)pair.s0.handle_accept_object(q);
+  pair.do_split(10, 10);
+  ASSERT_EQ(pair.s0.total_queries(), 1u);
+  ASSERT_EQ(pair.s1.total_queries(), 1u);
+  EXPECT_EQ(pair.s1.match(cq::Record{key("0111111"), {}}), 1u);
+
+  pair.pump_round();
+  ASSERT_EQ(pair.s0.stats().merges, 1u);
+  EXPECT_EQ(pair.s0.total_queries(), 1u);
+  EXPECT_EQ(pair.s1.total_queries(), 0u);
+  EXPECT_EQ(pair.s0.match(cq::Record{key("0111111"), {}}), 1u);
+  EXPECT_EQ(pair.s0.match(cq::Record{key("0110000"), {}}), 1u);
+}
+
 TEST(Consolidation, DisabledByConfig) {
   auto cfg = cfg7();
   cfg.enable_consolidation = false;

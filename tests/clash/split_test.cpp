@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -161,6 +162,32 @@ TEST(Split, QueriesMigrateWithRightHalf) {
   EXPECT_EQ(s.total_queries(), 1u);
 }
 
+TEST(Split, WideQueryGoesToBothHalves) {
+  MockServerEnv env;
+  env.lookup_fn = [](dht::HashKey) { return dht::LookupResult{ServerId{3}, 1}; };
+  ClashServer s(ServerId{0}, small_config(), env, hasher());
+  s.install_entry({group("01*", 7), true, ServerId{}, ServerId{}, true});
+
+  // Scope 0* is wider than the group 01* that manages its key.
+  AcceptObject q;
+  q.key = key("0100000");
+  q.kind = ObjectKind::kQuery;
+  q.query_id = QueryId{100};
+  q.scope_depth = 1;
+  q.predicates = {{0, cq::Predicate::Op::kEq, 4}};
+  (void)s.handle_accept_object(q);
+
+  ASSERT_TRUE(s.force_split(group("01*", 7)));
+  const auto* msg = env.last_as<AcceptKeyGroup>();
+  ASSERT_NE(msg, nullptr);
+  ASSERT_EQ(msg->queries.size(), 1u);
+  EXPECT_EQ(msg->queries[0].id, QueryId{100});
+  EXPECT_EQ(msg->queries[0].scope(), group("0*", 7));
+  EXPECT_EQ(msg->queries[0].predicates, q.predicates);
+  EXPECT_EQ(s.total_queries(), 1u);  // 010* keeps its copy
+  EXPECT_EQ(s.match(cq::Record{key("0100001"), {4}}), 1u);
+}
+
 TEST(Split, ReceiverMustAcceptAndAck) {
   MockServerEnv env;
   ClashServer s(ServerId{5}, small_config(), env, hasher());
@@ -310,7 +337,7 @@ TEST(Split, ExtractSubsetAcrossTheSlotArrayEnd) {
     st.streams.try_emplace(ClientId{id}, StreamInfo{ClientId{id}, k, rate});
     st.stream_rate += rate;
     total_rate += rate;
-    st.queries.try_emplace(QueryId{id}, QueryInfo{QueryId{id}, k});
+    st.queries.insert(QueryInfo{QueryId{id}, k});
     in_subset[id] = subset.contains(k);
   };
   for (std::size_t i = 0; i < wrapped.size(); ++i) add(wrapped[i], i);
@@ -336,6 +363,112 @@ TEST(Split, ExtractSubsetAcrossTheSlotArrayEnd) {
   EXPECT_NEAR(st.stream_rate + out.stream_rate, total_rate, 1e-9);
   EXPECT_FALSE(out.streams.empty());
   EXPECT_FALSE(st.streams.empty());
+}
+
+// A query lands on each side its scope intersects, under one id.
+GroupState with_queries(
+    std::vector<std::pair<std::uint64_t, const char*>> scopes) {
+  GroupState st;
+  for (const auto& [id, scope] : scopes) {
+    const KeyGroup g = group(scope, 7);
+    st.queries.insert(QueryInfo(QueryId{id}, g.virtual_key(), g.depth()));
+  }
+  return st;
+}
+
+std::set<std::uint64_t> query_ids(const GroupState& st) {
+  std::set<std::uint64_t> ids;
+  for (const auto& [id, _] : st.queries) ids.insert(id.value);
+  return ids;
+}
+
+TEST(Split, ExtractSubsetSplitsQueriesByScope) {
+  GroupState st = with_queries({
+      {1, "0100000"},  // exact, left half
+      {2, "0110000"},  // exact, right half
+      {3, "011*"},     // the right half itself
+      {4, "01*"},      // the whole group
+      {5, "*"},        // wider than the group
+      {6, "0101*"},    // inside the left half
+  });
+
+  const GroupState out = ClashServer::extract_subset(st, group("011*", 7));
+  EXPECT_EQ(query_ids(st), (std::set<std::uint64_t>{1, 4, 5, 6}));
+  EXPECT_EQ(query_ids(out), (std::set<std::uint64_t>{2, 3, 4, 5}));
+}
+
+TEST(Split, ExtractSubsetMovesQueriesInsideTheHalf) {
+  GroupState st = with_queries({
+      {1, "0110*"},
+      {2, "01101*"},
+      {3, "0111*"},
+      {4, "0100000"},
+  });
+
+  const GroupState out = ClashServer::extract_subset(st, group("011*", 7));
+  EXPECT_EQ(query_ids(out), (std::set<std::uint64_t>{1, 2, 3}));
+}
+
+TEST(Split, ExtractSubsetLeavesNoCopyOfAMovedQuery) {
+  GroupState st = with_queries({{1, "0110*"}, {2, "010*"}});
+
+  const GroupState out = ClashServer::extract_subset(st, group("011*", 7));
+  ASSERT_EQ(out.queries.size(), 1u);
+  ASSERT_EQ(st.queries.size(), 1u);
+  EXPECT_EQ(st.queries.count(QueryId{1}), 0u);
+  EXPECT_EQ(st.queries.count(QueryId{2}), 1u);
+  EXPECT_EQ(st.queries.match(cq::Record{key("0110101"), {}}), 0u);
+  EXPECT_EQ(out.queries.match(cq::Record{key("0110101"), {}}), 1u);
+}
+
+TEST(Split, MovedQueryMatchesOnTheReceiver) {
+  MockServerEnv env_a, env_b;
+  env_a.lookup_fn = [](dht::HashKey) {
+    return dht::LookupResult{ServerId{3}, 1};
+  };
+  ClashServer a(ServerId{0}, small_config(), env_a, hasher());
+  ClashServer b(ServerId{3}, small_config(), env_b, hasher());
+  a.install_entry({group("01*", 7), true, ServerId{}, ServerId{}, true});
+
+  AcceptObject q;
+  q.key = key("0110000");
+  q.kind = ObjectKind::kQuery;
+  q.query_id = QueryId{1};
+  q.scope_depth = 4;  // 0110*, inside the right half
+  (void)a.handle_accept_object(q);
+  const cq::Record r{key("0110111"), {}};
+  ASSERT_EQ(a.match(r), 1u);
+
+  ASSERT_TRUE(a.force_split(group("01*", 7)));
+  const auto* msg = env_a.last_as<AcceptKeyGroup>();
+  ASSERT_NE(msg, nullptr);
+  b.deliver(ServerId{0}, *msg);
+
+  EXPECT_EQ(a.total_queries(), 0u);
+  EXPECT_EQ(b.total_queries(), 1u);
+  EXPECT_EQ(a.match(r), 0u);
+  EXPECT_EQ(b.match(r), 1u);
+}
+
+TEST(Split, RemovedQueryStopsMatching) {
+  MockServerEnv env;
+  ClashServer s(ServerId{0}, small_config(), env, hasher());
+  s.install_entry({group("01*", 7), true, ServerId{}, ServerId{}, true});
+
+  AcceptObject q;
+  q.key = key("0100000");
+  q.kind = ObjectKind::kQuery;
+  q.query_id = QueryId{1};
+  q.scope_depth = 2;
+  (void)s.handle_accept_object(q);
+  const cq::Record r{key("0111111"), {}};
+  ASSERT_EQ(s.match(r), 1u);
+
+  s.remove_query(QueryId{1}, q.key);
+  EXPECT_EQ(s.total_queries(), 0u);
+  EXPECT_EQ(s.match(r), 0u);
+  s.remove_query(QueryId{1}, q.key);  // a second removal is a no-op
+  EXPECT_EQ(s.total_queries(), 0u);
 }
 
 }  // namespace

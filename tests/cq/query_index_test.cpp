@@ -2,15 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/rng.hpp"
 
 namespace clash::cq {
 namespace {
 
-ContinuousQuery query(std::uint64_t id, const char* scope,
-                      std::vector<Predicate> preds = {}) {
-  return ContinuousQuery{QueryId{id}, KeyGroup::parse(scope, 8).value(),
-                         std::move(preds)};
+QueryInfo query(std::uint64_t id, const char* scope,
+                std::vector<Predicate> preds = {}) {
+  const KeyGroup g = KeyGroup::parse(scope, 8).value();
+  return QueryInfo(QueryId{id}, g.virtual_key(), g.depth(), std::move(preds));
 }
 
 Record record(std::uint64_t key, std::vector<std::int64_t> attrs = {}) {
@@ -18,93 +20,127 @@ Record record(std::uint64_t key, std::vector<std::int64_t> attrs = {}) {
 }
 
 TEST(QueryIndex, MatchesByScopePrefix) {
-  QueryIndex idx(8);
+  QueryIndex idx;
   idx.insert(query(1, "0110*"));
   idx.insert(query(2, "01*"));
   idx.insert(query(3, "1*"));
 
-  const auto hits = idx.match(record(0b01101010));
-  ASSERT_EQ(hits.size(), 2u);
-  // Matches arrive shallow-to-deep.
-  EXPECT_EQ(hits[0]->id, QueryId{2});
-  EXPECT_EQ(hits[1]->id, QueryId{1});
+  EXPECT_EQ(idx.match(record(0b01101010)), 2u);  // 01* and 0110*
+  EXPECT_EQ(idx.match(record(0b01011010)), 1u);  // 01* only
+  EXPECT_EQ(idx.match(record(0b10000000)), 1u);  // 1* only
+  EXPECT_EQ(idx.match(record(0b00000000)), 0u);
+}
+
+TEST(QueryIndex, MatchReportsEachHit) {
+  QueryIndex idx;
+  EXPECT_EQ(idx.match(record(0)), 0u);  // an empty index matches nothing
+  idx.insert(query(1, "0110*"));
+  idx.insert(query(2, "0*"));
+
+  EXPECT_EQ(idx.match(record(0b01101111)), 2u);
+  EXPECT_EQ(idx.match(record(0b00101111)), 1u);
+  EXPECT_EQ(idx.match(record(0b11111111)), 0u);
 }
 
 TEST(QueryIndex, PredicatesFilterWithinScope) {
-  QueryIndex idx(8);
+  QueryIndex idx;
   idx.insert(query(1, "0110*", {{0, Predicate::Op::kGt, 10}}));
-  EXPECT_TRUE(idx.match(record(0b01100000, {5})).empty());
-  EXPECT_EQ(idx.match(record(0b01100000, {11})).size(), 1u);
+  EXPECT_EQ(idx.match(record(0b01100000, {5})), 0u);
+  EXPECT_EQ(idx.match(record(0b01100000, {11})), 1u);
+}
+
+TEST(QueryIndex, ConjunctivePredicatesNeedEveryAttribute) {
+  QueryIndex idx;
+  idx.insert(query(9, "0*",
+                   {{0, Predicate::Op::kGt, 10}, {1, Predicate::Op::kEq, -3}}));
+  EXPECT_EQ(idx.match(record(0b00000001, {11, -3})), 1u);
+  EXPECT_EQ(idx.match(record(0b00000001, {11, 4})), 0u);
+  EXPECT_EQ(idx.match(record(0b00000001, {10, -3})), 0u);
+  EXPECT_EQ(idx.match(record(0b00000001, {11})), 0u);  // attr 1 absent
 }
 
 TEST(QueryIndex, EraseRemoves) {
-  QueryIndex idx(8);
+  QueryIndex idx;
   idx.insert(query(1, "0110*"));
   EXPECT_TRUE(idx.erase(QueryId{1}));
   EXPECT_FALSE(idx.erase(QueryId{1}));
-  EXPECT_TRUE(idx.match(record(0b01101010)).empty());
+  EXPECT_EQ(idx.match(record(0b01101010)), 0u);
   EXPECT_EQ(idx.size(), 0u);
+  EXPECT_TRUE(idx.empty());
 }
 
 TEST(QueryIndex, DuplicateIdThrows) {
-  QueryIndex idx(8);
+  QueryIndex idx;
   idx.insert(query(1, "0110*"));
   EXPECT_THROW(idx.insert(query(1, "1*")), std::invalid_argument);
-}
-
-TEST(QueryIndex, QueriesWithinGroup) {
-  QueryIndex idx(8);
-  idx.insert(query(1, "0110*"));
-  idx.insert(query(2, "01101*"));
-  idx.insert(query(3, "0111*"));
-  idx.insert(query(4, "1*"));
-
-  const auto within = idx.queries_within(KeyGroup::parse("011*", 8).value());
-  ASSERT_EQ(within.size(), 3u);
-}
-
-TEST(QueryIndex, ExtractWithinMigratesState) {
-  QueryIndex idx(8);
-  idx.insert(query(1, "0110*"));
-  idx.insert(query(2, "1*"));
-  auto moved = idx.extract_within(KeyGroup::parse("0*", 8).value());
-  ASSERT_EQ(moved.size(), 1u);
-  EXPECT_EQ(moved[0].id, QueryId{1});
   EXPECT_EQ(idx.size(), 1u);
-  EXPECT_NE(idx.find(QueryId{2}), nullptr);
-  EXPECT_EQ(idx.find(QueryId{1}), nullptr);
+  EXPECT_EQ(idx.match(record(0b11111111)), 0u);  // the first copy stays
+}
+
+TEST(QueryIndex, UpsertReplacesScopeAndPredicates) {
+  QueryIndex idx;
+  idx.insert(query(1, "0110*"));
+  idx.insert(query(2, "0110*"));
+  idx.upsert(query(1, "1*", {{0, Predicate::Op::kEq, 7}}));
+
+  ASSERT_EQ(idx.size(), 2u);
+  EXPECT_EQ(idx.find(QueryId{1})->second.scope(),
+            KeyGroup::parse("1*", 8).value());
+  EXPECT_EQ(idx.match(record(0b01100000)), 1u);  // query 2 only
+  EXPECT_EQ(idx.match(record(0b10000000, {7})), 1u);
+  EXPECT_EQ(idx.match(record(0b10000000, {6})), 0u);
+  EXPECT_EQ(idx.count(QueryId{3}), 0u);
 }
 
 TEST(QueryIndex, FullDepthScope) {
-  QueryIndex idx(8);
+  QueryIndex idx;
   idx.insert(query(1, "01101010"));
-  EXPECT_EQ(idx.match(record(0b01101010)).size(), 1u);
-  EXPECT_TRUE(idx.match(record(0b01101011)).empty());
+  EXPECT_EQ(idx.match(record(0b01101010)), 1u);
+  EXPECT_EQ(idx.match(record(0b01101011)), 0u);
+}
+
+TEST(QueryIndex, RecordOfAnotherWidthMatchesNothing) {
+  QueryIndex idx;
+  idx.insert(query(1, "*"));
+  EXPECT_EQ(idx.match(Record{Key(0, 4), {}}), 0u);
+  EXPECT_EQ(idx.match(Record{Key(0, 16), {}}), 0u);
 }
 
 // Property: index results agree with brute-force evaluation over random
-// query sets and records.
+// query sets, upserts, erases and records.
 TEST(QueryIndex, MatchesBruteForce) {
   Rng rng(4242);
-  QueryIndex idx(8);
-  std::vector<ContinuousQuery> all;
-  for (std::uint64_t i = 0; i < 64; ++i) {
+  QueryIndex idx;
+  std::map<std::uint64_t, QueryInfo> all;
+  const auto random_query = [&rng](std::uint64_t id) {
     const unsigned depth = unsigned(rng.below(9));
-    const Key vk = shape(Key(rng.next() & 0xFF, 8), depth);
-    ContinuousQuery q{QueryId{i}, KeyGroup::of(vk, depth), {}};
+    QueryInfo q(QueryId{id}, Key(rng.next() & 0xFF, 8), depth);
     if (rng.bernoulli(0.5)) {
       q.predicates.push_back(
           {0, Predicate::Op::kGe, std::int64_t(rng.below(10))});
     }
+    return q;
+  };
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    const QueryInfo q = random_query(i);
     idx.insert(q);
-    all.push_back(q);
+    all.insert_or_assign(i, q);
   }
+  for (std::uint64_t i = 0; i < 64; i += 3) {
+    const QueryInfo q = random_query(i);
+    idx.upsert(q);
+    all.insert_or_assign(i, q);
+  }
+  for (std::uint64_t i = 1; i < 64; i += 5) {
+    EXPECT_TRUE(idx.erase(QueryId{i}));
+    all.erase(i);
+  }
+  ASSERT_EQ(idx.size(), all.size());
   for (int trial = 0; trial < 200; ++trial) {
-    const Record r{Key(rng.next() & 0xFF, 8),
-                   {std::int64_t(rng.below(10))}};
+    const Record r{Key(rng.next() & 0xFF, 8), {std::int64_t(rng.below(10))}};
     std::size_t expect = 0;
-    for (const auto& q : all) expect += q.matches(r);
-    EXPECT_EQ(idx.match(r).size(), expect);
+    for (const auto& [_, q] : all) expect += q.matches(r);
+    EXPECT_EQ(idx.match(r), expect);
   }
 }
 

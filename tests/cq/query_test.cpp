@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "clash/objects.hpp"
+
 namespace clash::cq {
 namespace {
 
@@ -27,24 +29,27 @@ TEST(Predicate, ToString) {
 }
 
 TEST(ContinuousQuery, ScopeFiltersKeys) {
-  ContinuousQuery q{QueryId{1}, KeyGroup::parse("0110*", 7).value(), {}};
+  const QueryInfo q(QueryId{1}, Key::parse("0110011").value(), 4);
+  EXPECT_EQ(q.scope(), KeyGroup::parse("0110*", 7).value());
   EXPECT_TRUE(q.matches(record("0110101")));
   EXPECT_FALSE(q.matches(record("0111101")));
+  // The scope defaults to the key itself.
+  const QueryInfo exact(QueryId{2}, Key::parse("0110011").value());
+  EXPECT_EQ(exact.scope_depth, 7u);
+  EXPECT_TRUE(exact.matches(record("0110011")));
+  EXPECT_FALSE(exact.matches(record("0110010")));
 }
 
 TEST(ContinuousQuery, ConjunctivePredicates) {
-  ContinuousQuery q{QueryId{1},
-                    KeyGroup::parse("*", 7).value(),
-                    {{0, Predicate::Op::kGe, 10}, {1, Predicate::Op::kLt, 5}}};
+  const QueryInfo q(QueryId{1}, Key(0, 7), 0,
+                    {{0, Predicate::Op::kGe, 10}, {1, Predicate::Op::kLt, 5}});
   EXPECT_TRUE(q.matches(record("0000000", {10, 4})));
   EXPECT_FALSE(q.matches(record("0000000", {9, 4})));
   EXPECT_FALSE(q.matches(record("0000000", {10, 5})));
 }
 
 TEST(ContinuousQuery, MissingAttributeFailsPredicate) {
-  ContinuousQuery q{QueryId{1},
-                    KeyGroup::parse("*", 7).value(),
-                    {{3, Predicate::Op::kEq, 1}}};
+  const QueryInfo q(QueryId{1}, Key(0, 7), 0, {{3, Predicate::Op::kEq, 1}});
   EXPECT_FALSE(q.matches(record("0000000", {1})));  // attr 3 absent
 }
 

@@ -1,10 +1,11 @@
-// Replication & recovery over real TCP: continuous queries
-// survive the owner's death — SWIM detects it, the heir holds the
-// promotion open for the recovery-grace window while peers stream the
-// missing log suffix, and matches keep firing on the promoted node's
-// stream engine. A stopped node restarted in place is re-admitted via
-// incarnation refutation and receives its groups back with state
-// (the rejoin-gap fix) instead of serving them empty.
+// Replication & recovery over real TCP: continuous queries survive the
+// owner's death — SWIM detects it, the heir holds the promotion open
+// for the recovery-grace window while peers stream the missing log
+// suffix, and records keep matching on the promoted node. Each query is
+// registered once, by a remote client. A stopped node restarted in
+// place is re-admitted via incarnation refutation and receives its
+// groups back with state (the rejoin-gap fix) instead of serving them
+// empty.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "clash/bootstrap.hpp"
-#include "cq/engine_hooks.hpp"
 #include "net/blocking_client.hpp"
 #include "net/node.hpp"
 
@@ -75,19 +75,10 @@ struct RecoveryNetCluster {
     }
   }
 
-  /// (Re)create node `i` with a fresh engine + hooks and bind them.
+  /// (Re)create node `i`: a fresh process with an empty table.
   void boot(std::size_t i) {
-    engines.resize(kNodes);
-    hooks.resize(kNodes);
     nodes.resize(kNodes);
-    engines[i] = std::make_unique<cq::StreamEngine>(kWidth);
-    hooks[i] = std::make_unique<cq::EngineHooks>(*engines[i]);
     nodes[i] = std::make_unique<ClashNode>(configs[i]);
-    (void)nodes[i]->run_on_loop([&, i](ClashServer& s) {
-      hooks[i]->bind(&s);
-      s.set_app_hooks(hooks[i].get());
-      return true;
-    });
   }
 
   template <typename Pred>
@@ -99,11 +90,10 @@ struct RecoveryNetCluster {
     return false;
   }
 
-  /// Fire a record on node `i`'s engine, serialised onto its loop.
+  /// Match a record on node `i`, serialised onto its loop.
   std::size_t fire(std::size_t i, const Key& key) {
-    return nodes[i]->run_on_loop([&, i](ClashServer&) {
-      return engines[i]->process(cq::Record{key, {}});
-    });
+    return nodes[i]->run_on_loop(
+        [&](ClashServer& s) { return s.match(cq::Record{key, {}}); });
   }
 
   /// The live node whose table actively covers `key` (SIZE_MAX: none).
@@ -118,9 +108,8 @@ struct RecoveryNetCluster {
     return SIZE_MAX;
   }
 
-  /// Register `n` continuous queries through real sockets, mirror each
-  /// into its owner's stream engine (an app delta through the log),
-  /// and let the appends reach the replica sets. Returns their keys.
+  /// Register `n` exact-key continuous queries through real sockets and
+  /// let the appends reach the replica sets. Returns their keys.
   std::vector<Key> register_queries(std::size_t n) {
     BlockingClient::Config ccfg;
     ccfg.members = configs[0].members;
@@ -133,20 +122,8 @@ struct RecoveryNetCluster {
       obj.key = Key((0x1357 * (i + 1)) & 0xFFFF, kWidth);
       obj.kind = ObjectKind::kQuery;
       obj.query_id = QueryId{i};
-      EXPECT_TRUE(client.insert(obj).ok);
+      EXPECT_TRUE(client.insert(obj).ok) << "query " << i;
       keys.push_back(obj.key);
-      const std::size_t owner = owner_of(obj.key);
-      if (owner == SIZE_MAX) {
-        ADD_FAILURE() << "query " << i << " has no owner";
-        continue;
-      }
-      const bool registered = nodes[owner]->run_on_loop([&](ClashServer&) {
-        cq::ContinuousQuery q;
-        q.id = QueryId{i};
-        q.scope = KeyGroup::of(obj.key, kWidth);
-        return hooks[owner]->register_query(q);
-      });
-      EXPECT_TRUE(registered) << "query " << i;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
     return keys;
@@ -182,8 +159,6 @@ struct RecoveryNetCluster {
 
   std::vector<NodeConfig> configs;
   std::vector<std::unique_ptr<ClashNode>> nodes;
-  std::vector<std::unique_ptr<cq::StreamEngine>> engines;
-  std::vector<std::unique_ptr<cq::EngineHooks>> hooks;
   std::unique_ptr<dht::ChordRing> ring;
 };
 
@@ -225,12 +200,11 @@ TEST(RecoveryNet, QueriesSurviveOwnerDeathAndKeepFiring) {
   });
   EXPECT_TRUE(owned_once) << "a group went unowned or doubly owned";
 
-  // The app-level query state came along: the promoted owner's engine
-  // still matches the record.
+  // The promoted owner still matches the record.
   const std::size_t heir = cluster.owner_of(keys[0], victim.value);
   ASSERT_NE(heir, SIZE_MAX);
   EXPECT_GT(cluster.fire(heir, keys[0]), 0u)
-      << "promoted owner lost the app query state";
+      << "promoted owner lost the query";
 }
 
 TEST(RecoveryNet, HeirDyingInsideItsGraceWindowStillFailsOver) {
@@ -277,7 +251,7 @@ TEST(RecoveryNet, HeirDyingInsideItsGraceWindowStillFailsOver) {
                          << " of " << kQueries << " left";
   EXPECT_EQ(cluster.owner_of(keys[0]), holder);
   EXPECT_GT(cluster.fire(holder, keys[0]), 0u)
-      << "the last holder lost the app query state";
+      << "the last holder lost the query";
 }
 
 TEST(RecoveryNet, RestartedNodeIsHandedItsGroupsBackWithState) {

@@ -93,11 +93,15 @@ TEST(GroupLog, ApplyReplaysOpsOntoGroupState) {
 
   GroupLog::apply(LogOp::put_query(QueryInfo{QueryId{7}, Key(0x12, 8)}), st);
   EXPECT_EQ(st.queries.size(), 1u);
+  // A put of a known id replaces the query, scope and predicates too.
+  GroupLog::apply(LogOp::put_query(QueryInfo(QueryId{7}, Key(0x12, 8), 2,
+                                             {{0, cq::Predicate::Op::kEq, 1}})),
+                  st);
+  ASSERT_EQ(st.queries.size(), 1u);
+  EXPECT_EQ(st.queries.find(QueryId{7})->second.scope_depth, 2u);
+  EXPECT_EQ(st.queries.match(cq::Record{Key(0x3F, 8), {1}}), 1u);
   GroupLog::apply(LogOp::del_query(QueryId{7}), st);
   EXPECT_TRUE(st.queries.empty());
-
-  // App deltas do not touch the object state.
-  GroupLog::apply(LogOp::app_delta_op({1, 2, 3}), st);
   EXPECT_EQ(st.streams.size(), 1u);
 }
 

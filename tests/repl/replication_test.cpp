@@ -2,7 +2,8 @@
 // inside ClashServer: incremental appends, gap detection + anti-entropy
 // repair, local compaction (no snapshot for a caught-up holder), snapshot
 // repair past the compaction floor, peer recovery at promotion (the
-// stale-replica audit), app-delta replay, and rejoin handoffs. A tiny
+// stale-replica audit), rejoin handoffs, and continuous queries whose
+// scope is wider than their group. A tiny
 // synchronous router stands in for the transport so individual frames
 // can be blackholed to force divergence.
 #include <gtest/gtest.h>
@@ -336,80 +337,6 @@ TEST(ReplicationLog, StalePromotionIsCountedWhenNoPeerCanHeal) {
   EXPECT_EQ(cluster.s(1).group_state(root)->streams.size(), 1u);
 }
 
-/// Records replication app callbacks for delta-replay assertions.
-class RecordingHooks final : public AppHooks {
- public:
-  std::vector<std::uint8_t> snapshot;
-  std::vector<std::vector<std::uint8_t>> applied;
-  std::vector<std::uint8_t> imported;
-
-  std::vector<std::uint8_t> snapshot_state(const KeyGroup&) override {
-    return snapshot;
-  }
-  void import_state(const KeyGroup&,
-                    const std::vector<std::uint8_t>& state) override {
-    imported = state;
-  }
-  void apply_delta(const KeyGroup&,
-                   const std::vector<std::uint8_t>& delta) override {
-    applied.push_back(delta);
-  }
-};
-
-TEST(ReplicationLog, AppDeltasReplayInOrderAtPromotion) {
-  LogCluster cluster(3);
-  RecordingHooks owner_hooks;
-  owner_hooks.snapshot = {0xAA};
-  RecordingHooks heir_hooks;
-  cluster.s(0).set_app_hooks(&owner_hooks);
-  cluster.s(1).set_app_hooks(&heir_hooks);
-  const KeyGroup root = cluster.install_root();  // snapshot {0xAA} ships
-
-  ASSERT_TRUE(cluster.s(0).append_app_delta(root, {1}));
-  ASSERT_TRUE(cluster.s(0).append_app_delta(root, {2}));
-  ASSERT_TRUE(cluster.s(0).append_app_delta(root, {3}));
-  EXPECT_FALSE(cluster.s(1).append_app_delta(root, {9}));  // not the owner
-
-  cluster.router.blackholed.insert(0);
-  ASSERT_TRUE(cluster.s(1).promote_replica(root));
-  EXPECT_EQ(heir_hooks.imported, (std::vector<std::uint8_t>{0xAA}));
-  ASSERT_EQ(heir_hooks.applied.size(), 3u);
-  EXPECT_EQ(heir_hooks.applied[0], (std::vector<std::uint8_t>{1}));
-  EXPECT_EQ(heir_hooks.applied[2], (std::vector<std::uint8_t>{3}));
-}
-
-TEST(ReplicationLog, CompactingAppDeltasStillShipsASnapshot) {
-  // A replica's opaque app tail folds only from an owner snapshot, so a
-  // compacted suffix carrying app deltas still ships the group.
-  auto cfg = log_config();
-  cfg.log_compact_threshold = 8;
-  LogCluster cluster(3, cfg);
-  RecordingHooks owner_hooks;
-  owner_hooks.snapshot = {0xAB};
-  RecordingHooks heir_hooks;
-  cluster.s(0).set_app_hooks(&owner_hooks);
-  cluster.s(1).set_app_hooks(&heir_hooks);
-  const KeyGroup root = cluster.install_root();
-  const std::size_t activation_offers = cluster.router.snapshot_offers;
-
-  cluster.add_stream(1, 0x11, 1.0);
-  for (std::uint8_t d = 1; d <= 8; ++d) {
-    ASSERT_TRUE(cluster.s(0).append_app_delta(root, {d}));
-  }
-  // The ninth op crossed the threshold with deltas in the suffix.
-  EXPECT_EQ(cluster.s(0).stats().log_compactions, 1u);
-  EXPECT_EQ(cluster.router.snapshot_offers, activation_offers + 2);
-  EXPECT_EQ(cluster.s(1).replica_head(root), cluster.s(0).log_head(root));
-
-  // The snapshot folded the tail: the heir imports the owner's app
-  // state and has no delta left to replay.
-  cluster.router.blackholed.insert(0);
-  ASSERT_TRUE(cluster.s(1).promote_replica(root));
-  EXPECT_EQ(heir_hooks.imported, (std::vector<std::uint8_t>{0xAB}));
-  EXPECT_TRUE(heir_hooks.applied.empty());
-  EXPECT_EQ(cluster.s(1).group_state(root)->streams.size(), 1u);
-}
-
 TEST(ReplicationLog, HandoffPreservesRootFlagStateAndEpochFencing) {
   LogCluster cluster(4);
   const KeyGroup root = cluster.install_root();
@@ -441,6 +368,60 @@ TEST(ReplicationLog, HandoffToSelfOrUnmappedGroupsIsANoOp) {
   cluster.router.lookup_owner = ServerId{0};  // still maps here
   EXPECT_EQ(cluster.s(0).handoff_groups(ServerId{2}), 0u);
   EXPECT_TRUE(cluster.s(0).is_active());
+}
+
+// --- Queries whose scope is wider than their group ---------------------
+// A query is an object of every group its scope reaches: a split hands
+// it to each half, and each half's log ops and snapshots carry it, so
+// whichever server manages a record's group matches the record.
+
+/// Split the root on s(0) in place (both halves stay local) and
+/// register query 7 on 0* with the whole key space as its scope.
+KeyGroup install_wide_query(LogCluster& cluster) {
+  const KeyGroup root = cluster.install_root();
+  EXPECT_TRUE(cluster.s(0).force_split(root));
+  AcceptObject obj;
+  obj.key = Key(0x05, kWidth);
+  obj.kind = ObjectKind::kQuery;
+  obj.query_id = QueryId{7};
+  obj.scope_depth = 0;
+  obj.predicates = {{0, cq::Predicate::Op::kGe, 10}};
+  EXPECT_TRUE(std::holds_alternative<AcceptObjectOk>(
+      cluster.s(0).handle_accept_object(obj)));
+  return root.left_child();
+}
+
+cq::Record record(std::uint64_t key, std::int64_t attr0) {
+  return cq::Record{Key(key, kWidth), {attr0}};
+}
+
+TEST(WideScopeQuery, FollowsASplitsRightHalfToItsNewServer) {
+  LogCluster cluster(4);
+  const KeyGroup left = install_wide_query(cluster);  // 0*
+  ASSERT_EQ(cluster.s(0).match(record(0x05, 10)), 1u);
+
+  cluster.router.lookup_owner = ServerId{3};
+  ASSERT_TRUE(cluster.s(0).force_split(left));  // 01* moves to s(3)
+  ASSERT_NE(cluster.s(3).group_state(left.right_child()), nullptr);
+  EXPECT_EQ(cluster.s(3).match(record(0x41, 10)), 1u);
+  EXPECT_EQ(cluster.s(3).match(record(0x41, 9)), 0u);  // predicate holds
+  EXPECT_EQ(cluster.s(0).match(record(0x05, 10)), 1u);  // 00* kept a copy
+  EXPECT_EQ(cluster.s(0).match(record(0x85, 10)), 0u);  // 1* never held it
+}
+
+TEST(WideScopeQuery, SurvivesCompactionAndTheOwnersDeath) {
+  auto cfg = log_config();
+  cfg.log_compact_threshold = 4;
+  LogCluster cluster(3, cfg);
+  const KeyGroup left = install_wide_query(cluster);
+  for (std::uint64_t i = 1; i <= 6; ++i) cluster.add_stream(i, i, 1.0);
+  ASSERT_GE(cluster.s(0).stats().log_compactions, 1u);
+  EXPECT_EQ(cluster.s(1).replica_head(left), cluster.s(0).log_head(left));
+
+  cluster.router.blackholed.insert(0);  // the owner dies
+  ASSERT_TRUE(cluster.s(1).promote_replica(left));
+  EXPECT_EQ(cluster.s(1).match(record(0x3F, 10)), 1u);
+  EXPECT_EQ(cluster.s(1).match(record(0x3F, 3)), 0u);
 }
 
 // --- Group-state order -------------------------------------------------

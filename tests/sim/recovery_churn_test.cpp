@@ -1,9 +1,10 @@
 // Acceptance scenarios for the replication & recovery subsystem under
 // live SWIM churn (log-replication mode): a kill/revive cycle must end
-// with zero lost continuous queries, matches still firing on the
-// promoted owners' stream engines, replicas converged to identical
-// (epoch, seq) heads per group, and a rejoined node actually serving
-// its handed-back groups instead of empty state.
+// with zero lost continuous queries, records still matching on the
+// promoted owners, replicas converged to identical (epoch, seq) heads
+// per group, and a rejoined node actually serving its handed-back
+// groups instead of empty state. Each query is registered once, through
+// the client.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,7 +12,6 @@
 
 #include "clash/client.hpp"
 #include "common/rng.hpp"
-#include "cq/engine_hooks.hpp"
 #include "sim/churn.hpp"
 #include "tests/clash/test_util.hpp"
 
@@ -36,55 +36,25 @@ ChurnSim::Config log_churn_config() {
   return cfg;
 }
 
-/// One StreamEngine + EngineHooks pair per simulated server, rebound
-/// after every revival (a restarted process loses its engine too).
-struct AppLayer {
-  explicit AppLayer(ChurnSim& sim) : sim_(sim) {
-    for (std::size_t i = 0; i < kServers; ++i) attach(ServerId{i});
-  }
-
-  void attach(ServerId id) {
-    engines[id.value] = std::make_unique<cq::StreamEngine>(kWidth);
-    hooks[id.value] = std::make_unique<cq::EngineHooks>(*engines[id.value]);
-    ClashServer& server = sim_.cluster().server(id);
-    hooks[id.value]->bind(&server);
-    server.set_app_hooks(hooks[id.value].get());
-  }
-
-  /// Register an exact-key continuous query on the key's owner.
-  bool register_on_owner(QueryId id, const Key& key) {
-    const auto owner = sim_.cluster().find_owner(key);
-    if (!owner) return false;
-    cq::ContinuousQuery q;
-    q.id = id;
-    q.scope = KeyGroup::of(key, key.width());
-    return hooks[owner->value]->register_query(q);
-  }
-
-  [[nodiscard]] std::size_t live_query_count() const {
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < kServers; ++i) {
-      if (sim_.cluster().is_alive(ServerId{i})) {
-        n += engines[i]->query_count();
-      }
+/// Queries held by the live servers.
+std::size_t live_query_count(const SimCluster& cluster) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < kServers; ++i) {
+    if (cluster.is_alive(ServerId{i})) {
+      n += cluster.server(ServerId{i}).total_queries();
     }
-    return n;
   }
+  return n;
+}
 
-  /// Matches fired when the key's current owner processes a record.
-  std::size_t fire(const Key& key) {
-    const auto owner = sim_.cluster().find_owner(key);
-    if (!owner) return 0;
-    return engines[owner->value]->process(cq::Record{key, {}});
-  }
+/// Matches when the key's current owner matches a record.
+std::size_t fire(SimCluster& cluster, const Key& key) {
+  const auto owner = cluster.find_owner(key);
+  if (!owner) return 0;
+  return cluster.server(*owner).match(cq::Record{key, {}});
+}
 
-  ChurnSim& sim_;
-  std::unique_ptr<cq::StreamEngine> engines[kServers];
-  std::unique_ptr<cq::EngineHooks> hooks[kServers];
-};
-
-std::vector<Key> register_queries(ChurnSim& sim, AppLayer& app,
-                                  std::size_t n) {
+std::vector<Key> register_queries(ChurnSim& sim, std::size_t n) {
   ClashClient client(sim.cluster().clash_config(),
                      sim.cluster().client_env(ServerId{0}),
                      sim.cluster().hasher());
@@ -96,9 +66,6 @@ std::vector<Key> register_queries(ChurnSim& sim, AppLayer& app,
     obj.kind = ObjectKind::kQuery;
     obj.query_id = QueryId{i};
     EXPECT_TRUE(client.insert(obj).ok);
-    // The same query also lives in the owner's stream engine, riding
-    // the log as an app delta.
-    EXPECT_TRUE(app.register_on_owner(QueryId{i}, obj.key));
     keys.push_back(obj.key);
   }
   return keys;
@@ -141,16 +108,13 @@ std::optional<std::string> check_heads_converged(const SimCluster& cluster) {
 
 TEST(RecoveryChurn, KillReviveLosesNoQueriesAndConvergesHeads) {
   ChurnSim sim(log_churn_config());
-  AppLayer app(sim);
   sim.start();
-  // start() bootstraps fresh server tables; rebind the app layer to be
-  // safe against any future re-ordering (hooks survive bootstrap).
-  const auto keys = register_queries(sim, app, 48);
-  ASSERT_EQ(app.live_query_count(), keys.size());
+  const auto keys = register_queries(sim, 48);
+  ASSERT_EQ(live_query_count(sim.cluster()), keys.size());
   sim.run_for(SimTime::from_minutes(11));  // replication settles
 
   // Matches fire before any failure.
-  ASSERT_GT(app.fire(keys[0]), 0u);
+  ASSERT_GT(fire(sim.cluster(), keys[0]), 0u);
 
   // --- Kill the owner of keys[0] plus one more server. ----------------
   const ServerId victim = *sim.cluster().find_owner(keys[0]);
@@ -159,26 +123,19 @@ TEST(RecoveryChurn, KillReviveLosesNoQueriesAndConvergesHeads) {
   for (const ServerId v : victims) sim.kill(v);
   ASSERT_GE(run_until_converged(sim, victims), 0);
 
-  // Zero lost queries: protocol state and app state both survived.
+  // Zero lost queries.
   const auto stats = sim.cluster().total_stats();
   EXPECT_GT(stats.failovers, 0u);
   EXPECT_EQ(stats.groups_lost, 0u);
-  std::size_t protocol_queries = 0;
-  for (std::size_t i = 0; i < kServers; ++i) {
-    if (!sim.cluster().is_alive(ServerId{i})) continue;
-    protocol_queries += sim.cluster().server(ServerId{i}).total_queries();
-  }
-  EXPECT_EQ(protocol_queries, keys.size());
-  EXPECT_EQ(app.live_query_count(), keys.size());
+  EXPECT_EQ(live_query_count(sim.cluster()), keys.size());
   EXPECT_EQ(sim.cluster().check_invariants(), std::nullopt);
 
-  // Matches keep firing on the promoted owner's engine.
-  EXPECT_GT(app.fire(keys[0]), 0u);
+  // Records keep matching on the promoted owner.
+  EXPECT_GT(fire(sim.cluster(), keys[0]), 0u);
 
   // --- Revive the first victim: restart -> refute -> rejoin -> catch
   // up through handed-back groups. --------------------------------------
   sim.revive(victim);
-  app.attach(victim);  // the restarted process gets a fresh engine
   bool rejoined = false;
   for (int period = 0; period < kConvergenceBound && !rejoined; ++period) {
     sim.run_for(sim.protocol_period());
@@ -190,7 +147,7 @@ TEST(RecoveryChurn, KillReviveLosesNoQueriesAndConvergesHeads) {
 
   // The rejoined node serves its mapped groups WITH state: nothing was
   // lost in the handback, and a record owned by it still matches.
-  EXPECT_EQ(app.live_query_count(), keys.size());
+  EXPECT_EQ(live_query_count(sim.cluster()), keys.size());
   std::size_t revived_owned = 0;
   for (const auto& [group, owner] : sim.cluster().owner_index()) {
     if (owner == victim) ++revived_owned;
@@ -200,7 +157,8 @@ TEST(RecoveryChurn, KillReviveLosesNoQueriesAndConvergesHeads) {
   EXPECT_GT(sim.cluster().total_stats().handoffs, 0u);
   for (const auto& k : keys) {
     if (*sim.cluster().find_owner(k) == victim) {
-      EXPECT_GT(app.fire(k), 0u) << "rejoined node serves empty state";
+      EXPECT_GT(fire(sim.cluster(), k), 0u)
+          << "rejoined node serves empty state";
       break;
     }
   }
@@ -210,7 +168,7 @@ TEST(RecoveryChurn, KillReviveLosesNoQueriesAndConvergesHeads) {
   sim.run_for(SimTime::from_minutes(21));
   EXPECT_EQ(check_heads_converged(sim.cluster()), std::nullopt);
   EXPECT_EQ(sim.cluster().check_invariants(), std::nullopt);
-  EXPECT_EQ(app.live_query_count(), keys.size());
+  EXPECT_EQ(live_query_count(sim.cluster()), keys.size());
 }
 
 TEST(RecoveryChurn, LogModeReplicationTrafficIsIncremental) {
@@ -218,9 +176,8 @@ TEST(RecoveryChurn, LogModeReplicationTrafficIsIncremental) {
   // the initial activation snapshots, periodic traffic is probes (and
   // the occasional diff), not per-period SnapshotChunks.
   ChurnSim sim(log_churn_config());
-  AppLayer app(sim);
   sim.start();
-  (void)register_queries(sim, app, 32);
+  (void)register_queries(sim, 32);
   sim.run_for(SimTime::from_minutes(6));
   sim.cluster().reset_stats();
 

@@ -11,12 +11,14 @@
 #include <vector>
 
 #include "clash/server.hpp"
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "obs/hub.hpp"
 #include "storage/backend.hpp"
 #include "storage/snapshot.hpp"
 #include "storage/store.hpp"
 #include "storage/wal.hpp"
+#include "wire/codec.hpp"
 
 namespace clash::storage {
 namespace {
@@ -32,6 +34,13 @@ repl::LogOp query_op(std::uint64_t id, std::uint64_t key) {
   return repl::LogOp::put_query(QueryInfo{QueryId{id}, Key(key, kWidth)});
 }
 
+/// A query whose scope (depth 2) is wider than the key, with predicates.
+QueryInfo wide_query(std::uint64_t id, std::uint64_t key) {
+  return QueryInfo(
+      QueryId{id}, Key(key, kWidth), 2,
+      {{0, cq::Predicate::Op::kGe, -4}, {3, cq::Predicate::Op::kNe, 9}});
+}
+
 TEST(SnapshotCodec, RoundTripsFullImage) {
   SnapshotImage img;
   img.group = KeyGroup::of(Key(0x2A, kWidth), 5);
@@ -40,8 +49,8 @@ TEST(SnapshotCodec, RoundTripsFullImage) {
   img.parent = ServerId{3};
   repl::GroupLog::apply(stream_op(1, 0x2A, 2.0), img.state);
   repl::GroupLog::apply(query_op(9, 0x2B), img.state);
-  img.app_state = {1, 2, 3, 4};
-  img.app_deltas = {{5}, {6, 7}};
+  repl::GroupLog::apply(repl::LogOp::put_query(wide_query(10, 0x2C)),
+                        img.state);
 
   SnapshotImage out;
   ASSERT_TRUE(decode_snapshot(encode_snapshot(img), out));
@@ -50,10 +59,40 @@ TEST(SnapshotCodec, RoundTripsFullImage) {
   EXPECT_TRUE(out.root);
   EXPECT_EQ(out.parent, ServerId{3});
   EXPECT_EQ(out.state.streams.size(), 1u);
-  EXPECT_EQ(out.state.queries.size(), 1u);
+  ASSERT_EQ(out.state.queries.size(), 2u);
   EXPECT_DOUBLE_EQ(out.state.stream_rate, 2.0);
-  EXPECT_EQ(out.app_state, img.app_state);
-  EXPECT_EQ(out.app_deltas, img.app_deltas);
+  EXPECT_EQ(out.state.queries.find(QueryId{9})->second.scope_depth, kWidth);
+  const QueryInfo& wide = out.state.queries.find(QueryId{10})->second;
+  EXPECT_EQ(wide.scope(), wide_query(10, 0x2C).scope());
+  EXPECT_EQ(wide.predicates, wide_query(10, 0x2C).predicates);
+}
+
+TEST(SnapshotCodec, VersionOneFilesAreRejectedAndCounted) {
+  // Version 1 ended in an application blob and a delta list; a file of
+  // that layout, CRC intact, must not load.
+  const KeyGroup g = KeyGroup::of(Key(0x40, kWidth), 2);
+  wire::Writer w;
+  w.u32(0x43534E50);  // magic
+  w.u8(1);            // version
+  wire::encode_group(w, g);
+  w.u64(3);           // head epoch
+  w.u64(4);           // head seq
+  w.boolean(false);   // root
+  w.u64(0);           // parent
+  w.u32(0);           // streams
+  w.u32(0);           // queries
+  w.u32(0);           // application blob
+  w.u32(0);           // application deltas
+  w.u32(crc32(w.data()));
+  SnapshotImage out;
+  EXPECT_FALSE(decode_snapshot(w.data(), out));
+
+  MemBackend backend;
+  ASSERT_TRUE(backend.write_file_atomic(snapshot_path("snap", g), w.data()));
+  const auto image = recover_image(backend, "wal", "snap");
+  EXPECT_TRUE(image.groups.empty());
+  EXPECT_EQ(image.stats.snapshots_rejected, 1u);
+  EXPECT_EQ(image.stats.snapshots_loaded, 0u);
 }
 
 TEST(SnapshotCodec, RejectsBitRot) {
@@ -86,18 +125,18 @@ TEST(Recovery, ReplaysWalTailOntoSnapshot) {
   ASSERT_TRUE(wal.append_op(g, repl::LogHead{2, 3}, query_op(5, 0x12)));
   ASSERT_TRUE(wal.append_op(g, repl::LogHead{2, 4},
                             repl::LogOp::del_stream(ClientId{1})));
-  ASSERT_TRUE(wal.append_op(
-      g, repl::LogHead{2, 5}, repl::LogOp::app_delta_op({9, 9})));
+  ASSERT_TRUE(wal.append_op(g, repl::LogHead{2, 5},
+                            repl::LogOp::put_query(wide_query(6, 0x13))));
 
   const auto image = recover_image(backend, "wal", "snap");
   ASSERT_EQ(image.groups.size(), 1u);
   const RecoveredGroup& rec = image.groups.at(g);
   EXPECT_EQ(rec.head, (repl::LogHead{2, 5}));
   EXPECT_EQ(rec.state.streams.size(), 1u);
-  EXPECT_EQ(rec.state.queries.size(), 1u);
+  ASSERT_EQ(rec.state.queries.size(), 2u);
   EXPECT_DOUBLE_EQ(rec.state.stream_rate, 2.0);
-  ASSERT_EQ(rec.app_deltas.size(), 1u);
-  EXPECT_EQ(rec.app_deltas[0], (std::vector<std::uint8_t>{9, 9}));
+  EXPECT_EQ(rec.state.queries.find(QueryId{6})->second.predicates,
+            wide_query(6, 0x13).predicates);
   EXPECT_EQ(image.stats.records_replayed, 3u);
   EXPECT_EQ(image.stats.records_skipped, 2u);
   EXPECT_EQ(image.next_segment_index, 1u);

@@ -25,6 +25,9 @@ std::vector<Message> representative_messages() {
   obj.depth = 9;
   obj.kind = ObjectKind::kQuery;
   obj.query_id = QueryId{424242};
+  obj.scope_depth = 5;
+  obj.predicates = {{0, cq::Predicate::Op::kGt, 10},
+                    {2, cq::Predicate::Op::kNe, -3}};
   obj.stream_rate = 2.5;
   obj.source = ClientId{99};
   obj.trace_id = 0xFEEDFACE12345678ULL;
@@ -40,6 +43,8 @@ std::vector<Message> representative_messages() {
   akg.epoch = 17;
   akg.streams.push_back({ClientId{1}, Key(0x600000, 24), 1.5});
   akg.queries.push_back({QueryId{10}, Key(0x620000, 24)});
+  akg.queries.push_back(QueryInfo(QueryId{11}, Key(0x620000, 24), 3,
+                                  {{1, cq::Predicate::Op::kLe, 4}}));
   all.emplace_back(akg);
 
   all.emplace_back(AcceptKeyGroupAck{g});
@@ -85,7 +90,9 @@ std::vector<Message> representative_messages() {
       repl::LogOp::put_stream({ClientId{9}, Key(0x601234, 24), 2.5}));
   app.entries.push_back(
       repl::LogOp::put_query(QueryInfo{QueryId{44}, Key(0x60AAAA, 24)}));
-  app.entries.push_back(repl::LogOp::app_delta_op({1, 2, 3, 4}));
+  app.entries.push_back(repl::LogOp::put_query(
+      QueryInfo(QueryId{45}, Key(0x60AAAA, 24), 6,
+                {{0, cq::Predicate::Op::kEq, 7}})));
   app.checksum = content_crc(app);
   all.emplace_back(app);
 
@@ -109,8 +116,8 @@ std::vector<Message> representative_messages() {
   chunk.trace_id = 0x1111222233334444ULL;
   chunk.streams.push_back({ClientId{5}, Key(0x601234, 24), 4.5});
   chunk.queries.push_back({QueryId{77}, Key(0x609999, 24)});
-  chunk.app_state = {9, 8, 7};
-  chunk.app_deltas = {{1}, {2, 3}};
+  chunk.queries.push_back(QueryInfo(QueryId{78}, Key(0x609999, 24), 2,
+                                    {{3, cq::Predicate::Op::kGe, -9}}));
   chunk.checksum = content_crc(chunk);
   all.emplace_back(chunk);
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <optional>
 #include <span>
 
 #include "common/crc32.hpp"
@@ -138,7 +140,9 @@ TEST(Codec, ReplAppendRoundTrip) {
   m.entries.push_back(
       repl::LogOp::put_query(QueryInfo{QueryId{44}, Key(0x60AAAA, 24)}));
   m.entries.push_back(repl::LogOp::del_query(QueryId{44}));
-  m.entries.push_back(repl::LogOp::app_delta_op({1, 2, 3, 4}));
+  m.entries.push_back(repl::LogOp::put_query(
+      QueryInfo(QueryId{45}, Key(0x60AAAA, 24), 6,
+                {{2, cq::Predicate::Op::kLt, -7}})));
 
   const auto out = std::get<ReplAppend>(round_trip(Message(m)));
   EXPECT_EQ(out.group, m.group);
@@ -155,9 +159,11 @@ TEST(Codec, ReplAppendRoundTrip) {
   EXPECT_EQ(out.entries[2].query.id, QueryId{44});
   EXPECT_EQ(out.entries[3].kind, repl::OpKind::kDelQuery);
   EXPECT_EQ(out.entries[3].query_id, QueryId{44});
-  EXPECT_EQ(out.entries[4].kind, repl::OpKind::kAppDelta);
-  EXPECT_EQ(out.entries[4].app_delta,
-            (std::vector<std::uint8_t>{1, 2, 3, 4}));
+  EXPECT_EQ(out.entries[2].query.scope_depth, 24u);
+  EXPECT_EQ(out.entries[4].kind, repl::OpKind::kPutQuery);
+  EXPECT_EQ(out.entries[4].query.scope_depth, 6u);
+  EXPECT_EQ(out.entries[4].query.predicates,
+            m.entries[4].query.predicates);
 }
 
 TEST(Codec, SnapshotAndAntiEntropyRoundTrip) {
@@ -192,15 +198,15 @@ TEST(Codec, SnapshotAndAntiEntropyRoundTrip) {
   chunk.trace_id = 0x1111222233334444ULL;
   chunk.streams.push_back({ClientId{5}, Key(0x601234, 24), 4.5});
   chunk.queries.push_back({QueryId{77}, Key(0x609999, 24)});
-  chunk.app_state = {9, 8, 7};
-  chunk.app_deltas = {{1}, {2, 3}};
+  chunk.queries.push_back(QueryInfo(QueryId{78}, Key(0x609999, 24), 3,
+                                    {{1, cq::Predicate::Op::kEq, 5}}));
   const auto chunk_out = std::get<SnapshotChunk>(round_trip(Message(chunk)));
   EXPECT_EQ(chunk_out.index, 1u);
   EXPECT_EQ(chunk_out.trace_id, chunk.trace_id);
   ASSERT_EQ(chunk_out.streams.size(), 1u);
-  EXPECT_EQ(chunk_out.app_state, (std::vector<std::uint8_t>{9, 8, 7}));
-  ASSERT_EQ(chunk_out.app_deltas.size(), 2u);
-  EXPECT_EQ(chunk_out.app_deltas[1], (std::vector<std::uint8_t>{2, 3}));
+  ASSERT_EQ(chunk_out.queries.size(), 2u);
+  EXPECT_EQ(chunk_out.queries[1].scope(), chunk.queries[1].scope());
+  EXPECT_EQ(chunk_out.queries[1].predicates, chunk.queries[1].predicates);
 
   AntiEntropyProbe probe;
   probe.owner = ServerId{2};
@@ -246,9 +252,8 @@ TEST(Codec, SnapshotFramesRejectTruncationAtEveryBoundary) {
   chunk.index = 1;
   chunk.total = 3;
   chunk.streams.push_back({ClientId{5}, Key(0x601234, 24), 4.5});
-  chunk.queries.push_back({QueryId{77}, Key(0x609999, 24)});
-  chunk.app_state = {9, 8, 7};
-  chunk.app_deltas = {{1}, {2, 3}};
+  chunk.queries.push_back(QueryInfo(QueryId{77}, Key(0x609999, 24), 5,
+                                    {{1, cq::Predicate::Op::kNe, 2}}));
   Writer wc;
   encode_message(wc, Message(chunk));
   const auto chunk_bytes = wc.take();
@@ -350,6 +355,141 @@ TEST(Codec, ReplAppendRejectsBadOpKind) {
   // count(4) = 51 bytes.
   bytes[51] = 0xEE;
   EXPECT_FALSE(decode_message(bytes).ok());
+}
+
+TEST(Codec, AcceptObjectDataBytesArePinned) {
+  // A put carries no query terms: its frame is byte-for-byte the one it
+  // was before queries carried scopes and predicates.
+  AcceptObject m;
+  m.key = Key(0x601234, 24);
+  m.depth = 7;
+  m.kind = ObjectKind::kData;
+  m.query_id = QueryId{5};
+  m.scope_depth = 3;                                 // not encoded
+  m.predicates = {{1, cq::Predicate::Op::kEq, 2}};  // not encoded
+  m.stream_rate = 2.5;
+  m.source = ClientId{9};
+  m.trace_id = 0xABCDEF99ULL;
+
+  Writer w;
+  encode_message(w, Message(m));
+  const std::vector<std::uint8_t> want = {
+      0x01,                                            // kAcceptObject
+      0x18,                                            // key width 24
+      0x34, 0x12, 0x60, 0x00, 0x00, 0x00, 0x00, 0x00,  //   key value
+      0x07,                                            // depth
+      0x00,                                            // kData
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // query_id
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40,  // rate 2.5
+      0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // source
+      0x00,                                            // probe_only
+      0x99, 0xEF, 0xCD, 0xAB, 0x00, 0x00, 0x00, 0x00,  // trace_id
+  };
+  EXPECT_EQ(w.data(), want);
+}
+
+TEST(Codec, QueryRoundTripKeepsScopeAndPredicates) {
+  const std::vector<cq::Predicate> preds = {
+      {0, cq::Predicate::Op::kGt, 10},
+      {1, cq::Predicate::Op::kEq, -3},
+      {7, cq::Predicate::Op::kGe, std::numeric_limits<std::int64_t>::min()}};
+  AcceptObject m;
+  m.key = Key(0x601234, 24);
+  m.kind = ObjectKind::kQuery;
+  m.query_id = QueryId{31};
+  m.scope_depth = 4;
+  m.predicates = preds;
+  const auto out = std::get<AcceptObject>(round_trip(Message(m)));
+  EXPECT_EQ(out.scope_depth, std::optional<unsigned>(4));
+  EXPECT_EQ(out.predicates, preds);
+
+  // An unset scope depth is the key itself.
+  m.scope_depth.reset();
+  m.predicates.clear();
+  const auto exact = std::get<AcceptObject>(round_trip(Message(m)));
+  EXPECT_EQ(exact.scope_depth, std::optional<unsigned>(24));
+  EXPECT_TRUE(exact.predicates.empty());
+
+  const QueryInfo q(QueryId{31}, Key(0x601234, 24), 4, preds);
+  AcceptKeyGroup transfer;
+  transfer.group = KeyGroup::parse("0110*", 24).value();
+  transfer.queries.push_back(q);
+  const auto t_out = std::get<AcceptKeyGroup>(round_trip(Message(transfer)));
+  ASSERT_EQ(t_out.queries.size(), 1u);
+  EXPECT_EQ(t_out.queries[0].id, q.id);
+  EXPECT_EQ(t_out.queries[0].key, q.key);
+  EXPECT_EQ(t_out.queries[0].scope_depth, 4u);
+  EXPECT_EQ(t_out.queries[0].predicates, preds);
+
+  ReclaimAck ack;
+  ack.group = transfer.group;
+  ack.queries.push_back(q);
+  const auto a_out = std::get<ReclaimAck>(round_trip(Message(ack)));
+  ASSERT_EQ(a_out.queries.size(), 1u);
+  EXPECT_EQ(a_out.queries[0].predicates, preds);
+}
+
+TEST(Codec, RejectsBadQueryTerms) {
+  // AcceptObject{kQuery} with a 4-bit key: the terms follow trace_id.
+  const auto query_object = [](std::uint8_t scope_depth,
+                               std::uint32_t n_preds, std::uint8_t op) {
+    Writer w;
+    w.u8(std::uint8_t(MsgType::kAcceptObject));
+    w.u8(4);  // key width
+    w.u64(0x9);
+    w.u8(2);  // depth
+    w.u8(std::uint8_t(ObjectKind::kQuery));
+    w.u64(1);  // query_id
+    w.f64(0);  // rate
+    w.u64(0);  // source
+    w.boolean(false);
+    w.u64(0);  // trace_id
+    w.u8(scope_depth);
+    w.u32(n_preds);
+    if (n_preds > 0) {
+      w.u32(0);  // attr
+      w.u8(op);
+      w.u64(5);
+    }
+    return w.take();
+  };
+  EXPECT_TRUE(decode_message(query_object(4, 1, 5)).ok());
+  EXPECT_TRUE(decode_message(query_object(0, 0, 0)).ok());
+  EXPECT_FALSE(decode_message(query_object(4, 1, 6)).ok());  // op > kGe
+  EXPECT_FALSE(decode_message(query_object(5, 0, 0)).ok());  // depth > width
+  auto too_many = query_object(3, 1, 0);
+  too_many[too_many.size() - 17] = 2;  // count 2, one predicate's bytes
+  EXPECT_FALSE(decode_message(too_many).ok());
+
+  // The same checks on a stored query (a kPutQuery op).
+  const auto put_query = [](const QueryInfo& q) {
+    ReplAppend m;
+    m.group = KeyGroup::parse("0*", 24).value();
+    m.entries.push_back(repl::LogOp::put_query(q));
+    Writer w;
+    encode_message(w, Message(m));
+    return w.take();
+  };
+  const QueryInfo q(QueryId{3}, Key(0x400000, 24), 2,
+                    {{0, cq::Predicate::Op::kGe, 1}});
+  ASSERT_TRUE(decode_message(put_query(q)).ok());
+  // Layout from the end: ... depth(1) count(4) attr(4) op(1) value(8).
+  auto bad_op = put_query(q);
+  bad_op[bad_op.size() - 9] = 6;
+  EXPECT_FALSE(decode_message(bad_op).ok());
+  auto bad_depth = put_query(q);
+  bad_depth[bad_depth.size() - 18] = 25;
+  EXPECT_FALSE(decode_message(bad_depth).ok());
+  auto bad_count = put_query(q);
+  bad_count[bad_count.size() - 17] = 2;
+  EXPECT_FALSE(decode_message(bad_count).ok());
+  // The flagged form of a query that has no terms is not canonical.
+  auto unscoped = put_query(QueryInfo(QueryId{3}, Key(0x400000, 24)));
+  ASSERT_TRUE(decode_message(unscoped).ok());
+  unscoped[unscoped.size() - 9] |= 0x80;  // width byte
+  unscoped.push_back(24);                 // scope depth = width
+  for (int i = 0; i < 4; ++i) unscoped.push_back(0);  // no predicates
+  EXPECT_FALSE(decode_message(unscoped).ok());
 }
 
 TEST(Codec, GossipRoundTrip) {
@@ -686,7 +826,9 @@ TEST(Codec, ContentCrcMatchesTheEncodedMessageFence) {
   append.entries.push_back(
       repl::LogOp::put_query(QueryInfo{QueryId{44}, Key(0x60AAAA, 24)}));
   append.entries.push_back(repl::LogOp::del_query(QueryId{44}));
-  append.entries.push_back(repl::LogOp::app_delta_op({1, 2, 3, 4}));
+  append.entries.push_back(repl::LogOp::put_query(
+      QueryInfo(QueryId{45}, Key(0x60AAAA, 24), 2,
+                {{0, cq::Predicate::Op::kGe, 3}})));
   append.checksum = 0x12345678;
   EXPECT_EQ(content_crc(append), crc_via_message(Message(append)));
 
@@ -697,9 +839,8 @@ TEST(Codec, ContentCrcMatchesTheEncodedMessageFence) {
   chunk.total = 3;
   chunk.trace_id = 0x1111222233334444ULL;
   chunk.streams.push_back({ClientId{5}, Key(0x601234, 24), 4.5});
-  chunk.queries.push_back({QueryId{77}, Key(0x609999, 24)});
-  chunk.app_state = {9, 8, 7};
-  chunk.app_deltas = {{1}, {2, 3}};
+  chunk.queries.push_back(QueryInfo(QueryId{77}, Key(0x609999, 24), 1,
+                                    {{4, cq::Predicate::Op::kGt, -1}}));
   EXPECT_EQ(content_crc(chunk), crc_via_message(Message(chunk)));
 
   // Stamping the fence does not move it.
