@@ -74,9 +74,10 @@ struct ClashConfig {
   /// With replication on: after a member death, or on restart from
   /// disk, hold each candidate promotion open this long so the
   /// surviving replica set can stream the missing log suffix (or a
-  /// snapshot) to the heir before it installs. Read by NodeHost in
-  /// both transports; the simulator waits it out only when it runs on
-  /// an event queue (ChurnSim).
+  /// snapshot) to the heir before it installs. Read by NodeHost, and
+  /// waited out by both transports: ClashNode on a loop timer, the
+  /// simulator on its event queue (SimCluster::fail_server runs the
+  /// queue through it).
   SimDuration recovery_grace = SimTime::from_seconds(0.25);
 
   /// Vestigial: no code reads it. bench/e2e/ still assigns it; delete
