@@ -284,9 +284,9 @@ void BM_GroupQueryMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupQueryMatch)->Arg(16)->Arg(1024);
 
-// The replication codec per batch: the owner stamps the content fence
-// and encodes a two-entry ReplAppend; the replica decodes it and
-// re-checks the fence.
+// The replication codec per batch: the owner encodes a two-entry
+// ReplAppend, stamping its content fence; the replica decodes it,
+// checking the fence, and reads the verdict.
 void BM_ReplAppendRoundTrip(benchmark::State& state) {
   ReplAppend m;
   m.group = KeyGroup::of(Key(0x600000, 24), 6);
@@ -297,15 +297,12 @@ void BM_ReplAppendRoundTrip(benchmark::State& state) {
       repl::LogOp::put_stream({ClientId{9}, Key(0x601234, 24), 2.5}));
   m.entries.push_back(
       repl::LogOp::put_stream({ClientId{10}, Key(0x60ABCD, 24), 1.5}));
-  Message msg(std::move(m));
-  ReplAppend& out = std::get<ReplAppend>(msg);
+  const Message msg(std::move(m));
   for (auto _ : state) {
-    out.checksum = wire::content_crc(out);
     wire::Writer w;
     wire::encode_message(w, msg);
     const auto decoded = wire::decode_message(w.data());
-    const auto& back = std::get<ReplAppend>(decoded.value());
-    benchmark::DoNotOptimize(wire::content_crc(back) == back.checksum);
+    benchmark::DoNotOptimize(std::get<ReplAppend>(decoded.value()).crc_ok);
   }
 }
 BENCHMARK(BM_ReplAppendRoundTrip);

@@ -123,11 +123,11 @@ struct ReplAppend {
   /// 0 = untraced. Lets the replica's apply span join the owner's trace.
   std::uint64_t trace_id = 0;
   std::vector<repl::LogOp> entries;
-  /// CRC32 over the encoded content (wire::content_crc) — the
-  /// receiver's fence against in-flight byte flips that still decode.
-  /// 0 = unchecksummed (legacy senders / hand-built test messages):
-  /// the fence is skipped, the epoch/seq gates still apply.
-  std::uint32_t checksum = 0;
+  /// The content fence's verdict (wire/codec.hpp), not on the wire:
+  /// false when the decoded bytes fail their CRC, i.e. in-flight byte
+  /// flips that still decode. The receiver rejects the message. A
+  /// message that was never encoded keeps true.
+  bool crc_ok = true;
 };
 
 /// Replica -> sender: applied up to `head`. `ok == false` flags an
@@ -163,8 +163,8 @@ struct SnapshotChunk {
   std::uint64_t trace_id = 0;
   std::vector<StreamInfo> streams;
   std::vector<QueryInfo> queries;
-  /// Content CRC fence (see ReplAppend::checksum); 0 = unchecksummed.
-  std::uint32_t checksum = 0;
+  /// Content fence verdict, not on the wire (see ReplAppend::crc_ok).
+  bool crc_ok = true;
 };
 
 /// One element of an anti-entropy (epoch, seq) vector.
@@ -230,7 +230,7 @@ struct CensusGroupCost {
 /// totally orders records per node: receivers keep the lexicographic
 /// max and drop the rest, so stale records lose and replays are
 /// harmless. The per-record CRC fences each record independently of the
-/// enclosing Gossip checksum — a record relayed through many frames
+/// enclosing Gossip's fence — a record relayed through many frames
 /// keeps its own integrity proof.
 struct NodeCensusRecord {
   ServerId node{};
@@ -257,11 +257,11 @@ struct Gossip {
   /// with its own CRC fence. Bounded by MembershipConfig::
   /// census_max_records per frame; empty when no census is attached.
   std::vector<NodeCensusRecord> census;
-  /// Content CRC fence (see ReplAppend::checksum); 0 = unchecksummed.
+  /// Content fence verdict, not on the wire (see ReplAppend::crc_ok).
   /// Membership rumours are the highest-blast-radius payload to
   /// corrupt — a flipped incarnation or state could kill an innocent
   /// member cluster-wide — so gossip carries the fence too.
-  std::uint32_t checksum = 0;
+  bool crc_ok = true;
 };
 
 using Message =

@@ -40,8 +40,8 @@ struct FaultSpec {
   /// SWIM suspicion must catch without a crash ever happening.
   double slow_factor = 1.0;
   /// Probability a delivered Gossip/ReplAppend/SnapshotChunk payload
-  /// has bytes flipped in flight while staying decoded-valid; the
-  /// receiver's checksum/epoch/seq fences must reject it.
+  /// has bytes flipped in flight while staying decoded-valid; decoding
+  /// marks it crc_ok = false and the receiver's fences must reject it.
   double corrupt_prob = 0.0;
 
   [[nodiscard]] bool benign() const {

@@ -34,7 +34,6 @@ void MembershipDriver::send(ServerId to, GossipKind kind,
   if (census_ != nullptr) {
     msg.census = census_->pick_records(cfg_.census_max_records);
   }
-  msg.checksum = wire::content_crc(msg);  // covers the census too
   env_.gossip_send(to, msg);
 }
 
@@ -117,9 +116,9 @@ void MembershipDriver::handle(ServerId from, const Gossip& msg) {
   // Corruption fence: a rumour batch damaged in flight but still
   // structurally valid could suspect (or kill) an arbitrary member at
   // an arbitrary incarnation — the worst possible garbage to install.
-  // Reject the whole message on checksum mismatch; SWIM's probe
-  // redundancy re-delivers the news on the next period.
-  if (msg.checksum != 0 && msg.checksum != wire::content_crc(msg)) {
+  // Reject the whole message when the codec's CRC verdict failed;
+  // SWIM's probe redundancy re-delivers the news on the next period.
+  if (!msg.crc_ok) {
     ++corrupt_rejected_;
     return;
   }
@@ -132,7 +131,7 @@ void MembershipDriver::handle(ServerId from, const Gossip& msg) {
   // Then the census payload, each record against its own CRC fence —
   // the frame fence above already passed, but a record relayed from a
   // third node carries the original publisher's proof, which survives
-  // re-framing (and hand-built unchecksummed frames in tests).
+  // re-framing.
   if (census_ != nullptr) {
     for (const NodeCensusRecord& rec : msg.census) {
       if (rec.checksum != 0 &&

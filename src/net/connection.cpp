@@ -201,30 +201,19 @@ bool Connection::enqueue(std::vector<std::uint8_t>&& frame) {
     }
     if (verdict.duplicate) ++stats_.faults_duplicated;
     if (verdict.corrupt) {
-      // In-flight byte damage, scoped to the payload *content* of the
-      // checksummed message kinds (Gossip / ReplAppend /
-      // SnapshotChunk): the frame stays structurally parseable, so it
-      // reaches the receiver's content-CRC fence instead of dying in
-      // the codec. Envelope layout: [4 len][1 ver][1 kind][8 req]
-      // [8 sender][1 msg type][content...] — type at 22, content
-      // from 23.
-      constexpr std::size_t kTypeOff = 22;
-      constexpr std::size_t kContentOff = 23;
-      const auto type = frame.size() > kContentOff
-                            ? wire::MsgType(frame[kTypeOff])
-                            : wire::MsgType(0);
-      if (frame.size() > kContentOff &&
-          (type == wire::MsgType::kGossip ||
-           type == wire::MsgType::kReplAppend ||
-           type == wire::MsgType::kSnapshotChunk)) {
+      // In-flight byte damage, scoped by the codec to a fenced payload's
+      // CRC slot and content: the frame stays parseable, so the damage
+      // reaches the receiver's content fence instead of dying in the
+      // codec. Other frames pass through untouched.
+      const auto span = wire::fenced_span(frame);
+      if (!span.empty()) {
         ++stats_.faults_corrupted;
         if (tracer_ != nullptr) {
           tracer_->record(obs::SpanKind::kFaultCorrupt, 0,
                           SimTime(obs_now_us()), SimDuration{0},
                           std::uint64_t(fd_.get()));
         }
-        fault_->corrupt_byte(std::span<std::uint8_t>(
-            frame.data() + kContentOff, frame.size() - kContentOff));
+        fault_->corrupt_byte(span);
       }
     }
     if (verdict.reorder) {

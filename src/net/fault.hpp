@@ -86,7 +86,7 @@ class FaultInjector {
   }
 
   /// Corrupt-mode mutation: flip one random byte inside `payload`
-  /// (the caller scopes the span to the corruptible frame region).
+  /// (the caller scopes the span with wire::fenced_span).
   void corrupt_byte(std::span<std::uint8_t> payload) {
     if (payload.empty()) return;
     const auto pos = std::size_t(rng_.below(payload.size()));

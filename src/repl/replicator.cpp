@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "storage/store.hpp"
-#include "wire/codec.hpp"
 
 namespace clash::repl {
 
@@ -97,8 +96,7 @@ void Replicator::reject(const KeyGroup& group) {
 }
 
 template <typename M>
-Message Replicator::stamped(M msg, std::size_t copies) {
-  msg.checksum = wire::content_crc(msg);
+Message Replicator::metered(M msg, std::size_t copies) {
   meter_repl_bytes(msg.group, approx_bytes(msg) * copies);
   return Message(std::move(msg));
 }
@@ -270,7 +268,7 @@ void Replicator::send_append_batch(const KeyGroup& group, OwnedLog& owned) {
   owned.inflight.push_back(PendingCommit{
       msg.base_seq + msg.entries.size(), env_.now(), msg.trace_id});
   if (owned.inflight.size() > 4096) owned.inflight.pop_front();
-  env_.fan_out(targets, stamped(std::move(msg), targets.size()));
+  env_.fan_out(targets, metered(std::move(msg), targets.size()));
 }
 
 void Replicator::flush_pending_appends() {
@@ -363,7 +361,7 @@ std::size_t Replicator::pump_snapshots() {
         if (budget == 0) break;
         --budget;
         progress = true;
-        Message msg = stamped(std::move(out.chunks[out.next]), 1);
+        Message msg = metered(std::move(out.chunks[out.next]), 1);
         ++out.next;
         // Copy the token out: the send may re-enter and replace or
         // erase this very map entry (stale tokens are ignored).
@@ -462,7 +460,7 @@ void Replicator::repair_peer(ServerId to, const KeyGroup& group, LogHead have) {
     if (out.empty()) return;
     ReplAppend repair{group, src->owner, log.epoch(), have.seq, active_trace_,
                       std::move(out)};
-    env_.send(to, stamped(std::move(repair), 1));
+    env_.send(to, metered(std::move(repair), 1));
     return;
   }
   // The requester predates the retained suffix (or runs another line):
@@ -476,12 +474,11 @@ void Replicator::repair_peer(ServerId to, const KeyGroup& group, LogHead have) {
 
 void Replicator::on(ServerId from, const ReplAppend& m) {
   const TraceScope trace(active_trace_, m.trace_id);
-  // Corruption fences, before any state is touched: the content CRC,
-  // and a base_seq flipped into wrap-around. A rejected append is
+  // Corruption fences, before any state is touched: the content CRC
+  // verdict, and a base_seq flipped into wrap-around. A rejected append is
   // dropped without a nack (that would repair off a forged head); the
   // sender's next anti-entropy probe re-syncs us.
-  if ((m.checksum != 0 && m.checksum != wire::content_crc(m)) ||
-      m.base_seq + m.entries.size() < m.base_seq) {
+  if (!m.crc_ok || m.base_seq + m.entries.size() < m.base_seq) {
     reject(m.group);
     return;
   }
@@ -594,7 +591,7 @@ void Replicator::on(ServerId from, const SnapshotOffer& m) {
 void Replicator::on(ServerId from, const SnapshotChunk& m) {
   // Corruption fence first. Dropping the chunk desyncs the stream, and
   // the next chunk's index mismatch nacks the transfer into a restart.
-  if (m.checksum != 0 && m.checksum != wire::content_crc(m)) {
+  if (!m.crc_ok) {
     reject(m.group);
     return;
   }

@@ -298,11 +298,10 @@ class Replicator {
                                     const OwnedLog& owned) const;
   void send_append_batch(const KeyGroup& group, OwnedLog& owned);
   void flush_pending_appends();
-  /// Stamp `msg`'s content CRC (last: it covers the trace id) and meter
-  /// its bytes, times `copies` receivers, to its group. Every ReplAppend
-  /// and SnapshotChunk the engine sends passes here.
+  /// Meter `msg`'s bytes, times `copies` receivers, to its group.
+  /// Every ReplAppend and SnapshotChunk the engine sends passes here.
   template <typename M>
-  Message stamped(M msg, std::size_t copies);
+  Message metered(M msg, std::size_t copies);
 
   /// Offer `to` a snapshot of `src` at its head; the chunks follow at
   /// the pace pump_snapshots allows.

@@ -323,13 +323,41 @@ std::size_t encoded_census_size(
 
 namespace {
 
-// One payload's bytes, [type][fields...]. Checksummed payloads are
-// encoded straight from their struct, so fencing them needs no
-// temporary Message.
+// A fenced payload is [type u8][crc u32][content...].
+constexpr std::size_t kCrcSlot = 1;
+constexpr std::size_t kContentOffset = kCrcSlot + 4;
+
+/// The content fence of one fenced payload: CRC32 over its type byte
+/// and its content, skipping the slot.
+std::uint32_t fence_crc(std::span<const std::uint8_t> payload) {
+  return crc32(payload.subspan(kContentOffset),
+               crc32(payload.first(kCrcSlot)));
+}
+
+/// The CRC slot and content of the payload at `offset` in `bytes`;
+/// empty unless that payload is fenced.
+std::span<std::uint8_t> fenced_region(std::span<std::uint8_t> bytes,
+                                      std::size_t offset = 0) {
+  if (bytes.size() <= offset + kCrcSlot || !fenced(MsgType(bytes[offset]))) {
+    return {};
+  }
+  return bytes.subspan(offset + kCrcSlot);
+}
+
+// The payload's type byte, then a fenced type's blank CRC slot.
+void put_type(Writer& w, MsgType type) {
+  w.u8(std::uint8_t(type));
+  if (fenced(type)) w.u32(0);  // stamped by encode_payload
+}
+
+// One payload's bytes, [type][fields...]. A fenced type's CRC is
+// stamped once the content is in, patched in place the way
+// finish_frame patches the length.
 template <typename T>
 void encode_payload(Writer& w, const T& m) {
+  const std::size_t start = w.size();
   if constexpr (std::is_same_v<T, AcceptObject>) {
-    w.u8(std::uint8_t(MsgType::kAcceptObject));
+    put_type(w, MsgType::kAcceptObject);
     encode_key(w, m.key);
     w.u8(std::uint8_t(m.depth));
     w.u8(std::uint8_t(m.kind));
@@ -343,13 +371,13 @@ void encode_payload(Writer& w, const T& m) {
                          m.predicates);
     }
   } else if constexpr (std::is_same_v<T, AcceptObjectOk>) {
-    w.u8(std::uint8_t(MsgType::kAcceptObjectOk));
+    put_type(w, MsgType::kAcceptObjectOk);
     w.u8(std::uint8_t(m.depth));
   } else if constexpr (std::is_same_v<T, IncorrectDepth>) {
-    w.u8(std::uint8_t(MsgType::kIncorrectDepth));
+    put_type(w, MsgType::kIncorrectDepth);
     w.u8(std::uint8_t(m.dmin));
   } else if constexpr (std::is_same_v<T, AcceptKeyGroup>) {
-    w.u8(std::uint8_t(MsgType::kAcceptKeyGroup));
+    put_type(w, MsgType::kAcceptKeyGroup);
     encode_group(w, m.group);
     w.u64(m.parent.value);
     w.boolean(m.root);
@@ -359,40 +387,38 @@ void encode_payload(Writer& w, const T& m) {
     w.u32(std::uint32_t(m.app_state.size()));
     w.bytes(m.app_state);
   } else if constexpr (std::is_same_v<T, AcceptKeyGroupAck>) {
-    w.u8(std::uint8_t(MsgType::kAcceptKeyGroupAck));
+    put_type(w, MsgType::kAcceptKeyGroupAck);
     encode_group(w, m.group);
   } else if constexpr (std::is_same_v<T, LoadReport>) {
-    w.u8(std::uint8_t(MsgType::kLoadReport));
+    put_type(w, MsgType::kLoadReport);
     encode_group(w, m.group);
     w.f64(m.load);
     w.boolean(m.is_leaf);
   } else if constexpr (std::is_same_v<T, ReclaimKeyGroup>) {
-    w.u8(std::uint8_t(MsgType::kReclaimKeyGroup));
+    put_type(w, MsgType::kReclaimKeyGroup);
     encode_group(w, m.group);
   } else if constexpr (std::is_same_v<T, ReclaimAck>) {
-    w.u8(std::uint8_t(MsgType::kReclaimAck));
+    put_type(w, MsgType::kReclaimAck);
     encode_group(w, m.group);
     encode_vector(w, m.streams, encode_stream_info);
     encode_vector(w, m.queries, encode_query_info);
     w.u32(std::uint32_t(m.app_state.size()));
     w.bytes(m.app_state);
   } else if constexpr (std::is_same_v<T, ReclaimRefused>) {
-    w.u8(std::uint8_t(MsgType::kReclaimRefused));
+    put_type(w, MsgType::kReclaimRefused);
     encode_group(w, m.group);
   } else if constexpr (std::is_same_v<T, DropReplica>) {
-    w.u8(std::uint8_t(MsgType::kDropReplica));
+    put_type(w, MsgType::kDropReplica);
     encode_group(w, m.group);
   } else if constexpr (std::is_same_v<T, Gossip>) {
-    w.u8(std::uint8_t(MsgType::kGossip));
-    w.u32(m.checksum);  // content fence: always right after type
+    put_type(w, MsgType::kGossip);
     w.u8(std::uint8_t(m.kind));
     w.u64(m.sequence);
     w.u64(m.target.value);
     encode_vector(w, m.updates, encode_member_update);
     encode_vector(w, m.census, encode_census_record);
   } else if constexpr (std::is_same_v<T, ReplAppend>) {
-    w.u8(std::uint8_t(MsgType::kReplAppend));
-    w.u32(m.checksum);
+    put_type(w, MsgType::kReplAppend);
     encode_group(w, m.group);
     w.u64(m.owner.value);
     w.u64(m.epoch);
@@ -403,12 +429,12 @@ void encode_payload(Writer& w, const T& m) {
                     encode_log_op(ww, op);
                   });
   } else if constexpr (std::is_same_v<T, ReplAck>) {
-    w.u8(std::uint8_t(MsgType::kReplAck));
+    put_type(w, MsgType::kReplAck);
     encode_group(w, m.group);
     encode_log_head(w, m.head);
     w.boolean(m.ok);
   } else if constexpr (std::is_same_v<T, SnapshotOffer>) {
-    w.u8(std::uint8_t(MsgType::kSnapshotOffer));
+    put_type(w, MsgType::kSnapshotOffer);
     encode_group(w, m.group);
     w.u64(m.owner.value);
     encode_log_head(w, m.head);
@@ -417,8 +443,7 @@ void encode_payload(Writer& w, const T& m) {
     w.u32(m.total_chunks);
     w.u64(m.trace_id);
   } else if constexpr (std::is_same_v<T, SnapshotChunk>) {
-    w.u8(std::uint8_t(MsgType::kSnapshotChunk));
-    w.u32(m.checksum);
+    put_type(w, MsgType::kSnapshotChunk);
     encode_group(w, m.group);
     encode_log_head(w, m.head);
     w.u32(m.index);
@@ -427,12 +452,16 @@ void encode_payload(Writer& w, const T& m) {
     encode_vector(w, m.streams, encode_stream_info);
     encode_vector(w, m.queries, encode_query_info);
   } else if constexpr (std::is_same_v<T, AntiEntropyProbe>) {
-    w.u8(std::uint8_t(MsgType::kAntiEntropyProbe));
+    put_type(w, MsgType::kAntiEntropyProbe);
     w.u64(m.owner.value);
     encode_vector(w, m.heads, encode_group_head);
   } else if constexpr (std::is_same_v<T, AntiEntropyDiff>) {
-    w.u8(std::uint8_t(MsgType::kAntiEntropyDiff));
+    put_type(w, MsgType::kAntiEntropyDiff);
     encode_vector(w, m.behind, encode_group_head);
+  }
+  const auto payload = std::span(w.data()).subspan(start);
+  if (fenced(MsgType(payload[0]))) {
+    w.patch_u32(start + kCrcSlot, fence_crc(payload));
   }
 }
 
@@ -448,51 +477,18 @@ std::size_t encoded_payload_size(const Message& msg) {
   return w.size();
 }
 
-namespace {
-
-// Checksummed payloads lay out as [type u8][checksum u32][content...];
-// the CRC covers the type byte and the content, skipping its own slot,
-// so it is independent of whatever checksum value the struct holds.
-constexpr std::size_t kChecksumSlot = 1;
-constexpr std::size_t kContentOffset = kChecksumSlot + 4;
-
-template <typename P>
-std::uint32_t crc_of_encoded(const P& m) {
-  Writer w;
-  encode_payload(w, m);
-  const auto& bytes = w.data();
-  Crc32 crc;
-  crc.update(std::span<const std::uint8_t>(bytes.data(), kChecksumSlot));
-  crc.update(std::span<const std::uint8_t>(bytes.data() + kContentOffset,
-                                           bytes.size() - kContentOffset));
-  return crc.value();
-}
-
-}  // namespace
-
-std::uint32_t content_crc(const Gossip& m) { return crc_of_encoded(m); }
-std::uint32_t content_crc(const ReplAppend& m) { return crc_of_encoded(m); }
-std::uint32_t content_crc(const SnapshotChunk& m) { return crc_of_encoded(m); }
-
-bool corruptible(const Message& msg) {
-  return std::holds_alternative<Gossip>(msg) ||
-         std::holds_alternative<ReplAppend>(msg) ||
-         std::holds_alternative<SnapshotChunk>(msg);
-}
-
 std::optional<Message> corrupt_message(const Message& msg, Rng& rng) {
-  if (!corruptible(msg)) return msg;  // fault scoped to fenced payloads
   Writer w;
   encode_message(w, msg);
   auto bytes = w.take();
-  if (bytes.empty()) return std::nullopt;
-  // Flip 1-3 bytes anywhere past the type byte (checksum slot
-  // included: a damaged fence is a fence mismatch too).
+  // Flip 1-3 bytes past the type byte (the CRC slot included: a
+  // damaged stamp fails the fence too).
+  const auto region = fenced_region(bytes);
+  if (region.empty()) return msg;  // fault scoped to fenced payloads
   const unsigned flips = 1 + unsigned(rng.below(3));
   for (unsigned i = 0; i < flips; ++i) {
-    const auto pos =
-        kChecksumSlot + std::size_t(rng.below(bytes.size() - kChecksumSlot));
-    bytes[pos] ^= std::uint8_t(1 + rng.below(255));
+    const auto pos = std::size_t(rng.below(region.size()));
+    region[pos] ^= std::uint8_t(1 + rng.below(255));
   }
   auto decoded = decode_message(bytes);
   if (!decoded.ok()) return std::nullopt;  // codec fence caught it
@@ -503,6 +499,11 @@ Expected<Message> decode_message(std::span<const std::uint8_t> payload) {
   Reader r(payload);
   const auto type = r.u8();
   if (!r.ok()) return Error::protocol("empty message payload");
+  bool crc_ok = true;
+  if (fenced(MsgType(type))) {
+    const std::uint32_t stamp = r.u32();
+    crc_ok = r.ok() && stamp == fence_crc(payload);
+  }
 
   Message out = AcceptObjectOk{};
   switch (MsgType(type)) {
@@ -592,7 +593,7 @@ Expected<Message> decode_message(std::span<const std::uint8_t> payload) {
     }
     case MsgType::kGossip: {
       Gossip m;
-      m.checksum = r.u32();
+      m.crc_ok = crc_ok;
       const auto kind = r.u8();
       if (kind > std::uint8_t(GossipKind::kAck)) {
         return Error::protocol("bad gossip kind");
@@ -612,7 +613,7 @@ Expected<Message> decode_message(std::span<const std::uint8_t> payload) {
     }
     case MsgType::kReplAppend: {
       ReplAppend m;
-      m.checksum = r.u32();
+      m.crc_ok = crc_ok;
       m.group = decode_group(r);
       m.owner = ServerId{r.u64()};
       m.epoch = r.u64();
@@ -649,7 +650,7 @@ Expected<Message> decode_message(std::span<const std::uint8_t> payload) {
     }
     case MsgType::kSnapshotChunk: {
       SnapshotChunk m;
-      m.checksum = r.u32();
+      m.crc_ok = crc_ok;
       m.group = decode_group(r);
       m.head = decode_log_head(r);
       m.index = r.u32();
@@ -719,6 +720,11 @@ Writer begin_frame(const Envelope& env) {
 std::vector<std::uint8_t> finish_frame(Writer&& w) {
   w.patch_u32(0, std::uint32_t(w.size() - 4));
   return w.take();
+}
+
+std::span<std::uint8_t> fenced_span(std::span<std::uint8_t> frame) {
+  // The payload follows begin_frame's length slot and envelope header.
+  return fenced_region(frame, 4 + 1 + 1 + 8 + 8);
 }
 
 std::vector<std::uint8_t> encode_frame(

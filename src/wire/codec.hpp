@@ -67,21 +67,33 @@ void encode_message(Writer& w, const Message& msg);
 /// bytes across recovery strategies.
 [[nodiscard]] std::size_t encoded_payload_size(const Message& msg);
 
-// --- Content checksums (corruption fences) ------------------------------
+// --- The content fence ---------------------------------------------------
 // Gossip / ReplAppend / SnapshotChunk — the payloads whose in-flight
-// corruption can poison membership or replica state — carry a CRC32
-// over their encoded content ([type][checksum][content...], the CRC
-// covering type + content). Senders stamp msg.checksum with
-// content_crc(msg); receivers reject on mismatch. checksum == 0 means
-// "unchecksummed" and skips the fence (hand-built test messages).
+// corruption can poison membership or replica state — lay out as
+// [type u8][crc u32][content...]. The encoder stamps the slot in place
+// with the CRC32 of the type byte and the content; decode_message
+// recomputes it over the received bytes and records the verdict in the
+// struct's crc_ok (not on the wire), which receivers reject on. A zero
+// slot means nothing special: it fails like any other wrong value. A
+// message that never crosses a wire (the simulator's clean path) keeps
+// the default verdict, good.
 
-[[nodiscard]] std::uint32_t content_crc(const Gossip& m);
-[[nodiscard]] std::uint32_t content_crc(const ReplAppend& m);
-[[nodiscard]] std::uint32_t content_crc(const SnapshotChunk& m);
+/// True for the message types that carry the content fence — the only
+/// types the corrupt fault mode damages.
+[[nodiscard]] constexpr bool fenced(MsgType type) {
+  return type == MsgType::kGossip || type == MsgType::kReplAppend ||
+         type == MsgType::kSnapshotChunk;
+}
+
+/// The bytes of a finished frame (length prefix included) the corrupt
+/// fault mode may damage: a fenced payload's CRC slot and content, so
+/// the frame still parses. Empty for every other frame.
+[[nodiscard]] std::span<std::uint8_t> fenced_span(
+    std::span<std::uint8_t> frame);
 
 /// CRC32 over one encoded census record minus its checksum field.
 /// Census records are fenced individually (not just by the enclosing
-/// Gossip checksum) because a record outlives the frame that carried
+/// Gossip's fence) because a record outlives the frame that carried
 /// it: it is re-gossiped from the receiver's table across many later
 /// frames, and each hop re-verifies the record's own proof.
 [[nodiscard]] std::uint32_t census_record_crc(const NodeCensusRecord& rec);
@@ -92,16 +104,12 @@ void encode_message(Writer& w, const Message& msg);
 [[nodiscard]] std::size_t encoded_census_size(
     const std::vector<NodeCensusRecord>& census);
 
-/// True for the message types that carry a content checksum — the
-/// types the corrupt fault mode targets.
-[[nodiscard]] bool corruptible(const Message& msg);
-
 /// The corrupt fault mode's mutation for struct-passing transports
 /// (the simulator): encode `msg`, flip 1-3 random bytes, re-decode.
-/// Returns the original untouched for non-corruptible types, nullopt
-/// when the mutation no longer decodes (the codec fence caught it),
-/// and the corrupted-but-well-formed message otherwise — which the
-/// receiver's checksum/epoch/seq fences must then reject.
+/// Flips land where fenced_span scopes them on TCP. Returns the
+/// original untouched for unfenced types, nullopt when the mutation no
+/// longer decodes (the codec fence caught it), and the well-formed
+/// result otherwise, with crc_ok read from the mutated bytes.
 [[nodiscard]] std::optional<Message> corrupt_message(const Message& msg,
                                                     Rng& rng);
 

@@ -3,7 +3,9 @@
 // line it ran there before, writes a baseline snapshot and offers it to
 // the replica set; every way a group leaves drops the replica set's
 // copies and closes its log and in-flight ops. A replica record that
-// goes mid-snapshot closes its assembly's in-flight op.
+// goes mid-snapshot closes its assembly's in-flight op. A replica
+// rejects an append whose bytes fail the content fence, whatever its
+// CRC slot holds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +18,7 @@
 #include "storage/backend.hpp"
 #include "storage/snapshot.hpp"
 #include "storage/store.hpp"
+#include "wire/codec.hpp"
 
 namespace clash {
 namespace {
@@ -331,6 +334,39 @@ TEST(GroupSeams, EveryDepartureDropsTheReplicasAndClosesTheLog) {
     EXPECT_EQ(n.server.group_log(d.group), nullptr);
     EXPECT_EQ(n.env.open_ops(d.group), 0u);
   }
+}
+
+TEST(ContentFence, ZeroedCrcSlotDoesNotBypassTheReplicaFence) {
+  Node n;
+  n.offer(kLeft, 2);  // a complete record at (20, 5)
+  ASSERT_NE(n.server.replica_state(kLeft), nullptr);
+  const ClientId source{1};
+  ReplAppend m;
+  m.group = kLeft;
+  m.owner = kOwner;
+  m.epoch = 20;
+  m.base_seq = 5;
+  m.entries.push_back(
+      repl::LogOp::put_stream({source, Key(0x10, kWidth), 2.5}));
+  wire::Writer w;
+  wire::encode_message(w, Message(m));
+  auto bytes = w.take();
+  // Zero the CRC slot, then alter the stream rate: the entry ends the
+  // payload, so the rate is its last 8 bytes, and the flip makes
+  // 2.5 read 3.5.
+  wire::store_u32_le(bytes.data() + 1, 0);
+  bytes[bytes.size() - 2] ^= 0x08;
+  const auto decoded = wire::decode_message(bytes);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_EQ(std::get<ReplAppend>(decoded.value()).entries[0].stream.rate,
+            3.5);
+
+  const auto rejected = n.server.stats().corrupt_rejected;
+  n.server.deliver(kOwner, decoded.value());
+  EXPECT_EQ(n.server.stats().corrupt_rejected, rejected + 1);
+  EXPECT_EQ(n.server.replica_head(kLeft), (repl::LogHead{20, 5}));
+  const GroupState& state = *n.server.replica_state(kLeft);
+  EXPECT_TRUE(state.streams.find(source) == state.streams.end());
 }
 
 }  // namespace

@@ -199,15 +199,14 @@ TEST_F(FaultConnFixture, CorruptionFlipsBytesOnlyInsideChecksummedFrames) {
   cfg.corrupt_prob = 1.0;
   injector->configure(cfg);
 
-  // A checksummed kind (Gossip) gets a byte flipped inside its content
-  // region — header and type byte stay intact, so the frame still
+  // A fenced kind (Gossip) gets a byte flipped inside its CRC slot or
+  // content — header and type byte stay intact, so the frame still
   // parses and dies at the receiver's content-CRC fence instead.
   Gossip gossip;
   gossip.kind = GossipKind::kPing;
   gossip.sequence = 7;
   gossip.target = ServerId{1};
   gossip.updates.push_back({ServerId{2}, MemberState::kSuspect, 3});
-  gossip.checksum = wire::content_crc(gossip);
   auto w = begin_frame(wire::Envelope{wire::FrameKind::kOneway, 1, ServerId{0}});
   wire::encode_message(w, Message{gossip});
   const auto clean = wire::finish_frame(std::move(w));
@@ -219,10 +218,17 @@ TEST_F(FaultConnFixture, CorruptionFlipsBytesOnlyInsideChecksummedFrames) {
   ASSERT_EQ(received.size(), clean.size());
   // Header + type byte untouched...
   EXPECT_TRUE(std::equal(clean.begin(), clean.begin() + 23, received.begin()));
-  // ...but the content differs somewhere.
+  // ...but the content differs somewhere, and if it still decodes the
+  // codec's verdict marks it.
   EXPECT_FALSE(std::equal(clean.begin(), clean.end(), received.begin()));
+  const auto frame = wire::decode_frame(std::span(received).subspan(4));
+  ASSERT_TRUE(frame.ok());
+  const auto decoded = wire::decode_message(frame.value().payload);
+  if (decoded.ok()) {
+    EXPECT_FALSE(std::get<Gossip>(decoded.value()).crc_ok);
+  }
 
-  // A non-checksummed kind passes through byte-identical even with the
+  // An unfenced kind passes through byte-identical even with the
   // corrupt fault live: there is no fence to catch the damage, so the
   // injector refuses to create it.
   received.clear();
@@ -233,7 +239,7 @@ TEST_F(FaultConnFixture, CorruptionFlipsBytesOnlyInsideChecksummedFrames) {
   EXPECT_TRUE(conn->send_wire_frame(std::move(copy2)));
   pump();
   ASSERT_EQ(drain_raw_frames(), 1u);
-  EXPECT_EQ(conn->stats().faults_corrupted, 1u) << "non-checksummed frame "
+  EXPECT_EQ(conn->stats().faults_corrupted, 1u) << "unfenced frame "
                                                    "was mutated";
   ASSERT_EQ(received.size(), plain.size());
   EXPECT_TRUE(std::equal(plain.begin(), plain.end(), received.begin()));

@@ -77,7 +77,6 @@ std::vector<Message> representative_messages() {
   census_rec.top_groups.push_back({g, GroupCost{1, 2, 3, 4, 5}});
   census_rec.checksum = census_record_crc(census_rec);
   gossip.census.push_back(census_rec);
-  gossip.checksum = content_crc(gossip);
   all.emplace_back(gossip);
 
   ReplAppend app;
@@ -93,7 +92,6 @@ std::vector<Message> representative_messages() {
   app.entries.push_back(repl::LogOp::put_query(
       QueryInfo(QueryId{45}, Key(0x60AAAA, 24), 6,
                 {{0, cq::Predicate::Op::kEq, 7}})));
-  app.checksum = content_crc(app);
   all.emplace_back(app);
 
   all.emplace_back(ReplAck{g, head, false});
@@ -118,7 +116,6 @@ std::vector<Message> representative_messages() {
   chunk.queries.push_back({QueryId{77}, Key(0x609999, 24)});
   chunk.queries.push_back(QueryInfo(QueryId{78}, Key(0x609999, 24), 2,
                                     {{3, cq::Predicate::Op::kGe, -9}}));
-  chunk.checksum = content_crc(chunk);
   all.emplace_back(chunk);
 
   AntiEntropyProbe probe;
@@ -211,29 +208,30 @@ TEST(CodecFuzz, FlippedFramesNeverCrashTheFrameDecoder) {
 
 TEST(CodecFuzz, CorruptMessageNeverSlipsPastTheContentFence) {
   // The sim's corrupt fault: whatever corrupt_message produces must be
-  // caught by either the codec (nullopt) or the receiver's content
-  // CRC — a mutation that passes both must be byte-identical content
-  // (the flips hit only the checksum slot, turning it to 0/itself).
+  // caught by either the codec (nullopt) or the content fence's verdict
+  // (crc_ok false) — a mutation that passes both must encode to the
+  // original bytes.
   Rng rng(0xF3355EED);
   Gossip gossip;
   gossip.kind = GossipKind::kPing;
   gossip.sequence = 41;
   gossip.target = ServerId{6};
   gossip.updates.push_back({ServerId{2}, MemberState::kDead, 9});
-  gossip.checksum = content_crc(gossip);
   const Message original{gossip};
+  const auto encoded = [](const Message& msg) {
+    Writer w;
+    encode_message(w, msg);
+    return w.take();
+  };
 
   int fenced = 0;
   for (int i = 0; i < 2000; ++i) {
     const auto mutated = corrupt_message(original, rng);
     if (!mutated) continue;  // codec fence
-    const auto& out = std::get<Gossip>(*mutated);
-    const bool fence_rejects =
-        out.checksum != 0 && out.checksum != content_crc(out);
-    if (!fence_rejects) {
-      // Unfenced: the content must be untouched (checksum-slot-only
-      // flips) — anything else is an installable corruption.
-      EXPECT_EQ(content_crc(out), content_crc(gossip));
+    if (std::get<Gossip>(*mutated).crc_ok) {
+      // Passed the fence: anything but the original content is an
+      // installable corruption.
+      EXPECT_EQ(encoded(*mutated), encoded(original));
     } else {
       ++fenced;
     }
@@ -244,10 +242,9 @@ TEST(CodecFuzz, CorruptMessageNeverSlipsPastTheContentFence) {
 
 TEST(CodecFuzz, CensusRecordFenceCatchesWhatTheFrameFenceMisses) {
   // The census payload carries the publisher's own CRC per record, so
-  // even a frame re-built by a relay (checksum slot zeroed, frame
-  // fence vacuous) cannot smuggle a mutated record: every byte flip
-  // that still decodes must either fail the record CRC or leave the
-  // record byte-identical.
+  // a mutated record cannot pass on the record fence alone, whatever
+  // the frame's verdict: every byte flip that still decodes must
+  // either fail the record CRC or leave the record byte-identical.
   const KeyGroup g = KeyGroup::parse("0110*", 24).value();
   Gossip gossip;
   gossip.kind = GossipKind::kPing;
@@ -262,7 +259,6 @@ TEST(CodecFuzz, CensusRecordFenceCatchesWhatTheFrameFenceMisses) {
   rec.top_groups.push_back({g, GroupCost{1, 2, 3, 4, 5}});
   rec.checksum = census_record_crc(rec);
   gossip.census.push_back(rec);
-  gossip.checksum = 0;  // unfenced frame: relays and tests build these
 
   Rng rng(0xF5555EED);
   Writer w;
@@ -300,8 +296,8 @@ TEST(CodecFuzz, NonCorruptibleTypesPassThroughUntouched) {
   const auto out = corrupt_message(msg, rng);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(std::get<AcceptObjectOk>(*out).depth, 5u);
-  EXPECT_FALSE(corruptible(msg));
-  EXPECT_TRUE(corruptible(Message{Gossip{}}));
+  EXPECT_FALSE(fenced(MsgType::kAcceptObjectOk));
+  EXPECT_TRUE(fenced(MsgType::kGossip));
 }
 
 }  // namespace

@@ -307,11 +307,10 @@ TEST(Codec, ReplAppendBytesArePinned) {
       repl::LogOp::put_stream({ClientId{9}, Key(0x601234, 24), 2.5}));
   m.entries.push_back(
       repl::LogOp::put_query(QueryInfo{QueryId{44}, Key(0x60AAAA, 24)}));
-  m.checksum = content_crc(m);
-  EXPECT_EQ(m.checksum, 0x379A2141u);
 
   Writer w;
   encode_message(w, Message(m));
+  EXPECT_EQ(load_u32_le(w.data().data() + 1), 0x379A2141u);
   const std::vector<std::uint8_t> want = {
       0x0D,                                            // kReplAppend
       0x41, 0x21, 0x9A, 0x37,                          // checksum
@@ -337,9 +336,7 @@ TEST(Codec, ReplAppendBytesArePinned) {
 
   const auto out = decode_message(want);
   ASSERT_TRUE(out.ok());
-  const auto& back = std::get<ReplAppend>(out.value());
-  EXPECT_EQ(back.checksum, m.checksum);
-  EXPECT_EQ(content_crc(back), m.checksum);
+  EXPECT_TRUE(std::get<ReplAppend>(out.value()).crc_ok);
 }
 
 TEST(Codec, ReplAppendRejectsBadOpKind) {
@@ -350,7 +347,7 @@ TEST(Codec, ReplAppendRejectsBadOpKind) {
   Writer w;
   encode_message(w, Message(m));
   auto bytes = w.take();
-  // The op kind byte sits right after type(1) + checksum(4) +
+  // The op kind byte sits right after type(1) + crc(4) +
   // group(10) + owner(8) + epoch(8) + base_seq(8) + trace_id(8) +
   // count(4) = 51 bytes.
   bytes[51] = 0xEE;
@@ -598,7 +595,7 @@ TEST(Codec, CensusRecordRejectsMalformedPayloads) {
   // Adversarial census count: more records than bytes remain.
   Writer wc;
   wc.u8(12);  // MsgType::kGossip
-  wc.u32(0);  // checksum slot
+  wc.u32(0);  // CRC slot
   wc.u8(0);   // kPing
   wc.u64(1);
   wc.u64(2);
@@ -780,22 +777,32 @@ TEST(Codec, FrameRejectsBadVersionAndKind) {
   EXPECT_FALSE(decode_frame({}).ok());
 }
 
-/// The content fence as first specified: CRC32 over the encoded
-/// Message minus its [1, 5) checksum slot.
-std::uint32_t crc_via_message(const Message& msg) {
-  Writer w;
-  encode_message(w, msg);
-  const auto& bytes = w.data();
+/// The content fence as first specified: CRC32 over an encoded
+/// Message minus its [1, 5) CRC slot.
+std::uint32_t fence_of(const std::vector<std::uint8_t>& bytes) {
   Crc32 crc;
   crc.update(std::span<const std::uint8_t>(bytes.data(), 1));
   crc.update(std::span<const std::uint8_t>(bytes.data() + 5, bytes.size() - 5));
   return crc.value();
 }
 
+/// The decoded message's fence verdict.
+bool crc_ok(const Expected<Message>& decoded) {
+  return std::visit(
+      [](const auto& m) {
+        if constexpr (requires { m.crc_ok; }) {
+          return m.crc_ok;
+        } else {
+          return true;
+        }
+      },
+      decoded.value());
+}
+
 TEST(Codec, ContentCrcMatchesTheEncodedMessageFence) {
-  // content_crc encodes the struct directly; the fence must stay the
-  // exact CRC of the Message encoding (wire compatibility), whatever
-  // the checksum slot currently holds.
+  // The encoder stamps the fence as first specified over the bytes it
+  // wrote, and decoding checks it: the stamped bytes decode good, and
+  // a damaged or zeroed slot decodes bad (zero is no "unchecked" mark).
   const KeyGroup g = KeyGroup::parse("0110*", 24).value();
 
   Gossip gossip;
@@ -811,8 +818,6 @@ TEST(Codec, ContentCrcMatchesTheEncodedMessageFence) {
   rec.top_groups.push_back({g, GroupCost{1, 2, 3, 4, 5}});
   rec.checksum = census_record_crc(rec);
   gossip.census.push_back(rec);
-  gossip.checksum = 0xDEADBEEF;
-  EXPECT_EQ(content_crc(gossip), crc_via_message(Message(gossip)));
 
   ReplAppend append;
   append.group = g;
@@ -829,8 +834,6 @@ TEST(Codec, ContentCrcMatchesTheEncodedMessageFence) {
   append.entries.push_back(repl::LogOp::put_query(
       QueryInfo(QueryId{45}, Key(0x60AAAA, 24), 2,
                 {{0, cq::Predicate::Op::kGe, 3}})));
-  append.checksum = 0x12345678;
-  EXPECT_EQ(content_crc(append), crc_via_message(Message(append)));
 
   SnapshotChunk chunk;
   chunk.group = g;
@@ -841,11 +844,22 @@ TEST(Codec, ContentCrcMatchesTheEncodedMessageFence) {
   chunk.streams.push_back({ClientId{5}, Key(0x601234, 24), 4.5});
   chunk.queries.push_back(QueryInfo(QueryId{77}, Key(0x609999, 24), 1,
                                     {{4, cq::Predicate::Op::kGt, -1}}));
-  EXPECT_EQ(content_crc(chunk), crc_via_message(Message(chunk)));
 
-  // Stamping the fence does not move it.
-  chunk.checksum = content_crc(chunk);
-  EXPECT_EQ(content_crc(chunk), crc_via_message(Message(chunk)));
+  for (const Message& msg :
+       {Message(gossip), Message(append), Message(chunk)}) {
+    SCOPED_TRACE(msg.index());
+    Writer w;
+    encode_message(w, msg);
+    auto bytes = w.take();
+    EXPECT_EQ(load_u32_le(bytes.data() + 1), fence_of(bytes));
+    EXPECT_TRUE(crc_ok(decode_message(bytes)));
+
+    auto damaged = bytes;
+    damaged[1] ^= 0x01;
+    EXPECT_FALSE(crc_ok(decode_message(damaged)));
+    store_u32_le(bytes.data() + 1, 0);
+    EXPECT_FALSE(crc_ok(decode_message(bytes)));
+  }
 }
 
 // Property: random valid messages survive encode/decode byte-exactly.
