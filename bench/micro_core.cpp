@@ -48,12 +48,32 @@ void BM_KeyGroupContains(benchmark::State& state) {
 BENCHMARK(BM_KeyGroupContains);
 
 void BM_Sha1Hash64(benchmark::State& state) {
+  state.SetLabel(Sha1::compress_path());
   std::uint64_t v = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(Sha1::hash64(v++));
   }
 }
 BENCHMARK(BM_Sha1Hash64);
+
+// The portable compression, timed directly so a host whose CPU has the
+// SHA extensions still measures the path other hosts run.
+void BM_Sha1CompressPortable(benchmark::State& state) {
+  std::uint32_t h[5] = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u,
+                        0xC3D2E1F0u};
+  std::uint32_t block[16] = {};
+  block[2] = 0x80000000u;
+  block[15] = 64;
+  std::uint64_t v = 0;
+  for (auto _ : state) {
+    block[0] = std::uint32_t(v >> 32);
+    block[1] = std::uint32_t(v++);
+    Sha1::compress_portable(h, block);
+    benchmark::DoNotOptimize(h);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Sha1CompressPortable);
 
 void BM_KeyHasher(benchmark::State& state) {
   const auto algo = state.range(0) == 0 ? dht::KeyHasher::Algo::kMix64

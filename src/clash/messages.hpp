@@ -243,9 +243,13 @@ struct NodeCensusRecord {
   std::uint64_t streams = 0;
   GroupCost totals;               // sum over ALL groups, not just top-K
   std::vector<CensusGroupCost> top_groups;  // by total_bytes() desc
-  /// CRC32 over the encoded record minus this field
-  /// (wire::census_record_crc); 0 = unchecksummed.
+  /// CRC32 over the encoded record minus this field, stamped by the
+  /// publisher (wire::census_record_crc).
   std::uint32_t checksum = 0;
+  /// The record's own fence verdict, not on the wire: false when the
+  /// decoded content bytes fail `checksum`. Receivers drop the record.
+  /// A record that was never decoded keeps true.
+  bool crc_ok = true;
 };
 
 struct Gossip {

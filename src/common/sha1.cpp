@@ -2,6 +2,12 @@
 
 #include <cstring>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#include <immintrin.h>
+#define CLASH_SHA1_X86 1
+#endif
+
 namespace clash {
 namespace {
 
@@ -12,6 +18,152 @@ constexpr std::uint32_t rotl32(std::uint32_t x, int k) {
 constexpr std::uint32_t kInitialHash[5] = {0x67452301u, 0xEFCDAB89u,
                                            0x98BADCFEu, 0x10325476u,
                                            0xC3D2E1F0u};
+
+// The four round functions, in the cheapest form that keeps their
+// values: Ch is (b & c) | (~b & d), Maj is (b & c) | (b & d) | (c & d).
+struct Ch {
+  std::uint32_t operator()(std::uint32_t b, std::uint32_t c,
+                           std::uint32_t d) const {
+    return d ^ (b & (c ^ d));
+  }
+};
+struct Parity {
+  std::uint32_t operator()(std::uint32_t b, std::uint32_t c,
+                           std::uint32_t d) const {
+    return b ^ c ^ d;
+  }
+};
+struct Maj {
+  std::uint32_t operator()(std::uint32_t b, std::uint32_t c,
+                           std::uint32_t d) const {
+    return (b & c) | (d & (b | c));
+  }
+};
+
+/// Message word i of the schedule, kept in a 16-word ring: words 0-15
+/// are the block itself, and each later word overwrites the one 16
+/// places back, the last word that needed it.
+inline std::uint32_t schedule(std::uint32_t w[16], int i) {
+  if (i < 16) return w[i];
+  const std::uint32_t x =
+      w[(i + 13) & 15] ^ w[(i + 8) & 15] ^ w[(i + 2) & 15] ^ w[i & 15];
+  w[i & 15] = rotl32(x, 1);
+  return w[i & 15];
+}
+
+/// One round. The caller rotates the arguments by one place per round
+/// instead of shifting the five working words along.
+template <class F>
+inline void step(std::uint32_t a, std::uint32_t& b, std::uint32_t c,
+                 std::uint32_t d, std::uint32_t& e, std::uint32_t k,
+                 std::uint32_t wi) {
+  e += rotl32(a, 5) + F{}(b, c, d) + k + wi;
+  b = rotl32(b, 30);
+}
+
+/// Rounds [first, first + 20), which share one round function.
+template <class F>
+inline void twenty_rounds(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c,
+                          std::uint32_t& d, std::uint32_t& e,
+                          std::uint32_t w[16], int first, std::uint32_t k) {
+  for (int i = first; i < first + 20; i += 5) {
+    step<F>(a, b, c, d, e, k, schedule(w, i));
+    step<F>(e, a, b, c, d, k, schedule(w, i + 1));
+    step<F>(d, e, a, b, c, k, schedule(w, i + 2));
+    step<F>(c, d, e, a, b, k, schedule(w, i + 3));
+    step<F>(b, c, d, e, a, k, schedule(w, i + 4));
+  }
+}
+
+using CompressFn = void (*)(std::uint32_t*, const std::uint32_t*);
+
+#ifdef CLASH_SHA1_X86
+
+// Compiled for the SHA extensions one function at a time, so the rest
+// of the binary runs on any x86 CPU.
+#define CLASH_SHA_TARGET __attribute__((target("sha,sse4.1")))
+
+/// sha1rnds4 takes its round function as an immediate: 0-3 for rounds
+/// 0-19, 20-39, 40-59 and 60-79.
+CLASH_SHA_TARGET inline __m128i rounds4(__m128i abcd, __m128i e, int group) {
+  switch (group / 5) {
+    case 0:
+      return _mm_sha1rnds4_epu32(abcd, e, 0);
+    case 1:
+      return _mm_sha1rnds4_epu32(abcd, e, 1);
+    case 2:
+      return _mm_sha1rnds4_epu32(abcd, e, 2);
+    default:
+      return _mm_sha1rnds4_epu32(abcd, e, 3);
+  }
+}
+
+/// The compression on the x86 SHA extensions: 20 groups of four rounds.
+/// Registers hold words most-significant lane first (A, or the group's
+/// first message word, in lane 3). Group g's message words sit in
+/// m[g % 4]; the three schedule steps refill a register for group
+/// g + 4 across groups g + 1 to g + 3.
+CLASH_SHA_TARGET void compress_sha_ext(std::uint32_t h[5],
+                                       const std::uint32_t block[16]) {
+  const __m128i abcd_in = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(h)), 0x1B);
+  const __m128i e_in = _mm_set_epi32(int(h[4]), 0, 0, 0);
+  __m128i m[4];
+  for (std::size_t i = 0; i < 4; ++i) {
+    m[i] = _mm_shuffle_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 4 * i)),
+        0x1B);
+  }
+  __m128i abcd = abcd_in;
+  __m128i prev = abcd_in;
+#pragma GCC unroll 20
+  for (int g = 0; g < 20; ++g) {
+    // E for this group: the input E, or A from four rounds back rotated
+    // by 30; plus the group's message words.
+    const __m128i e = g == 0 ? _mm_add_epi32(e_in, m[0])
+                             : _mm_sha1nexte_epu32(prev, m[g % 4]);
+    prev = abcd;
+    abcd = rounds4(abcd, e, g);
+    if (g >= 1 && g <= 16) {
+      m[(g - 1) % 4] = _mm_sha1msg1_epu32(m[(g - 1) % 4], m[g % 4]);
+    }
+    if (g >= 2 && g <= 17) {
+      m[(g - 2) % 4] = _mm_xor_si128(m[(g - 2) % 4], m[g % 4]);
+    }
+    if (g >= 3 && g <= 18) {
+      m[(g - 3) % 4] = _mm_sha1msg2_epu32(m[(g - 3) % 4], m[g % 4]);
+    }
+  }
+  const __m128i e_out = _mm_sha1nexte_epu32(prev, e_in);
+  abcd = _mm_shuffle_epi32(_mm_add_epi32(abcd, abcd_in), 0x1B);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(h), abcd);
+  h[4] = std::uint32_t(_mm_extract_epi32(e_out, 3));
+}
+
+bool cpu_has_sha_ext() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sse41 = (ecx & (1u << 19)) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sha = (ebx & (1u << 29)) != 0;
+  return sse41 && sha;
+}
+
+CompressFn pick_compress() {
+  return cpu_has_sha_ext() ? compress_sha_ext : Sha1::compress_portable;
+}
+
+#else
+
+CompressFn pick_compress() { return Sha1::compress_portable; }
+
+#endif
+
+/// The compression this process runs, chosen from cpuid on first use.
+CompressFn selected_compress() {
+  static const CompressFn fn = pick_compress();
+  return fn;
+}
 
 }  // namespace
 
@@ -35,33 +187,28 @@ void Sha1::process_block(const std::uint8_t* block) {
 }
 
 void Sha1::compress(std::uint32_t h[5], const std::uint32_t block[16]) {
-  std::uint32_t w[80];
-  for (int i = 0; i < 16; ++i) w[i] = block[i];
-  for (int i = 16; i < 80; ++i) {
-    w[i] = rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
+  selected_compress()(h, block);
+}
 
+void Sha1::compress_portable(std::uint32_t h[5],
+                             const std::uint32_t block[16]) {
+  std::uint32_t w[16];
+  std::memcpy(w, block, sizeof w);
   std::uint32_t a = h[0], b = h[1], c = h[2], d = h[3], e = h[4];
-  // One loop per round function: no per-round branch on i.
-  const auto round = [&](std::uint32_t f, std::uint32_t k, std::uint32_t wi) {
-    const std::uint32_t tmp = rotl32(a, 5) + f + e + k + wi;
-    e = d;
-    d = c;
-    c = rotl32(b, 30);
-    b = a;
-    a = tmp;
-  };
-  for (int i = 0; i < 20; ++i) round((b & c) | (~b & d), 0x5A827999u, w[i]);
-  for (int i = 20; i < 40; ++i) round(b ^ c ^ d, 0x6ED9EBA1u, w[i]);
-  for (int i = 40; i < 60; ++i) {
-    round((b & c) | (b & d) | (c & d), 0x8F1BBCDCu, w[i]);
-  }
-  for (int i = 60; i < 80; ++i) round(b ^ c ^ d, 0xCA62C1D6u, w[i]);
+  twenty_rounds<Ch>(a, b, c, d, e, w, 0, 0x5A827999u);
+  twenty_rounds<Parity>(a, b, c, d, e, w, 20, 0x6ED9EBA1u);
+  twenty_rounds<Maj>(a, b, c, d, e, w, 40, 0x8F1BBCDCu);
+  twenty_rounds<Parity>(a, b, c, d, e, w, 60, 0xCA62C1D6u);
   h[0] += a;
   h[1] += b;
   h[2] += c;
   h[3] += d;
   h[4] += e;
+}
+
+const char* Sha1::compress_path() {
+  return selected_compress() == compress_portable ? "portable"
+                                                  : "x86 SHA extensions";
 }
 
 void Sha1::update(std::span<const std::uint8_t> data) {

@@ -1,6 +1,14 @@
 // Self-contained SHA-1 (FIPS 180-1), used as the DHT's base hash f().
-// Chord historically hashes identifiers with SHA-1; we implement it from
-// scratch to avoid an OpenSSL dependency. Not for security use.
+// Chord historically hashes identifiers with SHA-1. Not for security use.
+//
+// The compression function has two implementations with identical
+// output. On an x86 CPU whose cpuid reports the SHA extensions (leaf 7
+// EBX bit 29) and SSE4.1 (leaf 1 ECX bit 19), it runs on sha1rnds4 /
+// sha1nexte / sha1msg1 / sha1msg2; that code is compiled for those
+// instructions function by function, so the binary still runs on CPUs
+// without them. Everywhere else (and on other architectures, which
+// compile only this path) it runs the portable compress_portable. The
+// CPU alone decides, once per process; nothing configures it.
 #pragma once
 
 #include <array>
@@ -41,10 +49,18 @@ class Sha1 {
 
   static std::string hex(const Digest& d);
 
+  /// The portable SHA-1 compression function: fold one block of 16
+  /// big-endian words into the chaining value `h`. The reference the
+  /// tests hold the dispatched path to.
+  static void compress_portable(std::uint32_t h[5],
+                                const std::uint32_t block[16]);
+  /// Which compression this process runs: "x86 SHA extensions" or
+  /// "portable".
+  static const char* compress_path();
+
  private:
   void process_block(const std::uint8_t* block);
-  /// The SHA-1 compression function: fold one block of 16 big-endian
-  /// words into the chaining value `h`.
+  /// The compression this CPU runs (see the header comment).
   static void compress(std::uint32_t h[5], const std::uint32_t block[16]);
 
   std::uint32_t h_[5];

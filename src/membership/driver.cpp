@@ -1,7 +1,5 @@
 #include "membership/driver.hpp"
 
-#include "wire/codec.hpp"
-
 namespace clash::membership {
 
 MembershipDriver::MembershipDriver(ServerId self, MembershipConfig cfg,
@@ -131,11 +129,10 @@ void MembershipDriver::handle(ServerId from, const Gossip& msg) {
   // Then the census payload, each record against its own CRC fence —
   // the frame fence above already passed, but a record relayed from a
   // third node carries the original publisher's proof, which survives
-  // re-framing.
+  // re-framing. The codec judged each record's proof at decode.
   if (census_ != nullptr) {
     for (const NodeCensusRecord& rec : msg.census) {
-      if (rec.checksum != 0 &&
-          rec.checksum != wire::census_record_crc(rec)) {
+      if (!rec.crc_ok) {
         census_->count_crc_reject();
         continue;
       }

@@ -20,21 +20,30 @@ void StallWatchdog::start() {
 }
 
 void StallWatchdog::stop() {
-  running_.store(false, std::memory_order_release);
+  {
+    // Under the wait's mutex, so the flip cannot fall between the
+    // watchdog's predicate check and its wait.
+    common::MutexLock lock(stop_mu_);
+    running_.store(false, std::memory_order_release);
+  }
+  stop_cv_.notify_all();
   if (thread_.joinable()) thread_.join();
 }
 
 void StallWatchdog::thread_main() {
-  // Sleep in small slices so stop() never waits a full poll interval.
-  const auto slice = std::chrono::milliseconds(10);
-  std::int64_t slept_us = 0;
-  while (running_.load(std::memory_order_acquire)) {
-    // Dedicated watchdog thread, never an event-loop path.
-    std::this_thread::sleep_for(slice);  // lint:allow-blocking(own thread)
-    slept_us += 10'000;
-    if (slept_us < cfg_.poll_interval_us) continue;
-    slept_us = 0;
+  // Wait out each poll interval on the condition variable, which stop()
+  // notifies, so stopping never waits an interval.
+  const auto interval = std::chrono::microseconds(cfg_.poll_interval_us);
+  const auto stopped = [this] {
+    return !running_.load(std::memory_order_acquire);
+  };
+  std::unique_lock lock(stop_mu_.native());
+  // Dedicated watchdog thread, never an event-loop path.
+  while (!stop_cv_.wait_for(  // lint:allow-blocking(own thread)
+      lock, interval, stopped)) {
+    lock.unlock();
     if (now_us_) poll_once(now_us_());
+    lock.lock();
   }
 }
 

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -24,6 +25,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/mutex.hpp"
 #include "obs/hub.hpp"
 
 namespace clash::obs {
@@ -103,6 +105,10 @@ class StallWatchdog {
   std::atomic<std::uint64_t> stall_ticks_{0};
   std::atomic<std::uint64_t> stall_ops_{0};
   std::atomic<bool> running_{false};
+  // The watchdog thread waits on stop_cv_ between polls; stop() flips
+  // running_ under stop_mu_ and notifies.
+  common::Mutex stop_mu_;
+  std::condition_variable stop_cv_;
   std::thread thread_;
 };
 

@@ -100,6 +100,10 @@ class Reader {
   /// True when the payload was consumed exactly.
   [[nodiscard]] bool exhausted() const { return ok_ && pos_ == data_.size(); }
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
+  /// The bytes not yet read.
+  [[nodiscard]] std::span<const std::uint8_t> unread() const {
+    return data_.subspan(pos_);
+  }
 
  private:
   /// True when `n` more bytes are in bounds; latches failure otherwise.

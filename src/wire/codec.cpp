@@ -288,6 +288,7 @@ void encode_census_record(Writer& w, const NodeCensusRecord& rec) {
 
 NodeCensusRecord decode_census_record(Reader& r) {
   NodeCensusRecord rec;
+  const auto record = r.unread();
   rec.node = ServerId{r.u64()};
   rec.incarnation = r.u64();
   rec.seq = r.u64();
@@ -302,16 +303,17 @@ NodeCensusRecord decode_census_record(Reader& r) {
   if (!decode_vector(r, rec.top_groups, 50, decode_census_group_cost)) {
     r.fail();
   }
+  const auto content = record.first(record.size() - r.remaining());
   rec.checksum = r.u32();
+  // The verdict over the bytes received, so no bypass value exists.
+  rec.crc_ok = r.ok() && rec.checksum == crc32(content);
   return rec;
 }
 
 std::uint32_t census_record_crc(const NodeCensusRecord& rec) {
   Writer w;
   encode_census_content(w, rec);
-  Crc32 crc;
-  crc.update(std::span<const std::uint8_t>(w.data().data(), w.size()));
-  return crc.value();
+  return crc32(w.data());
 }
 
 std::size_t encoded_census_size(

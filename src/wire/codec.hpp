@@ -91,11 +91,13 @@ void encode_message(Writer& w, const Message& msg);
 [[nodiscard]] std::span<std::uint8_t> fenced_span(
     std::span<std::uint8_t> frame);
 
-/// CRC32 over one encoded census record minus its checksum field.
-/// Census records are fenced individually (not just by the enclosing
-/// Gossip's fence) because a record outlives the frame that carried
-/// it: it is re-gossiped from the receiver's table across many later
-/// frames, and each hop re-verifies the record's own proof.
+/// CRC32 over one encoded census record minus its checksum field: the
+/// publisher stamps `checksum` with it. Census records are fenced
+/// individually (not just by the enclosing Gossip's fence) because a
+/// record outlives the frame that carried it: it is re-gossiped from
+/// the receiver's table across many later frames, and each hop
+/// re-verifies the record's own proof. decode_census_record computes
+/// that verdict over the received bytes into the record's crc_ok.
 [[nodiscard]] std::uint32_t census_record_crc(const NodeCensusRecord& rec);
 
 /// Encoded bytes of a census payload as it rides a gossip frame

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -91,6 +94,78 @@ TEST(Sha1, BoundaryLengths) {
     Sha1 b;
     for (const char c : msg) b.update(std::string_view(&c, 1));
     EXPECT_EQ(Sha1::hex(a.finish()), Sha1::hex(b.finish())) << len;
+  }
+}
+
+// The dispatched compression (the SHA extensions where the CPU has
+// them) against the portable reference, which runs on every host.
+constexpr std::uint32_t kInit[5] = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu,
+                                    0x10325476u, 0xC3D2E1F0u};
+
+/// SHA-1 of `msg` padded by hand and folded with compress_portable.
+Sha1::Digest portable_digest(const std::vector<std::uint8_t>& msg) {
+  std::vector<std::uint8_t> padded = msg;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = std::uint64_t(msg.size()) * 8;
+  for (int i = 0; i < 8; ++i) {
+    padded.push_back(std::uint8_t(bits >> (56 - 8 * i)));
+  }
+  std::uint32_t h[5];
+  std::memcpy(h, kInit, sizeof h);
+  for (std::size_t off = 0; off < padded.size(); off += 64) {
+    std::uint32_t w[16];
+    for (int i = 0; i < 16; ++i) {
+      const std::uint8_t* p = padded.data() + off + 4 * std::size_t(i);
+      w[i] = (std::uint32_t(p[0]) << 24) | (std::uint32_t(p[1]) << 16) |
+             (std::uint32_t(p[2]) << 8) | std::uint32_t(p[3]);
+    }
+    Sha1::compress_portable(h, w);
+  }
+  Sha1::Digest d;
+  for (int i = 0; i < 5; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      d[std::size_t(4 * i + j)] = std::uint8_t(h[i] >> (24 - 8 * j));
+    }
+  }
+  return d;
+}
+
+TEST(Sha1, PortableCompressionMatchesFipsVector) {
+  const std::string abc = "abc";
+  EXPECT_EQ(Sha1::hex(portable_digest({abc.begin(), abc.end()})),
+            "a9993e364706816aba3e25717850c26c9cd0d89d");
+}
+
+TEST(Sha1, DispatchedHash64MatchesPortable) {
+  std::printf("[ sha1     ] compression path: %s\n", Sha1::compress_path());
+  RecordProperty("sha1_compress_path", Sha1::compress_path());
+  Rng rng(28);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t v = rng.next();
+    std::uint32_t block[16] = {};
+    block[0] = std::uint32_t(v >> 32);
+    block[1] = std::uint32_t(v);
+    block[2] = 0x80000000u;
+    block[15] = 64;
+    std::uint32_t h[5];
+    std::memcpy(h, kInit, sizeof h);
+    Sha1::compress_portable(h, block);
+    ASSERT_EQ(Sha1::hash64(v), (std::uint64_t(h[0]) << 32) | h[1])
+        << std::hex << v;
+  }
+}
+
+TEST(Sha1, DispatchedHashMatchesPortableOnMultiBlockMessages) {
+  // Every length from empty to five blocks, three random messages each.
+  Rng rng(2801);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    for (int rep = 0; rep < 3; ++rep) {
+      std::vector<std::uint8_t> msg(len);
+      for (auto& b : msg) b = std::uint8_t(rng.next());
+      ASSERT_EQ(Sha1::hex(Sha1::hash(msg)), Sha1::hex(portable_digest(msg)))
+          << "length " << len;
+    }
   }
 }
 

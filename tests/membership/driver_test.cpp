@@ -11,6 +11,9 @@
 #include <tuple>
 #include <vector>
 
+#include "obs/census.hpp"
+#include "wire/codec.hpp"
+
 namespace clash::membership {
 namespace {
 
@@ -241,6 +244,49 @@ TEST(MembershipDriver, GossipCarriesBoundedUpdateBatches) {
     net.deliver_all();
   }
   EXPECT_LE(max_batch, 2u);
+}
+
+// A relayed census record carries its publisher's CRC. Zeroing that
+// checksum is no bypass: a record whose content changed after stamping
+// fails its fence at decode, even though the enclosing Gossip's frame
+// fence (stamped over the altered bytes) passes.
+TEST(MembershipDriver, DropsCensusRecordThatFailsItsFence) {
+  LoopbackNet net(2);
+  obs::Census census(ServerId{0});
+  net.nodes[0]->driver->set_census(&census);
+
+  NodeCensusRecord rec;
+  rec.node = ServerId{1};
+  rec.incarnation = 1;
+  rec.seq = 1;
+  rec.load = 2.0;
+  rec.checksum = wire::census_record_crc(rec);
+  const auto over_the_wire = [](const NodeCensusRecord& r) {
+    Gossip g;
+    g.kind = GossipKind::kAck;
+    g.census.push_back(r);
+    wire::Writer w;
+    wire::encode_message(w, Message(g));
+    auto decoded = wire::decode_message(w.data());
+    EXPECT_TRUE(decoded.ok());
+    return std::get<Gossip>(decoded.value());
+  };
+
+  auto tampered = rec;
+  tampered.checksum = 0;
+  tampered.load = 99.0;
+  const Gossip bad = over_the_wire(tampered);
+  EXPECT_TRUE(bad.crc_ok);
+  EXPECT_FALSE(bad.census.at(0).crc_ok);
+  net.nodes[0]->driver->handle(ServerId{1}, bad);
+  EXPECT_EQ(census.record_of(ServerId{1}), nullptr);
+  EXPECT_EQ(census.crc_rejected(), 1u);
+
+  // The intact record is absorbed by the same path.
+  net.nodes[0]->driver->handle(ServerId{1}, over_the_wire(rec));
+  ASSERT_NE(census.record_of(ServerId{1}), nullptr);
+  EXPECT_EQ(census.record_of(ServerId{1})->load, 2.0);
+  EXPECT_EQ(census.crc_rejected(), 1u);
 }
 
 }  // namespace

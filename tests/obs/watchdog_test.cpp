@@ -1,13 +1,16 @@
 // StallWatchdog: tick-budget and op-progress stall detection, driven
 // deterministically through poll_once with a scripted probe and a fake
-// clock — the watchdog thread itself is only exercised for clean
-// start/stop.
+// clock — the watchdog thread itself is only exercised for clean and
+// prompt start/stop and for polling on its cadence.
 #include "obs/watchdog.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -146,6 +149,42 @@ TEST(StallWatchdog, StartStopIsCleanAndIdempotent) {
   StallWatchdog wd2(off, hub, 1);
   wd2.start();
   wd2.stop();
+}
+
+TEST(StallWatchdog, StopDoesNotWaitOutThePollInterval) {
+  Hub hub;
+  StallWatchdog::Config cfg;
+  cfg.poll_interval_us = 10'000'000;
+  StallWatchdog wd(cfg, hub, 1);
+  wd.set_clock([] { return std::int64_t{0}; });
+  wd.start();
+  // Let the thread reach its wait.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto t0 = std::chrono::steady_clock::now();
+  wd.stop();
+  const auto took = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(took, std::chrono::milliseconds(50));
+}
+
+TEST(StallWatchdog, ThreadPollsOnItsInterval) {
+  Hub hub;
+  StallWatchdog::Config cfg;
+  cfg.poll_interval_us = 5'000;
+  std::atomic<int> polls{0};
+  StallWatchdog wd(cfg, hub, 1);
+  wd.set_clock([&polls] {
+    polls.fetch_add(1, std::memory_order_relaxed);
+    return std::int64_t{0};
+  });
+  wd.start();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (polls.load(std::memory_order_relaxed) < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  wd.stop();
+  EXPECT_GE(polls.load(std::memory_order_relaxed), 3);
 }
 
 }  // namespace

@@ -273,17 +273,14 @@ TEST(CodecFuzz, CensusRecordFenceCatchesWhatTheFrameFenceMisses) {
     const auto* out = std::get_if<Gossip>(&decoded.value());
     if (out == nullptr) continue;
     for (const auto& out_rec : out->census) {
-      if (out_rec.checksum != 0 &&
-          out_rec.checksum != census_record_crc(out_rec)) {
+      if (!out_rec.crc_ok) {
         ++record_fenced;
         continue;  // the membership driver drops exactly these
       }
-      // Record CRC verifies: the record content must be untouched
-      // (the flip landed outside it, or inside its checksum turning
-      // it to 0 — which un-fences but cannot alter the gauges).
-      if (out_rec.checksum != 0) {
-        EXPECT_EQ(census_record_crc(out_rec), census_record_crc(rec));
-      }
+      // Record CRC verifies: the record must be untouched (the flip
+      // landed outside it).
+      EXPECT_EQ(out_rec.checksum, rec.checksum);
+      EXPECT_EQ(census_record_crc(out_rec), census_record_crc(rec));
     }
   }
   EXPECT_GT(record_fenced, 0)

@@ -542,6 +542,7 @@ TEST(Codec, GossipRoundTrip) {
   // The per-record CRC survives the round trip and still verifies.
   EXPECT_EQ(crec.checksum, rec.checksum);
   EXPECT_EQ(census_record_crc(crec), crec.checksum);
+  EXPECT_TRUE(crec.crc_ok);
 
   // An empty piggyback batch is fine.
   Gossip bare;
