@@ -20,6 +20,7 @@
 #include "net/node.hpp"
 #include "repl/log.hpp"
 #include "sim/cluster.hpp"
+#include "storage/snapshot.hpp"
 #include "wire/buffer_pool.hpp"
 #include "wire/codec.hpp"
 
@@ -303,6 +304,36 @@ void BM_GroupQueryMatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GroupQueryMatch)->Arg(16)->Arg(1024);
+
+// One snapshot file's encoding, read in place from a group's live
+// state (half streams, half queries, a third of the queries with a
+// predicate), as a checkpoint or baseline write pays it.
+void BM_SnapshotEncode(benchmark::State& state) {
+  const auto n = std::uint64_t(state.range(0));
+  const KeyGroup group = KeyGroup::of(Key(0x600000, 24), 6);
+  Rng rng(13);
+  GroupState st;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const Key key(0x600000 | (rng.next() & 0x3FFFF), 24);
+    if (i % 2 == 0) {
+      repl::GroupLog::apply(
+          repl::LogOp::put_stream({ClientId{i}, key, 1.0}), st);
+      continue;
+    }
+    std::vector<cq::Predicate> preds;
+    if (i % 3 == 0) preds.push_back({0, cq::Predicate::Op::kGe, 7});
+    repl::GroupLog::apply(repl::LogOp::put_query(QueryInfo(
+                              QueryId{i}, key, 24, std::move(preds))),
+                          st);
+  }
+  const storage::SnapshotView view{{group, repl::LogHead{3, n}, false,
+                                    ServerId{1}},
+                                   st};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(storage::encode_snapshot(view).size());
+  }
+}
+BENCHMARK(BM_SnapshotEncode)->Arg(1024);
 
 // The replication codec per batch: the owner encodes a two-entry
 // ReplAppend, stamping its content fence; the replica decodes it,

@@ -127,6 +127,10 @@ def combine(runs):
 
 def direction(path):
     leaf = path.rsplit(".", 1)[-1]
+    # A spread is lower-is-better whatever it is the spread of
+    # ("ratio_iqr" would otherwise match "ratio").
+    if leaf.endswith("_iqr"):
+        return -1
     if HIGHER_BETTER.search(leaf):
         return +1
     if LOWER_BETTER.search(leaf):
@@ -259,6 +263,26 @@ def selftest():
                             "rtt_us": 10.0})
     failures, _ = compare(own_base, own_head, 0.15, strict=False)
     assert len(failures) == 1 and "coalesce_ratio" in failures[0], failures
+
+    # A ratio is higher-is-better, the spread of one lower-is-better:
+    # rounds that agree more closely than the base's pass, a spread
+    # that grew fails, and a ratio that fell fails.
+    assert direction("metrics_overhead.ratio") == +1
+    assert direction("metrics_overhead.ratio_iqr") == -1
+    spread_base = flatten_any({"metrics_overhead": {"ratio": 1.0,
+                                                    "ratio_iqr": 0.005}})
+    tighter = flatten_any({"metrics_overhead": {"ratio": 1.0,
+                                                "ratio_iqr": 0.0031}})
+    failures, _ = compare(spread_base, tighter, 0.15, strict=False)
+    assert failures == [], failures
+    wider = flatten_any({"metrics_overhead": {"ratio": 1.0,
+                                              "ratio_iqr": 0.008}})
+    failures, _ = compare(spread_base, wider, 0.15, strict=False)
+    assert len(failures) == 1 and "ratio_iqr" in failures[0], failures
+    lower = flatten_any({"metrics_overhead": {"ratio": 0.8,
+                                              "ratio_iqr": 0.005}})
+    failures, _ = compare(spread_base, lower, 0.15, strict=False)
+    assert len(failures) == 1 and "ratio_iqr" not in failures[0], failures
     print("bench_diff: selftest OK")
     return 0
 

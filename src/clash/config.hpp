@@ -107,13 +107,19 @@ struct ClashConfig {
   enum class DurabilityMode : std::uint8_t { kNone, kWalSnapshot };
   DurabilityMode durability_mode = DurabilityMode::kNone;
 
-  /// When WAL appends reach stable storage:
-  ///  - kPerAppend: no reply before its record is synced (no loss);
-  ///    the appends of one loop tick share one fsync at its end.
+  /// When WAL appends reach stable storage. Under every policy the
+  /// records of one loop tick reach the WAL in one write at the tick's
+  /// commit, and no reply to a put leaves before that write. The
+  /// compaction checkpoints cut in between are written at the next
+  /// sync point, as one batch:
+  ///  - kPerAppend: the commit also fsyncs, so no reply leaves before
+  ///    its record is synced (no loss); every commit is a sync point.
   ///  - kInterval: fsync at most once per kFsyncInterval (bounded
-  ///    loss window).
+  ///    loss window), at the first commit or load check after the
+  ///    interval has elapsed; those are the sync points.
   ///  - kNever: leave it to the OS (a crash may lose any unsynced
-  ///    suffix; recovery still truncates to the last complete record).
+  ///    suffix; recovery still truncates to the last complete record);
+  ///    every commit is a sync point.
   enum class FsyncPolicy : std::uint8_t { kPerAppend, kInterval, kNever };
   FsyncPolicy fsync_policy = FsyncPolicy::kInterval;
 

@@ -194,9 +194,10 @@ class ClashServer {
 
   // --- Durable storage subsystem (src/storage/) ------------------------
   /// Attach the node's durable store: every owned-group mutation
-  /// appends to its WAL (under kPerAppend, a tick that appended ends
-  /// in one deferred NodeStore::commit), activations write baseline
-  /// snapshots, and log compaction cuts checkpoint snapshots that
+  /// appends to its WAL (a tick that appended ends in one deferred
+  /// group commit: one WAL write, synced per the fsync policy),
+  /// activations write baseline snapshots, and log compaction cuts
+  /// checkpoint snapshots, written at the WAL's next sync point, that
   /// truncate the WAL.
   /// Attach before any traffic; the store must outlive the server.
   void set_storage(storage::NodeStore* store) { repl_.set_storage(store); }

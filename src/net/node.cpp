@@ -920,17 +920,16 @@ void ClashNode::handle_frame(const std::shared_ptr<Connection>& conn,
           wire::FrameKind::kResponse, env.request_id, config_.id});
       wire::encode_reply(w, reply);
       auto out = wire::finish_frame(std::move(w));
-      const bool must_park =
-          !parked_replies_.empty() ||
-          (store_ != nullptr && store_->commit_pending());
-      if (!must_park) {
+      if (store_ == nullptr) {
         conn->send_wire_frame(std::move(out));
         break;
       }
-      // The reply waits for the commit that covers its record. Sending
-      // it now could flush it before the sync: the connection's flush
-      // may already be deferred ahead of the commit. A reply behind a
-      // parked one parks too, so each connection stays in order.
+      // On a durable node a reply waits for the tick's commit, which
+      // writes (and under kPerAppend syncs) the records of the tick's
+      // puts. Sending it now could flush it first: the connection's
+      // flush may already be deferred ahead of the commit. Every reply
+      // parks, a probe's too, so each connection stays in order and
+      // sends its tick's replies in one flush.
       if (parked_replies_.empty()) {
         loop_->defer([this] {
           on_loop_.assert_held();
@@ -947,11 +946,21 @@ void ClashNode::handle_frame(const std::shared_ptr<Connection>& conn,
 }
 
 void ClashNode::release_replies() {
-  for (auto& parked : std::exchange(parked_replies_, {})) {
+  if (store_->commit_pending()) {
+    // The first reply parked before the tick's first put, so this task
+    // runs ahead of the commit that put deferred: follow it.
+    loop_->defer([this] {
+      on_loop_.assert_held();
+      release_replies();
+    });
+    return;
+  }
+  for (auto& parked : parked_replies_) {
     if (const auto conn = parked.conn.lock()) {
       conn->send_wire_frame(std::move(parked.frame));
     }
   }
+  parked_replies_.clear();
 }
 
 }  // namespace clash::net

@@ -233,9 +233,10 @@ class ClashNode {
   void handle_frame(const std::shared_ptr<Connection>& conn,
                     std::span<const std::uint8_t> frame)
       CLASH_REQUIRES(on_loop_);
-  /// Send the replies parked behind the tick's WAL group commit.
-  /// ClashServer deferred that commit before the first of them parked,
-  /// and deferred tasks run in order, so it has run by now.
+  /// Send the replies parked behind the tick's group commit. Every put
+  /// that appended deferred that commit, and deferred tasks run in
+  /// order: when it is still pending here, the release defers itself
+  /// once more and so runs after it.
   void release_replies() CLASH_REQUIRES(on_loop_);
   /// Takes an owned, finished wire frame (wire::finish_frame output).
   void send_to_peer(ServerId to, std::vector<std::uint8_t>&& frame)
@@ -312,8 +313,9 @@ class ClashNode {
       CLASH_GUARDED_BY(on_loop_);
   std::vector<std::shared_ptr<Connection>> inbound_
       CLASH_GUARDED_BY(on_loop_);
-  /// AcceptObject replies waiting for the tick's group commit, in
-  /// arrival order (kPerAppend: no reply before its record is synced).
+  /// AcceptObject replies of a durable node waiting for the tick's
+  /// group commit, in arrival order: no reply before its record is
+  /// written (and, under kPerAppend, synced).
   struct ParkedReply {
     std::weak_ptr<Connection> conn;
     std::vector<std::uint8_t> frame;

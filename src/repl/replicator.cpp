@@ -123,7 +123,14 @@ void Replicator::retire(const KeyGroup& group) {
     hub_.inflight.end(std::exchange(owned.op_token, 0));
     const std::uint64_t epoch = owned.log.epoch();
     retired_epochs_[group] = epoch;
-    if (durable()) storage_->drop_group(group, epoch, env_.now());
+    baselines_.erase(group);
+    checkpoints_.erase(group);
+    if (durable()) {
+      // The drop must not reach the disk before the baselines that
+      // re-anchor what the group covered (a split's children).
+      if (!baselines_.empty()) write_snapshots(false);
+      storage_->drop_group(group, epoch, env_.now());
+    }
     owned_logs_.erase(it);
   }
   // The cost history goes too, or the map grows without bound under
@@ -155,21 +162,60 @@ Replicator::OwnedLog& Replicator::start_line(const KeyGroup& group,
   return owned;
 }
 
-void Replicator::persist(const ServerTableEntry& entry) {
+void Replicator::persist_baseline(const KeyGroup& group) {
   if (!durable()) return;
-  const auto st = state_.find(entry.group);
-  const storage::SnapshotImage img{
-      entry.group, log_head(entry.group).value_or(LogHead{1, 0}), entry.root,
-      entry.parent, st != state_.end() ? st->second : GroupState{}};
-  meter_storage_bytes(entry.group, storage_->write_snapshot(img));
+  baselines_.insert(group);
+  schedule_commit();
+}
+
+void Replicator::write_snapshots(bool checkpoints) {
+  std::set<KeyGroup> due = std::exchange(baselines_, {});
+  if (checkpoints) {
+    due.merge(checkpoints_);
+    checkpoints_.clear();
+  } else {
+    // A baseline written now covers the group's pending checkpoint.
+    for (const KeyGroup& group : due) checkpoints_.erase(group);
+  }
+  std::vector<storage::SnapshotView> views;
+  views.reserve(due.size());
+  for (const KeyGroup& group : due) {
+    const ServerTableEntry* entry = table_.find(group);
+    if (entry == nullptr || !entry->active) continue;
+    views.push_back({{group, log_head(group).value_or(LogHead{1, 0}),
+                      entry->root, entry->parent},
+                     state_of(group)});
+  }
+  if (views.empty()) return;
+  const auto bytes = storage_->write_snapshots(views);
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    meter_storage_bytes(views[i].group, bytes[i]);
+  }
+}
+
+void Replicator::schedule_commit() {
+  if (commit_scheduled_) return;
+  commit_scheduled_ = true;
+  env_.defer([this] { commit(); });
+}
+
+void Replicator::commit() {
+  commit_scheduled_ = false;
+  const SimTime now = env_.now();
+  write_snapshots(storage_->sync_due(now));
+  storage_->commit(now);
+}
+
+const GroupState& Replicator::state_of(const KeyGroup& group) const {
+  static const GroupState kEmpty;
+  const auto it = state_.find(group);
+  return it != state_.end() ? it->second : kEmpty;
 }
 
 Replicator::Source Replicator::owner_source(const ServerTableEntry& entry,
                                             const OwnedLog& owned) const {
-  static const GroupState kEmpty;
-  const auto st = state_.find(entry.group);
-  const GroupState& state = st != state_.end() ? st->second : kEmpty;
-  return Source{owned.log, state, entry.root, entry.parent, self_};
+  return Source{owned.log, state_of(entry.group), entry.root, entry.parent,
+                self_};
 }
 
 void Replicator::snapshot_group(const ServerTableEntry& entry) {
@@ -180,7 +226,7 @@ void Replicator::snapshot_group(const ServerTableEntry& entry) {
   // The snapshot defines the new compaction boundary at the current
   // head; anyone behind it is repaired by the snapshot itself.
   owned.log.compact();
-  persist(entry);
+  persist_baseline(entry.group);
   if (!replicating()) return;
   const Source src = owner_source(entry, owned);
   for (const ServerId target : replica_set(owned.ring_pos)) {
@@ -208,24 +254,19 @@ void Replicator::log_op(const KeyGroup& group, LogOp op) {
     if (owned.trace_id == 0) owned.trace_id = active_trace_;
     owned.batch.push_back(op);
   }
-  // Append-on-mutate, WAL first: the op is durable (per the fsync
-  // policy) before the in-memory log observes it.
+  // Append-on-mutate, WAL first: the op is staged for the tick's WAL
+  // write before the in-memory log observes it. Staging never writes
+  // it, so the baselines queued this tick still land ahead of it; they
+  // are written once the log holds the op, since the server applied it
+  // to the group's state before logging it.
   const LogHead head{log.epoch(), log.head().seq + 1};
   if (durable()) {
+    storage_->begin_commit();
     meter_storage_bytes(group, storage_->append_op(group, head, op,
                                                    env_.now()));
-    if (!commit_scheduled_ && storage_->commit_pending()) {
-      // kPerAppend: every append of this tick shares one fsync at its
-      // end, appends no client waits on (removals, handoffs) included.
-      // An env with the inline defer default: one fsync per append.
-      commit_scheduled_ = true;
-      env_.defer([this] {
-        commit_scheduled_ = false;
-        storage_->commit(env_.now());
-      });
-    }
   }
   log.append(std::move(op));
+  if (durable() && !baselines_.empty()) write_snapshots(false);
   if (replicating && !append_flush_scheduled_) {
     // Scheduled only after the local append: an env with the inline
     // defer default flushes at once, and the batch must never be sent
@@ -234,17 +275,22 @@ void Replicator::log_op(const KeyGroup& group, LogOp op) {
     env_.defer([this] { flush_pending_appends(); });
   }
 
-  // Bound the retained suffix. The cut is local (on disk it advances
-  // the WAL truncation floor): each replica compacts its own copy, and
-  // a holder left behind the floor is repaired by snapshot.
+  // Bound the retained suffix. The cut is local: each replica compacts
+  // its own copy, and a holder left behind the floor is repaired by
+  // snapshot. On disk the checkpoint that advances the WAL truncation
+  // floor waits for the WAL's next sync point.
   if (log.size() > cfg_.log_compact_threshold) {
     const ServerTableEntry* entry = table_.find(group);
     if (entry != nullptr && entry->active) {
       stats_.log_compactions++;
-      persist(*entry);
+      if (durable()) checkpoints_.insert(group);
       log.compact();
     }
   }
+  // Every append of the tick shares one commit at its end, appends no
+  // client waits on (removals, handoffs) included. An env with the
+  // inline defer default commits each append at once.
+  if (durable()) schedule_commit();
 }
 
 void Replicator::send_append_batch(const KeyGroup& group, OwnedLog& owned) {
@@ -400,13 +446,15 @@ void Replicator::run_check() {
   }
   last_check_ = now;
   if (durable()) {
-    storage_->tick(now);  // kInterval fsync backstop
     // Re-anchor any group whose snapshot write failed (ENOSPC,
     // transient I/O): without the baseline, recovery would replay its
     // ops onto an empty image and call the partial result success.
     for (const ServerTableEntry* e : table_.active_entries()) {
-      if (storage_->snapshot_retry_pending(e->group)) persist(*e);
+      if (storage_->snapshot_retry_pending(e->group)) {
+        baselines_.insert(e->group);
+      }
     }
+    commit();  // the kInterval sync backstop
   }
   // Replica records nobody refreshed for several check periods go: an
   // ownership move re-targets the replica set, and the ex-holders'

@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -132,14 +133,17 @@ class Replicator {
   /// Append one op of an active group to its log (no-op unless the group
   /// is logged): WAL first, then the in-memory log. Ops of one dispatch
   /// tick leave as one ReplAppend per group at the tick's end
-  /// (ServerEnv::defer), and a kPerAppend tick ends in one WAL commit.
+  /// (ServerEnv::defer), and the tick ends in one group commit: its WAL
+  /// records in one write, synced per the fsync policy.
   void log_op(const KeyGroup& group, LogOp op);
   /// Cut a fresh snapshot of an active, logged group: compact its log at
-  /// the head, write it to disk, and offer it to the replica set.
+  /// the head, write it to disk as a baseline, and offer it to the
+  /// replica set.
   void snapshot_group(const ServerTableEntry& entry);
   [[nodiscard]] dht::HashKey ring_pos(const KeyGroup& group) const;
-  /// The engine's share of a load check: timed fsync, snapshot retries,
-  /// replica-lease GC, anti-entropy, and paused transfers.
+  /// The engine's share of a load check: a commit (the kInterval sync
+  /// backstop, with failed snapshots retried), replica-lease GC,
+  /// anti-entropy, and paused transfers.
   void run_check();
   std::size_t pump_snapshots();
   [[nodiscard]] bool has_pending_snapshots() const {
@@ -291,9 +295,22 @@ class Replicator {
   /// Start (or restart) a group's log on a line strictly above
   /// `min_epoch` and every epoch this server used for it.
   OwnedLog& start_line(const KeyGroup& group, std::uint64_t min_epoch);
-  /// Write `entry`'s state as its on-disk snapshot (durable only): it
-  /// anchors WAL replay and advances the truncation floor.
-  void persist(const ServerTableEntry& entry);
+  /// Queue `group`'s baseline snapshot (durable only) and defer the
+  /// tick's commit. The queued baselines are written as one batch when
+  /// the next WAL record is staged (before it can reach the segment),
+  /// before a drop, or else at that commit.
+  void persist_baseline(const KeyGroup& group);
+  /// Write the queued baselines, plus the queued checkpoints when
+  /// `checkpoints`, as one batch, each at its group's current head and
+  /// read from its live state: a snapshot anchors WAL replay and
+  /// advances the truncation floor.
+  void write_snapshots(bool checkpoints);
+  /// Defer commit() to the end of the dispatch tick, once per tick.
+  void schedule_commit();
+  /// The group commit: the queued snapshots (the checkpoints only at a
+  /// sync point), then the store's WAL write and sync.
+  void commit();
+  [[nodiscard]] const GroupState& state_of(const KeyGroup& group) const;
   [[nodiscard]] Source owner_source(const ServerTableEntry& entry,
                                     const OwnedLog& owned) const;
   void send_append_batch(const KeyGroup& group, OwnedLog& owned);
@@ -342,8 +359,14 @@ class Replicator {
   /// visits these, not every group the server owns.
   std::vector<KeyGroup> batched_;
   bool append_flush_scheduled_ = false;
-  /// The tick's WAL group commit is deferred (kPerAppend).
+  /// The tick's group commit is deferred.
   bool commit_scheduled_ = false;
+  /// Snapshots queued for writing: activation baselines, due ahead of
+  /// the next WAL record or drop, or at the commit, and compaction
+  /// checkpoints, due at the WAL's next sync point. A group in both is
+  /// written once.
+  std::set<KeyGroup> baselines_;
+  std::set<KeyGroup> checkpoints_;
 
   Replicas replicas_;
   std::map<std::pair<ServerId, KeyGroup>, OutboundSnapshot> outbound_;

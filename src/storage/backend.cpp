@@ -15,11 +15,35 @@
 
 namespace clash::storage {
 
+bool Backend::write_file_atomic(std::span<const AtomicWrite> batch) {
+  bool ok = true;
+  for (const AtomicWrite& w : batch) {
+    ok = write_file_atomic(w.path, w.data) && ok;
+  }
+  return ok;
+}
+
 // ---------------------------------------------------------------------------
 // FileBackend.
 // ---------------------------------------------------------------------------
 
 namespace {
+
+/// write() all of `data`, retrying short writes and EINTR.
+bool write_all(int fd, std::span<const std::uint8_t> data) {
+  const std::uint8_t* p = data.data();
+  std::size_t left = data.size();
+  while (left > 0) {
+    const ssize_t n = ::write(fd, p, left);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    p += n;
+    left -= std::size_t(n);
+  }
+  return true;
+}
 
 class PosixAppendFile final : public AppendFile {
  public:
@@ -29,17 +53,9 @@ class PosixAppendFile final : public AppendFile {
   }
 
   bool append(std::span<const std::uint8_t> data) override {
-    const std::uint8_t* p = data.data();
-    std::size_t left = data.size();
-    while (left > 0) {
-      const ssize_t n = ::write(fd_, p, left);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        CLASH_ERROR << "wal append failed: " << std::strerror(errno);
-        return false;
-      }
-      p += n;
-      left -= std::size_t(n);
+    if (!write_all(fd_, data)) {
+      CLASH_ERROR << "wal append failed: " << std::strerror(errno);
+      return false;
     }
     size_ += data.size();
     return true;
@@ -131,39 +147,53 @@ bool FileBackend::read_file(const std::string& path,
   return true;
 }
 
+bool FileBackend::write_file_atomic(std::span<const AtomicWrite> batch) {
+  // Every file's data is on disk before any rename makes one
+  // reachable, or a crash could expose a named-but-empty snapshot.
+  bool ok = true;
+  std::vector<bool> written(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (!ensure_parent_dir(batch[i].path)) {
+      ok = false;
+      continue;
+    }
+    const std::string tmp = full(batch[i].path) + ".tmp";
+    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd < 0) {
+      ok = false;
+      continue;
+    }
+    written[i] = write_all(fd, batch[i].data) && ::fdatasync(fd) == 0;
+    ::close(fd);
+    if (!written[i]) {
+      ::unlink(tmp.c_str());
+      ok = false;
+    }
+  }
+  // One directory sync per directory makes every rename durable.
+  std::vector<std::string> dirs;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (!written[i]) continue;
+    const std::string path = full(batch[i].path);
+    const std::string tmp = path + ".tmp";
+    if (::rename(tmp.c_str(), path.c_str()) != 0) {
+      ::unlink(tmp.c_str());
+      ok = false;
+      continue;
+    }
+    std::string dir = parent_of(path);
+    if (std::find(dirs.begin(), dirs.end(), dir) == dirs.end()) {
+      dirs.push_back(std::move(dir));
+    }
+  }
+  for (const std::string& dir : dirs) sync_dir(dir);
+  return ok;
+}
+
 bool FileBackend::write_file_atomic(const std::string& path,
                                     std::span<const std::uint8_t> data) {
-  if (!ensure_parent_dir(path)) return false;
-  const std::string tmp = full(path) + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  const std::uint8_t* p = data.data();
-  std::size_t left = data.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return false;
-    }
-    p += n;
-    left -= std::size_t(n);
-  }
-  // The data must be on disk before the rename makes it reachable, or
-  // a crash could expose a named-but-empty snapshot.
-  if (::fdatasync(fd) != 0) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), full(path).c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  sync_dir(parent_of(full(path)));
-  return true;
+  const AtomicWrite one{path, data};
+  return write_file_atomic(std::span(&one, 1));
 }
 
 bool FileBackend::remove_file(const std::string& path) {

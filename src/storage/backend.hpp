@@ -39,6 +39,12 @@ class AppendFile {
   [[nodiscard]] virtual std::uint64_t size() const = 0;
 };
 
+/// One file of a write_file_atomic batch.
+struct AtomicWrite {
+  std::string path;
+  std::span<const std::uint8_t> data;
+};
+
 class Backend {
  public:
   virtual ~Backend() = default;
@@ -51,8 +57,16 @@ class Backend {
   virtual bool read_file(const std::string& path,
                          std::vector<std::uint8_t>& out) = 0;
 
-  /// Atomic whole-file replace (tmp + rename on the file backend): a
-  /// crash leaves either the old content or the new, never a mix.
+  /// Atomic whole-file replace of every file in `batch`: a crash leaves
+  /// each file with either its old content or its new, never a mix.
+  /// The file backend writes and fdatasyncs every tmp file, then renames
+  /// each, then fsyncs the directory once, so a batch costs one
+  /// directory sync however many files it holds. False when any file
+  /// failed (the others may have landed). The default replaces the
+  /// files one at a time through the single-file form.
+  virtual bool write_file_atomic(std::span<const AtomicWrite> batch);
+
+  /// A batch of one.
   virtual bool write_file_atomic(const std::string& path,
                                  std::span<const std::uint8_t> data) = 0;
 
@@ -72,6 +86,7 @@ class FileBackend final : public Backend {
   std::vector<std::string> list(const std::string& dir) override;
   bool read_file(const std::string& path,
                  std::vector<std::uint8_t>& out) override;
+  bool write_file_atomic(std::span<const AtomicWrite> batch) override;
   bool write_file_atomic(const std::string& path,
                          std::span<const std::uint8_t> data) override;
   bool remove_file(const std::string& path) override;
@@ -107,6 +122,7 @@ class MemBackend final : public Backend {
   std::vector<std::string> list(const std::string& dir) override;
   bool read_file(const std::string& path,
                  std::vector<std::uint8_t>& out) override;
+  using Backend::write_file_atomic;
   bool write_file_atomic(const std::string& path,
                          std::span<const std::uint8_t> data) override;
   bool remove_file(const std::string& path) override;

@@ -18,7 +18,7 @@ constexpr std::uint8_t kVersion = 2;
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_snapshot(const SnapshotImage& img) {
+std::vector<std::uint8_t> encode_snapshot(const SnapshotView& img) {
   wire::Writer w;
   w.u32(kMagic);
   w.u8(kVersion);
@@ -28,13 +28,9 @@ std::vector<std::uint8_t> encode_snapshot(const SnapshotImage& img) {
   w.boolean(img.root);
   w.u64(img.parent.value);
   w.u32(std::uint32_t(img.state.streams.size()));
-  for (const auto& [_, s] : img.state.streams) {
-    wire::encode_log_op(w, repl::LogOp::put_stream(s));
-  }
+  for (const auto& [_, s] : img.state.streams) wire::encode_put_stream(w, s);
   w.u32(std::uint32_t(img.state.queries.size()));
-  for (const auto& [_, q] : img.state.queries) {
-    wire::encode_log_op(w, repl::LogOp::put_query(q));
-  }
+  for (const auto& [_, q] : img.state.queries) wire::encode_put_query(w, q);
   w.u32(crc32(w.data()));
   return w.take();
 }

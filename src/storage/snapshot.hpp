@@ -20,17 +20,34 @@
 
 namespace clash::storage {
 
-struct SnapshotImage {
+/// What a snapshot file records besides the group's objects.
+struct SnapshotHeader {
   KeyGroup group;
   repl::LogHead head;
   bool root = false;
   ServerId parent{};
-  GroupState state;
 };
 
-/// Serialise an image (magic + version + payload + trailing CRC32).
+/// A snapshot to write: the header plus the group's state, read where
+/// it lives (an owned group's live state), never copied.
+struct SnapshotView : SnapshotHeader {
+  const GroupState& state;
+};
+
+/// A snapshot that owns its state: one read back, or built by hand.
+struct SnapshotImage : SnapshotHeader {
+  GroupState state;
+
+  [[nodiscard]] SnapshotView view() const { return {*this, state}; }
+};
+
+/// Serialise a snapshot (magic + version + payload + trailing CRC32).
 [[nodiscard]] std::vector<std::uint8_t> encode_snapshot(
-    const SnapshotImage& img);
+    const SnapshotView& img);
+[[nodiscard]] inline std::vector<std::uint8_t> encode_snapshot(
+    const SnapshotImage& img) {
+  return encode_snapshot(img.view());
+}
 
 /// Decode + CRC-validate; false on any damage (caller falls back to
 /// WAL-only recovery for the group).

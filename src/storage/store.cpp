@@ -46,7 +46,7 @@ void NodeStore::set_obs(obs::Hub* hub, std::uint64_t node) {
   node_ = node;
   if (hub_ == nullptr) {
     fsync_us_ = {};
-    wal_records_ = wal_bytes_ = segments_deleted_ = {};
+    wal_records_ = wal_bytes_ = wal_writes_ = segments_deleted_ = {};
     snapshot_writes_ = snapshot_bytes_ = snapshot_write_failures_ = {};
     io_errors_ = {};
     return;
@@ -55,6 +55,7 @@ void NodeStore::set_obs(obs::Hub* hub, std::uint64_t node) {
   fsync_us_ = r.histogram("clash_wal_fsync_usec");
   wal_records_ = r.counter("clash_wal_records_total");
   wal_bytes_ = r.counter("clash_wal_bytes_total");
+  wal_writes_ = r.counter("clash_wal_writes_total");
   segments_deleted_ = r.counter("clash_wal_segments_deleted_total");
   snapshot_writes_ = r.counter("clash_snapshot_writes_total");
   snapshot_bytes_ = r.counter("clash_snapshot_bytes_total");
@@ -68,16 +69,15 @@ void NodeStore::set_obs(obs::Hub* hub, std::uint64_t node) {
 std::uint64_t NodeStore::append_op(const KeyGroup& group, repl::LogHead head,
                                    const repl::LogOp& op, SimTime now) {
   affinity_.assert_held();
-  const std::uint64_t bytes =
-      note_append(wal_->append_op(group, head, op), now);
-  maybe_sync(now);
-  return bytes;
+  commit_pending_ = true;
+  return note_append(wal_->append_op(group, head, op), now);
 }
 
 std::uint64_t NodeStore::note_append(const Wal::AppendResult& r,
                                      SimTime now) {
   if (r.bytes > 0) wal_records_.inc();
   wal_bytes_.inc(r.bytes);
+  wal_writes_.inc(r.writes);
   io_errors_.inc(r.io_errors);
   if (r.rolled && hub_ != nullptr) {
     hub_->tracer.record(obs::SpanKind::kWalRollover, node_, now,
@@ -86,27 +86,41 @@ std::uint64_t NodeStore::note_append(const Wal::AppendResult& r,
   return r.bytes;
 }
 
-std::uint64_t NodeStore::write_snapshot(const SnapshotImage& img) {
+std::vector<std::uint64_t> NodeStore::write_snapshots(
+    std::span<const SnapshotView> imgs) {
   affinity_.assert_held();
-  const auto bytes = encode_snapshot(img);
-  if (!backend_.write_file_atomic(snapshot_path(cfg_.snap_dir, img.group),
-                                  bytes)) {
-    // A lost baseline is a lost anchor (the adopted state never went
-    // through the WAL): flag the group so the server re-persists it
-    // at the next load check instead of presenting partial recovery
-    // as success.
-    snapshot_write_failures_.inc();
-    failed_snapshots_.insert(img.group);
-    CLASH_ERROR << "snapshot write failed for " << img.group.label()
-                << " (will retry at the next load check)";
-    return 0;
+  std::vector<std::vector<std::uint8_t>> encoded;
+  std::vector<AtomicWrite> batch;
+  encoded.reserve(imgs.size());
+  batch.reserve(imgs.size());
+  for (const SnapshotView& img : imgs) {
+    encoded.push_back(encode_snapshot(img));
+    batch.push_back({snapshot_path(cfg_.snap_dir, img.group), encoded.back()});
   }
-  failed_snapshots_.erase(img.group);
-  snapshot_writes_.inc();
-  snapshot_bytes_.inc(bytes.size());
-  floors_[img.group] = img.head;
+  std::vector<std::uint64_t> bytes(imgs.size(), 0);
+  if (!backend_.write_file_atomic(batch)) {
+    // A lost baseline is a lost anchor (the adopted state never went
+    // through the WAL): flag the groups so the server re-persists them
+    // at the next load check instead of presenting partial recovery as
+    // success. No floor moves: a file of the batch that did land only
+    // holds truncation back until the retry.
+    for (const SnapshotView& img : imgs) {
+      snapshot_write_failures_.inc();
+      failed_snapshots_.insert(img.group);
+      CLASH_ERROR << "snapshot write failed for " << img.group.label()
+                  << " (will retry at the next load check)";
+    }
+    return bytes;
+  }
+  for (std::size_t i = 0; i < imgs.size(); ++i) {
+    failed_snapshots_.erase(imgs[i].group);
+    snapshot_writes_.inc();
+    snapshot_bytes_.inc(encoded[i].size());
+    floors_[imgs[i].group] = imgs[i].head;
+    bytes[i] = encoded[i].size();
+  }
   truncate();
-  return bytes.size();
+  return bytes;
 }
 
 void NodeStore::drop_group(const KeyGroup& group, std::uint64_t epoch,
@@ -139,6 +153,7 @@ void NodeStore::truncate() {
 }
 
 bool NodeStore::timed_sync(SimTime now) {
+  (void)note_append(wal_->write(), now);
   const auto t0 = std::chrono::steady_clock::now();
   const Wal::SyncResult result = wal_->sync();
   commit_pending_ = false;
@@ -155,13 +170,26 @@ bool NodeStore::timed_sync(SimTime now) {
   return ok;
 }
 
-void NodeStore::maybe_sync(SimTime now) {
+void NodeStore::begin_commit() {
+  affinity_.assert_held();
+  wal_->begin_group();
+}
+
+bool NodeStore::sync_due(SimTime now) const {
+  affinity_.assert_held();
+  return cfg_.fsync != ClashConfig::FsyncPolicy::kInterval ||
+         now - last_sync_ >= ClashConfig::kFsyncInterval;
+}
+
+void NodeStore::commit(SimTime now) {
+  affinity_.assert_held();
+  (void)note_append(wal_->end_group(), now);
   switch (cfg_.fsync) {
     case ClashConfig::FsyncPolicy::kPerAppend:
-      commit_pending_ = true;
+      if (commit_pending_) timed_sync(now);
       break;
     case ClashConfig::FsyncPolicy::kInterval:
-      if (now - last_sync_ >= ClashConfig::kFsyncInterval) {
+      if (sync_due(now)) {
         timed_sync(now);
         last_sync_ = now;
       }
@@ -169,20 +197,7 @@ void NodeStore::maybe_sync(SimTime now) {
     case ClashConfig::FsyncPolicy::kNever:
       break;
   }
-}
-
-void NodeStore::tick(SimTime now) {
-  affinity_.assert_held();
-  if (cfg_.fsync == ClashConfig::FsyncPolicy::kInterval &&
-      now - last_sync_ >= ClashConfig::kFsyncInterval) {
-    timed_sync(now);
-    last_sync_ = now;
-  }
-}
-
-void NodeStore::commit(SimTime now) {
-  affinity_.assert_held();
-  if (commit_pending_) timed_sync(now);
+  commit_pending_ = false;
 }
 
 }  // namespace clash::storage

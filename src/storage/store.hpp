@@ -1,11 +1,14 @@
 // storage::NodeStore: the per-node durable store a ClashServer writes
 // through. One WAL (append-on-mutate) plus one snapshot file per owned
-// group (baseline at activation; checkpoint at log compaction). Every
-// snapshot truncates the WAL past its group's floor, so disk use and
-// replay stay bounded. Construction scans the backend and rebuilds the
-// pre-crash image eagerly — take_image() hands it to the server's
-// restore path — so the WAL always restarts on a fresh segment, never
-// appending to a possibly-torn tail.
+// group (baseline at activation; checkpoint after log compaction). It
+// commits in groups: a dispatch tick's records reach the WAL in one
+// write at the tick's commit, and snapshots are written in batches that
+// share one directory sync. Every snapshot truncates the WAL past its
+// group's floor, so disk use and replay stay bounded. Construction
+// scans the backend and rebuilds the pre-crash image eagerly —
+// take_image() hands it to the server's restore path — so the WAL
+// always restarts on a fresh segment, never appending to a
+// possibly-torn tail.
 // Thread contract: a NodeStore is affine to its owner's single thread
 // (the node's event loop; the simulator's thread in sim runs). State is
 // CLASH_GUARDED_BY(affinity_) and public methods witness the token at
@@ -17,7 +20,9 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "clash/config.hpp"
 #include "common/affinity.hpp"
@@ -69,37 +74,55 @@ class NodeStore {
   }
 
   /// Append one mutation of an owned group (`head` is the op's
-  /// position after the append). Applies the fsync policy: under
-  /// kPerAppend the record stays pending until the next commit().
-  /// Returns the WAL bytes the record cost (per-group storage
-  /// metering).
+  /// position after the append). Inside a begin_commit() group the
+  /// record is staged for the group's one write at commit(); outside
+  /// one it is written at once. Returns the WAL bytes the record cost
+  /// (per-group storage metering).
   std::uint64_t append_op(const KeyGroup& group, repl::LogHead head,
                           const repl::LogOp& op, SimTime now);
 
-  /// Write `img` atomically as `group`'s snapshot file: a baseline
+  /// Write each image as its group's snapshot file, all in one
+  /// write_file_atomic batch (one directory sync): a baseline
   /// (activation under a new epoch) or a checkpoint (log-compaction
-  /// cut). Either anchors WAL replay, advances the group's truncation
-  /// floor, and reclaims the segments the floors now cover. Returns the
-  /// encoded bytes written (0 when the write failed).
-  std::uint64_t write_snapshot(const SnapshotImage& img);
+  /// cut). Once the whole batch is durable, each anchors its group's
+  /// WAL replay and advances its truncation floor, and the segments the
+  /// floors now cover are reclaimed. Returns each image's encoded
+  /// bytes, all 0 when the batch failed (its groups are then flagged
+  /// for retry).
+  std::vector<std::uint64_t> write_snapshots(
+      std::span<const SnapshotView> imgs);
+  /// A batch of one.
+  std::uint64_t write_snapshot(const SnapshotImage& img) {
+    const SnapshotView view = img.view();
+    return write_snapshots(std::span(&view, 1)).front();
+  }
 
   /// The group left this node (split away, reclaimed, handed off):
-  /// log a drop record (fsync policy applies) and delete its snapshot
-  /// file.
+  /// log a drop record, sync it with every record written before it
+  /// (whatever the fsync policy), and delete its snapshot file.
   void drop_group(const KeyGroup& group, std::uint64_t epoch, SimTime now);
 
-  /// Periodic hook (each load check): the kInterval policy's timed
-  /// fsync.
-  void tick(SimTime now);
+  /// Open the dispatch tick's group commit: records appended from now
+  /// until commit() are staged and reach the WAL in one write there.
+  void begin_commit();
 
-  /// kPerAppend's group commit: one fsync makes every record appended
-  /// since the last sync durable. The server runs it once at the end
-  /// of each loop tick that appended, and no reply to a put leaves
-  /// before it. A no-op when nothing is pending.
+  /// True when a commit() at `now` is a sync point: under kPerAppend
+  /// and kNever every commit is, under kInterval one that finds the
+  /// interval elapsed (the load check's commit is the backstop). The
+  /// server writes the compaction checkpoints it deferred at the sync
+  /// points.
+  [[nodiscard]] bool sync_due(SimTime now) const;
+
+  /// The group commit, run once at the end of each dispatch tick that
+  /// appended (and at each load check): write the staged records in one
+  /// write, then fsync per the policy — under kPerAppend when records
+  /// were appended since the last sync, under kInterval when the
+  /// interval has elapsed, under kNever not at all. Closes the group
+  /// begin_commit() opened. No reply to a put leaves before it.
   void commit(SimTime now);
 
-  /// True when kPerAppend records await commit(). Any sync of the open
-  /// segment (a drop record's, a commit's) clears it.
+  /// True when records appended since the last commit() wait for it.
+  /// A sync of the open segment (a drop record's) clears it too.
   [[nodiscard]] bool commit_pending() const {
     affinity_.assert_held();
     return commit_pending_;
@@ -113,8 +136,8 @@ class NodeStore {
   }
 
   /// Attach an observability hub, the only place storage events are
-  /// counted: WAL records/bytes, reclaimed segments, snapshot
-  /// writes/bytes/failures and I/O errors go to its clash_wal_* /
+  /// counted: WAL records/bytes/segment writes, reclaimed segments,
+  /// snapshot writes/bytes/failures and I/O errors go to its clash_wal_* /
   /// clash_snapshot_* / clash_storage_* counters, and each fsync's
   /// wall-clock cost to the clash_wal_fsync_usec histogram (traced as
   /// WalFsync spans stamped with `node`), whose count is the fsync
@@ -124,13 +147,12 @@ class NodeStore {
   [[nodiscard]] const Config& config() const { return cfg_; }
 
  private:
-  /// Count one WAL append's outcome (and trace a rollover).
+  /// Count one WAL append's or write's outcome (and trace a rollover).
   std::uint64_t note_append(const Wal::AppendResult& r, SimTime now)
       CLASH_REQUIRES(affinity_);
-  void maybe_sync(SimTime now) CLASH_REQUIRES(affinity_);
-  /// wal_->sync() wrapped with the fsync histogram/trace span (`now`
-  /// stamps the span; the duration is wall-clock). Clears
-  /// commit_pending_.
+  /// Write the staged records, then wal_->sync() wrapped with the fsync
+  /// histogram/trace span (`now` stamps the span; the duration is
+  /// wall-clock). Clears commit_pending_.
   bool timed_sync(SimTime now) CLASH_REQUIRES(affinity_);
   void truncate() CLASH_REQUIRES(affinity_);
 
@@ -157,6 +179,7 @@ class NodeStore {
   obs::HistogramHandle fsync_us_ CLASH_GUARDED_BY(affinity_);
   obs::Counter wal_records_ CLASH_GUARDED_BY(affinity_);
   obs::Counter wal_bytes_ CLASH_GUARDED_BY(affinity_);
+  obs::Counter wal_writes_ CLASH_GUARDED_BY(affinity_);
   obs::Counter segments_deleted_ CLASH_GUARDED_BY(affinity_);
   obs::Counter snapshot_writes_ CLASH_GUARDED_BY(affinity_);
   obs::Counter snapshot_bytes_ CLASH_GUARDED_BY(affinity_);

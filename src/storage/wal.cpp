@@ -37,17 +37,23 @@ bool decode_payload(std::span<const std::uint8_t> payload, WalRecord& out) {
   return r.exhausted();
 }
 
+/// Append `r` to `w`, framed.
+void frame_record(wire::Writer& w, const WalRecord& r) {
+  const std::size_t start = w.size();
+  w.u32(0);  // payload length and CRC, patched below
+  w.u32(0);
+  encode_payload(w, r);
+  const auto payload = std::span(w.data()).subspan(start + kFrameHeader);
+  w.patch_u32(start, std::uint32_t(payload.size()));
+  w.patch_u32(start + 4, crc32(payload));
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_wal_record(const WalRecord& r) {
-  wire::Writer payload;
-  encode_payload(payload, r);
-  wire::Writer framed;
-  framed.reserve(kFrameHeader + payload.size());
-  framed.u32(std::uint32_t(payload.size()));
-  framed.u32(crc32(payload.data()));
-  framed.bytes(payload.data());
-  return framed.take();
+  wire::Writer w;
+  frame_record(w, r);
+  return w.take();
 }
 
 ScanResult scan_wal_segment(
@@ -118,28 +124,44 @@ Wal::AppendResult Wal::append_drop(const KeyGroup& group,
 
 Wal::AppendResult Wal::append_record(const WalRecord& rec) {
   AppendResult out;
-  if (segment_ == nullptr) {
+  // A full segment rolls before the next record, not after the one that
+  // filled it: staging a record inside a group then never writes it.
+  if (segment_ == nullptr ||
+      segment_->size() + staged_.size() >= cfg_.segment_bytes) {
     roll_segment(out);
     if (segment_ == nullptr) return out;
   }
-  const auto frame = encode_wal_record(rec);
-  if (!segment_->append(frame)) {
+  const std::size_t before = staged_.size();
+  frame_record(staged_, rec);
+  out.bytes = staged_.size() - before;
+  auto [it, inserted] = open_tails_.try_emplace(rec.group, rec.head);
+  if (!inserted && it->second < rec.head) it->second = rec.head;
+  if (!grouped_) write_staged(out);
+  return out;
+}
+
+Wal::AppendResult Wal::write() {
+  AppendResult out;
+  write_staged(out);
+  return out;
+}
+
+void Wal::write_staged(AppendResult& out) {
+  if (staged_.size() == 0 || segment_ == nullptr) return;
+  ++out.writes;
+  if (!segment_->append(staged_.data())) {
     out.io_errors++;
     CLASH_ERROR << "wal append failed on segment " << index_
                 << " (durability void until the disk recovers)";
-    return out;
   }
-  out.bytes = frame.size();
-  auto [it, inserted] = open_tails_.try_emplace(rec.group, rec.head);
-  if (!inserted && it->second < rec.head) it->second = rec.head;
-  if (segment_->size() >= cfg_.segment_bytes) roll_segment(out);
-  return out;
+  staged_.clear();
 }
 
 void Wal::roll_segment(AppendResult& out) {
   if (segment_ != nullptr) {
     // A segment must be durable before the writer moves past it, or a
     // crash could lose a middle segment while keeping a later one.
+    write_staged(out);
     if (!segment_->sync()) {
       out.io_errors++;
       CLASH_ERROR << "wal fsync failed closing segment " << index_;

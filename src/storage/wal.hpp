@@ -3,7 +3,9 @@
 //
 //   [u32 payload_len][u32 crc32(payload)][payload]
 //
-// appended to the current segment file ("wal/<index>.seg"). Segments
+// appended to the current segment file ("wal/<index>.seg"). Inside a
+// group (one dispatch tick's records) records are staged in memory and
+// reach the segment together, in one write per segment. Segments
 // roll over at a configurable size so truncation can reclaim disk in
 // whole files: a closed segment is deletable once every group that
 // wrote into it has a snapshot at or past its last record there (the
@@ -23,6 +25,7 @@
 #include "repl/log.hpp"
 #include "repl/op.hpp"
 #include "storage/backend.hpp"
+#include "wire/buffer.hpp"
 
 namespace clash::storage {
 
@@ -72,10 +75,12 @@ class Wal {
     std::uint64_t segment_bytes = 1u << 20;
   };
 
-  /// What one append did; the owning NodeStore counts it.
+  /// What one append or write did; the owning NodeStore counts it.
   struct AppendResult {
-    /// Framed bytes of the record written (0 when it was not).
+    /// Framed bytes of the record staged (0 when it was not).
     std::uint64_t bytes = 0;
+    /// Writes handed to a segment (a group's records go in one).
+    unsigned writes = 0;
     /// A new segment was opened.
     bool rolled = false;
     /// Failed appends/fsyncs/segment opens (dying disk). The writer
@@ -110,7 +115,24 @@ class Wal {
   /// Append a drop record for `group` at `epoch`.
   AppendResult append_drop(const KeyGroup& group, std::uint64_t epoch);
 
-  /// fsync the current segment (kIdle when nothing is open).
+  /// Open a group: records appended from now on are staged and reach
+  /// the segment in one write at write() or end_group() (one write per
+  /// segment when they fill one: the append after a full segment rolls
+  /// it, writing what was staged before). Appending never writes the
+  /// record it stages. Outside a group each record is written as it is
+  /// appended.
+  void begin_group() { grouped_ = true; }
+  /// Write the staged records and close the group.
+  AppendResult end_group() {
+    grouped_ = false;
+    return write();
+  }
+  /// Hand the staged records to the segment in one write; the group
+  /// stays open.
+  AppendResult write();
+
+  /// fsync the current segment (kIdle when nothing is open). Staged
+  /// records are not covered: write() them first.
   SyncResult sync();
 
   /// Delete every closed segment whose records are all covered:
@@ -128,7 +150,9 @@ class Wal {
 
  private:
   AppendResult append_record(const WalRecord& rec);
-  /// Close the open segment (fsync first) and open the next one.
+  void write_staged(AppendResult& out);
+  /// Close the open segment (staged records written and fsynced first)
+  /// and open the next one.
   void roll_segment(AppendResult& out);
 
   struct ClosedSegment {
@@ -142,6 +166,9 @@ class Wal {
   Config cfg_;
   std::uint64_t index_;
   std::unique_ptr<AppendFile> segment_;
+  /// Framed records not yet handed to the open segment.
+  wire::Writer staged_;
+  bool grouped_ = false;
   std::map<KeyGroup, repl::LogHead> open_tails_;
   std::deque<ClosedSegment> closed_;
 };

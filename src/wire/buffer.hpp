@@ -60,6 +60,9 @@ class Writer {
   /// fills in length slots reserved before the value was known.
   void patch_u32(std::size_t offset, std::uint32_t v);
 
+  /// Drop the bytes written so far, keeping the allocation.
+  void clear() { buf_.clear(); }
+
   [[nodiscard]] const std::vector<std::uint8_t>& data() const { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }

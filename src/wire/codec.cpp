@@ -211,19 +211,30 @@ void encode_census_content(Writer& w, const NodeCensusRecord& rec) {
 
 }  // namespace
 
+void encode_put_stream(Writer& w, const StreamInfo& s) {
+  w.u8(std::uint8_t(repl::OpKind::kPutStream));
+  encode_stream_info(w, s);
+}
+
+void encode_put_query(Writer& w, const QueryInfo& q) {
+  w.u8(std::uint8_t(repl::OpKind::kPutQuery));
+  encode_query_info(w, q);
+}
+
 void encode_log_op(Writer& w, const repl::LogOp& op) {
-  w.u8(std::uint8_t(op.kind));
   switch (op.kind) {
     case repl::OpKind::kPutStream:
-      encode_stream_info(w, op.stream);
+      encode_put_stream(w, op.stream);
       break;
     case repl::OpKind::kDelStream:
+      w.u8(std::uint8_t(op.kind));
       w.u64(op.source.value);
       break;
     case repl::OpKind::kPutQuery:
-      encode_query_info(w, op.query);
+      encode_put_query(w, op.query);
       break;
     case repl::OpKind::kDelQuery:
+      w.u8(std::uint8_t(op.kind));
       w.u64(op.query_id.value);
       break;
   }

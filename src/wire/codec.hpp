@@ -153,6 +153,10 @@ void encode_key(Writer& w, const Key& k);
 void encode_group(Writer& w, const KeyGroup& g);
 [[nodiscard]] KeyGroup decode_group(Reader& r);
 void encode_log_op(Writer& w, const repl::LogOp& op);
+/// encode_log_op of a put_stream / put_query op, read from the object
+/// in place instead of from a LogOp built around a copy of it.
+void encode_put_stream(Writer& w, const StreamInfo& s);
+void encode_put_query(Writer& w, const QueryInfo& q);
 [[nodiscard]] repl::LogOp decode_log_op(Reader& r);
 void encode_census_record(Writer& w, const NodeCensusRecord& rec);
 [[nodiscard]] NodeCensusRecord decode_census_record(Reader& r);
