@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "wire/buffer.hpp"
 #include "wire/codec.hpp"
 
@@ -74,20 +76,24 @@ TEST(FramePath, BeginFinishMatchesLegacyEncoding) {
 
   auto w = begin_frame(env);
   w.str("identical payload");
-  const auto fast = finish_frame(std::move(w));
+  const auto frame = finish_frame(std::move(w));
 
-  Writer payload;
-  payload.str("identical payload");
-  const auto legacy = encode_frame(env, payload.data());
-
-  // Byte-for-byte the same frame on the wire: LE length prefix, then
-  // the legacy encoding.
-  ASSERT_EQ(fast.size(), legacy.size() + 4);
-  EXPECT_EQ(load_u32_le(fast.data()), legacy.size());
-  EXPECT_TRUE(std::equal(legacy.begin(), legacy.end(), fast.begin() + 4));
+  // Byte-for-byte the frame every version of the transport has sent:
+  // LE length prefix, the envelope header, then the payload.
+  const std::vector<std::uint8_t> want = {
+      0x27, 0x00, 0x00, 0x00,                          // length 39
+      0x01,                                            // version
+      0x01,                                            // kRequest
+      0xD2, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // request id 1234
+      0x4D, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // sender 77
+      0x11, 0x00, 0x00, 0x00,                          // string length 17
+      'i', 'd', 'e', 'n', 't', 'i', 'c', 'a', 'l', ' ',
+      'p', 'a', 'y', 'l', 'o', 'a', 'd',
+  };
+  EXPECT_EQ(frame, want);
 
   const auto decoded = decode_frame(
-      std::span<const std::uint8_t>(fast).subspan(4));
+      std::span<const std::uint8_t>(frame).subspan(4));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().envelope.kind, FrameKind::kRequest);
   EXPECT_EQ(decoded.value().envelope.request_id, 1234u);

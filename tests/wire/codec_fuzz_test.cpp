@@ -10,6 +10,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "repl/log.hpp"
+#include "storage/snapshot.hpp"
+#include "storage/wal.hpp"
 #include "wire/codec.hpp"
 
 namespace clash::wire {
@@ -285,6 +288,111 @@ TEST(CodecFuzz, CensusRecordFenceCatchesWhatTheFrameFenceMisses) {
   }
   EXPECT_GT(record_fenced, 0)
       << "no flip ever exercised the per-record CRC fence";
+}
+
+// --- Pinned encodings ----------------------------------------------------
+// Every format the codec writes, pinned by length and a 64-bit FNV-1a
+// digest: a change that moves one byte of a message, a WAL record, a
+// snapshot file or a census record fails here, whatever else it keeps
+// round-tripping. (Not CRC32: bytes that end in their own CRC32 all
+// share one CRC32 residue.)
+
+struct Pin {
+  std::size_t size;
+  std::uint64_t digest;
+};
+
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 0x100000001B3ULL;
+  return h;
+}
+
+void expect_pinned(std::span<const std::uint8_t> bytes, Pin want) {
+  EXPECT_EQ(bytes.size(), want.size);
+  EXPECT_EQ(fnv1a(bytes), want.digest)
+      << "{" << std::dec << bytes.size() << ", 0x" << std::hex
+      << std::uppercase << fnv1a(bytes) << "ULL}";
+}
+
+TEST(CodecFuzz, EveryMessageEncodingIsPinned) {
+  // representative_messages() in variant order, with the type byte each
+  // encodes to.
+  const std::pair<MsgType, Pin> pins[] = {
+      {MsgType::kAcceptObject, {76, 0x53FA14E2031B7124ULL}},
+      {MsgType::kAcceptObjectOk, {2, 0x8394F07B4F12DC0ULL}},
+      {MsgType::kIncorrectDepth, {2, 0x835F207B4EE59E2ULL}},
+      {MsgType::kAcceptKeyGroup, {117, 0xC65A0327CAB0C710ULL}},
+      {MsgType::kAcceptKeyGroupAck, {11, 0xCEB170A1E7C35B64ULL}},
+      {MsgType::kLoadReport, {20, 0xEF914EC905D576BEULL}},
+      {MsgType::kReclaimKeyGroup, {11, 0xDB8551FDB52328BAULL}},
+      {MsgType::kReclaimAck, {48, 0xAA494B10A041EB82ULL}},
+      {MsgType::kReclaimRefused, {11, 0x6E243B1A8BD4F8D0ULL}},
+      {MsgType::kDropReplica, {11, 0x4544EED299275856ULL}},
+      {MsgType::kGossip, {218, 0xFD7121857098AD05ULL}},
+      {MsgType::kReplAppend, {131, 0xD87CC95FB8AEFBD5ULL}},
+      {MsgType::kReplAck, {28, 0x4F49B51AF9641A53ULL}},
+      {MsgType::kSnapshotOffer, {56, 0xCB5AD35AF3F7BDB2ULL}},
+      {MsgType::kSnapshotChunk, {132, 0xE697ECCADCBA9253ULL}},
+      {MsgType::kAntiEntropyProbe, {39, 0x830CF1FE667172FFULL}},
+      {MsgType::kAntiEntropyDiff, {31, 0x52CFC10381975720ULL}},
+  };
+  const auto all = representative_messages();
+  ASSERT_EQ(all.size(), std::size(pins));
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    SCOPED_TRACE(i);
+    const auto bytes = encode(all[i]);
+    ASSERT_FALSE(bytes.empty());
+    EXPECT_EQ(bytes[0], std::uint8_t(pins[i].first));
+    expect_pinned(bytes, pins[i].second);
+  }
+}
+
+TEST(CodecFuzz, WalRecordEncodingIsPinned) {
+  const KeyGroup g = KeyGroup::parse("0110*", 24).value();
+  storage::WalRecord op;
+  op.kind = storage::RecordKind::kOp;
+  op.group = g;
+  op.head = repl::LogHead{7, 123};
+  op.op = repl::LogOp::put_query(QueryInfo(
+      QueryId{45}, Key(0x60AAAA, 24), 6, {{0, cq::Predicate::Op::kEq, 7}}));
+  expect_pinned(storage::encode_wal_record(op), {71, 0xE76B6382B224958EULL});
+
+  storage::WalRecord drop;
+  drop.kind = storage::RecordKind::kDrop;
+  drop.group = g;
+  drop.head = repl::LogHead{7, ~std::uint64_t{0}};
+  expect_pinned(storage::encode_wal_record(drop), {35, 0xD5F4FB9C400B568FULL});
+}
+
+TEST(CodecFuzz, SnapshotFileEncodingIsPinned) {
+  storage::SnapshotImage img;
+  img.group = KeyGroup::parse("0110*", 24).value();
+  img.head = repl::LogHead{7, 123};
+  img.root = true;
+  img.parent = ServerId{6};
+  repl::GroupLog::apply(
+      repl::LogOp::put_stream({ClientId{9}, Key(0x601234, 24), 2.5}),
+      img.state);
+  repl::GroupLog::apply(
+      repl::LogOp::put_query(QueryInfo(QueryId{45}, Key(0x60AAAA, 24), 6,
+                                       {{0, cq::Predicate::Op::kEq, 7}})),
+      img.state);
+  expect_pinned(storage::encode_snapshot(img), {114, 0x79F47FCAF43F1523ULL});
+}
+
+TEST(CodecFuzz, CensusRecordEncodingIsPinned) {
+  const auto all = representative_messages();
+  Gossip gossip = std::get<Gossip>(all[10]);
+  ASSERT_EQ(gossip.census.size(), 1u);
+  EXPECT_EQ(gossip.census[0].checksum, 0x9D1ABD3Du);
+  // The record alone: the payload after the gossip's fixed fields
+  // (type, CRC slot, kind, sequence, target) and its two counts.
+  gossip.updates.clear();
+  const auto bytes = encode(Message(gossip));
+  ASSERT_GT(bytes.size(), 30u);
+  expect_pinned(std::span(bytes).subspan(30), {154, 0xBFC85B71991EB6D2ULL});
+  EXPECT_EQ(encoded_census_size(gossip.census), bytes.size() - 26);
 }
 
 TEST(CodecFuzz, NonCorruptibleTypesPassThroughUntouched) {
