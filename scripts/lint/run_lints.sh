@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Project lint suite: the custom checks every PR must pass.
 #   - check_blocking:  no blocking syscalls on EventLoop tick paths
-#   - check_msgtype:   every MsgType is dispatched and fuzz-covered
+#   - check_msgtype:   every MsgType names one payload struct and is
+#                      fuzz-covered (and its selftest)
 #   - check_atomics:   no implicit-memory-order atomics in src/obs
 #   - check_log_lazy:  no eager log formatting on net/repl tick paths
 #   - bench_diff:      the perf gate's selftest (seeded regressions fire)
@@ -24,6 +25,7 @@ run() {
 
 run "$PY" "$HERE/check_blocking.py"
 run "$PY" "$HERE/check_msgtype.py"
+run "$PY" "$HERE/check_msgtype.py" --selftest
 run "$PY" "$HERE/check_atomics.py"
 run "$PY" "$HERE/check_log_lazy.py"
 run "$PY" "$HERE/../bench_diff.py" --selftest

@@ -1,6 +1,8 @@
 // CLASH protocol messages (Section 5). Plain structs so the same
 // handlers run under the simulator (direct dispatch), unit tests, and
-// the TCP transport (via wire/codec).
+// the TCP transport (via wire/codec). Each Message alternative names
+// its wire discriminant as `kType`; its byte layout is its field list
+// in wire/codec.cpp (wire/fields.hpp for the types messages share).
 #pragma once
 
 #include <cstdint>
@@ -14,12 +16,14 @@
 #include "keys/key.hpp"
 #include "keys/key_group.hpp"
 #include "repl/op.hpp"
+#include "wire/msg_type.hpp"
 
 namespace clash {
 
 /// Client -> server. The client believes `key`'s group has depth
 /// `depth`. `probe_only` resolves without storing (used by lookups).
 struct AcceptObject {
+  static constexpr wire::MsgType kType = wire::MsgType::kAcceptObject;
   Key key{0, 24};
   unsigned depth = 0;
   ObjectKind kind = ObjectKind::kData;
@@ -41,12 +45,14 @@ struct AcceptObject {
 /// Server -> client, cases (a) and (b) of Section 5: object accepted;
 /// `depth` echoes the correct depth (== request depth in case (a)).
 struct AcceptObjectOk {
+  static constexpr wire::MsgType kType = wire::MsgType::kAcceptObjectOk;
   unsigned depth = 0;
 };
 
 /// Server -> client, case (c): not responsible; `dmin` is the longest
 /// prefix match between the key and any ServerTable entry.
 struct IncorrectDepth {
+  static constexpr wire::MsgType kType = wire::MsgType::kIncorrectDepth;
   unsigned dmin = 0;
 };
 
@@ -56,6 +62,7 @@ struct IncorrectDepth {
 /// the AppHooks state-distribution API (Section 7: the game-middleware
 /// extension).
 struct AcceptKeyGroup {
+  static constexpr wire::MsgType kType = wire::MsgType::kAcceptKeyGroup;
   KeyGroup group;
   ServerId parent;  // who keeps the parent table entry
   /// Handoff transfers (ring re-admission) preserve the entry's root
@@ -70,12 +77,14 @@ struct AcceptKeyGroup {
 };
 
 struct AcceptKeyGroupAck {
+  static constexpr wire::MsgType kType = wire::MsgType::kAcceptKeyGroupAck;
   KeyGroup group;
 };
 
 /// Leaf -> server holding the parent entry: periodic load report
 /// enabling bottom-up consolidation.
 struct LoadReport {
+  static constexpr wire::MsgType kType = wire::MsgType::kLoadReport;
   KeyGroup group;
   double load = 0;       // load units of this group at the reporting leaf
   bool is_leaf = true;   // false once the reporter split the group
@@ -84,11 +93,13 @@ struct LoadReport {
 /// Parent -> right child: reclaim `group` (consolidation). Child
 /// accepts only if its entry is still an active leaf.
 struct ReclaimKeyGroup {
+  static constexpr wire::MsgType kType = wire::MsgType::kReclaimKeyGroup;
   KeyGroup group;
 };
 
 /// Child -> parent: reclaim accepted; carries migrated-back state.
 struct ReclaimAck {
+  static constexpr wire::MsgType kType = wire::MsgType::kReclaimAck;
   KeyGroup group;
   std::vector<StreamInfo> streams;
   std::vector<QueryInfo> queries;
@@ -97,12 +108,14 @@ struct ReclaimAck {
 
 /// Child -> parent: reclaim refused (group was split further meanwhile).
 struct ReclaimRefused {
+  static constexpr wire::MsgType kType = wire::MsgType::kReclaimRefused;
   KeyGroup group;
 };
 
 /// Owner -> replica holder: the group is no longer active here (split
 /// or merged away); discard the replica.
 struct DropReplica {
+  static constexpr wire::MsgType kType = wire::MsgType::kDropReplica;
   KeyGroup group;
 };
 
@@ -115,6 +128,7 @@ struct DropReplica {
 /// a ReplAck{ok: false} naming its real head so the sender can diff
 /// it forward.
 struct ReplAppend {
+  static constexpr wire::MsgType kType = wire::MsgType::kReplAppend;
   KeyGroup group;
   ServerId owner;  // authoritative owner (may differ from the sender)
   std::uint64_t epoch = 0;
@@ -134,6 +148,7 @@ struct ReplAppend {
 /// append that could not be applied; the head tells the sender where
 /// to diff from.
 struct ReplAck {
+  static constexpr wire::MsgType kType = wire::MsgType::kReplAck;
   KeyGroup group;
   repl::LogHead head;
   bool ok = true;
@@ -143,6 +158,7 @@ struct ReplAck {
 /// `head` follows in `total_chunks` SnapshotChunk messages. Carries the
 /// replica-record metadata (owner, root flag, lineage parent).
 struct SnapshotOffer {
+  static constexpr wire::MsgType kType = wire::MsgType::kSnapshotOffer;
   KeyGroup group;
   ServerId owner;
   repl::LogHead head;
@@ -155,6 +171,7 @@ struct SnapshotOffer {
 
 /// One slice of an announced snapshot: a batch of streams/queries.
 struct SnapshotChunk {
+  static constexpr wire::MsgType kType = wire::MsgType::kSnapshotChunk;
   KeyGroup group;
   repl::LogHead head;
   std::uint32_t index = 0;
@@ -178,6 +195,7 @@ struct GroupHead {
 /// up-to-date holders stay silent — the steady-state cost is one tiny
 /// head vector per period instead of a full state snapshot.
 struct AntiEntropyProbe {
+  static constexpr wire::MsgType kType = wire::MsgType::kAntiEntropyProbe;
   ServerId owner;
   std::vector<GroupHead> heads;
 };
@@ -188,6 +206,7 @@ struct AntiEntropyProbe {
 /// heir sends its replica heads to the surviving holders and installs
 /// only after the freshest peer repaired it.
 struct AntiEntropyDiff {
+  static constexpr wire::MsgType kType = wire::MsgType::kAntiEntropyDiff;
   std::vector<GroupHead> behind;
 };
 
@@ -253,6 +272,7 @@ struct NodeCensusRecord {
 };
 
 struct Gossip {
+  static constexpr wire::MsgType kType = wire::MsgType::kGossip;
   GossipKind kind = GossipKind::kPing;
   std::uint64_t sequence = 0;  // correlates acks with pending probes
   ServerId target{};           // kPingReq: node to probe; kAck: who acked

@@ -261,7 +261,6 @@ void Replicator::log_op(const KeyGroup& group, LogOp op) {
   // to the group's state before logging it.
   const LogHead head{log.epoch(), log.head().seq + 1};
   if (durable()) {
-    storage_->begin_commit();
     meter_storage_bytes(group, storage_->append_op(group, head, op,
                                                    env_.now()));
   }

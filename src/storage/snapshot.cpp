@@ -5,7 +5,7 @@
 #include "common/crc32.hpp"
 #include "repl/log.hpp"
 #include "wire/buffer.hpp"
-#include "wire/codec.hpp"
+#include "wire/fields.hpp"
 
 namespace clash::storage {
 
@@ -16,21 +16,33 @@ constexpr std::uint32_t kMagic = 0x43534E50;  // "CSNP"
 // list; a version-1 file is rejected like a damaged one.
 constexpr std::uint8_t kVersion = 2;
 
+/// [magic u32][version u8][group][head][root u8][parent u64]
+template <class IO>
+void fields(IO& io, wire::Is<SnapshotHeader> auto& h) {
+  std::uint32_t magic = kMagic;
+  std::uint8_t version = kVersion;
+  io.u32(magic);
+  io.u8(version);
+  io.check(magic == kMagic && version == kVersion);
+  fields(io, h.group);
+  fields(io, h.head);
+  io.boolean(h.root);
+  io.u64(h.parent.value);
+}
+
 }  // namespace
 
+// The header, then the objects as LogOps: [u32 n][n put_stream ops]
+// [u32 m][m put_query ops]. Recovery replays them through
+// GroupLog::apply. A CRC32 of everything before it trails the file.
 std::vector<std::uint8_t> encode_snapshot(const SnapshotView& img) {
   wire::Writer w;
-  w.u32(kMagic);
-  w.u8(kVersion);
-  wire::encode_group(w, img.group);
-  w.u64(img.head.epoch);
-  w.u64(img.head.seq);
-  w.boolean(img.root);
-  w.u64(img.parent.value);
+  wire::Encoder io{w};
+  fields(io, static_cast<const SnapshotHeader&>(img));
   w.u32(std::uint32_t(img.state.streams.size()));
-  for (const auto& [_, s] : img.state.streams) wire::encode_put_stream(w, s);
+  for (const auto& [_, s] : img.state.streams) wire::write_put(w, s);
   w.u32(std::uint32_t(img.state.queries.size()));
-  for (const auto& [_, q] : img.state.queries) wire::encode_put_query(w, q);
+  for (const auto& [_, q] : img.state.queries) wire::write_put(w, q);
   w.u32(crc32(w.data()));
   return w.take();
 }
@@ -42,20 +54,16 @@ bool decode_snapshot(std::span<const std::uint8_t> data, SnapshotImage& out) {
     return false;
   }
   wire::Reader r(body);
-  if (r.u32() != kMagic || r.u8() != kVersion) return false;
-  out.group = wire::decode_group(r);
-  out.head.epoch = r.u64();
-  out.head.seq = r.u64();
-  out.root = r.boolean();
-  out.parent = ServerId{r.u64()};
+  wire::Decoder io{r};
+  fields(io, static_cast<SnapshotHeader&>(out));
   out.state = GroupState{};
-  const auto n_streams = r.u32();
-  for (std::uint32_t i = 0; i < n_streams && r.ok(); ++i) {
-    repl::GroupLog::apply(wire::decode_log_op(r), out.state);
-  }
-  const auto n_queries = r.u32();
-  for (std::uint32_t i = 0; i < n_queries && r.ok(); ++i) {
-    repl::GroupLog::apply(wire::decode_log_op(r), out.state);
+  for (int section = 0; section < 2; ++section) {  // streams, then queries
+    const auto n = r.u32();
+    for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
+      repl::LogOp op;
+      wire::read(r, op);
+      if (r.ok()) repl::GroupLog::apply(op, out.state);
+    }
   }
   return r.exhausted();
 }

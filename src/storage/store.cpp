@@ -170,11 +170,6 @@ bool NodeStore::timed_sync(SimTime now) {
   return ok;
 }
 
-void NodeStore::begin_commit() {
-  affinity_.assert_held();
-  wal_->begin_group();
-}
-
 bool NodeStore::sync_due(SimTime now) const {
   affinity_.assert_held();
   return cfg_.fsync != ClashConfig::FsyncPolicy::kInterval ||
@@ -183,7 +178,7 @@ bool NodeStore::sync_due(SimTime now) const {
 
 void NodeStore::commit(SimTime now) {
   affinity_.assert_held();
-  (void)note_append(wal_->end_group(), now);
+  (void)note_append(wal_->write(), now);
   switch (cfg_.fsync) {
     case ClashConfig::FsyncPolicy::kPerAppend:
       if (commit_pending_) timed_sync(now);

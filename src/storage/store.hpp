@@ -74,10 +74,9 @@ class NodeStore {
   }
 
   /// Append one mutation of an owned group (`head` is the op's
-  /// position after the append). Inside a begin_commit() group the
-  /// record is staged for the group's one write at commit(); outside
-  /// one it is written at once. Returns the WAL bytes the record cost
-  /// (per-group storage metering).
+  /// position after the append). The record is staged for the one WAL
+  /// write at the next commit() (or sync). Returns the WAL bytes the
+  /// record cost (per-group storage metering).
   std::uint64_t append_op(const KeyGroup& group, repl::LogHead head,
                           const repl::LogOp& op, SimTime now);
 
@@ -102,10 +101,6 @@ class NodeStore {
   /// (whatever the fsync policy), and delete its snapshot file.
   void drop_group(const KeyGroup& group, std::uint64_t epoch, SimTime now);
 
-  /// Open the dispatch tick's group commit: records appended from now
-  /// until commit() are staged and reach the WAL in one write there.
-  void begin_commit();
-
   /// True when a commit() at `now` is a sync point: under kPerAppend
   /// and kNever every commit is, under kInterval one that finds the
   /// interval elapsed (the load check's commit is the backstop). The
@@ -117,8 +112,8 @@ class NodeStore {
   /// appended (and at each load check): write the staged records in one
   /// write, then fsync per the policy — under kPerAppend when records
   /// were appended since the last sync, under kInterval when the
-  /// interval has elapsed, under kNever not at all. Closes the group
-  /// begin_commit() opened. No reply to a put leaves before it.
+  /// interval has elapsed, under kNever not at all. No reply to a put
+  /// leaves before it.
   void commit(SimTime now);
 
   /// True when records appended since the last commit() wait for it.

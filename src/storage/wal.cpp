@@ -6,7 +6,7 @@
 #include "common/crc32.hpp"
 #include "common/logging.hpp"
 #include "wire/buffer.hpp"
-#include "wire/codec.hpp"
+#include "wire/fields.hpp"
 
 namespace clash::storage {
 
@@ -14,27 +14,13 @@ namespace {
 
 constexpr std::size_t kFrameHeader = 8;  // u32 len + u32 crc
 
-void encode_payload(wire::Writer& w, const WalRecord& r) {
-  w.u8(std::uint8_t(r.kind));
-  wire::encode_group(w, r.group);
-  w.u64(r.head.epoch);
-  w.u64(r.head.seq);
-  if (r.kind == RecordKind::kOp) wire::encode_log_op(w, r.op);
-}
-
-bool decode_payload(std::span<const std::uint8_t> payload, WalRecord& out) {
-  wire::Reader r(payload);
-  const auto kind = r.u8();
-  if (kind != std::uint8_t(RecordKind::kOp) &&
-      kind != std::uint8_t(RecordKind::kDrop)) {
-    return false;
-  }
-  out.kind = RecordKind(kind);
-  out.group = wire::decode_group(r);
-  out.head.epoch = r.u64();
-  out.head.seq = r.u64();
-  if (out.kind == RecordKind::kOp) out.op = wire::decode_log_op(r);
-  return r.exhausted();
+/// [kind u8][group][head] and, for an op record, [log op].
+template <class IO>
+void fields(IO& io, wire::Is<WalRecord> auto& rec) {
+  io.enumeration(rec.kind, RecordKind::kOp, RecordKind::kDrop);
+  fields(io, rec.group);
+  fields(io, rec.head);
+  if (rec.kind == RecordKind::kOp) fields(io, rec.op);
 }
 
 /// Append `r` to `w`, framed.
@@ -42,7 +28,8 @@ void frame_record(wire::Writer& w, const WalRecord& r) {
   const std::size_t start = w.size();
   w.u32(0);  // payload length and CRC, patched below
   w.u32(0);
-  encode_payload(w, r);
+  wire::Encoder io{w};
+  fields(io, r);
   const auto payload = std::span(w.data()).subspan(start + kFrameHeader);
   w.patch_u32(start, std::uint32_t(payload.size()));
   w.patch_u32(start + 4, crc32(payload));
@@ -78,7 +65,10 @@ ScanResult scan_wal_segment(
       return result;
     }
     WalRecord rec;
-    if (!decode_payload(payload, rec)) {
+    wire::Reader r(payload);
+    wire::Decoder io{r};
+    fields(io, rec);
+    if (!r.exhausted()) {
       result.end = ScanEnd::kCorrupt;
       return result;
     }
@@ -125,7 +115,7 @@ Wal::AppendResult Wal::append_drop(const KeyGroup& group,
 Wal::AppendResult Wal::append_record(const WalRecord& rec) {
   AppendResult out;
   // A full segment rolls before the next record, not after the one that
-  // filled it: staging a record inside a group then never writes it.
+  // filled it, so staging a record never writes it.
   if (segment_ == nullptr ||
       segment_->size() + staged_.size() >= cfg_.segment_bytes) {
     roll_segment(out);
@@ -136,7 +126,6 @@ Wal::AppendResult Wal::append_record(const WalRecord& rec) {
   out.bytes = staged_.size() - before;
   auto [it, inserted] = open_tails_.try_emplace(rec.group, rec.head);
   if (!inserted && it->second < rec.head) it->second = rec.head;
-  if (!grouped_) write_staged(out);
   return out;
 }
 

@@ -3,9 +3,11 @@
 //
 //   [u32 payload_len][u32 crc32(payload)][payload]
 //
-// appended to the current segment file ("wal/<index>.seg"). Inside a
-// group (one dispatch tick's records) records are staged in memory and
-// reach the segment together, in one write per segment. Segments
+// appended to the current segment file ("wal/<index>.seg"). Records
+// are staged in memory and reach the segment together at write() (the
+// store calls it once per dispatch tick), in one write per segment. The
+// record layout is the WalRecord field list in wal.cpp, built from the
+// wire codec's lists for group, head and log op (wire/fields.hpp). Segments
 // roll over at a configurable size so truncation can reclaim disk in
 // whole files: a closed segment is deletable once every group that
 // wrote into it has a snapshot at or past its last record there (the
@@ -115,20 +117,10 @@ class Wal {
   /// Append a drop record for `group` at `epoch`.
   AppendResult append_drop(const KeyGroup& group, std::uint64_t epoch);
 
-  /// Open a group: records appended from now on are staged and reach
-  /// the segment in one write at write() or end_group() (one write per
-  /// segment when they fill one: the append after a full segment rolls
-  /// it, writing what was staged before). Appending never writes the
-  /// record it stages. Outside a group each record is written as it is
-  /// appended.
-  void begin_group() { grouped_ = true; }
-  /// Write the staged records and close the group.
-  AppendResult end_group() {
-    grouped_ = false;
-    return write();
-  }
-  /// Hand the staged records to the segment in one write; the group
-  /// stays open.
+  /// Hand the staged records to the segment in one write. Appending
+  /// only stages a record: it reaches the segment here, or when the
+  /// append after a full segment rolls it (one write per segment when
+  /// the staged records fill one).
   AppendResult write();
 
   /// fsync the current segment (kIdle when nothing is open). Staged
@@ -168,7 +160,6 @@ class Wal {
   std::unique_ptr<AppendFile> segment_;
   /// Framed records not yet handed to the open segment.
   wire::Writer staged_;
-  bool grouped_ = false;
   std::map<KeyGroup, repl::LogHead> open_tails_;
   std::deque<ClosedSegment> closed_;
 };

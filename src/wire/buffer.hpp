@@ -90,6 +90,13 @@ class Reader {
   bool boolean() { return u8() != 0; }
   /// Length-prefixed (u32) string; empty on error.
   std::string str();
+  /// The next `n` bytes, viewed in place; empty on error.
+  std::span<const std::uint8_t> bytes(std::size_t n) {
+    if (!take(n)) return {};
+    const auto out = data_.subspan(pos_, n);
+    pos_ += n;
+    return out;
+  }
 
   /// True while all reads so far were in bounds.
   [[nodiscard]] bool ok() const { return ok_; }

@@ -1,6 +1,10 @@
 // Wire codec for the CLASH protocol messages: every Message variant and
 // AcceptObjectReply can round-trip through a compact, versioned binary
-// encoding. Frames on the TCP transport are u32-length-prefixed
+// encoding. A payload is [kType u8] then the message's field list
+// (wire/fields.hpp and codec.cpp), which the encoder and the decoder
+// both walk: the layout is written once, and the dispatch both ways
+// comes from the Message variant, so a type cannot encode without
+// decoding. Frames on the TCP transport are u32-length-prefixed
 // envelopes { version, kind, request id, sender } + payload.
 #pragma once
 
@@ -13,34 +17,11 @@
 #include "common/expected.hpp"
 #include "common/rng.hpp"
 #include "wire/buffer.hpp"
+#include "wire/msg_type.hpp"
 
 namespace clash::wire {
 
 constexpr std::uint8_t kProtocolVersion = 1;
-
-/// Message discriminants on the wire (stable across versions).
-enum class MsgType : std::uint8_t {
-  kAcceptObject = 1,
-  kAcceptObjectOk = 2,
-  kIncorrectDepth = 3,
-  kAcceptKeyGroup = 4,
-  kAcceptKeyGroupAck = 5,
-  kLoadReport = 6,
-  kReclaimKeyGroup = 7,
-  kReclaimAck = 8,
-  kReclaimRefused = 9,
-  // 10 is retired (the removed lease-replication refresh): it decodes
-  // as a protocol error and must never be reused for a new message.
-  kDropReplica = 11,
-  kGossip = 12,
-  // Replication & recovery subsystem (src/repl/).
-  kReplAppend = 13,
-  kReplAck = 14,
-  kSnapshotOffer = 15,
-  kSnapshotChunk = 16,
-  kAntiEntropyProbe = 17,
-  kAntiEntropyDiff = 18,
-};
 
 /// RPC framing kinds.
 enum class FrameKind : std::uint8_t {
@@ -96,8 +77,8 @@ void encode_message(Writer& w, const Message& msg);
 /// individually (not just by the enclosing Gossip's fence) because a
 /// record outlives the frame that carried it: it is re-gossiped from
 /// the receiver's table across many later frames, and each hop
-/// re-verifies the record's own proof. decode_census_record computes
-/// that verdict over the received bytes into the record's crc_ok.
+/// re-verifies the record's own proof. Decoding computes that verdict
+/// over the received bytes into the record's crc_ok.
 [[nodiscard]] std::uint32_t census_record_crc(const NodeCensusRecord& rec);
 
 /// Encoded bytes of a census payload as it rides a gossip frame
@@ -132,11 +113,6 @@ void encode_reply(Writer& w, const AcceptObjectReply& reply);
 /// prefix included) — ready for Connection::send_wire_frame.
 [[nodiscard]] std::vector<std::uint8_t> finish_frame(Writer&& w);
 
-/// Serialise a full frame (without the u32 length prefix). Legacy
-/// copy path kept for tests and tools; hot paths use begin_frame.
-[[nodiscard]] std::vector<std::uint8_t> encode_frame(
-    const Envelope& env, std::span<const std::uint8_t> payload);
-
 /// `payload` views the bytes after the header inside the frame passed
 /// to decode_frame: it lives only as long as that frame's buffer.
 struct DecodedFrame {
@@ -145,20 +121,5 @@ struct DecodedFrame {
 };
 [[nodiscard]] Expected<DecodedFrame> decode_frame(
     std::span<const std::uint8_t> frame);
-
-// --- Field helpers (exposed for tests) ----------------------------------
-
-void encode_key(Writer& w, const Key& k);
-[[nodiscard]] Key decode_key(Reader& r);
-void encode_group(Writer& w, const KeyGroup& g);
-[[nodiscard]] KeyGroup decode_group(Reader& r);
-void encode_log_op(Writer& w, const repl::LogOp& op);
-/// encode_log_op of a put_stream / put_query op, read from the object
-/// in place instead of from a LogOp built around a copy of it.
-void encode_put_stream(Writer& w, const StreamInfo& s);
-void encode_put_query(Writer& w, const QueryInfo& q);
-[[nodiscard]] repl::LogOp decode_log_op(Reader& r);
-void encode_census_record(Writer& w, const NodeCensusRecord& rec);
-[[nodiscard]] NodeCensusRecord decode_census_record(Reader& r);
 
 }  // namespace clash::wire

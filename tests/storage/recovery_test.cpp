@@ -18,7 +18,7 @@
 #include "storage/snapshot.hpp"
 #include "storage/store.hpp"
 #include "storage/wal.hpp"
-#include "wire/codec.hpp"
+#include "wire/fields.hpp"
 
 namespace clash::storage {
 namespace {
@@ -74,7 +74,7 @@ TEST(SnapshotCodec, VersionOneFilesAreRejectedAndCounted) {
   wire::Writer w;
   w.u32(0x43534E50);  // magic
   w.u8(1);            // version
-  wire::encode_group(w, g);
+  wire::write(w, g);
   w.u64(3);           // head epoch
   w.u64(4);           // head seq
   w.boolean(false);   // root
@@ -127,6 +127,7 @@ TEST(Recovery, ReplaysWalTailOntoSnapshot) {
                             repl::LogOp::del_stream(ClientId{1})));
   ASSERT_TRUE(wal.append_op(g, repl::LogHead{2, 5},
                             repl::LogOp::put_query(wide_query(6, 0x13))));
+  ASSERT_TRUE(wal.write());
 
   const auto image = recover_image(backend, "wal", "snap");
   ASSERT_EQ(image.groups.size(), 1u);
@@ -153,6 +154,7 @@ TEST(Recovery, DropRecordForgetsTheGroup) {
   Wal wal(backend, Wal::Config{}, 0);
   ASSERT_TRUE(wal.append_op(g, repl::LogHead{1, 1}, stream_op(1, 0x20, 1.0)));
   ASSERT_TRUE(wal.append_drop(g, 1));
+  ASSERT_TRUE(wal.write());
 
   const auto image = recover_image(backend, "wal", "snap");
   EXPECT_TRUE(image.groups.empty());
@@ -172,6 +174,7 @@ TEST(Recovery, ReactivationAfterDropResurrectsUnderNewEpoch) {
   ASSERT_TRUE(backend.write_file_atomic(snapshot_path("snap", g),
                                         encode_snapshot(snap)));
   ASSERT_TRUE(wal.append_op(g, repl::LogHead{2, 1}, stream_op(2, 0x21, 3.0)));
+  ASSERT_TRUE(wal.write());
 
   const auto image = recover_image(backend, "wal", "snap");
   ASSERT_EQ(image.groups.size(), 1u);
@@ -194,6 +197,7 @@ TEST(Recovery, SequenceGapFencesTheGroupSuffix) {
   // seq 2 missing (lost write): 3 and 4 must not apply.
   ASSERT_TRUE(wal.append_op(g, repl::LogHead{1, 3}, stream_op(3, 0x31, 1.0)));
   ASSERT_TRUE(wal.append_op(g, repl::LogHead{1, 4}, stream_op(4, 0x32, 1.0)));
+  ASSERT_TRUE(wal.write());
 
   const auto image = recover_image(backend, "wal", "snap");
   const RecoveredGroup& rec = image.groups.at(g);

@@ -32,11 +32,14 @@ class GroupCommit : public ::testing::Test {
  protected:
   void SetUp() override { start(NodeStore::Config{}.segment_bytes); }
 
-  /// A kPerAppend store over `backend_` whose group `group_` has a
-  /// durable baseline at seq 0, so recovery replays its records.
-  void start(std::uint64_t segment_bytes) {
+  /// A store (kPerAppend unless told otherwise) over `backend_` whose
+  /// group `group_` has a durable baseline at seq 0, so recovery
+  /// replays its records.
+  void start(std::uint64_t segment_bytes,
+             ClashConfig::FsyncPolicy fsync =
+                 ClashConfig::FsyncPolicy::kPerAppend) {
     NodeStore::Config cfg;
-    cfg.fsync = ClashConfig::FsyncPolicy::kPerAppend;
+    cfg.fsync = fsync;
     cfg.segment_bytes = segment_bytes;
     store_ = std::make_unique<NodeStore>(backend_, cfg);
     store_->set_obs(&hub_, 0);
@@ -85,11 +88,18 @@ TEST_F(GroupCommit, CrashBeforeCommitLosesOnlyTheUncommittedSuffix) {
 }
 
 TEST_F(GroupCommit, TornUncommittedRecordStopsRecoveryAtTheLastWholeOne) {
+  // Under kInterval a commit inside the interval writes its records
+  // without syncing them.
+  store_.reset();
+  start(NodeStore::Config{}.segment_bytes,
+        ClashConfig::FsyncPolicy::kInterval);
+  const SimTime synced_at = ClashConfig::kFsyncInterval;
   append(1, 4);
-  store_->commit(SimTime{0});
+  store_->commit(synced_at);
   append(5, 7);
-  // The page cache kept the uncommitted suffix, but the power cut tore
-  // its last record.
+  store_->commit(synced_at);
+  // The page cache kept the unsynced suffix, but the power cut tore its
+  // last record.
   const auto image = crash({.torn_tail_bytes = 3});
   ASSERT_EQ(image.groups.count(group_), 1u);
   EXPECT_EQ(image.groups.at(group_).head, (repl::LogHead{1, 6}));

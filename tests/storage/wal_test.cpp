@@ -44,6 +44,7 @@ TEST(WalTest, RecordsRoundTripInOrder) {
   ASSERT_TRUE(wal.append_op(g, repl::LogHead{3, 2},
                             repl::LogOp::del_stream(ClientId{7})));
   ASSERT_TRUE(wal.append_drop(g, 3));
+  ASSERT_TRUE(wal.write());
 
   ScanResult last;
   const auto records = scan_all(backend, "wal", &last);
@@ -60,6 +61,23 @@ TEST(WalTest, RecordsRoundTripInOrder) {
   EXPECT_EQ(records[2].head.epoch, 3u);
 }
 
+TEST(WalTest, AppendOnlyStagesTheRecordUntilWrite) {
+  MemBackend backend;
+  Wal wal(backend, Wal::Config{}, 0);
+  const KeyGroup g = group_at(0x12, 4);
+  ASSERT_TRUE(wal.append_op(g, repl::LogHead{3, 1}, stream_op(7, 0x12, 2.5)));
+  const auto staged = wal.append_op(g, repl::LogHead{3, 2},
+                                    stream_op(8, 0x12, 1.5));
+  EXPECT_GT(staged.bytes, 0u);
+  EXPECT_EQ(staged.writes, 0u);
+  EXPECT_TRUE(scan_all(backend, "wal").empty());
+
+  const auto written = wal.write();
+  EXPECT_EQ(written.writes, 1u);  // both records, one write
+  EXPECT_EQ(scan_all(backend, "wal").size(), 2u);
+  EXPECT_EQ(wal.write().writes, 0u);  // nothing staged
+}
+
 TEST(WalTest, TornTailTruncatesToLastCompleteRecord) {
   MemBackend backend;
   Wal wal(backend, Wal::Config{}, 0);
@@ -68,6 +86,7 @@ TEST(WalTest, TornTailTruncatesToLastCompleteRecord) {
     ASSERT_TRUE(
         wal.append_op(g, repl::LogHead{1, seq}, stream_op(seq, 0x01, 1.0)));
   }
+  ASSERT_TRUE(wal.write());
   // Power cut mid-write of the third record: a few bytes vanish.
   backend.set_crash_fault(MemBackend::CrashFault{false, 5});
   backend.crash();
@@ -87,6 +106,7 @@ TEST(WalTest, TornFrameHeaderAlsoTruncatesCleanly) {
   const auto frame = encode_wal_record(WalRecord{
       RecordKind::kOp, g, repl::LogHead{1, 2}, stream_op(2, 0x01, 1.0)});
   ASSERT_TRUE(wal.append_op(g, repl::LogHead{1, 2}, stream_op(2, 0x01, 1.0)));
+  ASSERT_TRUE(wal.write());
   // Cut so deep that even the second record's 8-byte frame header is
   // partial.
   backend.set_crash_fault(
@@ -110,6 +130,7 @@ TEST(WalTest, CrcCorruptRecordFencesTheRestOfTheSegment) {
     ASSERT_TRUE(
         wal.append_op(g, repl::LogHead{1, seq}, stream_op(seq, 0x02, 1.0)));
   }
+  ASSERT_TRUE(wal.write());
   // Bit-rot inside the SECOND record's payload.
   ASSERT_TRUE(
       backend.corrupt(Wal::segment_path("wal", 0), first.size() + 12, 0x40));
@@ -133,6 +154,7 @@ TEST(WalTest, SegmentRolloverSplitsAtRecordBoundaries) {
     ASSERT_TRUE(
         wal.append_op(g, repl::LogHead{1, seq}, stream_op(seq, 0x03, 1.0)));
   }
+  ASSERT_TRUE(wal.write());
   const auto segments = backend.list("wal");
   EXPECT_GT(segments.size(), 2u);
   // Every record survives the boundaries, in order.
@@ -155,6 +177,7 @@ TEST(WalTest, TruncationReclaimsOnlyCoveredPrefixSegments) {
     ASSERT_TRUE(
         wal.append_op(g, repl::LogHead{1, seq}, stream_op(seq, 0x04, 1.0)));
   }
+  ASSERT_TRUE(wal.write());
   const auto before = backend.list("wal").size();
   ASSERT_GT(before, 2u);
 
@@ -189,8 +212,10 @@ TEST(WalTest, DropUnsyncedLosesOnlyTheUnsyncedSuffix) {
   const KeyGroup g = group_at(0x05, 4);
   ASSERT_TRUE(wal.append_op(g, repl::LogHead{1, 1}, stream_op(1, 0x05, 1.0)));
   ASSERT_TRUE(wal.append_op(g, repl::LogHead{1, 2}, stream_op(2, 0x05, 1.0)));
+  ASSERT_TRUE(wal.write());
   ASSERT_EQ(wal.sync(), Wal::SyncResult::kSynced);
   ASSERT_TRUE(wal.append_op(g, repl::LogHead{1, 3}, stream_op(3, 0x05, 1.0)));
+  ASSERT_TRUE(wal.write());
 
   backend.set_crash_fault(MemBackend::CrashFault{true, 0});
   backend.crash();

@@ -9,6 +9,7 @@
 
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
+#include "wire/fields.hpp"
 
 namespace clash::wire {
 namespace {
@@ -105,7 +106,7 @@ TEST(Codec, RetiredTypeTagTenIsAProtocolError) {
   // stream and query vectors) must not decode as any message.
   Writer w;
   w.u8(10);
-  encode_group(w, KeyGroup::parse("0110*", 24).value());
+  write(w, KeyGroup::parse("0110*", 24).value());
   w.u64(3);        // owner
   w.boolean(true); // root
   w.u64(9);        // parent
@@ -719,17 +720,114 @@ TEST(Codec, RejectsOversizedKeyValue) {
 TEST(Codec, RejectsAbsurdVectorCounts) {
   Writer w;
   w.u8(std::uint8_t(MsgType::kAcceptKeyGroup));
-  encode_group(w, KeyGroup::parse("01*", 24).value());
+  write(w, KeyGroup::parse("01*", 24).value());
   w.u64(1);           // parent
   w.u32(0xFFFFFFFF);  // stream count far beyond remaining bytes
   EXPECT_FALSE(decode_message(w.data()).ok());
+}
+
+TEST(Codec, RejectsAbsurdVectorCountsInEveryVector) {
+  // Each vector a message carries, its count set far beyond the bytes
+  // left: every one must be rejected before anything is allocated. The
+  // count slots are named by their distance from the payload's end,
+  // with every vector empty.
+  const KeyGroup g = KeyGroup::parse("01*", 24).value();
+  AcceptObject query;
+  query.kind = ObjectKind::kQuery;
+  query.scope_depth = 3;
+  ReplAppend scoped_op;
+  scoped_op.group = g;
+  scoped_op.entries.push_back(repl::LogOp::put_query(
+      QueryInfo(QueryId{1}, Key(0x400000, 24), 2)));
+  Gossip census;
+  census.census.emplace_back();
+  struct Case {
+    const char* vectors;
+    Message msg;
+    std::vector<std::size_t> count_slots;
+  };
+  const Case cases[] = {
+      {"AcceptObject predicates", query, {4}},
+      {"AcceptKeyGroup streams, queries, app_state",
+       AcceptKeyGroup{g, ServerId{1}}, {12, 8, 4}},
+      {"ReclaimAck streams, queries, app_state", ReclaimAck{g}, {12, 8, 4}},
+      {"Gossip updates, census", Gossip{}, {8, 4}},
+      {"census record top_groups", census, {8}},
+      {"ReplAppend entries", ReplAppend{g}, {4}},
+      {"query predicates in a log op", scoped_op, {4}},
+      {"SnapshotChunk streams, queries", SnapshotChunk{g}, {8, 4}},
+      {"AntiEntropyProbe heads", AntiEntropyProbe{}, {4}},
+      {"AntiEntropyDiff behind", AntiEntropyDiff{}, {4}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.vectors);
+    Writer w;
+    encode_message(w, c.msg);
+    const auto clean = w.take();
+    ASSERT_TRUE(decode_message(clean).ok());
+    for (const std::size_t slot : c.count_slots) {
+      auto bytes = clean;
+      ASSERT_EQ(load_u32_le(bytes.data() + bytes.size() - slot), 0u);
+      store_u32_le(bytes.data() + bytes.size() - slot, 0xFFFFFFFF);
+      EXPECT_FALSE(decode_message(bytes).ok()) << "slot " << slot;
+    }
+  }
+}
+
+TEST(Codec, VectorBoundIsEachElementsSmallestEncoding) {
+  // A vector count is checked against its element type's min_bytes: the
+  // bound must equal the smallest element's encoding, or a valid
+  // payload of smallest elements would be rejected.
+  const auto size_of = [](const auto& v) {
+    Writer w;
+    write(w, v);
+    return w.size();
+  };
+  const KeyGroup root = KeyGroup::root(1);
+  EXPECT_EQ(size_of(GroupHead{root, {}}), min_bytes<GroupHead>());
+  EXPECT_EQ(size_of(StreamInfo{}), min_bytes<StreamInfo>());
+  EXPECT_EQ(size_of(cq::Predicate{}), min_bytes<cq::Predicate>());
+  EXPECT_EQ(size_of(QueryInfo{}), min_bytes<QueryInfo>());
+  EXPECT_EQ(size_of(repl::LogOp::del_stream(ClientId{1})),
+            min_bytes<repl::LogOp>());
+  EXPECT_EQ(size_of(repl::LogOp::del_query(QueryId{1})),
+            min_bytes<repl::LogOp>());
+  EXPECT_EQ(size_of(MemberUpdate{}), min_bytes<MemberUpdate>());
+  EXPECT_EQ(size_of(CensusGroupCost{root, {}}), min_bytes<CensusGroupCost>());
+  EXPECT_EQ(size_of(NodeCensusRecord{}), min_bytes<NodeCensusRecord>());
+
+  // And a payload that ends in smallest elements decodes.
+  SnapshotChunk chunk;
+  chunk.group = root;
+  chunk.streams.resize(3);
+  AntiEntropyDiff diff;
+  diff.behind.assign(3, GroupHead{root, {}});
+  ReplAppend append;
+  append.group = root;
+  append.entries.assign(3, repl::LogOp::del_stream(ClientId{1}));
+  for (const Message& msg : {Message(chunk), Message(diff), Message(append)}) {
+    Writer w;
+    encode_message(w, msg);
+    EXPECT_TRUE(decode_message(w.data()).ok()) << msg.index();
+  }
+}
+
+/// The frame decode_frame takes: begin_frame/finish_frame's bytes
+/// around `payload`, without the length prefix.
+std::vector<std::uint8_t> frame_of(const Envelope& env,
+                                   std::span<const std::uint8_t> payload) {
+  auto w = begin_frame(env);
+  w.bytes(payload);
+  auto frame = finish_frame(std::move(w));
+  frame.erase(frame.begin(), frame.begin() + 4);
+  return frame;
 }
 
 TEST(Codec, FrameRoundTrip) {
   Writer payload;
   encode_message(payload, Message(AcceptObjectOk{9}));
   const Envelope env{FrameKind::kResponse, 77, ServerId{5}};
-  const auto frame = encode_frame(env, payload.data());
+  const auto frame = frame_of(env, payload.data());
 
   const auto decoded = decode_frame(frame);
   ASSERT_TRUE(decoded.ok());
@@ -745,7 +843,7 @@ TEST(Codec, FramePayloadAliasesTheFrame) {
   Writer payload;
   encode_message(payload, Message(AcceptObjectOk{3}));
   const auto frame =
-      encode_frame(Envelope{FrameKind::kRequest, 5, ServerId{2}},
+      frame_of(Envelope{FrameKind::kRequest, 5, ServerId{2}},
                    payload.data());
   const auto decoded = decode_frame(frame);
   ASSERT_TRUE(decoded.ok());
@@ -769,7 +867,7 @@ TEST(Codec, FramePayloadAliasesTheFrame) {
 TEST(Codec, FrameRejectsBadVersionAndKind) {
   Writer payload;
   encode_message(payload, Message(AcceptObjectOk{1}));
-  auto frame = encode_frame(Envelope{}, payload.data());
+  auto frame = frame_of(Envelope{}, payload.data());
   frame[0] = 99;  // version
   EXPECT_FALSE(decode_frame(frame).ok());
   frame[0] = kProtocolVersion;
