@@ -205,22 +205,27 @@ void encode_payload(Writer& w, const T& m) {
   }
 }
 
-/// Reads the rest of a `T` payload whose type byte `r` has consumed.
-/// A fenced type's verdict is its stamp checked over `payload`, the
-/// whole payload received.
+/// Decodes a `T` payload. A fenced type's verdict is its stamp checked
+/// over the whole payload received.
 template <class T>
-void decode_payload(Reader& r, std::span<const std::uint8_t> payload,
-                    Message& out) {
-  T& m = out.emplace<T>();
+Expected<Message> decode_payload(std::span<const std::uint8_t> payload) {
+  Reader r(payload.subspan(1));  // past the type byte
+  T m;
   if constexpr (fenced(T::kType)) {
     const std::uint32_t stamp = r.u32();
     m.crc_ok = r.ok() && stamp == fence_crc(payload);
   }
   Decoder io{r};
   fields(io, m);
+  if (!r.exhausted()) {
+    return Error::protocol("malformed, truncated or oversized payload of "
+                           "message type " +
+                           std::to_string(int(T::kType)));
+  }
+  return Message(std::move(m));
 }
 
-using DecodeFn = void (*)(Reader&, std::span<const std::uint8_t>, Message&);
+using DecodeFn = Expected<Message> (*)(std::span<const std::uint8_t>);
 
 /// The decoder of each type byte, built from Message's alternatives: a
 /// type that encodes has one by construction.
@@ -268,21 +273,13 @@ std::optional<Message> corrupt_message(const Message& msg, Rng& rng) {
 }
 
 Expected<Message> decode_message(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  const auto type = r.u8();
-  if (!r.ok()) return Error::protocol("empty message payload");
-  const DecodeFn decode = kDecoders[type];
+  if (payload.empty()) return Error::protocol("empty message payload");
+  const DecodeFn decode = kDecoders[payload[0]];
   if (decode == nullptr) {
-    return Error::protocol("unknown message type " + std::to_string(type));
+    return Error::protocol("unknown message type " +
+                           std::to_string(payload[0]));
   }
-  Message out;
-  decode(r, payload, out);
-  if (!r.exhausted()) {
-    return Error::protocol("malformed, truncated or oversized payload of "
-                           "message type " +
-                           std::to_string(type));
-  }
-  return out;
+  return decode(payload);
 }
 
 void encode_reply(Writer& w, const AcceptObjectReply& reply) {
