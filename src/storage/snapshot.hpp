@@ -1,8 +1,10 @@
 // On-disk group snapshots: one atomic file per key group holding the
 // group's full object state (streams and continuous queries, predicates
-// included) at a log head. Object state is serialised as a run of
-// put_stream/put_query LogOps — the exact wire encoding the replication
-// subsystem already uses — so recovery replays a snapshot through
+// included) at a log head. The header is one field list (snapshot.cpp)
+// over the wire codec's lists for group and head, and object state is
+// serialised as a run of put_stream/put_query LogOps through the
+// codec's LogOp list (wire/fields.hpp) — the exact encoding the
+// replication subsystem uses — so recovery replays a snapshot through
 // GroupLog::apply like any log suffix. The whole file is CRC32-trailed:
 // a half-written or bit-rotted snapshot is rejected, never
 // half-applied.

@@ -81,7 +81,7 @@ class Wal {
   struct AppendResult {
     /// Framed bytes of the record staged (0 when it was not).
     std::uint64_t bytes = 0;
-    /// Writes handed to a segment (a group's records go in one).
+    /// Writes handed to a segment (the staged records go in one).
     unsigned writes = 0;
     /// A new segment was opened.
     bool rolled = false;

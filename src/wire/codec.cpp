@@ -1,6 +1,5 @@
 #include "wire/codec.hpp"
 
-#include <algorithm>
 #include <array>
 #include <utility>
 
@@ -227,20 +226,27 @@ Expected<Message> decode_payload(std::span<const std::uint8_t> payload) {
 
 using DecodeFn = Expected<Message> (*)(std::span<const std::uint8_t>);
 
+using Alternatives = std::make_index_sequence<std::variant_size_v<Message>>;
+template <std::size_t I>
+using Alternative = std::variant_alternative_t<I, Message>;
+
 /// The decoder of each type byte, built from Message's alternatives: a
 /// type that encodes has one by construction.
 constexpr auto kDecoders = []<std::size_t... I>(std::index_sequence<I...>) {
   std::array<DecodeFn, 256> table{};
-  ((table[std::size_t(std::variant_alternative_t<I, Message>::kType)] =
-        &decode_payload<std::variant_alternative_t<I, Message>>),
+  ((table[std::size_t(Alternative<I>::kType)] =
+        &decode_payload<Alternative<I>>),
    ...);
   return table;
-}(std::make_index_sequence<std::variant_size_v<Message>>{});
+}(Alternatives{});
 
-static_assert(std::size_t(std::ranges::count_if(kDecoders, [](DecodeFn f) {
-                return f != nullptr;
-              })) == std::variant_size_v<Message>,
-              "every Message alternative needs a distinct MsgType");
+static_assert(
+    []<std::size_t... I>(std::index_sequence<I...>) {
+      std::array<bool, 256> taken{};
+      return (!std::exchange(taken[std::size_t(Alternative<I>::kType)], true) &&
+              ...);
+    }(Alternatives{}),
+    "every Message alternative needs a distinct MsgType");
 
 }  // namespace
 
