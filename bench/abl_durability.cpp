@@ -152,7 +152,6 @@ RunResult run_one(ClashConfig::DurabilityMode mode, std::size_t n_servers,
     r.disk_bytes = backend->bytes_stored();
   }
 
-  cluster.set_wire_metering(true);
   const auto before = cluster.total_stats();
   cluster.crash_server(victim);
   const auto t0 = std::chrono::steady_clock::now();
@@ -172,7 +171,6 @@ RunResult run_one(ClashConfig::DurabilityMode mode, std::size_t n_servers,
   }
   const auto t1 = std::chrono::steady_clock::now();
   const auto delta = cluster.total_stats() - before;
-  cluster.set_wire_metering(false);
 
   r.recovery_wire_bytes = delta.wire_bytes;
   r.groups_lost = delta.groups_lost;

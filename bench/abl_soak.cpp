@@ -184,9 +184,9 @@ int main(int argc, char** argv) {
   pm.set_dir(".");
   obs::register_hub_source(pm, obs::Hub::global(), "abl_soak",
                            [&sim] { return sim.cluster().now().usec; });
-  // Metered for the whole soak: the census-overhead gate is cumulative
-  // across every storm, not a quiet-window measurement.
-  sim.cluster().set_wire_metering(true);
+  // The census-overhead gate meters the whole soak from here: it is
+  // cumulative across every storm, not a quiet-window measurement.
+  const auto soak_start = sim.cluster().total_stats();
   Rng pick(seed * 77 + 3);
 
   std::printf("# Soak: %zu servers, %u rounds of "
@@ -385,7 +385,7 @@ int main(int argc, char** argv) {
   }
 
   // Census byte-rate across the whole soak, storms included.
-  const auto wire = sim.cluster().total_stats();
+  const auto wire = sim.cluster().total_stats() - soak_start;
   const double periods = sim.cluster().now().seconds();  // 1s period
   const double census_rate =
       periods <= 0 ? 0 : double(wire.census_bytes) / (periods * servers);

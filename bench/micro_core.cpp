@@ -373,9 +373,11 @@ class CountingEnv final : public ServerEnv {
   std::vector<ServerId> replica_targets(dht::HashKey, unsigned) override {
     return replicas;
   }
-  void send(ServerId, const Message& msg) override { recycle(frame_of(msg)); }
+  void send(ServerId, const Message& msg) override {
+    recycle(wire::oneway_frame(ServerId{0}, msg));
+  }
   void fan_out(std::span<const ServerId> to, const Message& msg) override {
-    auto frame = frame_of(msg);
+    auto frame = wire::oneway_frame(ServerId{0}, msg);
     for (std::size_t i = 1; i < to.size(); ++i) {
       auto copy = wire::BufferPool::local().acquire();
       copy.assign(frame.begin(), frame.end());
@@ -393,12 +395,6 @@ class CountingEnv final : public ServerEnv {
   }
 
  private:
-  static std::vector<std::uint8_t> frame_of(const Message& msg) {
-    auto w = wire::begin_frame(
-        wire::Envelope{wire::FrameKind::kOneway, 0, ServerId{0}});
-    wire::encode_message(w, msg);
-    return wire::finish_frame(std::move(w));
-  }
   void recycle(std::vector<std::uint8_t>&& frame) {
     ++frames;
     wire::BufferPool::local().release(std::move(frame));

@@ -286,6 +286,9 @@ struct Gossip {
   /// corrupt — a flipped incarnation or state could kill an innocent
   /// member cluster-wide — so gossip carries the fence too.
   bool crc_ok = true;
+  /// Encoded size of `census` as received, not on the wire: what the
+  /// census costs the frame that carried it (0 until decoded).
+  std::size_t census_bytes = 0;
 };
 
 using Message =

@@ -42,12 +42,11 @@ class ServerEnv {
   virtual void send(ServerId to, const Message& msg) = 0;
 
   /// Deliver one message to each server in `to` (the owner's fan-out
-  /// to a group's replica set). The default sends per target, and the
-  /// simulator and the unit-test envs keep it: each copy stays one
-  /// counted, separately delivered message, so the Figure 5 overheads
-  /// and the simulated replication traffic do not depend on how a
-  /// transport encodes. ClashNode overrides it to encode the frame
-  /// once and copy the bytes to the other targets.
+  /// to a group's replica set). Each copy stays one counted, separately
+  /// delivered message, so the Figure 5 overheads do not depend on how
+  /// a transport encodes. The default sends per target, which the
+  /// unit-test envs keep; ClashNode and the simulator encode the frame
+  /// once and give each target a copy of the bytes.
   virtual void fan_out(std::span<const ServerId> to, const Message& msg) {
     for (const ServerId target : to) send(target, msg);
   }

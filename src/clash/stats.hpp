@@ -8,8 +8,8 @@
 // receiver's ClashServer::deliver), so a ClashNode exports exactly
 // those as clash_msgs_<field>. The second list is counted by the
 // simulator harness only (routing hops, client probes, link and
-// membership faults, wire metering): a node has no such event to count,
-// so it exports none of them.
+// membership faults, the bytes it carries): a node has no such event
+// to count, so it exports none of them.
 #pragma once
 
 #include <cstdint>
@@ -69,13 +69,11 @@ namespace clash {
   X(slow_evictions)   /* live-but-slow members excommunicated */             \
   /* Cost-census records delivered piggybacked on gossip frames. */          \
   X(census_records)                                                          \
-  /* Encoded bytes of delivered server->server messages. Populated           \
-     only when SimCluster::set_wire_metering is on (bench use); zero         \
-     otherwise. */                                                           \
+  /* Payload bytes of delivered server->server frames (envelope not          \
+     counted), as the simulator decodes them. */                             \
   X(wire_bytes)                                                              \
-  /* Encoded bytes of the census payload inside delivered gossip             \
-     frames — numerator of the census overhead gate. Wire-metering           \
-     only, like wire_bytes. */                                               \
+  /* Bytes of the census vector inside delivered gossip payloads —           \
+     numerator of the census overhead gate. */                               \
   X(census_bytes)
 
 #define CLASH_MESSAGE_STATS_FIELDS(X) \

@@ -44,7 +44,7 @@ class ClashNode::Env final : public ServerEnv {
 
   void send(ServerId to, const Message& msg) override {
     node_.on_loop_.assert_held();
-    node_.send_to_peer(to, frame_of(msg));
+    node_.send_to_peer(to, wire::oneway_frame(node_.config_.id, msg));
   }
 
   void fan_out(std::span<const ServerId> to, const Message& msg) override {
@@ -52,7 +52,7 @@ class ClashNode::Env final : public ServerEnv {
     if (to.empty()) return;
     // One encoding for the whole replica set: the other targets get a
     // pooled copy of the finished frame's bytes.
-    auto frame = frame_of(msg);
+    auto frame = wire::oneway_frame(node_.config_.id, msg);
     for (const ServerId target : to.first(to.size() - 1)) {
       auto copy = wire::BufferPool::local().acquire();
       copy.assign(frame.begin(), frame.end());
@@ -107,15 +107,6 @@ class ClashNode::Env final : public ServerEnv {
   [[nodiscard]] obs::Hub& obs() override { return node_.hub_; }
 
  private:
-  /// `msg` as a oneway frame, encoded straight into the pooled buffer
-  /// the transport queues and flushes — no intermediate copies.
-  [[nodiscard]] std::vector<std::uint8_t> frame_of(const Message& msg) {
-    auto w = wire::begin_frame(
-        wire::Envelope{wire::FrameKind::kOneway, 0, node_.config_.id});
-    wire::encode_message(w, msg);
-    return wire::finish_frame(std::move(w));
-  }
-
   ClashNode& node_;
 };
 

@@ -5,9 +5,22 @@
 #include <stdexcept>
 #include <utility>
 
+#include "wire/buffer_pool.hpp"
 #include "wire/codec.hpp"
 
 namespace clash::sim {
+namespace {
+
+/// Every frame the simulator delivers decodes: one the corrupt fault
+/// broke never leaves its sender, and the rest came from the same
+/// codec. A failure is a codec bug, and ends the run.
+template <class T>
+T clean_decode(Expected<T>&& decoded) {
+  if (!decoded.ok()) throw std::logic_error(decoded.error().message);
+  return std::move(decoded).value();
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Environments.
@@ -25,17 +38,29 @@ class SimCluster::ServerEnvImpl final : public ServerEnv {
   }
 
   void send(ServerId to, const Message& msg) override {
+    fan_out({&to, 1}, msg);
+  }
+
+  // As on a ClashNode, one encoding serves every target, and each
+  // target's link carries its own copy of the bytes. Gossip rides the
+  // same links as protocol traffic (a partition must starve the
+  // failure detector too), with the gossip latency as its clean-link
+  // delay, which a slow link stretches.
+  void fan_out(std::span<const ServerId> to, const Message& msg) override {
+    auto frame = wire::oneway_frame(self_, msg);
+    const SimDuration base = std::holds_alternative<Gossip>(msg)
+                                 ? cluster_.gossip_latency_
+                                 : SimDuration{0};
+    for (const ServerId target : to) carry(target, frame, base);
+    wire::BufferPool::local().release(std::move(frame));
+  }
+
+  void carry(ServerId to, std::span<const std::uint8_t> sent,
+             SimDuration base) {
     if (!cluster_.is_alive(to)) {
       cluster_.stats_.dropped_msgs++;
       return;
     }
-    // Gossip rides the same links as protocol traffic, as on a
-    // ClashNode (a partition must starve the failure detector too),
-    // with the gossip latency as its clean-link delay, which a slow
-    // link stretches.
-    const SimDuration base = std::holds_alternative<Gossip>(msg)
-                                 ? cluster_.gossip_latency_
-                                 : SimDuration{0};
     LinkMatrix::Verdict verdict{true, base};
     if (!cluster_.links_.quiet()) {
       verdict = cluster_.links_.judge(self_, to, base);
@@ -52,29 +77,44 @@ class SimCluster::ServerEnvImpl final : public ServerEnv {
       delay.usec += cluster_.slow_penalty(self_).usec;
       delay.usec += cluster_.slow_penalty(to).usec;
     }
-    std::optional<Message> mangled;
-    if (verdict.corrupt) {
-      // In-flight byte damage: re-encode, flip, re-decode. When the
-      // codec itself rejects the mangled frame the message simply
-      // vanishes (a wire-level fence); when it decodes, the receiver
-      // gets structurally-valid garbage and its content fences must
-      // hold the line.
-      mangled = wire::corrupt_message(msg, cluster_.corrupt_rng_);
-      if (!mangled) {
-        cluster_.stats_.corrupt_drops++;
-        return;
-      }
+    auto frame = wire::BufferPool::local().acquire();
+    frame.assign(sent.begin(), sent.end());
+    // In-flight byte damage: a frame the codec then rejects vanishes
+    // (a wire-level fence); one that decodes reaches the receiver as
+    // structurally-valid garbage, and its content fences must hold.
+    if (verdict.corrupt && !corrupt(frame)) {
+      cluster_.stats_.corrupt_drops++;
+      return;
     }
-    const Message& out = mangled ? *mangled : msg;
-    deliver_copy(to, out, delay);
-    // A duplicating link delivers the same frame again (same delay:
+    // A duplicating link delivers the same bytes again (same delay:
     // the copies travel together — receivers must be idempotent).
-    if (verdict.duplicate) deliver_copy(to, out, delay);
+    if (verdict.duplicate) arrive_after(delay, to, frame);
+    arrive_after(delay, to, std::move(frame));
   }
 
-  void deliver_copy(ServerId to, const Message& msg, SimDuration delay) {
-    auto arrive = [cluster = &cluster_, from = self_, to, msg] {
-      cluster->deliver(from, to, msg);
+  /// The corrupt fault: 1-3 byte flips of a fenced payload's CRC slot
+  /// and content (a damaged stamp fails the fence too); other types
+  /// pass untouched. False when the payload no longer decodes.
+  bool corrupt(std::span<std::uint8_t> frame) {
+    const auto region = wire::fenced_span(frame);
+    if (region.empty()) return true;
+    Rng& rng = cluster_.corrupt_rng_;
+    const unsigned flips = 1 + unsigned(rng.below(3));
+    for (unsigned i = 0; i < flips; ++i) {
+      const auto pos = std::size_t(rng.below(region.size()));
+      region[pos] ^= std::uint8_t(1 + rng.below(255));
+    }
+    const auto decoded = wire::decode_frame(frame.subspan(4));
+    return decoded.ok() && wire::decode_message(decoded.value().payload).ok();
+  }
+
+  void arrive_after(SimDuration delay, ServerId to,
+                    std::vector<std::uint8_t> frame) {
+    auto arrive = [cluster = &cluster_, to,
+                   frame = std::move(frame)]() mutable {
+      cluster->deliver(to, frame);
+      // Recycled, as a Connection recycles a flushed frame.
+      wire::BufferPool::local().release(std::move(frame));
     };
     EventQueue& events = cluster_.events_;
     if (delay.usec > 0) {
@@ -175,13 +215,20 @@ class SimCluster::ClientEnvImpl final : public ClientEnv {
       return IncorrectDepth{0};
     }
     cluster_.stats_.object_replies++;  // the response message
+    // Both ways cross the codec, as a blocking client's RPC does.
+    wire::Writer w;
+    wire::encode_message(w, Message(msg));
+    const auto obj =
+        std::get<AcceptObject>(clean_decode(wire::decode_message(w.data())));
     // One tick: the handler, then the lane (the tick's WAL commit and
     // ReplAppend flush), then the reply, as ClashNode sends it.
     AcceptObjectReply reply;
     cluster_.events_.dispatch([&] {
-      reply = cluster_.server(to).handle_accept_object(msg);
+      reply = cluster_.server(to).handle_accept_object(obj);
     });
-    return reply;
+    w.clear();
+    wire::encode_reply(w, reply);
+    return clean_decode(wire::decode_reply(w.data()));
   }
 
  private:
@@ -508,22 +555,24 @@ void SimCluster::send(ServerId from, ServerId to, const Message& msg) {
   server_envs_[from.value]->send(to, msg);
 }
 
-void SimCluster::deliver(ServerId from, ServerId to, const Message& msg) {
+void SimCluster::deliver(ServerId to, std::span<const std::uint8_t> frame) {
   if (!is_alive(to)) {  // died while the message was on its way
     stats_.dropped_msgs++;
     return;
   }
+  // A ClashNode's receive path, past the length prefix.
+  const auto decoded = clean_decode(wire::decode_frame(frame.subspan(4)));
+  const ServerId from = decoded.envelope.sender;
+  const auto msg = clean_decode(wire::decode_message(decoded.payload));
+  stats_.wire_bytes += decoded.payload.size();
   const auto* gossip = std::get_if<Gossip>(&msg);
-  if (meter_wire_) stats_.wire_bytes += wire::encoded_payload_size(msg);
   if (gossip == nullptr) {
     server(to).deliver(from, msg);
     return;
   }
   stats_.gossip_msgs++;
   stats_.census_records += gossip->census.size();
-  if (meter_wire_) {
-    stats_.census_bytes += wire::encoded_census_size(gossip->census);
-  }
+  stats_.census_bytes += gossip->census_bytes;
   if (gossip_sink_) gossip_sink_(from, to, *gossip);
 }
 

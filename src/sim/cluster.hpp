@@ -2,9 +2,11 @@
 // clash::NodeHost per node (its ClashServer, its own ring, the failover
 // rule: what net::ClashNode runs), the bootstrap splitter, and a global
 // owner index for exact metrics. It owns the one event queue and clock,
-// on which Runtime and ChurnSim schedule too. Handlers run to completion:
-// a zero-delay message or a defer runs on the lane after its handler
-// (a node's end of tick), a delayed one or a call_after on the queue.
+// on which Runtime and ChurnSim schedule too. A message travels as the
+// frame a ClashNode sends, decoded on arrival; a client RPC crosses the
+// codec both ways. Handlers run to completion: a zero-delay message or
+// a defer runs on the lane after its handler (a node's end of tick), a
+// delayed one or a call_after on the queue.
 // Oracle membership (fail, evict, join, revive) gives every live host
 // one new ring in one step; ChurnSim moves each host's ring on that
 // server's own SWIM verdicts instead.
@@ -168,11 +170,6 @@ class SimCluster {
     return id.value < stores_.size() ? stores_[id.value].get() : nullptr;
   }
 
-  /// Count the encoded wire size of every delivered server -> server
-  /// message into transport_stats().wire_bytes (bench instrumentation:
-  /// off by default, it encodes each message a second time).
-  void set_wire_metering(bool on) { meter_wire_ = on; }
-
   // --- Failure injection (replication extension) -----------------------
   /// Oracle-style crash: crash_server + evict_server in one step, as if
   /// failure detection were instantaneous, then the queue runs through
@@ -255,9 +252,10 @@ class SimCluster {
   class ServerEnvImpl;
   class ClientEnvImpl;
 
-  /// Meter one arriving message and hand it to its receiver, if alive:
-  /// the server (which counts protocol classes) or the gossip sink.
-  void deliver(ServerId from, ServerId to, const Message& msg);
+  /// Decode one arriving frame as a ClashNode does, meter it, and hand
+  /// the message to its receiver, if alive: the server (which counts
+  /// protocol classes) or the gossip sink.
+  void deliver(ServerId to, std::span<const std::uint8_t> frame);
 
   /// (Re)create server `id`'s host, owning nothing, over `ring`.
   void boot_server(ServerId id, NodeHost::Ring ring);
@@ -268,7 +266,6 @@ class SimCluster {
   std::vector<std::unique_ptr<NodeHost>> hosts_;
   std::vector<std::unique_ptr<storage::MemBackend>> backends_;
   std::vector<std::unique_ptr<storage::NodeStore>> stores_;
-  bool meter_wire_ = false;
   std::deque<ClientEnvImpl> client_envs_;  // stable addresses
   std::unordered_map<std::uint64_t, std::size_t> client_env_by_origin_;
   std::unordered_map<KeyGroup, ServerId> owners_;

@@ -87,7 +87,13 @@ class Reader {
   std::uint32_t u32() { return get<std::uint32_t>(); }
   std::uint64_t u64() { return get<std::uint64_t>(); }
   double f64() { return std::bit_cast<double>(u64()); }
-  bool boolean() { return u8() != 0; }
+  /// 0 or 1; any other byte fails the read, so a boolean has one
+  /// encoding.
+  bool boolean() {
+    const std::uint8_t v = u8();
+    if (v > 1) fail();
+    return v == 1;
+  }
   /// Length-prefixed (u32) string; empty on error.
   std::string str();
   /// The next `n` bytes, viewed in place; empty on error.

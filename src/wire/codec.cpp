@@ -94,6 +94,8 @@ void fields(IO& io, Is<Gossip> auto& m) {
   io.u64(m.sequence);
   io.u64(m.target.value);
   io.vec(m.updates);
+  // The census is the last field: the bytes left are its encoding.
+  if constexpr (IO::kReading) m.census_bytes = io.r.remaining();
   io.vec(m.census);
 }
 
@@ -157,14 +159,6 @@ std::uint32_t census_record_crc(const NodeCensusRecord& rec) {
   return crc32(w.data());
 }
 
-std::size_t encoded_census_size(
-    const std::vector<NodeCensusRecord>& census) {
-  Writer w;
-  Encoder io{w};
-  io.vec(census);
-  return w.size();
-}
-
 namespace {
 
 // A fenced payload is [type u8][crc u32][content...].
@@ -176,16 +170,6 @@ constexpr std::size_t kContentOffset = kCrcSlot + 4;
 std::uint32_t fence_crc(std::span<const std::uint8_t> payload) {
   return crc32(payload.subspan(kContentOffset),
                crc32(payload.first(kCrcSlot)));
-}
-
-/// The CRC slot and content of the payload at `offset` in `bytes`;
-/// empty unless that payload is fenced.
-std::span<std::uint8_t> fenced_region(std::span<std::uint8_t> bytes,
-                                      std::size_t offset = 0) {
-  if (bytes.size() <= offset + kCrcSlot || !fenced(MsgType(bytes[offset]))) {
-    return {};
-  }
-  return bytes.subspan(offset + kCrcSlot);
 }
 
 // One payload's bytes, [type][fields...]. A fenced type's CRC slot is
@@ -254,30 +238,6 @@ void encode_message(Writer& w, const Message& msg) {
   std::visit([&](const auto& m) { encode_payload(w, m); }, msg);
 }
 
-std::size_t encoded_payload_size(const Message& msg) {
-  Writer w;
-  encode_message(w, msg);
-  return w.size();
-}
-
-std::optional<Message> corrupt_message(const Message& msg, Rng& rng) {
-  Writer w;
-  encode_message(w, msg);
-  auto bytes = w.take();
-  // Flip 1-3 bytes past the type byte (the CRC slot included: a
-  // damaged stamp fails the fence too).
-  const auto region = fenced_region(bytes);
-  if (region.empty()) return msg;  // fault scoped to fenced payloads
-  const unsigned flips = 1 + unsigned(rng.below(3));
-  for (unsigned i = 0; i < flips; ++i) {
-    const auto pos = std::size_t(rng.below(region.size()));
-    region[pos] ^= std::uint8_t(1 + rng.below(255));
-  }
-  auto decoded = decode_message(bytes);
-  if (!decoded.ok()) return std::nullopt;  // codec fence caught it
-  return std::move(decoded.value());
-}
-
 Expected<Message> decode_message(std::span<const std::uint8_t> payload) {
   if (payload.empty()) return Error::protocol("empty message payload");
   const DecodeFn decode = kDecoders[payload[0]];
@@ -321,9 +281,20 @@ std::vector<std::uint8_t> finish_frame(Writer&& w) {
   return w.take();
 }
 
+std::vector<std::uint8_t> oneway_frame(ServerId sender, const Message& msg) {
+  auto w = begin_frame(Envelope{FrameKind::kOneway, 0, sender});
+  encode_message(w, msg);
+  return finish_frame(std::move(w));
+}
+
 std::span<std::uint8_t> fenced_span(std::span<std::uint8_t> frame) {
   // The payload follows begin_frame's length slot and envelope header.
-  return fenced_region(frame, 4 + 1 + 1 + 8 + 8);
+  constexpr std::size_t kPayload = 4 + 1 + 1 + 8 + 8;
+  if (frame.size() <= kPayload + kCrcSlot ||
+      !fenced(MsgType(frame[kPayload]))) {
+    return {};
+  }
+  return frame.subspan(kPayload + kCrcSlot);
 }
 
 Expected<DecodedFrame> decode_frame(std::span<const std::uint8_t> frame) {

@@ -9,13 +9,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "clash/messages.hpp"
 #include "common/expected.hpp"
-#include "common/rng.hpp"
 #include "wire/buffer.hpp"
 #include "wire/msg_type.hpp"
 
@@ -42,12 +40,6 @@ void encode_message(Writer& w, const Message& msg);
 [[nodiscard]] Expected<Message> decode_message(
     std::span<const std::uint8_t> payload);
 
-/// Encoded payload size of `msg` (what one transport frame carries,
-/// sans envelope). Costs a full encode — instrumentation, not hot
-/// path; the simulator's wire metering uses it to compare transfer
-/// bytes across recovery strategies.
-[[nodiscard]] std::size_t encoded_payload_size(const Message& msg);
-
 // --- The content fence ---------------------------------------------------
 // Gossip / ReplAppend / SnapshotChunk — the payloads whose in-flight
 // corruption can poison membership or replica state — lay out as
@@ -55,9 +47,9 @@ void encode_message(Writer& w, const Message& msg);
 // with the CRC32 of the type byte and the content; decode_message
 // recomputes it over the received bytes and records the verdict in the
 // struct's crc_ok (not on the wire), which receivers reject on. A zero
-// slot means nothing special: it fails like any other wrong value. A
-// message that never crosses a wire (the simulator's clean path) keeps
-// the default verdict, good.
+// slot means nothing special: it fails like any other wrong value.
+// Both transports, TCP and the simulator, deliver only decoded
+// messages, so every verdict a receiver reads comes from the bytes.
 
 /// True for the message types that carry the content fence — the only
 /// types the corrupt fault mode damages.
@@ -81,21 +73,6 @@ void encode_message(Writer& w, const Message& msg);
 /// over the received bytes into the record's crc_ok.
 [[nodiscard]] std::uint32_t census_record_crc(const NodeCensusRecord& rec);
 
-/// Encoded bytes of a census payload as it rides a gossip frame
-/// (vector count + records). Instrumentation for the census-overhead
-/// gate, not hot path.
-[[nodiscard]] std::size_t encoded_census_size(
-    const std::vector<NodeCensusRecord>& census);
-
-/// The corrupt fault mode's mutation for struct-passing transports
-/// (the simulator): encode `msg`, flip 1-3 random bytes, re-decode.
-/// Flips land where fenced_span scopes them on TCP. Returns the
-/// original untouched for unfenced types, nullopt when the mutation no
-/// longer decodes (the codec fence caught it), and the well-formed
-/// result otherwise, with crc_ok read from the mutated bytes.
-[[nodiscard]] std::optional<Message> corrupt_message(const Message& msg,
-                                                    Rng& rng);
-
 void encode_reply(Writer& w, const AcceptObjectReply& reply);
 [[nodiscard]] Expected<AcceptObjectReply> decode_reply(
     std::span<const std::uint8_t> payload);
@@ -112,6 +89,12 @@ void encode_reply(Writer& w, const AcceptObjectReply& reply);
 /// Patch the length slot and release the finished frame (length
 /// prefix included) — ready for Connection::send_wire_frame.
 [[nodiscard]] std::vector<std::uint8_t> finish_frame(Writer&& w);
+
+/// `msg` from `sender` as a finished oneway frame, encoded in place
+/// into one pooled buffer: what a server sends a peer, on TCP and in
+/// the simulator alike.
+[[nodiscard]] std::vector<std::uint8_t> oneway_frame(ServerId sender,
+                                                     const Message& msg);
 
 /// `payload` views the bytes after the header inside the frame passed
 /// to decode_frame: it lives only as long as that frame's buffer.

@@ -1,8 +1,10 @@
-// Payload corruption: with a cluster-wide corrupt fault flipping bytes
-// inside delivered messages, every mangled payload must die at one of
-// the two fences — the codec (structurally invalid -> corrupt_drops)
-// or the receiver's content CRC (decoded-valid but mutated ->
-// corrupt_rejected) — and never be installed. Queries registered
+// Payload corruption: the simulator carries encoded frames, and a
+// cluster-wide corrupt fault flips bytes inside each damaged frame's
+// fenced span (wire::fenced_span). Every mangled payload must die at
+// one of the two fences — the codec (structurally invalid, dropped in
+// flight -> corrupt_drops) or the receiver's content CRC over the bytes
+// it decoded (decoded-valid but mutated -> corrupt_rejected) — and
+// never be installed. Queries registered
 // before and during the fault must all survive, and the cluster must
 // settle back to a clean, converged state once the fault clears.
 #include <gtest/gtest.h>
@@ -66,8 +68,8 @@ TEST(Corruption, FencesRejectEveryMangledPayloadUnderFault) {
   sim.run_for(SimTime::from_minutes(11));  // groups replicated
   ASSERT_EQ(live_queries(sim), before.size());
 
-  // 5% of every message on every link gets 1-3 byte flips — gossip,
-  // replication appends, snapshots, client traffic alike.
+  // 5% of the messages on every link get 1-3 byte flips, which land
+  // in the fenced types: gossip, replication appends, snapshot chunks.
   LinkMatrix::Fault f;
   f.corrupt_prob = 0.05;
   sim.links().set_default_fault(f);

@@ -367,7 +367,6 @@ TEST(DurabilityRestart, LocalRecoveryMovesFewerBytesThanNetworkPull) {
 
     const ServerId victim = busiest_server(cluster);
     const std::size_t victim_streams = cluster.server(victim).total_streams();
-    cluster.set_wire_metering(true);
     const auto before = cluster.total_stats();
     crash_and_restart(cluster, victim);
     const auto delta = cluster.total_stats() - before;

@@ -210,37 +210,42 @@ TEST(CodecFuzz, FlippedFramesNeverCrashTheFrameDecoder) {
 }
 
 TEST(CodecFuzz, CorruptMessageNeverSlipsPastTheContentFence) {
-  // The sim's corrupt fault: whatever corrupt_message produces must be
-  // caught by either the codec (nullopt) or the content fence's verdict
-  // (crc_ok false) — a mutation that passes both must encode to the
-  // original bytes.
+  // The simulator's corrupt fault: 1-3 byte flips inside a frame's
+  // fenced span. Each damaged frame must be caught by either the codec
+  // (no decode) or the content fence's verdict (crc_ok false) — a
+  // mutation that passes both must encode to the original frame.
   Rng rng(0xF3355EED);
   Gossip gossip;
   gossip.kind = GossipKind::kPing;
   gossip.sequence = 41;
   gossip.target = ServerId{6};
   gossip.updates.push_back({ServerId{2}, MemberState::kDead, 9});
-  const Message original{gossip};
-  const auto encoded = [](const Message& msg) {
-    Writer w;
-    encode_message(w, msg);
-    return w.take();
-  };
+  const auto original = oneway_frame(ServerId{1}, Message{gossip});
 
-  int fenced = 0;
+  int fenced_out = 0;
   for (int i = 0; i < 2000; ++i) {
-    const auto mutated = corrupt_message(original, rng);
-    if (!mutated) continue;  // codec fence
-    if (std::get<Gossip>(*mutated).crc_ok) {
+    auto frame = original;
+    const auto region = fenced_span(frame);
+    ASSERT_FALSE(region.empty());
+    const unsigned flips = 1 + unsigned(rng.below(3));
+    for (unsigned f = 0; f < flips; ++f) {
+      region[rng.below(region.size())] ^= std::uint8_t(1 + rng.below(255));
+    }
+    // The span leaves the envelope intact: the frame still parses.
+    const auto decoded = decode_frame(std::span(frame).subspan(4));
+    ASSERT_TRUE(decoded.ok());
+    const auto mutated = decode_message(decoded.value().payload);
+    if (!mutated.ok()) continue;  // codec fence
+    if (std::get<Gossip>(mutated.value()).crc_ok) {
       // Passed the fence: anything but the original content is an
       // installable corruption.
-      EXPECT_EQ(encoded(*mutated), encoded(original));
+      EXPECT_EQ(oneway_frame(ServerId{1}, mutated.value()), original);
     } else {
-      ++fenced;
+      ++fenced_out;
     }
   }
-  EXPECT_GT(fenced, 0) << "corrupt_message never produced a mutation "
-                          "for the content fence to reject";
+  EXPECT_GT(fenced_out, 0) << "no flip produced a mutation for the "
+                              "content fence to reject";
 }
 
 TEST(CodecFuzz, CensusRecordFenceCatchesWhatTheFrameFenceMisses) {
@@ -392,17 +397,24 @@ TEST(CodecFuzz, CensusRecordEncodingIsPinned) {
   const auto bytes = encode(Message(gossip));
   ASSERT_GT(bytes.size(), 30u);
   expect_pinned(std::span(bytes).subspan(30), {154, 0xBFC85B71991EB6D2ULL});
-  EXPECT_EQ(encoded_census_size(gossip.census), bytes.size() - 26);
+  // Decoding reports the census vector's bytes: all but those 26.
+  const auto decoded = decode_message(bytes);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(std::get<Gossip>(decoded.value()).census_bytes,
+            bytes.size() - 26);
 }
 
 TEST(CodecFuzz, NonCorruptibleTypesPassThroughUntouched) {
-  Rng rng(0xF4455EED);
-  const Message msg{AcceptObjectOk{5}};
-  const auto out = corrupt_message(msg, rng);
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(std::get<AcceptObjectOk>(*out).depth, 5u);
+  // The corrupt fault damages only a frame's fenced span, which an
+  // unfenced type's frame does not have.
+  auto frame = oneway_frame(ServerId{1}, Message{AcceptObjectOk{5}});
+  EXPECT_TRUE(fenced_span(frame).empty());
   EXPECT_FALSE(fenced(MsgType::kAcceptObjectOk));
   EXPECT_TRUE(fenced(MsgType::kGossip));
+  // A fenced frame's span is its payload past the type byte: the
+  // envelope (length prefix and 18-byte header) stays intact.
+  auto gossip = oneway_frame(ServerId{1}, Message{Gossip{}});
+  EXPECT_EQ(fenced_span(gossip).size(), gossip.size() - 4 - 18 - 1);
 }
 
 }  // namespace

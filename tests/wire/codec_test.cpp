@@ -704,6 +704,24 @@ TEST(Codec, RejectsNonCanonicalGroup) {
   EXPECT_FALSE(decode_message(w.data()).ok());
 }
 
+TEST(Codec, RejectsNonCanonicalBoolean) {
+  // A boolean is one byte, 0 or 1: any other value would be a second
+  // encoding of true, which re-encodes to different bytes.
+  const KeyGroup g = KeyGroup::parse("01101*", 24).value();
+  Writer w;
+  encode_message(w, Message(LoadReport{g, 123.5, true}));
+  auto bytes = w.data();
+  ASSERT_EQ(bytes.back(), 1u);  // is_leaf is the last field
+  ASSERT_TRUE(decode_message(bytes).ok());
+  bytes.back() = 2;
+  EXPECT_FALSE(decode_message(bytes).ok());
+  bytes.back() = 0xFF;
+  EXPECT_FALSE(decode_message(bytes).ok());
+  bytes.back() = 0;
+  ASSERT_TRUE(decode_message(bytes).ok());
+  EXPECT_FALSE(std::get<LoadReport>(decode_message(bytes).value()).is_leaf);
+}
+
 TEST(Codec, RejectsOversizedKeyValue) {
   Writer w;
   w.u8(std::uint8_t(MsgType::kAcceptObjectOk));
